@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks
-from .algebra import as_signature
+from .algebra import MAX_GENERATORS, as_signature
 from .classify import classify, clock_hour
 from .factorize import factorize, verify_factorization
 from .gamma import build_generators, verify_anticommutation
@@ -158,6 +158,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a (half-)integer: {text!r}") from exc
 
 
+def _int_in(lo: int, hi: int | None):
+    """argparse type: an integer in lo..hi (no upper bound for hi=None)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def cmd_rep(args) -> int:
     if (args.gn is None) == (args.vdw is None):
         print("exactly one of --gn or --vdw is required", file=sys.stderr)
@@ -262,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gn", nargs=2, type=_fraction, metavar=("L0", "L1"))
     sp.add_argument("--vdw", nargs=2, type=_fraction, metavar=("L", "LDOT"))
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=checks.GN_COM_TOL)
     sp.set_defaults(func=cmd_rep)
 
     sp = sub.add_parser("chain", help="interlocking representation chain for spin s = N/2")
@@ -271,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the invariant suite")
     sp.add_argument("--all", action="store_true", help="run every check (default)")
-    sp.add_argument("--nmax", type=int, default=8, help="generator-count budget")
-    sp.add_argument("--dim-max", type=int, default=64, help="operator-size budget")
+    sp.add_argument("--nmax", type=_int_in(0, MAX_GENERATORS), default=8, help="generator-count budget")
+    sp.add_argument("--dim-max", type=_int_in(1, None), default=64, help="operator-size budget")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import Signature, as_signature, omega_square_mod8
+from .algebra import Signature, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, karoubi_factorize
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,9 +101,8 @@ def build_generators(sig) -> GeneratorSet:
     base = build_generators(trunc)
     eye2 = np.eye(2, dtype=complex)
     gammas = [np.kron(eye2, g) for g in base.gammas]
-    omega = reduce(np.matmul, base.gammas, np.eye(base.dim, dtype=complex))
-    omega_sq = 1 if np.array_equal(omega @ omega, np.eye(base.dim)) else -1
-    scale = 1 if omega_sq == last_metric else 1j
+    omega = omega_image(base)
+    scale = 1 if _square_sign(omega) == last_metric else 1j
     last = np.kron(_Z, scale * omega)
     gammas.append(last)
     note = f"two blocks of the {trunc} module, last generator = +/- scaled volume element"
@@ -150,14 +149,14 @@ def omega_image(gen: GeneratorSet) -> np.ndarray:
 
 def omega_image_square_sign(gen: GeneratorSet) -> int:
     """+/-1 with omega_image^2 = sign * I; must match the mod-8 law."""
-    sq = omega_image(gen) @ omega_image(gen)
-    eye = np.eye(gen.dim)
+    return _square_sign(omega_image(gen))
+
+
+def _square_sign(m: np.ndarray) -> int:
+    sq = m @ m
+    eye = np.eye(m.shape[0])
     if np.array_equal(sq, eye):
         return 1
     if np.array_equal(sq, -eye):
         return -1
     raise AssertionError("volume element image does not square to +/- identity")
-
-
-def check_omega_square(gen: GeneratorSet) -> bool:
-    return omega_image_square_sign(gen) == omega_square_mod8(gen.sig)

@@ -218,7 +218,7 @@ def com1_residual(ab: ABOperators) -> float:
     return max(float(np.abs(d).max()) for d in deviations)
 
 
-def verify_com1(ab: ABOperators, tol: float = 1e-10) -> bool:
+def verify_com1(ab: ABOperators, tol: float) -> bool:
     return com1_residual(ab) <= tol
 
 
@@ -309,7 +309,7 @@ def com2_residual(ops: VdWOperators) -> float:
     return max(float(np.abs(d).max()) for d in deviations)
 
 
-def verify_com2(ops: VdWOperators, tol: float = 1e-12) -> bool:
+def verify_com2(ops: VdWOperators, tol: float) -> bool:
     return com2_residual(ops) <= tol
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import as_signature
+from .classify import RING_BY_TYPE
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,17 @@ class RealRepClass(enum.Enum):
         return self in (RealRepClass.R02_DOUBLE, RealRepClass.H46_DOUBLE)
 
 
-_CLASS_BY_TYPE = {
-    0: RealRepClass.R0,
-    1: RealRepClass.R02_DOUBLE,
-    2: RealRepClass.R2,
-    3: RealRepClass.C3,
-    4: RealRepClass.H4,
-    5: RealRepClass.H46_DOUBLE,
-    6: RealRepClass.H6,
-    7: RealRepClass.C7,
-}
+def _class_of_type(t: int) -> RealRepClass:
+    """The class of mod-8 type t, named after its ring in classify.RING_BY_TYPE.
+
+    Simple rings give ring letter + type (R0, C3, H4, ...); a doubled ring
+    gives two copies labelled by the neighbouring types t-1, t+1 (R02uR02).
+    """
+    ring = RING_BY_TYPE[t]
+    if ring.is_double:
+        half = f"{ring.value[0]}{t - 1}{t + 1}"
+        return RealRepClass(f"{half}u{half}")
+    return RealRepClass(f"{ring.value}{t}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def classify_real_rep(sig) -> RealRepLabel:
     rounded down to the nearest quarter-integer step.
     """
     sig = as_signature(sig)
-    cls = _CLASS_BY_TYPE[(sig.p - sig.q) % 8]
+    cls = _class_of_type((sig.p - sig.q) % 8)
     gens = sig.n if sig.n % 2 == 0 else sig.n - 1
     return RealRepLabel(cls, Fraction(gens, 4))
 

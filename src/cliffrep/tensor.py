@@ -29,6 +29,12 @@ class GradedTensorProduct:
         self.combined = as_signature(
             Signature(self.a_sig.p + self.b_sig.p, self.a_sig.q + self.b_sig.q)
         )
+        # combined generator bit -> (A-side bit, B-side bit), exactly one nonzero
+        self._psi_bits = [(0, 0)] * self.combined.n
+        for i in range(1, self.a_sig.n + 1):
+            self._psi_bits[self.embed_a_index(i) - 1] = (1 << (i - 1), 0)
+        for j in range(1, self.b_sig.n + 1):
+            self._psi_bits[self.embed_b_index(j) - 1] = (0, 1 << (j - 1))
 
     # -- generator index maps (1-based) ---------------------------------
 
@@ -79,25 +85,12 @@ class GradedTensorProduct:
         sign = 1
         mask_a = mask_b = 0
         for g0 in range(mask.bit_length()):
-            if not mask >> g0 & 1:
-                continue
-            g = g0 + 1
-            if g <= self.a_sig.p:
-                a_index = g
-            elif g <= sig.p:
-                a_index = None
-                b_index = g - self.a_sig.p
-            elif g <= sig.p + self.a_sig.q:
-                a_index = self.a_sig.p + (g - sig.p)
-            else:
-                a_index = None
-                b_index = self.b_sig.p + (g - sig.p - self.a_sig.q)
-            if a_index is not None:
-                if grade(mask_b) & 1:
+            if mask >> g0 & 1:
+                a_bit, b_bit = self._psi_bits[g0]
+                if a_bit and grade(mask_b) & 1:
                     sign = -sign
-                mask_a |= 1 << (a_index - 1)
-            else:
-                mask_b |= 1 << (b_index - 1)
+                mask_a |= a_bit
+                mask_b |= b_bit
         return sign, mask_a, mask_b
 
     def tensor_blade_product(

@@ -1,58 +1,76 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: each criterion runs registry checks at a fixed budget.
 
-Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
-report including runtimes.  Tolerances are fixed here and nowhere else.
+Run with ``pytest -v -s tests/test_acceptance.py`` to see one PASS line
+per criterion with its runtime.  The invariants and their tolerances
+live in ``cliffrep.checks``; this table only fixes which checks back
+each criterion, at what budget, how much they must cover and how long
+they may take.
 """
 
 import time
-from fractions import Fraction as F
+from typing import NamedTuple
 
-import numpy as np
+import pytest
 
-from cliffrep.algebra import (
-    Multivector,
-    Signature,
-    all_blades,
-    blade_product,
-    center_blades,
-    grade,
-    involution_via_omega,
-    omega_square,
-    omega_square_mod8,
-)
-from cliffrep.classify import MatrixShape, RingType, classify, tensor_compose
-from cliffrep.factorize import compose_factor_shapes, karoubi_factorize
-from cliffrep.gamma import (
-    build_generators,
-    check_omega_square,
-    faithfulness_rank,
-    verify_anticommutation,
-)
-from cliffrep.lorentz import (
-    GNLabel,
-    build_gn_operators,
-    build_vdw_operators,
-    com1_residual,
-    com2_residual,
-    gn_to_vdw,
-    reconstruct_AB,
-    sl25_operators,
-)
-from cliffrep.repsys import (
-    ComplexRepLabel,
-    RealRepClass,
-    RealRepLabel,
-    bw_complex_step,
-    bw_real_step,
-    real_period_step,
-    run_real_cycle,
-)
-from cliffrep.table_data import reference_table
-from cliffrep.tensor import theta_psi_check
+from cliffrep import checks
 
-GN_COM_TOL = 1e-10
-VDW_COM_TOL = 1e-12
-SL25_TOL = 1e-12
+
+class Criterion(NamedTuple):
+    number: int
+    description: str
+    names: tuple[str, ...]  # registry checks, run in order
+    nmax: int  # 0 where no check reads it
+    dim_max: int  # 0 where no check reads it
+    covered: tuple[int, ...]  # CheckResult.covered, one per name
+    budget: float | None  # wall-time limit in seconds
+
+
+CRITERIA = [
+    Criterion(1, "all 64 periodic-table entries reproduced exactly", ("table",), 0, 0, (64,), 1.0),
+    Criterion(
+        2, "volume-element square matches the mod-8 law on all 90 signatures", ("omega-square",), 12, 0, (90,), 10.0
+    ),
+    Criterion(3, "center equals the brute-force commutant for all p+q <= 8", ("center",), 8, 0, (45,), 30.0),
+    Criterion(
+        4,
+        "automorphism signs exact on every blade, omega conjugation included",
+        ("automorphisms", "omega-conjugation"),
+        8, 0, (45, 25), None,
+    ),
+    Criterion(
+        5, "canonical homomorphisms mutually inverse on 495 signature pairs", ("graded-tensor",), 8, 0, (495,), None
+    ),
+    Criterion(
+        6,
+        "factor lists compose to the classification; quoted factorizations reproduced",
+        ("karoubi",),
+        12, 0, (91,), None,
+    ),
+    Criterion(
+        7, "gamma relations exact, faithful rank 2^n, volume image sign correct", ("gamma",), 8, 0, (45,), None
+    ),
+    Criterion(8, "rotation/boost commutators hold on 28 labels", ("gn-com1",), 0, 64, (28,), 10.0),
+    Criterion(
+        9,
+        "su(2) pairs, conversion spectra and operator identities",
+        ("vdw-com2", "gn-vdw"),
+        0, 64, (280, 28), None,
+    ),
+    Criterion(
+        10,
+        "mod-2 and mod-8 cycle walks match the quoted sequences",
+        ("complex-cycle", "real-cycle"),
+        0, 0, (6, 17), None,
+    ),
+    Criterion(
+        11,
+        "mod-8 size ratio 16, H(x)H = Mat_4(R), cycle consistent with period step",
+        ("periodicity", "real-cycle"),
+        4, 0, (15, 17), None,
+    ),
+    Criterion(12, "complex classes double in size every two generators", ("complex-parity",), 12, 0, (11,), None),
+    Criterion(13, "even subalgebras are classified by one generator fewer", ("even-subalgebra",), 8, 0, (44,), None),
+]
 
 
 def _report(number, description, started, budget=None):
@@ -62,214 +80,18 @@ def _report(number, description, started, budget=None):
         assert elapsed < budget, f"criterion {number} exceeded {budget}s"
 
 
-def _signatures(nmax, parity=None):
-    for n in range(nmax + 1):
-        if parity is not None and n % 2 != parity:
-            continue
-        for p in range(n + 1):
-            yield Signature(p, n - p)
-
-
-def test_criterion_01_periodic_table():
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: f"criterion_{c.number:02d}")
+def test_criterion(criterion):
     started = time.perf_counter()
-    entries = reference_table()
-    assert len(entries) == 64
-    for (p, q), (ring, size) in entries.items():
-        c = classify((p, q))
-        assert c.ring is ring and c.matrix_size == size, (p, q)
-        assert c.simple == (not ring.is_double), (p, q)
-    _report(1, "all 64 periodic-table entries reproduced exactly", started, budget=1.0)
+    registry = dict(checks.ALL_CHECKS)
+    results = [registry[name](criterion.nmax, criterion.dim_max) for name in criterion.names]
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
+    assert tuple(r.covered for r in results) == criterion.covered
+    details = "; ".join(r.detail for r in results)
+    _report(criterion.number, f"{criterion.description} [{details}]", started, criterion.budget)
 
 
-def test_criterion_02_volume_square_law():
-    started = time.perf_counter()
-    checked = 0
-    for sig in _signatures(12):
-        if sig.n == 0:
-            continue
-        assert omega_square(sig) == omega_square_mod8(sig), sig
-        checked += 1
-    assert checked == 90
-    _report(2, "volume-element square matches the mod-8 law on all 90 signatures", started, budget=10.0)
-
-
-def test_criterion_03_center_law():
-    started = time.perf_counter()
-    for sig in _signatures(8):
-        brute = set()
-        for mask in all_blades(sig):
-            if all(
-                blade_product(mask, 1 << i, sig) == blade_product(1 << i, mask, sig)
-                for i in range(sig.n)
-            ):
-                brute.add(mask)
-        assert center_blades(sig) == frozenset(brute), sig
-        expected = {0, (1 << sig.n) - 1} if (sig.p - sig.q) % 8 in (1, 3, 5, 7) else {0}
-        assert center_blades(sig) == frozenset(expected), sig
-    _report(3, "center equals the brute-force commutant for all p+q <= 8", started, budget=30.0)
-
-
-def test_criterion_04_automorphism_signs():
-    started = time.perf_counter()
-    for sig in _signatures(8):
-        for mask in all_blades(sig):
-            x = Multivector.from_mask(sig, mask)
-            k = grade(mask)
-            assert x.grade_involution().coefficient(mask) == (-1) ** k
-            assert x.reversion().coefficient(mask) == (-1) ** (k * (k - 1) // 2)
-            assert x.conjugation().coefficient(mask) == (-1) ** (k * (k + 1) // 2)
-            if sig.n % 2 == 0:
-                assert involution_via_omega(x) == x.grade_involution()
-    _report(4, "automorphism signs exact on every blade, omega conjugation included", started)
-
-
-def test_criterion_05_graded_tensor_isomorphism():
-    started = time.perf_counter()
-    assert theta_psi_check((1, 1), (0, 2))
-    count = 0
-    for na in range(9):
-        for pa in range(na + 1):
-            for nb in range(9 - na):
-                for pb in range(nb + 1):
-                    assert theta_psi_check((pa, na - pa), (pb, nb - pb))
-                    count += 1
-    _report(5, f"canonical homomorphisms mutually inverse on {count} signature pairs", started)
-
-
-def test_criterion_06_karoubi_factorization():
-    started = time.perf_counter()
-    for sig in _signatures(12, parity=0):
-        f = karoubi_factorize(sig)
-        assert compose_factor_shapes(f) == classify(sig).shape, sig
-    assert karoubi_factorize((1, 3)).factors == (Signature(1, 1), Signature(0, 2))
-    assert karoubi_factorize((3, 1)).factors == (Signature(1, 1), Signature(2, 0))
-    assert sorted(karoubi_factorize((8, 0)).factors) == sorted(
-        (Signature(2, 0), Signature(0, 2), Signature(0, 2), Signature(2, 0))
-    )
-    _report(6, "factor lists compose to the classification; quoted factorizations reproduced", started)
-
-
-def test_criterion_07_gamma_relations():
-    started = time.perf_counter()
-    for sig in _signatures(8):
-        gen = build_generators(sig)
-        assert verify_anticommutation(gen), sig
-        assert faithfulness_rank(gen) == 1 << sig.n, sig
-        if sig.n >= 1:
-            assert check_omega_square(gen), sig
-    _report(7, "gamma relations exact, faithful rank 2^n, volume image sign correct", started)
-
-
-def _gn_labels():
-    labels = []
-    l0 = F(0)
-    while l0 <= 3:
-        for d in range(1, 5):
-            lab = GNLabel(l0, l0 + d)
-            if lab.dim <= 64:
-                labels.append(lab)
-        l0 += F(1, 2)
-    return labels
-
-
-def test_criterion_08_gn_commutators():
-    started = time.perf_counter()
-    labels = _gn_labels()
-    worst = 0.0
-    for lab in labels:
-        ab = reconstruct_AB(build_gn_operators(lab))
-        worst = max(worst, com1_residual(ab))
-    assert worst <= GN_COM_TOL
-    _report(
-        8,
-        f"rotation/boost commutators hold on {len(labels)} labels (worst {worst:.1e})",
-        started,
-        budget=10.0,
-    )
-
-
-def test_criterion_09_vdw_structure():
-    started = time.perf_counter()
-    worst2 = 0.0
-    l = F(0)
-    while 2 * l + 1 <= 64:
-        ld = F(0)
-        while (2 * l + 1) * (2 * ld + 1) <= 64:
-            worst2 = max(worst2, com2_residual(build_vdw_operators(l, ld)))
-            ld += F(1, 2)
-        l += F(1, 2)
-    assert worst2 <= VDW_COM_TOL
-
-    for lab in _gn_labels():
-        ops = build_gn_operators(lab)
-        v = gn_to_vdw(ops)
-        assert com2_residual(v) <= VDW_COM_TOL, lab
-        assert v.l == (lab.l0 + lab.l1 - 1) / 2
-        mult = int(2 * v.ldot) + 1
-        expected = sorted(float(-v.l + j) for j in range(int(2 * v.l) + 1) for _ in range(mult))
-        got = sorted(np.linalg.eigvals(v.x3).real)
-        assert np.allclose(expected, got, atol=1e-8), lab
-        ref = sl25_operators(reconstruct_AB(ops))
-        got_ops = (
-            (v.xplus + v.xminus) / 2,
-            (v.xplus - v.xminus) / 2j,
-            v.x3,
-            (v.yplus + v.yminus) / 2,
-            (v.yplus - v.yminus) / 2j,
-            v.y3,
-        )
-        for g, r in zip(got_ops, ref):
-            assert np.abs(g - r).max() <= SL25_TOL, lab
-    _report(9, f"su(2) pairs, conversion spectra and operator identities (worst {worst2:.1e})", started)
-
-
-def test_criterion_10_cycle_walks():
-    started = time.perf_counter()
-    seq = [ComplexRepLabel(0)]
-    for _ in range(5):
-        seq.append(bw_complex_step(seq[-1]))
-    assert seq == [
-        ComplexRepLabel(0),
-        ComplexRepLabel(1),
-        ComplexRepLabel(1, doubled=True),
-        ComplexRepLabel(2),
-        ComplexRepLabel(2, doubled=True),
-        ComplexRepLabel(3),
-    ]
-    assert [s.spin for s in seq if not s.doubled] == [F(0), F(1, 2), F(1), F(3, 2)]
-
-    states = run_real_cycle(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), 9)
-    assert [(s.cls, s.l0) for s in states] == [
-        (RealRepClass.R02_DOUBLE, F(0)),
-        (RealRepClass.R0, F(1, 2)),
-        (RealRepClass.R02_DOUBLE, F(1, 2)),
-        (RealRepClass.H6, F(1)),
-        (RealRepClass.H46_DOUBLE, F(1)),
-        (RealRepClass.H4, F(3, 2)),
-        (RealRepClass.H46_DOUBLE, F(3, 2)),
-        (RealRepClass.R2, F(2)),
-        (RealRepClass.R02_DOUBLE, F(2)),
-        (RealRepClass.R0, F(5, 2)),
-    ]
-    _report(10, "mod-2 and mod-8 cycle walks match the quoted sequences", started)
-
-
-def test_criterion_11_periodicity():
-    started = time.perf_counter()
-    for sig in _signatures(4):
-        a = classify(sig)
-        b = classify((sig.p + 8, sig.q))
-        assert a.ring is b.ring and a.simple == b.simple
-        assert b.matrix_size == 16 * a.matrix_size
-
-    h = classify((0, 2)).shape
-    assert tensor_compose(h, h) == MatrixShape(RingType.R, 4)
-
-    start = RealRepLabel(RealRepClass.R02_DOUBLE, F(0))
-    one_cycle = run_real_cycle(start, 8)[-1]
-    assert one_cycle == real_period_step(start)
-    two_cycles = start
-    for step in range(16):
-        two_cycles = bw_real_step(two_cycles, step % 8)
-    assert two_cycles == real_period_step(real_period_step(start))
-    _report(11, "mod-8 size ratio 16, H(x)H = Mat_4(R), cycle consistent with period step", started)
+def test_every_check_backs_a_criterion():
+    in_table = {name for c in CRITERIA for name in c.names}
+    assert [name for name, _ in checks.ALL_CHECKS if name not in in_table] == []

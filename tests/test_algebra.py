@@ -21,6 +21,7 @@ from cliffrep.algebra import (
     omega_square_mod8,
     volume_element,
 )
+from cliffrep.checks import brute_force_commutant
 
 
 def slow_blade_product(a_mask, b_mask, sig):
@@ -202,18 +203,6 @@ class TestVolumeElement:
             for p in range(n + 1):
                 sig = Signature(p, n - p)
                 assert omega_square(sig) == omega_square_mod8(sig), sig
-
-
-def brute_force_commutant(sig):
-    sig = Signature(*sig)
-    out = set()
-    for mask in all_blades(sig):
-        if all(
-            blade_product(mask, 1 << i, sig) == blade_product(1 << i, mask, sig)
-            for i in range(sig.n)
-        ):
-            out.add(mask)
-    return frozenset(out)
 
 
 class TestCenter:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from cliffrep.algebra import MAX_GENERATORS
+from cliffrep.checks import ALL_CHECKS, GN_COM_TOL, VDW_COM_TOL, check_periodicity
 from cliffrep.cli import main, matrix_from_json, matrix_to_json
 
 
@@ -115,7 +117,7 @@ class TestRepCommand:
         assert "PASS" in err
         payload = json.loads(out_file.read_text())
         assert payload["dim"] == 2 and payload["pass"] is True
-        assert payload["commutator_residual"] <= 1e-10
+        assert payload["commutator_residual"] <= GN_COM_TOL
         assert set(payload["operators"]) == {"H3", "H+", "H-", "F3", "F+", "F-"}
         h3 = matrix_from_json(payload["operators"]["H3"])
         assert np.array_equal(h3, np.diag([-0.5, 0.5]).astype(complex))
@@ -126,7 +128,7 @@ class TestRepCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["dim"] == 4
-        assert payload["commutator_residual"] <= 1e-12
+        assert payload["commutator_residual"] <= VDW_COM_TOL
 
     def test_requires_exactly_one_basis(self, capsys):
         code, _, err = run(["rep"], capsys)
@@ -151,7 +153,29 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--all", "--nmax", "5", "--dim-max", "16"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert lines and all(l.startswith("PASS") for l in lines)
+        assert len(lines) == len(ALL_CHECKS) and all(l.startswith("PASS") for l in lines)
+        assert out.splitlines()[-1] == f"{len(ALL_CHECKS)}/{len(ALL_CHECKS)} checks passed"
+
+    def test_largest_nmax_caps_periodicity_base(self):
+        # Cl(p+8, q) must fit in MAX_GENERATORS, so the base stops at n = 8
+        r = check_periodicity(MAX_GENERATORS, 1)
+        assert r.passed and r.detail == "base n <= 8, size ratio 16"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--nmax", "20"], "argument --nmax: must be 0..16, got 20"),
+            (["--nmax", "-1"], "argument --nmax: must be 0..16, got -1"),
+            (["--dim-max", "0"], "argument --dim-max: must be >= 1, got 0"),
+        ],
+    )
+    def test_budget_out_of_range_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [l for l in captured.err.splitlines() if "error:" in l] == [f"cliffrep verify: error: {message}"]
+        assert "Traceback" not in captured.err
 
 
 class TestMatrixJson:

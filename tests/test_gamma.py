@@ -9,9 +9,9 @@ from cliffrep.gamma import (
     GeneratorSet,
     blade_images,
     build_generators,
-    check_omega_square,
     faithfulness_rank,
     omega_image,
+    omega_image_square_sign,
     verify_anticommutation,
 )
 
@@ -98,7 +98,7 @@ class TestFaithfulness:
 class TestVolumeImage:
     @pytest.mark.parametrize("sig", [s for s in all_signatures if s.n >= 1])
     def test_omega_square_sign(self, sig):
-        assert check_omega_square(build_generators(sig))
+        assert omega_image_square_sign(build_generators(sig)) == omega_square_mod8(sig)
 
     @pytest.mark.parametrize("sig", [s for s in all_signatures if s.n >= 2 and s.n % 2 == 0])
     def test_omega_conjugation_realizes_grade_involution(self, sig):

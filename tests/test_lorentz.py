@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cliffrep.checks import GN_COM_TOL, SL25_TOL, SPECTRUM_TOL, VDW_COM_TOL, gn_labels, vdw_labels
 from cliffrep.lorentz import (
     GNLabel,
     Spintensor,
@@ -21,34 +22,6 @@ from cliffrep.lorentz import (
     verify_com2,
 )
 
-COM1_TOL = 1e-10
-COM2_TOL = 1e-12
-
-
-def gn_label_sweep(dim_max=64):
-    labels = []
-    l0 = F(0)
-    while l0 <= 3:
-        for d in range(1, 5):
-            lab = GNLabel(l0, l0 + d)
-            if lab.dim <= dim_max:
-                labels.append(lab)
-        l0 += F(1, 2)
-    return labels
-
-
-def vdw_sweep(dim_max=64):
-    out = []
-    l = F(0)
-    while 2 * l + 1 <= dim_max:
-        ld = F(0)
-        while (2 * l + 1) * (2 * ld + 1) <= dim_max:
-            out.append((l, ld))
-            ld += F(1, 2)
-        l += F(1, 2)
-    return out
-
-
 class TestGNLabel:
     def test_dimension_formula(self):
         assert GNLabel(F(0), F(1)).dim == 1
@@ -56,7 +29,7 @@ class TestGNLabel:
         assert GNLabel(F(0), F(2)).dim == 4
 
     def test_basis_size(self):
-        for lab in gn_label_sweep():
+        for lab in gn_labels(64):
             assert len(lab.basis()) == lab.dim
 
     def test_rejects_infinite_dimensional(self):
@@ -124,15 +97,15 @@ class TestGNOperators:
         for m in reconstruct_AB(ops):
             assert np.array_equal(m, np.zeros((1, 1)))
 
-    @pytest.mark.parametrize("lab", gn_label_sweep(), ids=str)
+    @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
     def test_com1_relations(self, lab):
         ab = reconstruct_AB(build_gn_operators(lab))
-        assert verify_com1(ab, COM1_TOL)
+        assert verify_com1(ab, GN_COM_TOL)
 
     def test_com1_mutation_detected(self):
         ab = reconstruct_AB(build_gn_operators(GNLabel(F(1, 2), F(3, 2))))
         perturbed = ab._replace(a1=ab.a1 + 1e-3)
-        assert not verify_com1(perturbed, COM1_TOL)
+        assert not verify_com1(perturbed, GN_COM_TOL)
         assert com1_residual(perturbed) > 1e-4
 
 
@@ -156,16 +129,16 @@ class TestVdWOperators:
         casimir = jp @ jm + j3 @ j3 - j3
         assert np.allclose(casimir, float(F(3, 2) * F(5, 2)) * np.eye(4))
 
-    @pytest.mark.parametrize("l,ld", vdw_sweep(), ids=str)
+    @pytest.mark.parametrize("l,ld", vdw_labels(64), ids=str)
     def test_com2_relations(self, l, ld):
-        assert verify_com2(build_vdw_operators(l, ld), COM2_TOL)
+        assert verify_com2(build_vdw_operators(l, ld), VDW_COM_TOL)
 
     def test_com2_mutation_detected(self):
         ops = build_vdw_operators(F(1, 2), F(1, 2))
         from dataclasses import replace
 
         swapped = replace(ops, y3=ops.x3.copy())
-        assert not verify_com2(swapped, COM2_TOL)
+        assert not verify_com2(swapped, VDW_COM_TOL)
 
 
 class TestConversion:
@@ -186,12 +159,12 @@ class TestConversion:
         assert gn_to_vdw(build_gn_operators(GNLabel(F(1, 2), F(3, 2)))).l == F(1, 2)
         assert gn_to_vdw(build_gn_operators(GNLabel(F(1), F(3)))).l == F(3, 2)
 
-    @pytest.mark.parametrize("lab", gn_label_sweep(), ids=str)
+    @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
     def test_converted_operators_close_su2(self, lab):
         v = gn_to_vdw(build_gn_operators(lab))
-        assert verify_com2(v, COM2_TOL)
+        assert verify_com2(v, VDW_COM_TOL)
 
-    @pytest.mark.parametrize("lab", gn_label_sweep(), ids=str)
+    @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
     def test_x3_spectrum(self, lab):
         v = gn_to_vdw(build_gn_operators(lab))
         mult = int(2 * v.ldot) + 1
@@ -199,9 +172,9 @@ class TestConversion:
             float(-v.l + j) for j in range(int(2 * v.l) + 1) for _ in range(mult)
         )
         got = sorted(np.linalg.eigvals(v.x3).real)
-        assert np.allclose(expected, got, atol=1e-8)
+        assert np.allclose(expected, got, atol=SPECTRUM_TOL)
 
-    @pytest.mark.parametrize("lab", gn_label_sweep(), ids=str)
+    @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
     def test_sl25_consistency(self, lab):
         ops = build_gn_operators(lab)
         v = gn_to_vdw(ops)
@@ -215,10 +188,10 @@ class TestConversion:
             v.y3,
         )
         for g, r in zip(got, ref):
-            assert np.abs(g - r).max() <= 1e-12
+            assert np.abs(g - r).max() <= SL25_TOL
 
     def test_dimension_identity(self):
-        for lab in gn_label_sweep():
+        for lab in gn_labels(64):
             v = gn_to_vdw(build_gn_operators(lab))
             assert lab.dim == (2 * v.l + 1) * (2 * v.ldot + 1)
 
