@@ -63,8 +63,6 @@ from .lorentz import (
     gn_to_vdw,
     reconstruct_AB,
     spintensor_transform,
-    verify_com1,
-    verify_com2,
 )
 from .repsys import (
     ComplexRepLabel,

@@ -97,13 +97,6 @@ class AlgebraClass:
         """n with dim_R = 2^n."""
         return self.shape.real_dim.bit_length() - 1
 
-    def same_matrix_algebra(self, other: "AlgebraClass") -> bool:
-        return (
-            self.ring is other.ring
-            and self.matrix_size == other.matrix_size
-            and self.simple == other.simple
-        )
-
     def __str__(self) -> str:
         return str(self.shape)
 

@@ -32,7 +32,7 @@ from .lorentz import (
     reconstruct_AB,
 )
 from .repsys import interlocking_chain
-from .table_data import format_entry, reference_table
+from .table_data import format_entry
 
 
 def matrix_to_json(m: np.ndarray, basis: str) -> dict:
@@ -81,22 +81,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    ref = reference_table()
-    mismatches = []
     width = 8
-    header = "p\\q" + "".join(f"{q:>{width}}" for q in range(args.qmax + 1))
-    rows = [header]
-    for p in range(args.pmax + 1):
-        cells = [f"{p:<3}"]
-        for q in range(args.qmax + 1):
-            c = classify((p, q))
-            cells.append(f"{format_entry(c.ring, c.matrix_size):>{width}}")
-            if (p, q) in ref and (c.ring, c.matrix_size) != ref[(p, q)]:
-                mismatches.append((p, q))
-        rows.append("".join(cells))
+    ps, qs = range(args.pmax + 1), range(args.qmax + 1)
+    rows = ["p\\q" + "".join(f"{q:>{width}}" for q in qs)]
+    for p in ps:
+        classes = (classify((p, q)) for q in qs)
+        rows.append(f"{p:<3}" + "".join(f"{format_entry(c.ring, c.matrix_size):>{width}}" for c in classes))
     print("\n".join(rows))
-    checked = sum(1 for p in range(args.pmax + 1) for q in range(args.qmax + 1) if (p, q) in ref)
-    print(f"reference check: {checked} entries compared, {len(mismatches)} mismatches")
+    compared, mismatches = checks.reference_diff([(p, q) for p in ps for q in qs])
+    print(f"reference check: {compared} entries compared, {len(mismatches)} mismatches")
     if mismatches:
         print(f"mismatching signatures: {mismatches}", file=sys.stderr)
         return 1
@@ -254,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("table", help="periodic table, diffed against the embedded reference")
-    sp.add_argument("--pmax", type=int, default=7)
-    sp.add_argument("--qmax", type=int, default=7)
+    sp.add_argument("--pmax", type=_int_in(0, None), default=7)
+    sp.add_argument("--qmax", type=_int_in(0, None), default=7)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("clock", help="walk the spinorial clock by adding generators")
     add_pq(sp)
-    sp.add_argument("--steps", type=int, default=8)
+    sp.add_argument("--steps", type=_int_in(0, None), default=8)
     sp.set_defaults(func=cmd_clock)
 
     sp = sub.add_parser("factorize", help="two-generator tensor factor list")
@@ -294,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an input outside the domain of the command
+        print(f"cliffrep {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -92,8 +92,7 @@ def factorize_odd(sig) -> Factorization:
     if sig.n % 2 == 0:
         raise ValueError("odd p+q required; use karoubi_factorize for even signatures")
     base = karoubi_factorize(even_subalgebra(sig))
-    doubled = (sig.p - sig.q) % 8 in (1, 5)
-    return Factorization(sig, base.factors, doubled=doubled, flip_steps=base.flip_steps)
+    return Factorization(sig, base.factors, doubled=classify(sig).ring.is_double, flip_steps=base.flip_steps)
 
 
 def factorize(sig) -> Factorization:

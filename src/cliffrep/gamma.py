@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .algebra import Signature, as_signature
-from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, karoubi_factorize
+from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -56,15 +56,14 @@ class GeneratorSet:
         return (1,) * self.sig.p + (-1,) * self.sig.q
 
 
-def _even_generator_lists(sig: Signature) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _even_generator_lists(fact: Factorization) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(positive-square, negative-square) matrices for even p+q."""
-    fact = karoubi_factorize(sig)
     pos: list[np.ndarray] = []
     neg: list[np.ndarray] = []
     left = np.eye(1, dtype=complex)  # product of volume elements peeled so far
     left_sq = 1
     remaining = sum(f.n for f in fact.factors)
-    for f in fact.factors:
+    for i, f in enumerate(fact.factors):
         remaining -= f.n
         pad = np.eye(1 << (remaining // 2), dtype=complex)
         a, b = SEEDS[f]
@@ -73,7 +72,8 @@ def _even_generator_lists(sig: Signature) -> tuple[list[np.ndarray], list[np.nda
             (pos if left_sq * seed_sq > 0 else neg).append(g)
         omega = a @ b
         left = np.kron(left, omega)
-        left_sq *= -1 if f in (FACTOR_POS, FACTOR_NEG) else 1
+        if i in fact.flip_steps:  # a definite factor: its volume squares to -1
+            left_sq = -left_sq
     return pos, neg
 
 
@@ -85,10 +85,9 @@ def build_generators(sig) -> GeneratorSet:
     if sig.n == 0:
         return GeneratorSet(sig, (), reducible=False, basis_note="trivial 1-dim module")
     if sig.n % 2 == 0:
-        pos, neg = _even_generator_lists(sig)
-        note = "Kronecker chain over factors " + " , ".join(
-            str(f) for f in karoubi_factorize(sig).factors
-        )
+        fact = karoubi_factorize(sig)
+        pos, neg = _even_generator_lists(fact)
+        note = "Kronecker chain over factors " + " , ".join(str(f) for f in fact.factors)
         return GeneratorSet(sig, tuple(pos + neg), reducible=False, basis_note=note)
 
     # odd: block-double the even-truncated algebra

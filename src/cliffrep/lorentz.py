@@ -18,6 +18,9 @@ The conversion between the two normalizes X = (H + iF)/2, Y = (H - iF)/2,
 which is the unique scaling under which both triples close into su(2)
 ([X1, X2] = i X3) and X3 has the real spectrum -l .. l.
 
+Both bases are assembled from one su(2) triple (``su2_ladder``), and every
+ladder triple is read in cartesian form through one map (``cartesian``).
+
 All matrices are dense complex numpy arrays over fixed lexicographic
 basis orders, so outputs are deterministic.
 """
@@ -35,7 +38,7 @@ import numpy as np
 def as_half_integer(x) -> Fraction:
     f = Fraction(x)
     if (2 * f).denominator != 1:
-        raise ValueError(f"{x!r} is not a half-integer")
+        raise ValueError(f"{f} is not a half-integer")
     return f
 
 
@@ -127,39 +130,37 @@ def _sqrt(x: Fraction) -> float:
 
 
 def build_gn_operators(label: GNLabel) -> GNOperators:
-    """Ladder matrices over the lexicographic (k, nu) basis."""
-    basis = label.basis()
-    index = {kv: i for i, kv in enumerate(basis)}
-    dim = len(basis)
+    """Ladder matrices over the lexicographic (k, nu) basis.
+
+    On level k, H3/H+/H- are the spin-k su(2) triple and the same-level
+    part of F3/F+/F- is -A_k times it; the C_k entries link adjacent levels.
+    """
+    index = {kv: i for i, kv in enumerate(label.basis())}
+    dim = len(index)
     assert dim == label.dim
     h3, hp, hm, f3, fp, fm = (np.zeros((dim, dim), dtype=complex) for _ in range(6))
     coeff = {k: gn_coefficients(label, k) for k in label.levels()}
     coeff[label.l1] = (0j, 0j)
 
-    for (k, nu), col in index.items():
-        a_k, c_k = coeff[k]
-        c_up = coeff[k + 1][1]
-        h3[col, col] = float(nu)
-        if (k, nu + 1) in index:
-            hp[index[(k, nu + 1)], col] = _sqrt((k + nu + 1) * (k - nu))
-        if (k, nu - 1) in index:
-            hm[index[(k, nu - 1)], col] = _sqrt((k + nu) * (k - nu + 1))
+    for k in label.levels():
+        lo, size = index[(k, -k)], int(2 * k) + 1
+        block, m = slice(lo, lo + size), np.arange(size)
+        # where j3, j+, j- may be nonzero; j3's whole diagonal, nu = 0 included
+        bands = ((m, m), (m[1:], m[:-1]), (m[:-1], m[1:]))
+        for h, f, j, (rows, cols) in zip((h3, hp, hm), (f3, fp, fm), su2_ladder(k), bands):
+            h[block, block] = j
+            f[lo + rows, lo + cols] = -coeff[k][0] * j[rows, cols]
 
-        f3[col, col] = -a_k * float(nu)
+    for (k, nu), col in index.items():
+        c_k, c_up = coeff[k][1], coeff[k + 1][1]
         if (k - 1, nu) in index:
             f3[index[(k - 1, nu)], col] = c_k * _sqrt(k * k - nu * nu)
         if (k + 1, nu) in index:
             f3[index[(k + 1, nu)], col] = -c_up * _sqrt((k + 1) ** 2 - nu * nu)
-
-        if (k, nu + 1) in index:
-            fp[index[(k, nu + 1)], col] = -a_k * _sqrt((k - nu) * (k + nu + 1))
         if (k - 1, nu + 1) in index:
             fp[index[(k - 1, nu + 1)], col] = c_k * _sqrt((k - nu) * (k - nu - 1))
         if (k + 1, nu + 1) in index:
             fp[index[(k + 1, nu + 1)], col] = c_up * _sqrt((k + nu + 1) * (k + nu + 2))
-
-        if (k, nu - 1) in index:
-            fm[index[(k, nu - 1)], col] = -a_k * _sqrt((k + nu) * (k - nu + 1))
         if (k - 1, nu - 1) in index:
             fm[index[(k - 1, nu - 1)], col] = -c_k * _sqrt((k + nu) * (k + nu - 1))
         if (k + 1, nu - 1) in index:
@@ -180,46 +181,43 @@ class ABOperators(NamedTuple):
     b3: np.ndarray
 
 
+def cartesian(three: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(J1, J2, J3) of a ladder triple, inverting J+ = J1 + iJ2, J- = J1 - iJ2."""
+    return (plus + minus) / 2, (plus - minus) / 2j, three
+
+
 def reconstruct_AB(ops: GNOperators) -> ABOperators:
-    """Invert H+ = iA1 - A2, H- = iA1 + A2, H3 = iA3 (same pattern for F/B)."""
-    a1 = (ops.hplus + ops.hminus) / 2j
-    a2 = (ops.hminus - ops.hplus) / 2
-    a3 = ops.h3 / 1j
-    b1 = (ops.fplus + ops.fminus) / 2j
-    b2 = (ops.fminus - ops.fplus) / 2
-    b3 = ops.f3 / 1j
-    return ABOperators(a1, a2, a3, b1, b2, b3)
+    """A = -i cartesian(H), B = -i cartesian(F): H+ = iA1 - A2, H- = iA1 + A2, H3 = iA3."""
+    h = cartesian(ops.h3, ops.hplus, ops.hminus)
+    f = cartesian(ops.f3, ops.fplus, ops.fminus)
+    return ABOperators(*(-1j * m for m in h + f))
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def com1_residual(ab: ABOperators) -> float:
-    """Largest entrywise deviation over the 15 rotation/boost relations."""
-    a1, a2, a3, b1, b2, b3 = ab
-    deviations = [
-        _comm(a1, a2) - a3,
-        _comm(a2, a3) - a1,
-        _comm(a3, a1) - a2,
-        _comm(b1, b2) + a3,
-        _comm(b2, b3) + a1,
-        _comm(b3, b1) + a2,
-        _comm(a1, b1),
-        _comm(a2, b2),
-        _comm(a3, b3),
-        _comm(a1, b2) - b3,
-        _comm(a1, b3) + b2,
-        _comm(a2, b3) - b1,
-        _comm(a2, b1) + b3,
-        _comm(a3, b1) - b2,
-        _comm(a3, b2) + b1,
-    ]
+#: (a, b, c) over the cyclic shifts of (1, 2, 3), zero-based
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _worst(deviations) -> float:
     return max(float(np.abs(d).max()) for d in deviations)
 
 
-def verify_com1(ab: ABOperators, tol: float) -> bool:
-    return com1_residual(ab) <= tol
+def com1_residual(ab: ABOperators) -> float:
+    """Largest entrywise deviation over the 15 rotation/boost relations."""
+    a, b = ab[:3], ab[3:]
+    deviations = []
+    for i, j, k in _CYCLIC:
+        deviations += [
+            _comm(a[i], a[j]) - a[k],
+            _comm(b[i], b[j]) + a[k],
+            _comm(a[i], b[i]),
+            _comm(a[i], b[j]) - b[k],
+            _comm(a[j], b[i]) + b[k],
+        ]
+    return _worst(deviations)
 
 
 @dataclass(frozen=True)
@@ -254,18 +252,11 @@ def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j = as_half_integer(j)
     if j < 0:
         raise ValueError("spin must be non-negative")
-    size = int(2 * j) + 1
-    j3 = np.zeros((size, size), dtype=complex)
-    jp = np.zeros((size, size), dtype=complex)
-    jm = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        m = -j + col
-        j3[col, col] = float(m)
-        if col + 1 < size:
-            jp[col + 1, col] = _sqrt((j - m) * (j + m + 1))
-        if col - 1 >= 0:
-            jm[col - 1, col] = _sqrt((j + m) * (j - m + 1))
-    return j3, jp, jm
+    ms = [-j + i for i in range(int(2 * j) + 1)]
+    j3 = np.diag([float(m) for m in ms])
+    jp = np.diag([_sqrt((j - m) * (j + m + 1)) for m in ms[:-1]], -1)
+    jm = np.diag([_sqrt((j + m) * (j - m + 1)) for m in ms[1:]], 1)
+    return j3.astype(complex), jp.astype(complex), jm.astype(complex)
 
 
 def build_vdw_operators(l, ldot) -> VdWOperators:
@@ -292,25 +283,11 @@ def build_vdw_operators(l, ldot) -> VdWOperators:
 
 def com2_residual(ops: VdWOperators) -> float:
     """Deviation from two commuting su(2) triples ([X1,X2] = iX3 etc.)."""
-    x1 = (ops.xplus + ops.xminus) / 2
-    x2 = (ops.xplus - ops.xminus) / 2j
-    y1 = (ops.yplus + ops.yminus) / 2
-    y2 = (ops.yplus - ops.yminus) / 2j
-    xs = (x1, x2, ops.x3)
-    ys = (y1, y2, ops.y3)
-    deviations = []
-    for triple in (xs, ys):
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            deviations.append(_comm(triple[a], triple[b]) - 1j * triple[c])
-    for xi in xs:
-        for yi in ys:
-            deviations.append(_comm(xi, yi))
-    return max(float(np.abs(d).max()) for d in deviations)
-
-
-def verify_com2(ops: VdWOperators, tol: float) -> bool:
-    return com2_residual(ops) <= tol
+    xs = cartesian(ops.x3, ops.xplus, ops.xminus)
+    ys = cartesian(ops.y3, ops.yplus, ops.yminus)
+    deviations = [_comm(t[i], t[j]) - 1j * t[k] for t in (xs, ys) for i, j, k in _CYCLIC]
+    deviations += [_comm(xi, yi) for xi in xs for yi in ys]
+    return _worst(deviations)
 
 
 def gn_to_vdw(ops: GNOperators) -> VdWOperators:

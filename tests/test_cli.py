@@ -178,6 +178,40 @@ class TestVerifyCommand:
         assert "Traceback" not in captured.err
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "-p", "-1", "-q", "0"], "generator counts must be non-negative"),
+            (["classify", "-p", "20", "-q", "0"], "at most 16 generators are supported"),
+            (["factorize", "-p", "17", "-q", "0"], "at most 16 generators are supported"),
+            (["matrep", "-p", "7", "-q", "6"], "generator synthesis supported up to 12 generators"),
+            (["rep", "--gn", "1/2", "1/2"], "finite dimension requires l1 = l0 + p, natural p >= 1"),
+            (["rep", "--gn", "1/3", "2"], "1/3 is not a half-integer"),
+            (["chain", "--spin2", "-1"], "spin doubling 2s must be non-negative"),
+            (["table", "--pmax", "9", "--qmax", "9"], "at most 16 generators are supported"),
+        ],
+    )
+    def test_domain_error_is_one_line_usage_error(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"cliffrep {argv[0]}: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["clock", "-p", "1", "-q", "0", "--steps", "-3"], "argument --steps: must be >= 0, got -3"),
+            (["table", "--pmax", "-1"], "argument --pmax: must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_count_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [l for l in captured.err.splitlines() if "error:" in l] == [f"cliffrep {argv[0]}: error: {message}"]
+
+
 class TestMatrixJson:
     def test_floats_roundtrip_bit_identical(self):
         rng = np.random.default_rng(3)
