@@ -10,15 +10,29 @@ in ascending index order.  Conventions:
 
 Coefficients may be any Python scalars (int, Fraction, float, complex).
 All structural operations are bit-exact when ints or Fractions are used.
+
+Blade signs have two forms: :func:`blade_product` for one pair (the
+reference) and :func:`blade_signs` for numpy arrays of masks, with
+:func:`sign_table` caching the whole Cayley sign table of a signature
+(the bitmap-blade tables of Dorst, Fontijne & Mann, *Geometric Algebra
+for Computer Science*, ch. 19).  numpy is imported inside those two
+functions only, so the classification paths that import this module do
+not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
+#: largest generator count with a cached sign table (1 MB of int8 at n = 10)
+TABLE_MAX_GENERATORS = 10
+# gathered entries per row block of the table product (64 KB of int64)
+_GATHER_ENTRIES = 1 << 13
 
 
 class Signature(NamedTuple):
@@ -76,6 +90,11 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     sig = as_signature(sig)
     if a >> sig.n or b >> sig.n or a < 0 or b < 0:
         raise ValueError("blade mask uses generators outside the signature")
+    return _blade_sign(a, b, sig.p), a ^ b
+
+
+def _blade_sign(a: int, b: int, p: int) -> int:
+    """Sign of ``e_a * e_b`` for masks already known to be valid."""
     swaps = 0
     t = b
     while t:
@@ -83,14 +102,102 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
         # generators of a strictly above this one must be crossed
         swaps += (a >> low.bit_length()).bit_count()
         t ^= low
-    sign = -1 if swaps & 1 else 1
-    t = a & b
-    while t:
-        low = t & -t
-        if low.bit_length() > sig.p:
-            sign = -sign
-        t ^= low
-    return sign, a ^ b
+    # one metric factor per repeated generator above p
+    swaps += ((a & b) >> p).bit_count()
+    return -1 if swaps & 1 else 1
+
+
+def blade_signs(a, b, sig):
+    """Signs of ``e_a * e_b`` over broadcastable numpy integer arrays of masks.
+
+    The two steps of :func:`blade_product`, one generator at a time from
+    the top: for each generator k in b, one transposition per generator
+    of a above k, and one metric factor if k is also in a and lies above
+    p.  Returns an int8 array of +1/-1 in the broadcast shape.
+    """
+    import numpy as np
+
+    sig = as_signature(sig)
+    a, b = np.asarray(a), np.asarray(b)
+    for masks in (a, b):
+        if masks.dtype.kind not in "iu":
+            raise TypeError(f"blade masks must be integers, got dtype {masks.dtype}")
+        if masks.size and (masks.min() < 0 or masks.max() >> sig.n):
+            raise ValueError("blade mask uses generators outside the signature")
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    parity = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.uint8)
+    above = np.zeros(a.shape, np.uint8)  # parity of the generators of a above k
+    for k in reversed(range(sig.n)):
+        a_k = (a >> k & 1).astype(np.uint8)
+        flips = above ^ a_k if k >= sig.p else above
+        parity ^= flips & (b >> k & 1).astype(np.uint8)
+        above ^= a_k
+    return 1 - 2 * parity.view(np.int8)
+
+
+def sign_table(sig):
+    """Read-only int8 table ``T[a, b]`` = sign of ``e_a * e_b``, cached per signature.
+
+    Built for at most ``TABLE_MAX_GENERATORS`` generators.
+    """
+    sig = as_signature(sig)
+    if sig.n > TABLE_MAX_GENERATORS:
+        raise ValueError(f"sign tables are built for at most {TABLE_MAX_GENERATORS} generators")
+    return _sign_table(sig)
+
+
+@cache
+def _sign_table(sig: Signature):
+    import numpy as np
+
+    masks = np.arange(1 << sig.n)
+    table = blade_signs(masks[:, None], masks[None, :], sig)
+    table.flags.writeable = False
+    return table
+
+
+def _table_product_fits(sig: Signature, a: dict, b: dict) -> bool:
+    """True when the sign-table product is exact and worth it.
+
+    Needs at least 2^n blade pairs (so gathering whole 2^n rows does not
+    cost more than the pair loop), plain int coefficients only, and a
+    bound on every output coefficient that fits in int64.
+    """
+    if sig.n > TABLE_MAX_GENERATORS or len(a) * len(b) < 1 << sig.n:
+        return False
+    if not all(type(c) is int for c in chain(a.values(), b.values())):
+        return False
+    return max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 1 << 63
+
+
+def _table_product(sig: Signature, a: dict, b: dict) -> dict[int, int]:
+    """Exact int product through :func:`sign_table` (see ``_table_product_fits``).
+
+    Every output blade k takes one term from each blade i of the shorter
+    factor, paired with blade i ^ k of the other, so the product is an
+    XOR-indexed gather of 2^n columns per row and one integer matmul.
+    Rows go in blocks of about ``_GATHER_ENTRIES`` gathered entries, which
+    keeps the temporaries small (and in cache) at every n.
+    """
+    import numpy as np
+
+    left = len(a) <= len(b)
+    rows, other = (a, b) if left else (b, a)
+    row_masks = np.fromiter(rows, np.int64, len(rows))[:, None]
+    row_coeffs = np.fromiter(rows.values(), np.int64, len(rows))
+    blades = np.arange(1 << sig.n)
+    dense = np.zeros(1 << sig.n, np.int64)
+    dense[np.fromiter(other, np.int64, len(other))] = np.fromiter(other.values(), np.int64, len(other))
+    table = sign_table(sig)
+    out = np.zeros(1 << sig.n, np.int64)
+    step = max(1, _GATHER_ENTRIES >> sig.n)
+    for start in range(0, len(rows), step):
+        masks = row_masks[start : start + step]
+        partner = masks ^ blades
+        signs = table[masks, partner] if left else table[partner, masks]
+        out += row_coeffs[start : start + step] @ (signs * dense[partner])
+    nonzero = np.flatnonzero(out)
+    return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
 
 
 def blade_name(mask: int) -> str:
@@ -181,11 +288,14 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._require_same_sig(other)
+            if _table_product_fits(self.sig, self.terms, other.terms):
+                return Multivector(self.sig, _table_product(self.sig, self.terms, other.terms))
             terms: dict[int, Number] = {}
+            p = self.sig.p
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
-                    sign, mask = blade_product(ma, mb, self.sig)
-                    terms[mask] = terms.get(mask, 0) + sign * ca * cb
+                    mask = ma ^ mb
+                    terms[mask] = terms.get(mask, 0) + _blade_sign(ma, mb, p) * ca * cb
             return Multivector(self.sig, terms)
         if isinstance(other, Number):
             return Multivector(self.sig, {m: c * other for m, c in self.terms.items()})

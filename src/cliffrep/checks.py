@@ -24,7 +24,7 @@ from .algebra import (
     Signature,
     all_blades,
     as_signature,
-    blade_product,
+    blade_signs,
     center_blades,
     grade,
     involution_via_omega,
@@ -79,14 +79,15 @@ def _signatures(nmax: int, parity: int | None = None) -> list[Signature]:
 
 
 def brute_force_commutant(sig) -> frozenset[int]:
-    """Blades commuting with every generator, by direct multiplication."""
+    """Blades commuting with every generator, by multiplying both ways round.
+
+    e_m e_g and e_g e_m share the mask m ^ g, so only their signs are compared.
+    """
     sig = as_signature(sig)
-    gens = [1 << i for i in range(sig.n)]
-    return frozenset(
-        mask
-        for mask in all_blades(sig)
-        if all(blade_product(mask, g, sig) == blade_product(g, mask, sig) for g in gens)
-    )
+    blades = np.arange(1 << sig.n)[:, None]
+    gens = (1 << np.arange(sig.n))[None, :]
+    commutes = blade_signs(blades, gens, sig) == blade_signs(gens, blades, sig)
+    return frozenset(np.flatnonzero(commutes.all(axis=1)).tolist())
 
 
 def check_omega_square(nmax: int, dim_max: int) -> CheckResult:

@@ -12,12 +12,13 @@ inverse homomorphisms are
 * ``psi``: combined generators -> e_i (x) 1 or 1 (x) e_j.
 
 On basis blades both maps are monomial -> signed monomial, so checking
-that they invert each other is exact integer arithmetic.
+that they invert each other is exact integer arithmetic, done on numpy
+arrays over all blades at once (numpy is imported inside those methods).
 """
 
 from __future__ import annotations
 
-from .algebra import Multivector, Signature, as_signature, blade_product, grade
+from .algebra import Multivector, Signature, as_signature, blade_product, blade_signs, grade
 
 
 class GradedTensorProduct:
@@ -52,7 +53,9 @@ class GradedTensorProduct:
             return self.a_sig.p + j
         return self.combined.p + self.a_sig.q + (j - self.b_sig.p)
 
-    def _embed_mask(self, mask: int, index_map) -> int:
+    def _embed_mask(self, mask: int, sig: Signature, index_map) -> int:
+        if mask >> sig.n or mask < 0:
+            raise ValueError(f"blade {mask:#x} invalid for {sig}")
         out = 0
         for i in range(mask.bit_length()):
             if mask >> i & 1:
@@ -61,10 +64,10 @@ class GradedTensorProduct:
 
     def embed_a(self, mask: int) -> int:
         """Combined-algebra mask of an A-side blade (order preserving)."""
-        return self._embed_mask(mask, self.embed_a_index)
+        return self._embed_mask(mask, self.a_sig, self.embed_a_index)
 
     def embed_b(self, mask: int) -> int:
-        return self._embed_mask(mask, self.embed_b_index)
+        return self._embed_mask(mask, self.b_sig, self.embed_b_index)
 
     # -- the two homomorphisms ------------------------------------------
 
@@ -92,6 +95,43 @@ class GradedTensorProduct:
                 mask_a |= a_bit
                 mask_b |= b_bit
         return sign, mask_a, mask_b
+
+    def theta_arrays(self):
+        """theta on every blade pair: ``(signs, masks)``, both indexed ``[mask_a, mask_b]``."""
+        import numpy as np
+
+        def embedded(n, index_map):
+            masks = np.arange(1 << n)
+            out = np.zeros_like(masks)
+            for i in range(n):
+                out |= (masks >> i & 1) << (index_map(i + 1) - 1)
+            return out
+
+        ea = embedded(self.a_sig.n, self.embed_a_index)[:, None]
+        eb = embedded(self.b_sig.n, self.embed_b_index)[None, :]
+        return blade_signs(ea, eb, self.combined), ea ^ eb
+
+    def psi_arrays(self):
+        """psi on every combined blade: ``(signs, masks_a, masks_b)``, indexed by the blade.
+
+        The bit loop of :meth:`psi_blade`, run over all 2^n blades at once.
+        """
+        import numpy as np
+
+        masks = np.arange(1 << self.combined.n)
+        odd = np.zeros_like(masks)  # grade parity of the B-side factor so far
+        parity = np.zeros_like(masks)
+        masks_a = np.zeros_like(masks)
+        masks_b = np.zeros_like(masks)
+        for g0, (a_bit, b_bit) in enumerate(self._psi_bits):
+            on = masks >> g0 & 1
+            if a_bit:
+                parity ^= on & odd
+                masks_a |= on * a_bit
+            else:
+                odd ^= on
+                masks_b |= on * b_bit
+        return (1 - 2 * parity).astype(np.int8), masks_a, masks_b
 
     def tensor_blade_product(
         self, left: tuple[int, int], right: tuple[int, int]
@@ -125,18 +165,16 @@ class GradedTensorProduct:
 
     def mutually_inverse(self) -> bool:
         """Exact check that psi . theta = id and theta . psi = id on all blades."""
-        for mask in range(1 << self.combined.n):
-            s, ma, mb = self.psi_blade(mask)
-            s2, back = self.theta_blade(ma, mb)
-            if back != mask or s * s2 != 1:
-                return False
-        for ma in range(1 << self.a_sig.n):
-            for mb in range(1 << self.b_sig.n):
-                s, mask = self.theta_blade(ma, mb)
-                s2, ra, rb = self.psi_blade(mask)
-                if (ra, rb) != (ma, mb) or s * s2 != 1:
-                    return False
-        return True
+        import numpy as np
+
+        t_sign, t_mask = self.theta_arrays()
+        p_sign, p_a, p_b = self.psi_arrays()
+        pairs_a, pairs_b = np.indices(t_mask.shape)
+        psi_theta = (
+            (p_a[t_mask] == pairs_a) & (p_b[t_mask] == pairs_b) & (p_sign[t_mask] * t_sign == 1)
+        ).all()
+        theta_psi = ((t_mask[p_a, p_b] == np.arange(p_a.size)) & (t_sign[p_a, p_b] * p_sign == 1)).all()
+        return bool(psi_theta and theta_psi)
 
 
 def graded_tensor(a_sig, b_sig) -> GradedTensorProduct:

@@ -38,7 +38,7 @@ CRITERIA = [
         8, 0, (45, 25), None,
     ),
     Criterion(
-        5, "canonical homomorphisms mutually inverse on 495 signature pairs", ("graded-tensor",), 8, 0, (495,), None
+        5, "canonical homomorphisms mutually inverse on 495 signature pairs", ("graded-tensor",), 8, 0, (495,), 5.0
     ),
     Criterion(
         6,

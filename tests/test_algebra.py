@@ -1,17 +1,25 @@
 """Core multivector arithmetic: products, automorphisms, volume, center."""
 
+import ast
+import inspect
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffrep import algebra, tensor
 from cliffrep.algebra import (
+    TABLE_MAX_GENERATORS,
     GradedBracketResult,
     Multivector,
     Signature,
     all_blades,
     blade_product,
+    blade_signs,
     center_blades,
     generators,
     grade,
@@ -19,6 +27,7 @@ from cliffrep.algebra import (
     involution_via_omega,
     omega_square,
     omega_square_mod8,
+    sign_table,
     volume_element,
 )
 from cliffrep.checks import brute_force_commutant
@@ -103,6 +112,171 @@ class TestBladeProduct:
     def test_rejects_foreign_blades(self):
         with pytest.raises(ValueError):
             blade_product(0b100, 0b1, (1, 1))
+
+
+signatures_table = [Signature(p, n - p) for n in range(0, 9) for p in range(n + 1)]
+
+
+class TestSignRule:
+    @pytest.mark.parametrize("sig", signatures_table)
+    def test_table_matches_blade_product_exhaustively(self, sig):
+        blades = all_blades(sig)
+        ref = [blade_product(a, b, sig)[0] for a in blades for b in blades]
+        assert sign_table(sig).ravel().tolist() == ref
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_table_rows_at_large_n(self, n):
+        rng = random.Random(n)
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            table = sign_table(sig)
+            for a in rng.sample(range(1 << n), 3):
+                assert table[a].tolist() == [blade_product(a, b, sig)[0] for b in all_blades(sig)]
+
+    def test_table_is_cached_and_read_only(self):
+        table = sign_table((3, 1))
+        assert sign_table(Signature(3, 1)) is table
+        assert table.dtype == np.int8
+        with pytest.raises(ValueError):
+            table[0, 0] = -1
+
+    def test_table_size_limit(self):
+        with pytest.raises(ValueError):
+            sign_table((TABLE_MAX_GENERATORS + 1, 0))
+
+    @pytest.mark.parametrize("n", range(0, 17))
+    def test_signs_match_blade_product_on_random_masks(self, n):
+        rng = random.Random(100 + n)
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        a = [rng.randrange(1 << n) for _ in range(2000)]
+        b = [rng.randrange(1 << n) for _ in range(2000)]
+        got = blade_signs(np.array(a), np.array(b), sig)
+        assert got.dtype == np.int8
+        assert got.tolist() == [blade_product(x, y, sig)[0] for x, y in zip(a, b)]
+
+    def test_signs_broadcast(self):
+        sig = Signature(2, 3)
+        a = np.arange(32)[:, None]
+        g = (1 << np.arange(5))[None, :]
+        got = blade_signs(a, g, sig)
+        assert got.shape == (32, 5)
+        assert got.tolist() == [[blade_product(x, 1 << i, sig)[0] for i in range(5)] for x in range(32)]
+
+    @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_signs_reject_foreign_blades(self, a, b):
+        with pytest.raises(ValueError):
+            blade_signs(np.array([a]), np.array([b]), (1, 1))
+
+    def test_signs_reject_non_integer_masks(self):
+        with pytest.raises(TypeError):
+            blade_signs(np.array([1.0]), np.array([0]), (1, 1))
+
+    @pytest.mark.parametrize("module", [algebra, tensor])
+    def test_numpy_is_imported_inside_functions(self, module):
+        imported = set()
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported
+
+
+def reference_product(x, y):
+    """The pair loop on :func:`blade_product` alone: the oracle of the table path."""
+    terms = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            sign, mask = blade_product(ma, mb, x.sig)
+            terms[mask] = terms.get(mask, 0) + sign * ca * cb
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def assert_same_product(x, y):
+    got = (x * y).terms
+    want = reference_product(x, y)
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
+
+
+def spy_table():
+    return mock.patch.object(algebra, "sign_table", wraps=algebra.sign_table)
+
+
+@st.composite
+def dense_int_pairs(draw):
+    """Int multivectors with at least 2^n blade pairs and at most about 4 * 2^n."""
+    n = draw(st.integers(0, TABLE_MAX_GENERATORS))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    size = 1 << n
+    len_a = draw(st.integers(1, size))
+    low = -(-size // len_a)
+    len_b = draw(st.integers(low, min(size, max(low, 4 * size // len_a))))
+    bound = draw(st.sampled_from([2, 9, 1 << 26]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def terms(count):
+        return {m: rng.choice([-1, 1]) * rng.randint(1, bound) for m in rng.sample(range(size), count)}
+
+    return Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
+
+
+class TestTableProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_int_pairs())
+    def test_table_path_matches_reference(self, pair):
+        x, y = pair
+        with spy_table() as spy:
+            assert_same_product(x, y)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize(
+        "sig,a,b,table",
+        [
+            # exact ints at the int64 bound: 2 * 2^31 * (2^31 - 1) < 2^63 takes the table
+            ((1, 0), {0: 1 << 31, 1: 1 << 31}, {0: (1 << 31) - 1, 1: (1 << 31) - 1}, True),
+            ((1, 0), {0: 1 << 31, 1: 1 << 31}, {0: 1 << 31, 1: 1 << 31}, False),
+            ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, True),
+            ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, False),
+            ((1, 0), {0: 1, 1: 1}, {0: 1, 1: -1}, True),  # (1 + e1)(1 - e1) = 0
+            ((0, 0), {0: 3}, {0: -4}, True),
+            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
+            ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, False),
+            ((1, 1), {m: complex(m, 1) for m in range(4)}, {m: 1j * m - 2 for m in range(4)}, False),
+            ((1, 1), {m: True for m in range(4)}, {m: True for m in range(4)}, False),
+            ((1, 1), {m: np.int64(m + 1) for m in range(4)}, {m: np.int64(2 - m) for m in range(4)}, False),
+            ((1, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(4)}, False),
+            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, False),  # no table above 10 generators
+        ],
+        ids=[
+            "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0",
+            "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction", "n12",
+        ],
+    )
+    def test_path_selection(self, sig, a, b, table):
+        x, y = Multivector(sig, a), Multivector(sig, b)
+        with spy_table() as spy:
+            assert_same_product(x, y)
+        assert spy.call_count == int(table)
+
+    def test_sparse_product_takes_the_loop(self):
+        sig = (4, 4)
+        x = Multivector(sig, {1: 2, 6: -1, 0b1000_0000: 3})
+        y = Multivector(sig, {m: m - 5 for m in range(0, 256, 4)})  # 3 * 64 < 256 pairs
+        with spy_table() as spy:
+            assert_same_product(x, y)
+        assert spy.call_count == 0
+
+    def test_dense_factor_times_single_blade(self):
+        sig = (5, 5)
+        x = Multivector(sig, {m: m % 7 - 7 for m in range(1 << 10)})
+        y = Multivector.from_mask(sig, 0b1010110011, -2)
+        with spy_table() as spy:
+            assert_same_product(x, y)
+            assert_same_product(y, x)
+        assert spy.call_count == 2
 
 
 class TestMultivectorProduct:

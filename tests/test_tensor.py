@@ -79,3 +79,58 @@ class TestThetaPsi:
         t = GradedTensorProduct((1, 1), (1, 0))
         x = Multivector(t.combined, {0b101: 2, 0b011: -1, 0: 7})
         assert t.theta(t.psi(x)) == x
+
+
+def _pairs(nmax):
+    sigs = [Signature(p, n - p) for n in range(nmax + 1) for p in range(n + 1)]
+    return [(a, b) for a in sigs for b in sigs if a.n + b.n <= nmax]
+
+
+class TestBladeArrays:
+    @pytest.mark.parametrize("a,b", _pairs(6), ids=str)
+    def test_arrays_match_per_blade_maps(self, a, b):
+        t = GradedTensorProduct(a, b)
+        signs, masks = t.theta_arrays()
+        assert [(int(s), int(m)) for s, m in zip(signs.ravel(), masks.ravel())] == [
+            t.theta_blade(ma, mb) for ma in all_blades(a) for mb in all_blades(b)
+        ]
+        psi = t.psi_arrays()
+        assert [tuple(map(int, row)) for row in zip(*psi)] == [t.psi_blade(m) for m in all_blades(t.combined)]
+
+    @pytest.mark.parametrize("a,b", [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6))])
+    def test_sixteen_generators(self, a, b):
+        assert theta_psi_check(a, b)
+
+    def test_detects_wrong_generator_images(self):
+        t = GradedTensorProduct((1, 0), (1, 0))
+        t._psi_bits.reverse()  # psi(e1) = 1 (x) e1 instead of e1 (x) 1
+        assert not t.mutually_inverse()
+
+    def test_detects_wrong_sign(self):
+        t = GradedTensorProduct((2, 1), (1, 1))
+        signs, masks = t.theta_arrays()
+        flipped = signs.copy()
+        flipped[3, 1] *= -1
+        t.theta_arrays = lambda: (flipped, masks)
+        assert not t.mutually_inverse()
+
+
+class TestBladeRange:
+    @pytest.mark.parametrize("mask_a,mask_b", [(-1, 0), (-2, 0), (4, 0), (0, -1), (0, 4), (1 << 20, 0)])
+    def test_theta_rejects_foreign_blades(self, mask_a, mask_b):
+        t = graded_tensor((1, 1), (0, 2))
+        with pytest.raises(ValueError):
+            t.theta_blade(mask_a, mask_b)
+
+    @pytest.mark.parametrize("mask", [-1, 4])
+    def test_embeddings_reject_foreign_blades(self, mask):
+        t = graded_tensor((1, 1), (0, 2))
+        with pytest.raises(ValueError):
+            t.embed_a(mask)
+        with pytest.raises(ValueError):
+            t.embed_b(mask)
+
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_psi_rejects_foreign_blades(self, mask):
+        with pytest.raises(ValueError):
+            graded_tensor((1, 1), (0, 2)).psi_blade(mask)
