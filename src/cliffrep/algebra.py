@@ -33,6 +33,13 @@ MAX_GENERATORS = 16
 TABLE_MAX_GENERATORS = 10
 # gathered entries per row block of the table product (64 KB of int64)
 _GATHER_ENTRIES = 1 << 13
+# Fewest blade pairs worth the table product.  Timed on int products
+# against the pair loop (2 vCPUs, n = 0..10): the table path costs a fixed
+# 8-14 us of numpy calls plus 2^n gathered entries per row, the loop about
+# 1 us per pair.  At 2^n pairs the table wins from n = 4 (1.1-1.3x at
+# n = 4, 3.5-15x at n = 7..10) but loses below (0.1-0.55x at n <= 3); at
+# 16 pairs it breaks even at n = 2 and wins 1.35x at n = 3.
+_TABLE_MIN_PAIRS = 16
 
 
 class Signature(NamedTuple):
@@ -90,11 +97,6 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     sig = as_signature(sig)
     if a >> sig.n or b >> sig.n or a < 0 or b < 0:
         raise ValueError("blade mask uses generators outside the signature")
-    return _blade_sign(a, b, sig.p), a ^ b
-
-
-def _blade_sign(a: int, b: int, p: int) -> int:
-    """Sign of ``e_a * e_b`` for masks already known to be valid."""
     swaps = 0
     t = b
     while t:
@@ -103,8 +105,8 @@ def _blade_sign(a: int, b: int, p: int) -> int:
         swaps += (a >> low.bit_length()).bit_count()
         t ^= low
     # one metric factor per repeated generator above p
-    swaps += ((a & b) >> p).bit_count()
-    return -1 if swaps & 1 else 1
+    swaps += ((a & b) >> sig.p).bit_count()
+    return -1 if swaps & 1 else 1, a ^ b
 
 
 def blade_signs(a, b, sig):
@@ -135,21 +137,17 @@ def blade_signs(a, b, sig):
     return 1 - 2 * parity.view(np.int8)
 
 
+@cache
 def sign_table(sig):
     """Read-only int8 table ``T[a, b]`` = sign of ``e_a * e_b``, cached per signature.
 
     Built for at most ``TABLE_MAX_GENERATORS`` generators.
     """
+    import numpy as np
+
     sig = as_signature(sig)
     if sig.n > TABLE_MAX_GENERATORS:
         raise ValueError(f"sign tables are built for at most {TABLE_MAX_GENERATORS} generators")
-    return _sign_table(sig)
-
-
-@cache
-def _sign_table(sig: Signature):
-    import numpy as np
-
     masks = np.arange(1 << sig.n)
     table = blade_signs(masks[:, None], masks[None, :], sig)
     table.flags.writeable = False
@@ -159,11 +157,11 @@ def _sign_table(sig: Signature):
 def _table_product_fits(sig: Signature, a: dict, b: dict) -> bool:
     """True when the sign-table product is exact and worth it.
 
-    Needs at least 2^n blade pairs (so gathering whole 2^n rows does not
-    cost more than the pair loop), plain int coefficients only, and a
-    bound on every output coefficient that fits in int64.
+    Needs at least ``max(2^n, _TABLE_MIN_PAIRS)`` blade pairs, plain int
+    coefficients only, and a bound on every output coefficient that fits
+    in int64.
     """
-    if sig.n > TABLE_MAX_GENERATORS or len(a) * len(b) < 1 << sig.n:
+    if sig.n > TABLE_MAX_GENERATORS or len(a) * len(b) < max(1 << sig.n, _TABLE_MIN_PAIRS):
         return False
     if not all(type(c) is int for c in chain(a.values(), b.values())):
         return False
@@ -291,11 +289,10 @@ class Multivector:
             if _table_product_fits(self.sig, self.terms, other.terms):
                 return Multivector(self.sig, _table_product(self.sig, self.terms, other.terms))
             terms: dict[int, Number] = {}
-            p = self.sig.p
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
-                    mask = ma ^ mb
-                    terms[mask] = terms.get(mask, 0) + _blade_sign(ma, mb, p) * ca * cb
+                    sign, mask = blade_product(ma, mb, self.sig)
+                    terms[mask] = terms.get(mask, 0) + sign * ca * cb
             return Multivector(self.sig, terms)
         if isinstance(other, Number):
             return Multivector(self.sig, {m: c * other for m, c in self.terms.items()})

@@ -100,15 +100,8 @@ class GradedTensorProduct:
         """theta on every blade pair: ``(signs, masks)``, both indexed ``[mask_a, mask_b]``."""
         import numpy as np
 
-        def embedded(n, index_map):
-            masks = np.arange(1 << n)
-            out = np.zeros_like(masks)
-            for i in range(n):
-                out |= (masks >> i & 1) << (index_map(i + 1) - 1)
-            return out
-
-        ea = embedded(self.a_sig.n, self.embed_a_index)[:, None]
-        eb = embedded(self.b_sig.n, self.embed_b_index)[None, :]
+        ea = np.array([self.embed_a(m) for m in range(1 << self.a_sig.n)])[:, None]
+        eb = np.array([self.embed_b(m) for m in range(1 << self.b_sig.n)])[None, :]
         return blade_signs(ea, eb, self.combined), ea ^ eb
 
     def psi_arrays(self):

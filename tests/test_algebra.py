@@ -206,14 +206,15 @@ def spy_table():
 
 @st.composite
 def dense_int_pairs(draw):
-    """Int multivectors with at least 2^n blade pairs and at most about 4 * 2^n."""
-    n = draw(st.integers(0, TABLE_MAX_GENERATORS))
+    """Int multivectors with enough blade pairs for the table path, at most about 4 times that."""
+    n = draw(st.integers(2, TABLE_MAX_GENERATORS))  # n <= 1 never has 16 pairs
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
     size = 1 << n
-    len_a = draw(st.integers(1, size))
-    low = -(-size // len_a)
-    len_b = draw(st.integers(low, min(size, max(low, 4 * size // len_a))))
+    need = max(size, algebra._TABLE_MIN_PAIRS)
+    len_a = draw(st.integers(-(-need // size), size))
+    low = -(-need // len_a)
+    len_b = draw(st.integers(low, min(size, max(low, 4 * need // len_a))))
     bound = draw(st.sampled_from([2, 9, 1 << 26]))
     rng = random.Random(draw(st.integers(0, 2**32)))
 
@@ -235,13 +236,16 @@ class TestTableProduct:
     @pytest.mark.parametrize(
         "sig,a,b,table",
         [
-            # exact ints at the int64 bound: 2 * 2^31 * (2^31 - 1) < 2^63 takes the table
-            ((1, 0), {0: 1 << 31, 1: 1 << 31}, {0: (1 << 31) - 1, 1: (1 << 31) - 1}, True),
-            ((1, 0), {0: 1 << 31, 1: 1 << 31}, {0: 1 << 31, 1: 1 << 31}, False),
+            # exact ints at the int64 bound: 4 * 2^30 * (2^31 - 1) < 2^63 takes the table
+            ((2, 0), {m: 1 << 30 for m in range(4)}, {m: (1 << 31) - 1 for m in range(4)}, True),
+            ((2, 0), {m: 1 << 30 for m in range(4)}, {m: 1 << 31 for m in range(4)}, False),
             ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, True),
             ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, False),
-            ((1, 0), {0: 1, 1: 1}, {0: 1, 1: -1}, True),  # (1 + e1)(1 - e1) = 0
-            ((0, 0), {0: 3}, {0: -4}, True),
+            # (1 + e2)(1 + e1) * (1 - e1)(1 + e2) = 0
+            ((2, 0), {0: 1, 1: 1, 2: 1, 3: -1}, {0: 1, 1: -1, 2: 1, 3: -1}, True),
+            ((0, 0), {0: 3}, {0: -4}, False),
+            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, False),  # 2^3 < 16 pairs
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, True),  # 2^4 = 16 pairs
             ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
             ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, False),
             ((1, 1), {m: complex(m, 1) for m in range(4)}, {m: 1j * m - 2 for m in range(4)}, False),
@@ -251,7 +255,7 @@ class TestTableProduct:
             ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, False),  # no table above 10 generators
         ],
         ids=[
-            "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0",
+            "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
             "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction", "n12",
         ],
     )

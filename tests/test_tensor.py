@@ -1,5 +1,7 @@
 """Graded tensor products: embeddings, Koszul signs, mutual inverses."""
 
+import random
+
 import pytest
 
 from cliffrep.algebra import Multivector, Signature, all_blades, grade
@@ -87,7 +89,8 @@ def _pairs(nmax):
 
 
 class TestBladeArrays:
-    @pytest.mark.parametrize("a,b", _pairs(6), ids=str)
+    # every pair `verify` sweeps at its default nmax of 8
+    @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
     def test_arrays_match_per_blade_maps(self, a, b):
         t = GradedTensorProduct(a, b)
         signs, masks = t.theta_arrays()
@@ -100,6 +103,16 @@ class TestBladeArrays:
     @pytest.mark.parametrize("a,b", [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6))])
     def test_sixteen_generators(self, a, b):
         assert theta_psi_check(a, b)
+        # the arrays against the per-blade maps on sampled blades
+        t = GradedTensorProduct(a, b)
+        rng = random.Random(f"{a}{b}")
+        t_signs, t_masks = t.theta_arrays()
+        for _ in range(500):
+            ma, mb = rng.randrange(1 << t.a_sig.n), rng.randrange(1 << t.b_sig.n)
+            assert t.theta_blade(ma, mb) == (t_signs[ma, mb], t_masks[ma, mb])
+        p_signs, p_a, p_b = t.psi_arrays()
+        for m in rng.sample(range(1 << t.combined.n), 500):
+            assert t.psi_blade(m) == (p_signs[m], p_a[m], p_b[m])
 
     def test_detects_wrong_generator_images(self):
         t = GradedTensorProduct((1, 0), (1, 0))
