@@ -16,6 +16,11 @@ Subpackage map:
 * :mod:`cliffrep.repsys` -- representation-label arithmetic: cycles,
   interlocking chains, periodicity steps;
 * :mod:`cliffrep.cli` -- the ``cliffrep`` command-line tool.
+
+The numpy-backed :mod:`cliffrep.gamma` and :mod:`cliffrep.lorentz`, and the
+names this package exports from them, are imported on first access, so
+``import cliffrep`` (and every ``cliffrep`` subcommand that builds no
+matrix) does not import numpy.
 """
 
 from .algebra import (
@@ -51,19 +56,6 @@ from .factorize import (
     karoubi_factorize,
     periodicity_reduce,
 )
-from .gamma import GeneratorSet, blade_images, build_generators, faithfulness_rank, verify_anticommutation
-from .lorentz import (
-    GNLabel,
-    GNOperators,
-    Spintensor,
-    VdWOperators,
-    build_gn_operators,
-    build_vdw_operators,
-    gn_coefficients,
-    gn_to_vdw,
-    reconstruct_AB,
-    spintensor_transform,
-)
 from .repsys import (
     ComplexRepLabel,
     RealRepClass,
@@ -79,3 +71,45 @@ from .repsys import (
 from .tensor import GradedTensorProduct, graded_tensor, theta_psi_check
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys(
+        ("gamma", "GeneratorSet", "blade_images", "build_generators", "faithfulness_rank", "verify_anticommutation"),
+        "gamma",
+    ),
+    **dict.fromkeys(
+        (
+            "lorentz",
+            "GNLabel",
+            "GNOperators",
+            "Spintensor",
+            "VdWOperators",
+            "build_gn_operators",
+            "build_vdw_operators",
+            "gn_coefficients",
+            "gn_to_vdw",
+            "reconstruct_AB",
+            "spintensor_transform",
+        ),
+        "lorentz",
+    ),
+}
+
+# ``from cliffrep import *`` still exports the lazy names, importing their modules
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    """Import ``gamma``/``lorentz`` the first time one of their names is read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)  # also binds the submodule name
+    if name != _LAZY[name]:
+        globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -39,7 +39,7 @@ from .factorize import (
     verify_factorization,
 )
 from .repsys import ComplexRepLabel, RealRepClass, RealRepLabel
-from .table_data import reference_table
+from .table_data import reference_diff, reference_table
 from .tensor import theta_psi_check
 
 #: rotation/boost commutator residual bound (GN basis)
@@ -141,19 +141,6 @@ def check_theta_psi(nmax: int, dim_max: int) -> CheckResult:
                 "graded tensor isomorphism", False, f"({a.p},{a.q}) x ({b.p},{b.q})", len(pairs)
             )
     return CheckResult("graded tensor isomorphism", True, f"combined n <= {nmax}", len(pairs))
-
-
-def reference_diff(sigs) -> tuple[int, list[tuple[int, int]]]:
-    """(entries compared, mismatching signatures) of ``sigs`` against the reference table."""
-    ref = reference_table()
-    compared = [s for s in sigs if s in ref]
-    bad = []
-    for p, q in compared:
-        ring, size = ref[(p, q)]
-        c = classify((p, q))
-        if (c.ring, c.matrix_size, c.simple) != (ring, size, not ring.is_double):
-            bad.append((p, q))
-    return len(compared), bad
 
 
 def check_table(nmax: int, dim_max: int) -> CheckResult:

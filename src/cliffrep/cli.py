@@ -5,37 +5,37 @@ verify.  Text output by default; matrices are emitted as JSON objects
 ``{"dim": n, "entries": [[re, im], ...], "basis": note}`` in row-major
 order, which round-trips to bit-identical floats.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure (or a closed output pipe),
+2 usage error.
+
+numpy, :mod:`cliffrep.gamma`, :mod:`cliffrep.lorentz` and
+:mod:`cliffrep.checks` are imported inside the commands that use them, so
+the label commands (classify, table, clock, factorize, chain) start
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import checks
 from .algebra import MAX_GENERATORS, as_signature
 from .classify import classify, clock_hour
 from .factorize import factorize, verify_factorization
-from .gamma import build_generators, verify_anticommutation
-from .lorentz import (
-    GNLabel,
-    build_gn_operators,
-    build_vdw_operators,
-    com1_residual,
-    com2_residual,
-    gn_to_vdw,
-    reconstruct_AB,
-)
 from .repsys import interlocking_chain
-from .table_data import format_entry
+from .table_data import format_entry, reference_diff
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def matrix_to_json(m: np.ndarray, basis: str) -> dict:
+    """One matrix as a JSON object: the reference ``_json_chunks`` is tested against."""
     return {
         "dim": int(m.shape[0]),
         "entries": [[float(v.real), float(v.imag)] for v in m.ravel()],
@@ -44,9 +44,78 @@ def matrix_to_json(m: np.ndarray, basis: str) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    import numpy as np
+
     dim = obj["dim"]
     flat = np.array([complex(re, im) for re, im in obj["entries"]])
     return flat.reshape(dim, dim)
+
+
+class _Entries(NamedTuple):
+    """The ``[[re, im], ...]`` entries of a matrix, in row-major order."""
+
+    matrix: np.ndarray
+
+
+def _matrix_payload(m: np.ndarray, basis: str) -> dict:
+    """``matrix_to_json(m, basis)`` with the entries left to :func:`_json_chunks`."""
+    return {"dim": int(m.shape[0]), "entries": _Entries(m), "basis": basis}
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """Each float as ``json`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _json_chunks(obj, pad: str = ""):
+    """``json.dumps(obj, indent=2)`` in pieces, where matrices are :func:`_matrix_payload` objects.
+
+    ``json`` encodes with indentation in pure Python, one call per float;
+    here the entries of a matrix are joined in bulk, one piece per matrix.
+    ``pad`` is the indentation of the line ``obj`` starts on.
+    """
+    inner = pad + "  "
+    if isinstance(obj, _Entries):
+        m = obj.matrix.astype(complex, copy=False)
+        leaf = inner + "  "
+        re, im = _float_texts(m.real.ravel().tolist()), _float_texts(m.imag.ravel().tolist())
+        pairs = map(f",\n{leaf}".join, zip(re, im))
+        yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(pairs) + f"\n{inner}]\n{pad}]"
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{',' if i else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value, inner)
+        yield f"\n{pad}}}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            yield f"{',' if i else '['}\n{inner}"
+            yield from _json_chunks(value, inner)
+        yield f"\n{pad}]"
+    else:
+        yield json.dumps(obj)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indent-2 JSON and a newline to stdout or to the file ``out``.
+
+    An unwritable ``out`` is a usage error.
+    """
+    if not out:
+        sys.stdout.writelines(_json_chunks(payload))
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(_json_chunks(payload))
+            fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"argument --out: cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _class_text(sig) -> str:
@@ -88,7 +157,7 @@ def cmd_table(args) -> int:
         classes = (classify((p, q)) for q in qs)
         rows.append(f"{p:<3}" + "".join(f"{format_entry(c.ring, c.matrix_size):>{width}}" for c in classes))
     print("\n".join(rows))
-    compared, mismatches = checks.reference_diff([(p, q) for p in ps for q in qs])
+    compared, mismatches = reference_diff([(p, q) for p in ps for q in qs])
     print(f"reference check: {compared} entries compared, {len(mismatches)} mismatches")
     if mismatches:
         print(f"mismatching signatures: {mismatches}", file=sys.stderr)
@@ -122,6 +191,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_matrep(args) -> int:
+    from .gamma import build_generators, verify_anticommutation
+
     sig = as_signature((args.p, args.q))
     gen = build_generators(sig)
     ok = verify_anticommutation(gen)
@@ -132,15 +203,11 @@ def cmd_matrep(args) -> int:
         "reducible": gen.reducible,
         "metric": list(gen.metric),
         "anticommutation_ok": ok,
-        "gammas": [matrix_to_json(g, gen.basis_note) for g in gen.gammas],
+        "gammas": [_matrix_payload(g, gen.basis_note) for g in gen.gammas],
     }
-    text = json.dumps(payload, indent=2)
+    _emit(payload, args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {len(gen.gammas)} generators of dim {gen.dim} to {args.out}")
-    else:
-        print(text)
     return 0 if ok else 1
 
 
@@ -165,11 +232,30 @@ def _int_in(lo: int, hi: int | None):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def cmd_rep(args) -> int:
-    if (args.gn is None) == (args.vdw is None):
-        print("exactly one of --gn or --vdw is required", file=sys.stderr)
-        return 2
-    tol = args.tol
+    from .checks import GN_COM_TOL
+    from .lorentz import (
+        GNLabel,
+        build_gn_operators,
+        build_vdw_operators,
+        com1_residual,
+        com2_residual,
+        gn_to_vdw,
+        reconstruct_AB,
+    )
+
+    tol = GN_COM_TOL if args.tol is None else args.tol
     if args.gn is not None:
         label = GNLabel(*args.gn)
         ops = build_gn_operators(label)
@@ -180,7 +266,7 @@ def cmd_rep(args) -> int:
             "l0": str(label.l0),
             "l1": str(label.l1),
             "dim": ops.dim,
-            "operators": {k: matrix_to_json(v, ops.basis_note) for k, v in ops.operators().items()},
+            "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
             "commutator_residual": residual,
             "converted": {
                 "l": str(converted.l),
@@ -197,18 +283,14 @@ def cmd_rep(args) -> int:
             "l": str(ops.l),
             "ldot": str(ops.ldot),
             "dim": ops.dim,
-            "operators": {k: matrix_to_json(v, ops.basis_note) for k, v in ops.operators().items()},
+            "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
             "commutator_residual": residual,
         }
         report = f"(l,ldot) = ({ops.l},{ops.ldot}), dim {ops.dim}, commutator residual {residual:.3e}"
     ok = residual <= tol
     payload["tolerance"] = tol
     payload["pass"] = ok
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(payload, args.out)
     print(report + (" PASS" if ok else " FAIL"), file=sys.stderr)
     return 0 if ok else 1
 
@@ -220,6 +302,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     results = checks.run_all(nmax=args.nmax, dim_max=args.dim_max)
     failed = 0
     for r in results:
@@ -266,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_matrep)
 
     sp = sub.add_parser("rep", help="emit representation operators as JSON")
-    sp.add_argument("--gn", nargs=2, type=_fraction, metavar=("L0", "L1"))
-    sp.add_argument("--vdw", nargs=2, type=_fraction, metavar=("L", "LDOT"))
+    basis = sp.add_mutually_exclusive_group(required=True)
+    basis.add_argument("--gn", nargs=2, type=_fraction, metavar=("L0", "L1"))
+    basis.add_argument("--vdw", nargs=2, type=_fraction, metavar=("L", "LDOT"))
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--tol", type=float, default=checks.GN_COM_TOL)
+    sp.add_argument("--tol", type=_positive_float)  # default: checks.GN_COM_TOL
     sp.set_defaults(func=cmd_rep)
 
     sp = sub.add_parser("chain", help="interlocking representation chain for spin s = N/2")
@@ -288,10 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here when the output was buffered
+    except BrokenPipeError:
+        # the reader left (`cliffrep ... | head`): the SIGPIPE recipe of the Python docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # an input outside the domain of the command
         print(f"cliffrep {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

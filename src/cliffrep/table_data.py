@@ -4,13 +4,15 @@ Transcribed once as a static resource so that table rendering and the
 golden-file tests are independent of the classify implementation.
 Entry syntax: ring symbol R/C/H, optional leading ``2`` for a doubled
 algebra, optional ``(m)`` matrix size (absent means m = 1).
+``reference_diff`` holds the classifier to it, for ``cliffrep table`` and
+the ``verify`` table check alike.
 """
 
 from __future__ import annotations
 
 import re
 
-from .classify import RingType
+from .classify import RingType, classify
 
 # rows q = 0..7, columns p = 0..7
 _ROWS = [
@@ -58,3 +60,16 @@ def format_entry(ring: RingType, size: int) -> str:
     prefix = "2" if ring.is_double else ""
     letter = {"R": "R", "C": "C", "H": "H", "R+R": "R", "H+H": "H"}[ring.value]
     return f"{prefix}{letter}({size})" if size > 1 else f"{prefix}{letter}"
+
+
+def reference_diff(sigs) -> tuple[int, list[tuple[int, int]]]:
+    """(entries compared, mismatching signatures) of ``sigs`` against the reference table."""
+    ref = reference_table()
+    compared = [s for s in sigs if s in ref]
+    bad = []
+    for p, q in compared:
+        ring, size = ref[(p, q)]
+        c = classify((p, q))
+        if (c.ring, c.matrix_size, c.simple) != (ring, size, not ring.is_double):
+            bad.append((p, q))
+    return len(compared), bad

@@ -1,13 +1,34 @@
 """Command-line interface: output formats, JSON round-trips, exit codes."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliffrep
+from cliffrep import cli
 from cliffrep.algebra import MAX_GENERATORS
 from cliffrep.checks import ALL_CHECKS, GN_COM_TOL, VDW_COM_TOL, check_periodicity
 from cliffrep.cli import main, matrix_from_json, matrix_to_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, **kwargs):
+    """``python ARGS`` in a fresh interpreter that imports cliffrep from this checkout.
+
+    stdout is block-buffered, as in a shell pipeline, unless ARGS hold ``-u``.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def run(argv, capsys):
@@ -129,11 +150,34 @@ class TestRepCommand:
         payload = json.loads(out)
         assert payload["dim"] == 4
         assert payload["commutator_residual"] <= VDW_COM_TOL
+        assert payload["tolerance"] == GN_COM_TOL  # the default --tol
 
-    def test_requires_exactly_one_basis(self, capsys):
-        code, _, err = run(["rep"], capsys)
-        assert code == 2
-        assert "exactly one" in err
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "one of the arguments --gn --vdw is required"),
+            (["--gn", "0", "1", "--vdw", "0", "0"], "argument --vdw: not allowed with argument --gn"),
+        ],
+    )
+    def test_requires_exactly_one_basis(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rep", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == f"cliffrep rep: error: {message}"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rep", "--gn", "0", "1", f"--tol={tol}"])  # argparse takes a bare -inf for an option
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        message = f"cliffrep rep: error: argument --tol: must be finite and > 0, got {tol}"
+        assert captured.err.splitlines()[-1] == message
+
+    def test_tolerance_given(self, capsys):
+        code, out, err = run(["rep", "--gn", "0", "1", "--tol", "1e-3"], capsys)
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-3 and err.endswith(" PASS\n")
 
 
 class TestChainCommand:
@@ -219,3 +263,182 @@ class TestMatrixJson:
         text = json.dumps(matrix_to_json(m, "test"))
         back = matrix_from_json(json.loads(text))
         assert np.array_equal(back, m)  # exact, not approximate
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [["matrep", "-p", "1", "-q", "1"], ["rep", "--gn", "0", "1"]])
+    @pytest.mark.parametrize("where,reason", [("missing/x.json", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_out_is_usage_error(self, argv, where, reason, tmp_path, capsys):
+        path = str(tmp_path / where)
+        code, out, err = run([*argv, "--out", path], capsys)
+        assert code == 2 and out == ""
+        assert err == f"cliffrep {argv[0]}: error: argument --out: cannot write {path!r}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["matrep", "-p", "3", "-q", "3"], ["classify", "-p", "1", "-q", "3"], ["rep", "--gn", "0", "10"]]
+    )
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_1_without_traceback(self, argv, flags):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write, as after `| head -0`
+        try:
+            proc = run_python([*flags, "-m", "cliffrep.cli", *argv], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == b""
+
+
+LAZY_MODULES = ("numpy", "cliffrep.gamma", "cliffrep.lorentz", "cliffrep.checks")
+
+LABEL_RUNS = [
+    ["classify", "-p", "1", "-q", "3"],
+    ["classify", "-p", "3", "-q", "5", "--json"],
+    ["table"],
+    ["clock", "-p", "1", "-q", "0"],
+    ["factorize", "-p", "8", "-q", "1"],
+    ["chain", "--spin2", "3"],
+]
+
+#: every public name ``import cliffrep`` bound before gamma and lorentz became lazy, by submodule
+EXPORTS = {
+    "algebra": [
+        "GradedBracketResult", "Multivector", "Signature", "blade_product", "center_blades", "generators",
+        "graded_bracket", "involution_via_omega", "omega_square", "omega_square_mod8", "volume_element",
+    ],
+    "classify": [
+        "AlgebraClass", "ComplexClass", "MatrixShape", "RingType", "bw_compose", "classify", "classify_complex",
+        "clock_hour", "even_subalgebra", "tensor_compose",
+    ],
+    "factorize": [
+        "Factorization", "complex_factorize", "factorize", "factorize_odd", "karoubi_factorize", "periodicity_reduce",
+    ],
+    "gamma": ["GeneratorSet", "blade_images", "build_generators", "faithfulness_rank", "verify_anticommutation"],
+    "lorentz": [
+        "GNLabel", "GNOperators", "Spintensor", "VdWOperators", "build_gn_operators", "build_vdw_operators",
+        "gn_coefficients", "gn_to_vdw", "reconstruct_AB", "spintensor_transform",
+    ],
+    "repsys": [
+        "ComplexRepLabel", "RealRepClass", "RealRepLabel", "bw_complex_step", "bw_real_step", "chain_neighbors",
+        "classify_real_rep", "interlocking_chain", "real_period_step", "tensor_step",
+    ],
+    "tensor": ["GradedTensorProduct", "graded_tensor", "theta_psi_check"],
+}
+SUBMODULES = ["algebra", "gamma", "lorentz", "repsys", "tensor"]  # classify/factorize are shadowed by functions
+
+
+class TestLazyImports:
+    def test_label_commands_import_no_numpy(self):
+        code = f"""
+import contextlib, io, sys
+import cliffrep.cli
+print([m for m in {LAZY_MODULES!r} if m in sys.modules])
+for argv in {LABEL_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cliffrep.cli.main(argv) == 0, argv
+print([m for m in {LAZY_MODULES!r} if m in sys.modules])
+import cliffrep
+assert cliffrep.build_generators is sys.modules["cliffrep.gamma"].build_generators
+assert cliffrep.GNLabel is sys.modules["cliffrep.lorentz"].GNLabel
+print("numpy" in sys.modules)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_old_exports_are_the_submodule_objects(self, module):
+        mod = importlib.import_module(f"cliffrep.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(cliffrep, name) is getattr(mod, name), name
+
+    def test_namespace_listing(self):
+        names = {n for names in EXPORTS.values() for n in names} | set(SUBMODULES)
+        for name in SUBMODULES:
+            assert getattr(cliffrep, name) is sys.modules[f"cliffrep.{name}"]
+        assert names <= set(cliffrep.__all__) and names <= set(dir(cliffrep))
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            cliffrep.nonexistent
+
+    def test_star_import_fresh(self):
+        code = "from cliffrep import *; print(build_generators.__module__, GNLabel.__module__, gamma.__name__)"
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["cliffrep.gamma", "cliffrep.lorentz", "cliffrep.gamma"]
+
+
+def with_matrices(v, matrix):
+    """``v`` with each numpy array replaced by ``matrix(array, "note")``."""
+    if isinstance(v, np.ndarray):
+        return matrix(v, "note")
+    if isinstance(v, dict):
+        return {k: with_matrices(x, matrix) for k, x in v.items()}
+    if isinstance(v, list):
+        return [with_matrices(x, matrix) for x in v]
+    return v
+
+
+def oracle_text(payload) -> str:
+    return json.dumps(with_matrices(payload, matrix_to_json), indent=2)
+
+
+def writer_text(payload) -> str:
+    return "".join(cli._json_chunks(with_matrices(payload, cli._matrix_payload)))
+
+
+EDGE_MATRICES = {
+    "signed zeros": np.array([[-0.0, 0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+    "subnormal": np.array([[5e-324 + 0j, -5e-324j], [2.2250738585072014e-308, 1e-310]]),
+    "large": np.array([[1e17, -1e17j], [1e16 + 1e22j, 123456789012345678.0]]),
+    "dim 1": np.array([[0.1 + 0.2j]]),
+    "nan": np.array([[complex(float("nan"), 1.0), 0], [0, 1]]),
+    "infinities": np.array([[complex(float("inf"), float("-inf")), 1.5], [-2.5, 3]]),
+    "real dtype": np.eye(3),
+    "int dtype": np.arange(4).reshape(2, 2),
+    "random": np.random.default_rng(5).normal(size=(6, 6, 2)) @ np.array([1, 1j]),
+}
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    def test_matrix_matches_json_dumps(self, name):
+        m = EDGE_MATRICES[name]
+        for payload in (m, {"gammas": [m, m.T]}, {"a": {"b": [m]}, "x": [], "y": {}}):
+            assert writer_text(payload) == oracle_text(payload)
+
+    def test_scalars_match_json_dumps(self):
+        payload = {
+            "p": 1, "metric": [1, -1], "empty": [], "nested": {"ok": True, "no": False, "none": None},
+            "s": "Cl(1,3) ⊗ \"q\"\n", "f": [0.1, -0.0, 1e-10, float("nan"), float("inf")], "t": (1, 2),
+            "m": EDGE_MATRICES["dim 1"],
+        }
+        assert writer_text(payload) == oracle_text(payload)
+        assert writer_text([]) == "[]" and writer_text({}) == "{}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrep", "-p", "0", "-q", "0"],
+            ["matrep", "-p", "1", "-q", "3"],
+            ["matrep", "-p", "3", "-q", "0"],
+            ["matrep", "-p", "5", "-q", "5"],
+            ["rep", "--gn", "1/2", "3/2"],
+            ["rep", "--gn", "0", "10"],
+            ["rep", "--vdw", "1/2", "1/2"],
+            ["rep", "--vdw", "9/2", "9/2"],
+        ],
+    )
+    def test_command_output_matches_oracle(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)  # the scalar fields; the matrices are rebuilt below
+        if argv[0] == "matrep":
+            gen = cliffrep.build_generators((int(argv[2]), int(argv[4])))
+            payload["gammas"] = [matrix_to_json(g, gen.basis_note) for g in gen.gammas]
+        else:
+            a, b = map(Fraction, argv[2:])
+            if argv[1] == "--gn":
+                ops = cliffrep.build_gn_operators(cliffrep.GNLabel(a, b))
+            else:
+                ops = cliffrep.build_vdw_operators(a, b)
+            payload["operators"] = {k: matrix_to_json(v, ops.basis_note) for k, v in ops.operators().items()}
+        assert out == json.dumps(payload, indent=2) + "\n"
