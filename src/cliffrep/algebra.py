@@ -22,6 +22,7 @@ not load it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -57,10 +58,13 @@ class Signature(NamedTuple):
 
 
 def as_signature(sig) -> Signature:
-    """Coerce a (p, q) pair to a validated :class:`Signature`."""
+    """Coerce a (p, q) pair of integers to a validated :class:`Signature`."""
     if not isinstance(sig, Signature):
         p, q = sig
-        sig = Signature(int(p), int(q))
+        try:
+            sig = Signature(operator.index(p), operator.index(q))
+        except TypeError:
+            raise ValueError(f"generator counts must be integers, got {p!r}, {q!r}") from None
     if sig.p < 0 or sig.q < 0:
         raise ValueError("generator counts must be non-negative")
     if sig.n > MAX_GENERATORS:

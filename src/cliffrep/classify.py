@@ -33,13 +33,23 @@ class RingType(enum.Enum):
         return self in (RingType.R_R, RingType.H_H)
 
     @property
+    def letter(self) -> str:
+        """R, C or H: the division ring of each simple component."""
+        return self.value[0]
+
+    @property
+    def component(self) -> "RingType":
+        """The ring of one simple component (R for R+R, H for H+H)."""
+        return RingType(self.letter)
+
+    @property
     def base_real_dim(self) -> int:
         """Real dimension of one division-ring component."""
-        return {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[self.value]
+        return {"R": 1, "C": 2, "H": 4}[self.letter]
 
     @property
     def symbol(self) -> str:
-        return {"R": "R", "C": "C", "H": "H", "R+R": "R⊕R", "H+H": "H⊕H"}[self.value]
+        return f"{self.letter}⊕{self.letter}" if self.is_double else self.letter
 
 
 RING_BY_TYPE = {
@@ -69,7 +79,7 @@ class MatrixShape:
     def __str__(self) -> str:
         if self.size == 1:
             return self.ring.symbol
-        one = f"Mat_{self.size}({self.ring.name[0]})"
+        one = f"Mat_{self.size}({self.ring.letter})"
         return f"{one}⊕{one}" if self.ring.is_double else one
 
 

@@ -143,9 +143,7 @@ def verify_factorization(fact: Factorization) -> bool:
         return False
     full = classify(sig)
     if fact.doubled:
-        return full.ring.is_double and MatrixShape(
-            RingType.R if full.ring is RingType.R_R else RingType.H, full.matrix_size
-        ) == composed
+        return full.ring.is_double and MatrixShape(full.ring.component, full.matrix_size) == composed
     # complex types: full algebra is C (x) even part
     return full.shape == tensor_compose(MatrixShape(RingType.C, 1), composed)
 

@@ -89,9 +89,9 @@ def _class_of_type(t: int) -> RealRepClass:
     """
     ring = RING_BY_TYPE[t]
     if ring.is_double:
-        half = f"{ring.value[0]}{t - 1}{t + 1}"
+        half = f"{ring.letter}{t - 1}{t + 1}"
         return RealRepClass(f"{half}u{half}")
-    return RealRepClass(f"{ring.value}{t}")
+    return RealRepClass(f"{ring.letter}{t}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,8 @@ class RealRepLabel:
     l0: Fraction
 
     def __str__(self) -> str:
-        v = self.cls.value
-        if self.cls.is_double:
-            half = v.split("u")[0]
-            return f"{half}^{self.l0} u {half}^{self.l0}"
-        return f"{v[0]}{v[1:]}^{self.l0}"
+        one = f"{self.cls.value.split('u')[0]}^{self.l0}"
+        return f"{one} u {one}" if self.cls.is_double else one
 
 
 def classify_real_rep(sig) -> RealRepLabel:

@@ -32,17 +32,10 @@ _ENTRY_RE = re.compile(r"^(2?)([RCH])(?:\((\d+)\))?$")
 def parse_entry(entry: str) -> tuple[RingType, int]:
     """Parse e.g. ``2H(8)`` into (RingType.H_H, 8)."""
     m = _ENTRY_RE.match(entry)
-    if not m:
+    ring = m and next((r for r in RingType if (r.is_double, r.letter) == (m[1] == "2", m[2])), None)
+    if ring is None:
         raise ValueError(f"bad periodic-table entry: {entry!r}")
-    doubled, letter, size = m.groups()
-    ring = {
-        ("", "R"): RingType.R,
-        ("", "C"): RingType.C,
-        ("", "H"): RingType.H,
-        ("2", "R"): RingType.R_R,
-        ("2", "H"): RingType.H_H,
-    }[(doubled, letter)]
-    return ring, int(size) if size else 1
+    return ring, int(m[3] or 1)
 
 
 def reference_table() -> dict[tuple[int, int], tuple[RingType, int]]:
@@ -57,9 +50,8 @@ def reference_table() -> dict[tuple[int, int], tuple[RingType, int]]:
 
 
 def format_entry(ring: RingType, size: int) -> str:
-    prefix = "2" if ring.is_double else ""
-    letter = {"R": "R", "C": "C", "H": "H", "R+R": "R", "H+H": "H"}[ring.value]
-    return f"{prefix}{letter}({size})" if size > 1 else f"{prefix}{letter}"
+    one = f"{'2' if ring.is_double else ''}{ring.letter}"
+    return f"{one}({size})" if size > 1 else one
 
 
 def reference_diff(sigs) -> tuple[int, list[tuple[int, int]]]:

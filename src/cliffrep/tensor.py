@@ -21,6 +21,18 @@ from __future__ import annotations
 from .algebra import Multivector, Signature, as_signature, blade_product, blade_signs, grade
 
 
+def _place(masks, p: int, shift: int, start: int):
+    """Shift the ``p`` low bits of ``masks`` up by ``shift`` and move the bits
+    above them to begin at bit ``start``; ``masks`` is an int or a numpy array."""
+    return (masks & ((1 << p) - 1)) << shift | (masks >> p) << start
+
+
+def _valid_mask(mask: int, sig: Signature) -> int:
+    if mask >> sig.n or mask < 0:
+        raise ValueError(f"blade {mask:#x} invalid for {sig}")
+    return mask
+
+
 class GradedTensorProduct:
     """The graded tensor product of Cl(a_sig) and Cl(b_sig)."""
 
@@ -30,6 +42,10 @@ class GradedTensorProduct:
         self.combined = as_signature(
             Signature(self.a_sig.p + self.b_sig.p, self.a_sig.q + self.b_sig.q)
         )
+        # Cl(pa+pb, qa+qb) orders its generators A+, B+, A-, B-; each side's
+        # blades are placed as (positive count, their shift, start of the negatives)
+        self._a_place = (self.a_sig.p, 0, self.combined.p)
+        self._b_place = (self.b_sig.p, self.a_sig.p, self.combined.p + self.a_sig.q)
         # combined generator bit -> (A-side bit, B-side bit), exactly one nonzero
         self._psi_bits = [(0, 0)] * self.combined.n
         for i in range(1, self.a_sig.n + 1):
@@ -37,37 +53,24 @@ class GradedTensorProduct:
         for j in range(1, self.b_sig.n + 1):
             self._psi_bits[self.embed_b_index(j) - 1] = (0, 1 << (j - 1))
 
+    def embed_a(self, mask: int) -> int:
+        """Combined-algebra mask of an A-side blade (order preserving)."""
+        return _place(_valid_mask(mask, self.a_sig), *self._a_place)
+
+    def embed_b(self, mask: int) -> int:
+        return _place(_valid_mask(mask, self.b_sig), *self._b_place)
+
     # -- generator index maps (1-based) ---------------------------------
 
     def embed_a_index(self, i: int) -> int:
         if not 1 <= i <= self.a_sig.n:
             raise ValueError(f"no generator {i} in {self.a_sig}")
-        if i <= self.a_sig.p:
-            return i
-        return self.combined.p + (i - self.a_sig.p)
+        return _place(1 << (i - 1), *self._a_place).bit_length()
 
     def embed_b_index(self, j: int) -> int:
         if not 1 <= j <= self.b_sig.n:
             raise ValueError(f"no generator {j} in {self.b_sig}")
-        if j <= self.b_sig.p:
-            return self.a_sig.p + j
-        return self.combined.p + self.a_sig.q + (j - self.b_sig.p)
-
-    def _embed_mask(self, mask: int, sig: Signature, index_map) -> int:
-        if mask >> sig.n or mask < 0:
-            raise ValueError(f"blade {mask:#x} invalid for {sig}")
-        out = 0
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                out |= 1 << (index_map(i + 1) - 1)
-        return out
-
-    def embed_a(self, mask: int) -> int:
-        """Combined-algebra mask of an A-side blade (order preserving)."""
-        return self._embed_mask(mask, self.a_sig, self.embed_a_index)
-
-    def embed_b(self, mask: int) -> int:
-        return self._embed_mask(mask, self.b_sig, self.embed_b_index)
+        return _place(1 << (j - 1), *self._b_place).bit_length()
 
     # -- the two homomorphisms ------------------------------------------
 
@@ -82,9 +85,7 @@ class GradedTensorProduct:
         combined order; each A-side generator passes the B-side factor
         accumulated so far, picking up one Koszul sign per odd crossing.
         """
-        sig = self.combined
-        if mask >> sig.n or mask < 0:
-            raise ValueError(f"blade {mask:#x} invalid for {sig}")
+        _valid_mask(mask, self.combined)
         sign = 1
         mask_a = mask_b = 0
         for g0 in range(mask.bit_length()):
@@ -100,8 +101,8 @@ class GradedTensorProduct:
         """theta on every blade pair: ``(signs, masks)``, both indexed ``[mask_a, mask_b]``."""
         import numpy as np
 
-        ea = np.array([self.embed_a(m) for m in range(1 << self.a_sig.n)])[:, None]
-        eb = np.array([self.embed_b(m) for m in range(1 << self.b_sig.n)])[None, :]
+        ea = _place(np.arange(1 << self.a_sig.n), *self._a_place)[:, None]
+        eb = _place(np.arange(1 << self.b_sig.n), *self._b_place)[None, :]
         return blade_signs(ea, eb, self.combined), ea ^ eb
 
     def psi_arrays(self):

@@ -70,6 +70,15 @@ CRITERIA = [
     ),
     Criterion(12, "complex classes double in size every two generators", ("complex-parity",), 12, 0, (11,), None),
     Criterion(13, "even subalgebras are classified by one generator fewer", ("even-subalgebra",), 8, 0, (44,), None),
+    Criterion(
+        14,
+        "automorphism signs and omega conjugation exact on every blade up to 12 generators",
+        ("automorphisms", "omega-conjugation"),
+        12, 0, (91, 49), None,
+    ),
+    Criterion(
+        15, "canonical homomorphisms mutually inverse on 1820 signature pairs", ("graded-tensor",), 12, 0, (1820,), 5.0
+    ),
 ]
 
 

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffrep import algebra, tensor
+from cliffrep import checks
 from cliffrep.algebra import (
     TABLE_MAX_GENERATORS,
     GradedBracketResult,
     Multivector,
     Signature,
     all_blades,
+    as_signature,
     blade_product,
     blade_signs,
     center_blades,
@@ -78,6 +80,22 @@ def mv_strategy(sig, max_terms=4):
     return st.dictionaries(masks, coeffs, max_size=max_terms).map(
         lambda terms: Multivector(sig, terms)
     )
+
+
+class TestAsSignature:
+    @pytest.mark.parametrize("pair", [(1.5, 3), (1, 2.5), ("3", 1), (1, "1"), (2.0, 0), (None, 0)])
+    def test_rejects_non_integer_counts(self, pair):
+        with pytest.raises(ValueError, match="generator counts must be integers"):
+            as_signature(pair)
+
+    def test_accepts_integers_of_any_integral_type(self):
+        for pair in [(1, 3), (np.int64(1), np.uint8(3)), [1, 3]]:
+            sig = as_signature(pair)
+            assert sig == Signature(1, 3) and type(sig.p) is int and type(sig.q) is int
+
+    def test_signature_passes_through(self):
+        sig = Signature(2, 1)
+        assert as_signature(sig) is sig
 
 
 class TestBladeProduct:
@@ -425,6 +443,54 @@ class TestOmegaConjugation:
         for mask in all_blades(sig):
             x = Multivector.from_mask(sig, mask)
             assert involution_via_omega(x) == x.grade_involution()
+
+
+class TestAutomorphismChecks:
+    """The registry checks apply each map once per signature, to an element
+    holding every blade; each mutant below must still turn its check to FAIL."""
+
+    def test_reversion_sign_wrong_at_one_grade(self):
+        def reversion(x):  # +1 at grade 3, where the sign is -1
+            return Multivector(x.sig, {m: c if grade(m) in (0, 1, 3, 4) else -c for m, c in x.terms.items()})
+
+        with mock.patch.object(Multivector, "reversion", reversion):
+            r = checks.check_automorphism_signs(4, 0)
+        assert (r.passed, r.detail) == (False, "Cl(0,3) reversion")
+
+    def test_reversion_swapping_two_blades_of_one_grade(self):
+        honest = Multivector.reversion
+
+        def reversion(x):  # e1 and e2 trade places; the grade signs stay right
+            terms = honest(x).terms
+            if 0b10 in terms:
+                terms[0b01], terms[0b10] = terms[0b10], terms[0b01]
+            return Multivector(x.sig, terms)
+
+        with mock.patch.object(Multivector, "reversion", reversion):
+            r = checks.check_automorphism_signs(3, 0)
+        assert (r.passed, r.detail) == (False, "Cl(0,2) reversion")
+
+    def test_grade_involution_moving_one_blade(self):
+        honest = Multivector.grade_involution
+
+        def grade_involution(x):  # e12 lands on e2 = e12 ^ e1, keeping its sign
+            terms = honest(x).terms
+            if 0b11 in terms:
+                terms[0b10] = terms.pop(0b11)
+            return Multivector(x.sig, terms)
+
+        with mock.patch.object(Multivector, "grade_involution", grade_involution):
+            r = checks.check_automorphism_signs(3, 0)
+        assert (r.passed, r.detail) == (False, "Cl(0,2) grade_involution")
+
+    def test_omega_conjugation_on_the_wrong_blade(self):
+        def involution_via_wrong_blade(x):  # conjugates by e_1..e_{n-1}, not e_1..e_n
+            w = Multivector.from_mask(x.sig, (1 << x.sig.n) - 1 >> 1)
+            return w * x * (w * (w * w).coefficient(0))
+
+        with mock.patch.object(checks, "involution_via_omega", involution_via_wrong_blade):
+            r = checks.check_omega_conjugation(4, 0)
+        assert (r.passed, r.detail) == (False, "Cl(0,2)")
 
 
 class TestGradedBracket:

@@ -1,9 +1,11 @@
 """Tensor factorizations: factor lists, flips, class composition, periodicity."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from cliffrep import checks
 from cliffrep.algebra import Signature
 from cliffrep.classify import MatrixShape, RingType, classify, even_subalgebra
 from cliffrep.factorize import (
@@ -105,6 +107,30 @@ class TestFactorizeOdd:
     def test_dispatch(self):
         assert factorize((1, 3)) == karoubi_factorize((1, 3))
         assert factorize((3, 0)) == factorize_odd((3, 0))
+
+
+class TestKaroubiCheck:
+    def test_full_generator_budget(self):
+        r = checks.check_karoubi(16, 0)
+        assert (r.passed, r.detail, r.covered) == (True, "n <= 16", 153)
+
+    def test_sixteen_generators_are_checked(self):
+        with mock.patch.object(checks, "verify_factorization", lambda f: f.sig != Signature(8, 8)):
+            r = checks.check_karoubi(16, 0)
+        assert (r.passed, r.detail) == (False, "Cl(8,8)")
+
+    @pytest.mark.parametrize(
+        "quotes,sig,factors",
+        [
+            ("KAROUBI_QUOTES", Signature(1, 3), (Signature(0, 2), Signature(1, 1))),
+            ("KAROUBI_QUOTES", Signature(3, 1), (Signature(2, 0), Signature(1, 1))),
+            ("KAROUBI_QUOTES_UNORDERED", Signature(8, 0), (Signature(0, 2),) * 2 + (Signature(1, 1),) * 2),
+        ],
+    )
+    def test_quotes_are_still_checked(self, quotes, sig, factors):
+        with mock.patch.dict(getattr(checks, quotes), {sig: factors}):
+            r = checks.check_karoubi(16, 0)
+        assert (r.passed, r.detail) == (False, str(sig))
 
 
 class TestComplexFactorize:

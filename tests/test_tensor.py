@@ -88,6 +88,56 @@ def _pairs(nmax):
     return [(a, b) for a in sigs for b in sigs if a.n + b.n <= nmax]
 
 
+def written_out_index(t, side, i):
+    """The generator index maps as written out: Cl(pa+pb, qa+qb) takes A's
+    positive generators, then B's, then A's negative ones, then B's."""
+    a, b, p = t.a_sig, t.b_sig, t.combined.p
+    if side == "a":
+        return i if i <= a.p else p + (i - a.p)
+    return a.p + i if i <= b.p else p + a.q + (i - b.p)
+
+
+def written_out_embedding(t, side, mask):
+    return sum(1 << (written_out_index(t, side, i + 1) - 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class TestPlacementRule:
+    """The closed-form placement against the written-out index maps."""
+
+    @staticmethod
+    def _assert_blades(t, masks_a, masks_b):
+        assert [t.embed_a(m) for m in masks_a] == [written_out_embedding(t, "a", m) for m in masks_a]
+        assert [t.embed_b(m) for m in masks_b] == [written_out_embedding(t, "b", m) for m in masks_b]
+        assert [t.embed_a_index(i) for i in range(1, t.a_sig.n + 1)] == [
+            written_out_index(t, "a", i) for i in range(1, t.a_sig.n + 1)
+        ]
+        assert [t.embed_b_index(j) for j in range(1, t.b_sig.n + 1)] == [
+            written_out_index(t, "b", j) for j in range(1, t.b_sig.n + 1)
+        ]
+
+    @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
+    def test_every_blade_up_to_eight_generators(self, a, b):
+        t = GradedTensorProduct(a, b)
+        self._assert_blades(t, all_blades(a), all_blades(b))
+        _signs, masks = t.theta_arrays()
+        assert masks.tolist() == [
+            [written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for mb in all_blades(b)]
+            for ma in all_blades(a)
+        ]
+
+    @pytest.mark.parametrize("a,b", [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6))])
+    def test_sampled_blades_at_sixteen_generators(self, a, b):
+        t = GradedTensorProduct(a, b)
+        rng = random.Random(f"place{a}{b}")
+        masks_a = [rng.randrange(1 << t.a_sig.n) for _ in range(500)]
+        masks_b = [rng.randrange(1 << t.b_sig.n) for _ in range(500)]
+        self._assert_blades(t, masks_a, masks_b)
+        _signs, masks = t.theta_arrays()
+        assert [masks[ma, mb] for ma, mb in zip(masks_a, masks_b)] == [
+            written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for ma, mb in zip(masks_a, masks_b)
+        ]
+
+
 class TestBladeArrays:
     # every pair `verify` sweeps at its default nmax of 8
     @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
