@@ -43,11 +43,35 @@ _GATHER_ENTRIES = 1 << 13
 _TABLE_MIN_PAIRS = 16
 
 
-class Signature(NamedTuple):
-    """Counts of generators squaring to +1 (``p``) and -1 (``q``)."""
-
+class _Counts(NamedTuple):
     p: int
     q: int
+
+
+class Signature(_Counts):
+    """Counts of generators squaring to +1 (``p``) and -1 (``q``).
+
+    Valid by construction: both counts are integers (numpy integers are
+    stored as ``int``), neither is negative and they sum to at most
+    ``MAX_GENERATORS``; anything else is a ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        try:
+            p, q = operator.index(p), operator.index(q)
+        except TypeError:
+            raise ValueError(f"generator counts must be integers, got {p!r}, {q!r}") from None
+        if p < 0 or q < 0:
+            raise ValueError("generator counts must be non-negative")
+        if p + q > MAX_GENERATORS:
+            raise ValueError(f"at most {MAX_GENERATORS} generators are supported")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable) -> "Signature":  # also behind _replace
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -58,18 +82,11 @@ class Signature(NamedTuple):
 
 
 def as_signature(sig) -> Signature:
-    """Coerce a (p, q) pair of integers to a validated :class:`Signature`."""
-    if not isinstance(sig, Signature):
-        p, q = sig
-        try:
-            sig = Signature(operator.index(p), operator.index(q))
-        except TypeError:
-            raise ValueError(f"generator counts must be integers, got {p!r}, {q!r}") from None
-    if sig.p < 0 or sig.q < 0:
-        raise ValueError("generator counts must be non-negative")
-    if sig.n > MAX_GENERATORS:
-        raise ValueError(f"at most {MAX_GENERATORS} generators are supported")
-    return sig
+    """Coerce a (p, q) pair to a :class:`Signature`, which validates it."""
+    if isinstance(sig, Signature):
+        return sig
+    p, q = sig
+    return Signature(p, q)
 
 
 def grade(mask: int) -> int:
@@ -219,13 +236,12 @@ class Multivector:
 
     def __init__(self, sig, terms: Mapping[int, Number] | None = None):
         self.sig = as_signature(sig)
-        clean: dict[int, Number] = {}
-        for mask, coeff in (terms or {}).items():
-            if mask >> self.sig.n or mask < 0:
-                raise ValueError(f"blade {mask:#x} invalid for {self.sig}")
-            if coeff != 0:
-                clean[mask] = coeff
-        self.terms = clean
+        terms = terms or {}
+        if terms:
+            low, high = min(terms), max(terms)
+            if low < 0 or high >> self.sig.n:
+                raise ValueError(f"blade {low if low < 0 else high:#x} invalid for {self.sig}")
+        self.terms: dict[int, Number] = {m: c for m, c in terms.items() if c != 0}
 
     # -- constructors -------------------------------------------------
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import reduce
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -64,6 +65,13 @@ class CheckResult:
     covered: int
 
 
+def _sweep(name: str, items: Sequence, failure: Callable[[Any], str | None], passed_detail: str) -> CheckResult:
+    """Run ``failure`` over ``items`` up to the first failure text it returns;
+    ``passed_detail`` is the detail when it returns ``None`` for every item."""
+    detail = next((text for text in map(failure, items) if text is not None), None)
+    return CheckResult(name, detail is None, passed_detail if detail is None else detail, len(items))
+
+
 def _signatures(nmax: int, parity: int | None = None) -> list[Signature]:
     return [
         Signature(p, n - p)
@@ -109,33 +117,29 @@ def check_automorphism_signs(nmax: int, dim_max: int) -> CheckResult:
         "reversion": lambda k: (-1) ** (k * (k - 1) // 2),
         "conjugation": lambda k: (-1) ** (k * (k + 1) // 2),
     }
-    sigs = _signatures(nmax)
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
         x = _every_blade(s)
         for method, sign in sign_of_grade.items():
             by_grade = [sign(k) for k in range(s.n + 1)]
             if getattr(x, method)().terms != {m: by_grade[grade(m)] * c for m, c in x.terms.items()}:
-                return CheckResult("automorphism signs", False, f"{s} {method}", len(sigs))
-    return CheckResult("automorphism signs", True, f"{nmax=}", len(sigs))
+                return f"{s} {method}"
+        return None
+    return _sweep("automorphism signs", _signatures(nmax), failure, f"{nmax=}")
 
 
 def check_omega_conjugation(nmax: int, dim_max: int) -> CheckResult:
-    sigs = _signatures(nmax, parity=0)
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
         x = _every_blade(s)
-        if involution_via_omega(x) != x.grade_involution():
-            return CheckResult("omega conjugation = grade involution", False, f"{s}", len(sigs))
-    return CheckResult("omega conjugation = grade involution", True, f"even n <= {nmax}", len(sigs))
+        return None if involution_via_omega(x) == x.grade_involution() else str(s)
+    return _sweep("omega conjugation = grade involution", _signatures(nmax, parity=0), failure, f"even n <= {nmax}")
 
 
 def check_theta_psi(nmax: int, dim_max: int) -> CheckResult:
     pairs = [(a, b) for a in _signatures(nmax) for b in _signatures(nmax - a.n)]
-    for a, b in pairs:
-        if not theta_psi_check(a, b):
-            return CheckResult(
-                "graded tensor isomorphism", False, f"({a.p},{a.q}) x ({b.p},{b.q})", len(pairs)
-            )
-    return CheckResult("graded tensor isomorphism", True, f"combined n <= {nmax}", len(pairs))
+    def failure(pair: tuple[Signature, Signature]) -> str | None:
+        a, b = pair
+        return None if theta_psi_check(a, b) else f"({a.p},{a.q}) x ({b.p},{b.q})"
+    return _sweep("graded tensor isomorphism", pairs, failure, f"combined n <= {nmax}")
 
 
 def check_table(nmax: int, dim_max: int) -> CheckResult:
@@ -150,52 +154,48 @@ def check_periodicity(nmax: int, dim_max: int) -> CheckResult:
     The base p+q is capped at MAX_GENERATORS - 8 so that Cl(p+8,q) exists.
     """
     base = min(nmax, MAX_GENERATORS - 8)
-    sigs = _signatures(base)
     h = classify((0, 2)).shape
-    if tensor_compose(h, h) != MatrixShape(RingType.R, 4):
-        return CheckResult("mod-8 periodicity", False, "H (x) H != Mat_4(R)", len(sigs))
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
+        if tensor_compose(h, h) != MatrixShape(RingType.R, 4):
+            return "H (x) H != Mat_4(R)"
         a, b = classify(s), classify((s.p + 8, s.q))
-        if not (a.ring is b.ring and a.simple == b.simple and b.matrix_size == 16 * a.matrix_size):
-            return CheckResult("mod-8 periodicity", False, str(s), len(sigs))
-    return CheckResult("mod-8 periodicity", True, f"base n <= {base}, size ratio 16", len(sigs))
+        return None if a.ring is b.ring and a.simple == b.simple and b.matrix_size == 16 * a.matrix_size else str(s)
+    return _sweep("mod-8 periodicity", _signatures(base), failure, f"base n <= {base}, size ratio 16")
 
 
 def check_karoubi(nmax: int, dim_max: int) -> CheckResult:
     """Every factor list composes to its class and replays to the peeled
     signature (the even subalgebra's for odd n); the quoted lists are reproduced."""
-    sigs = _signatures(nmax)
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
         f = factorize(s)
         quoted = f.factors == KAROUBI_QUOTES.get(s, f.factors) and sorted(f.factors) == sorted(
             KAROUBI_QUOTES_UNORDERED.get(s, f.factors)
         )
         peeled = even_subalgebra(s) if s.n % 2 else s
-        if not (verify_factorization(f) and replay_flips(f) == peeled and quoted):
-            return CheckResult("factor-list class composition", False, str(s), len(sigs))
-    return CheckResult("factor-list class composition", True, f"n <= {nmax}", len(sigs))
+        return None if verify_factorization(f) and replay_flips(f) == peeled and quoted else str(s)
+    return _sweep("factor-list class composition", _signatures(nmax), failure, f"n <= {nmax}")
 
 
 def check_even_subalgebra(nmax: int, dim_max: int) -> CheckResult:
-    sigs = [s for s in _signatures(nmax) if s.n >= 1]
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
         smaller = (s.p, s.q - 1) if s.q >= 1 else (0, s.p - 1)
-        if classify(even_subalgebra(s)) != classify(smaller):
-            return CheckResult("even subalgebra", False, str(s), len(sigs))
-    return CheckResult("even subalgebra", True, f"n <= {nmax}", len(sigs))
+        return None if classify(even_subalgebra(s)) == classify(smaller) else str(s)
+    return _sweep("even subalgebra", [s for s in _signatures(nmax) if s.n >= 1], failure, f"n <= {nmax}")
 
 
 def check_gamma(nmax: int, dim_max: int) -> CheckResult:
-    sigs = _signatures(min(nmax, 8))
-    for s in sigs:
+    def failure(s: Signature) -> str | None:
         gen = gamma.build_generators(s)
-        if not gamma.verify_anticommutation(gen):
-            return CheckResult("gamma anticommutation", False, str(s), len(sigs))
-        if gamma.faithfulness_rank(gen) != 1 << s.n:
-            return CheckResult("gamma anticommutation", False, f"rank {s}", len(sigs))
-        if s.n >= 1 and gamma.omega_image_square_sign(gen) != omega_square_mod8(s):
-            return CheckResult("gamma anticommutation", False, f"omega {s}", len(sigs))
-    return CheckResult("gamma anticommutation", True, f"n <= {min(nmax, 8)}, faithful", len(sigs))
+        try:
+            rank = gamma.faithfulness_rank(gen)
+        except ValueError:  # the defining relations fail
+            return str(s)
+        if rank != 1 << s.n:
+            return f"rank {s}"
+        omega_holds = s.n == 0 or gamma.omega_image_square_sign(gen) == omega_square_mod8(s)
+        return None if omega_holds else f"omega {s}"
+    reach = min(nmax, gamma.MAX_SYNTHESIS_GENERATORS)
+    return _sweep("gamma anticommutation", _signatures(reach), failure, f"n <= {reach}, faithful")
 
 
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
@@ -222,25 +222,20 @@ def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def _worst_residual(name: str, residuals: list[float], tol: float, dim_max: int) -> CheckResult:
+    worst = reduce(max, residuals, 0.0)
+    return CheckResult(name, worst <= tol, f"dim <= {dim_max}, residual {worst:.2e}", len(residuals))
+
+
 def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
-    labels = gn_labels(dim_max)
-    worst = 0.0
-    for lab in labels:
-        ab = lorentz.reconstruct_AB(lorentz.build_gn_operators(lab))
-        worst = max(worst, lorentz.com1_residual(ab))
-    return CheckResult(
-        "rotation/boost commutators", worst <= GN_COM_TOL, f"dim <= {dim_max}, residual {worst:.2e}", len(labels)
-    )
+    ops = map(lorentz.build_gn_operators, gn_labels(dim_max))
+    residuals = [lorentz.com1_residual(lorentz.reconstruct_AB(o)) for o in ops]
+    return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, dim_max)
 
 
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
-    labels = vdw_labels(dim_max)
-    worst = 0.0
-    for l, ld in labels:
-        worst = max(worst, lorentz.com2_residual(lorentz.build_vdw_operators(l, ld)))
-    return CheckResult(
-        "paired su(2) commutators", worst <= VDW_COM_TOL, f"dim <= {dim_max}, residual {worst:.2e}", len(labels)
-    )
+    residuals = [lorentz.com2_residual(lorentz.build_vdw_operators(l, ld)) for l, ld in vdw_labels(dim_max)]
+    return _worst_residual("paired su(2) commutators", residuals, VDW_COM_TOL, dim_max)
 
 
 def _x3_spectrum(ops, v) -> bool:
@@ -273,13 +268,10 @@ def gn_vdw_case(lab: lorentz.GNLabel) -> tuple[lorentz.GNOperators, lorentz.VdWO
 
 
 def check_gn_vdw(nmax: int, dim_max: int) -> CheckResult:
-    labels = gn_labels(dim_max)
-    for lab in labels:
+    def failure(lab: lorentz.GNLabel) -> str | None:
         case = gn_vdw_case(lab)
-        failed = next((name for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
-        if failed:
-            return CheckResult("basis conversion", False, f"{lab} {failed}", len(labels))
-    return CheckResult("basis conversion", True, f"dim <= {dim_max}", len(labels))
+        return next((f"{lab} {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
+    return _sweep("basis conversion", gn_labels(dim_max), failure, f"dim <= {dim_max}")
 
 
 def check_complex_cycle(nmax: int, dim_max: int) -> CheckResult:
@@ -326,12 +318,10 @@ def check_real_cycle(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_complex_parity(nmax: int, dim_max: int) -> CheckResult:
-    ns = range(nmax - 1)
-    for n in ns:
+    def failure(n: int) -> str | None:
         a, b = classify_complex(n), classify_complex(n + 2)
-        if b.matrix_size != 2 * a.matrix_size or a.simple != b.simple:
-            return CheckResult("mod-2 periodicity", False, f"n={n}", len(ns))
-    return CheckResult("mod-2 periodicity", True, f"n <= {nmax}", len(ns))
+        return None if b.matrix_size == 2 * a.matrix_size and a.simple == b.simple else f"n={n}"
+    return _sweep("mod-2 periodicity", range(nmax - 1), failure, f"n <= {nmax}")
 
 
 ALL_CHECKS: list[tuple[str, Callable[[int, int], CheckResult]]] = [

@@ -37,6 +37,8 @@ SEEDS = {
     FACTOR_NEG: (_IX, _J),
 }
 
+MAX_SYNTHESIS_GENERATORS = 12  #: most generators :func:`build_generators` synthesises (dim 64)
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -80,8 +82,8 @@ def _even_generator_lists(fact: Factorization) -> tuple[list[np.ndarray], list[n
 def build_generators(sig) -> GeneratorSet:
     """Anticommuting matrices g_i with g_i^2 = +1 (i <= p) or -1 (i > p)."""
     sig = as_signature(sig)
-    if sig.n > 12:
-        raise ValueError("generator synthesis supported up to 12 generators")
+    if sig.n > MAX_SYNTHESIS_GENERATORS:
+        raise ValueError(f"generator synthesis supported up to {MAX_SYNTHESIS_GENERATORS} generators")
     if sig.n == 0:
         return GeneratorSet(sig, (), reducible=False, basis_note="trivial 1-dim module")
     if sig.n % 2 == 0:
@@ -132,13 +134,20 @@ def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
 
 
 def faithfulness_rank(gen: GeneratorSet) -> int:
-    """Dimension of the real linear span of all blade images."""
-    if gen.sig.n > 10:
-        raise ValueError("faithfulness rank supported up to 10 generators")
-    images = blade_images(gen)
-    flat = np.array([images[m].ravel() for m in sorted(images)])
-    stacked = np.concatenate([flat.real, flat.imag], axis=1)
-    return int(np.linalg.matrix_rank(stacked))
+    """Dimension of the real linear span of all blade images, exactly.
+
+    The defining relations are checked first (``ValueError`` if they fail).
+    Trace argument (Lounesto, *Clifford Algebras and Spinors*, ss. 16-17):
+    each blade but 1 and the odd-n volume element anticommutes with some
+    generator, so the images are orthogonal under tr(x^-1 y); for odd n the
+    span halves exactly when the central volume image is +-I.
+    """
+    if not verify_anticommutation(gen):
+        raise ValueError(f"gamma matrices of {gen.sig} violate the defining relations")
+    omega, eye = omega_image(gen), np.eye(gen.dim)
+    if gen.sig.n % 2 and (np.array_equal(omega, eye) or np.array_equal(omega, -eye)):
+        return 1 << (gen.sig.n - 1)
+    return 1 << gen.sig.n
 
 
 def omega_image(gen: GeneratorSet) -> np.ndarray:

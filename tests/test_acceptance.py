@@ -79,6 +79,12 @@ CRITERIA = [
     Criterion(
         15, "canonical homomorphisms mutually inverse on 1820 signature pairs", ("graded-tensor",), 12, 0, (1820,), 5.0
     ),
+    Criterion(
+        16,
+        "gamma relations exact, faithful rank 2^n, volume image sign correct up to 12 generators",
+        ("gamma",),
+        12, 0, (91,), None,
+    ),
 ]
 
 

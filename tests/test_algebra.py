@@ -33,6 +33,7 @@ from cliffrep.algebra import (
     volume_element,
 )
 from cliffrep.checks import brute_force_commutant
+from cliffrep.classify import classify
 
 
 def slow_blade_product(a_mask, b_mask, sig):
@@ -96,6 +97,38 @@ class TestAsSignature:
     def test_signature_passes_through(self):
         sig = Signature(2, 1)
         assert as_signature(sig) is sig
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((1.5, 3), "generator counts must be integers, got 1.5, 3"),
+            ((1, "1"), "generator counts must be integers, got 1, '1'"),
+            ((2.0, 0), "generator counts must be integers, got 2.0, 0"),
+            ((-1, 2), "generator counts must be non-negative"),
+            ((3, -1), "generator counts must be non-negative"),
+            ((9, 8), "at most 16 generators are supported"),
+            ((0, 17), "at most 16 generators are supported"),
+        ],
+    )
+    def test_signature_is_valid_by_construction(self, pair, message):
+        """A directly built Signature raises what the tuple path raises."""
+        for build in (as_signature, lambda pair: Signature(*pair), Signature._make):
+            with pytest.raises(ValueError) as err:
+                build(pair)
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match=message.split(",")[0]):
+            Signature(1, 1)._replace(p=pair[0], q=pair[1])
+
+    def test_signature_stores_numpy_integers_as_int(self):
+        sig = Signature(np.int64(1), np.uint8(3))
+        assert sig == (1, 3) and type(sig.p) is int and type(sig.q) is int
+        assert sig is as_signature(sig) and repr(sig) == "Signature(p=1, q=3)"
+
+    def test_invalid_signature_never_reaches_the_algebra(self):
+        with pytest.raises(ValueError, match="generator counts must be integers"):
+            classify(Signature(1.5, 3))
+        with pytest.raises(ValueError, match="generator counts must be integers"):
+            blade_product(1, 1, Signature(0.5, 1))
 
 
 class TestBladeProduct:
@@ -323,6 +356,23 @@ class TestMultivectorProduct:
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
             Multivector.scalar((1, 0), 1) * Multivector.scalar((0, 1), 1)
+
+    @pytest.mark.parametrize(
+        "terms,bad",
+        [
+            ({1: 1, 0b100: 2}, "0x4"),
+            ({-1: 1, 0b11: 2}, "-0x1"),
+            ({-3: 1, 1: 1, 0b1000: 2}, "-0x3"),
+            ({0b11: 0, 1 << 16: 0}, "0x10000"),
+        ],
+    )
+    def test_construction_rejects_masks_outside_the_signature(self, terms, bad):
+        with pytest.raises(ValueError, match=f"blade {bad} invalid for Cl\\(1,1\\)"):
+            Multivector((1, 1), terms)
+
+    def test_construction_drops_zero_coefficients(self):
+        x = Multivector((1, 1), {0: 0, 1: Fraction(0), 2: 0.0, 3: Fraction(1, 2)})
+        assert x.terms == {3: Fraction(1, 2)} and Multivector((1, 1)).terms == {}
 
     def test_scalar_multiplication(self):
         sig = (1, 1)

@@ -1,8 +1,12 @@
 """Gamma-matrix synthesis: defining relations, faithfulness, volume image."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cliffrep import checks
 from cliffrep.algebra import Multivector, Signature, all_blades, omega_square_mod8
 from cliffrep.factorize import karoubi_factorize
 from cliffrep.gamma import (
@@ -16,6 +20,8 @@ from cliffrep.gamma import (
 )
 
 all_signatures = [Signature(p, n - p) for n in range(0, 8) for p in range(n + 1)]
+_X = np.array([[0, 1], [1, 0]])
+_Z = np.array([[1, 0], [0, -1]])
 
 
 class TestBuildGenerators:
@@ -48,7 +54,7 @@ class TestBuildGenerators:
         assert g.reducible == (sig.n % 2 == 1)
 
     def test_size_overflow(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generator synthesis supported up to 12 generators"):
             build_generators((13, 0))
 
 
@@ -79,9 +85,41 @@ class TestFaithfulness:
     def test_examples(self, sig, rank):
         assert faithfulness_rank(build_generators(sig)) == rank
 
-    @pytest.mark.parametrize("sig", all_signatures)
+    @pytest.mark.parametrize("sig", [Signature(p, n - p) for n in range(13) for p in range(n + 1)])
     def test_monomorphism(self, sig):
         assert faithfulness_rank(build_generators(sig)) == 1 << sig.n
+
+    @pytest.mark.parametrize(
+        "sig,gammas,rank",
+        [
+            # odd n with the volume image +-I: each blade image doubles as another's, the span halves
+            (Signature(1, 0), [[[1]]], 1),
+            (Signature(2, 1), [_X, _Z, _X @ _Z], 4),
+            # odd n with the volume image +-iI: still independent over the reals
+            (Signature(0, 1), [[[1j]]], 2),
+            (Signature(3, 0), [_X, np.array([[0, -1j], [1j, 0]]), _Z], 8),
+            (Signature(0, 2), [1j * _X, 1j * _Z], 4),
+        ],
+    )
+    def test_hand_built_sets(self, sig, gammas, rank):
+        """Real span of all 2^n blade images, against a float rank of the images themselves."""
+        gen = GeneratorSet(sig, tuple(np.array(g) for g in gammas), reducible=False, basis_note="by hand")
+        images = np.array([m.ravel() for m in blade_images(gen).values()])
+        assert np.linalg.matrix_rank(np.concatenate([images.real, images.imag], axis=1)) == rank
+        assert faithfulness_rank(gen) == rank
+
+    @pytest.mark.parametrize(
+        "sig,gammas",
+        [
+            (Signature(1, 0), [[[1j]]]),  # squares to -1, not +1
+            (Signature(2, 0), [_X, _X]),  # commuting generators
+            (Signature(2, 1), [_X, _Z, _X]),
+        ],
+    )
+    def test_broken_relations_raise(self, sig, gammas):
+        gen = GeneratorSet(sig, tuple(np.array(g) for g in gammas), reducible=False, basis_note="by hand")
+        with pytest.raises(ValueError, match=f"gamma matrices of {re.escape(str(sig))} violate the defining relations"):
+            faithfulness_rank(gen)
 
     def test_blade_images_multiply(self):
         sig = Signature(2, 1)
@@ -93,6 +131,28 @@ class TestFaithfulness:
 
                 sign, mask = blade_product(a, b, sig)
                 assert np.allclose(images[a] @ images[b], sign * images[mask])
+
+
+class TestGammaCheck:
+    def test_reaches_the_synthesis_limit(self):
+        r = checks.check_gamma(16, 0)
+        assert (r.passed, r.detail, r.covered) == (True, "n <= 12, faithful", 91)
+
+    def test_one_flipped_entry_at_twelve_generators_fails(self):
+        honest = build_generators
+
+        def build(sig):
+            gen = honest(sig)
+            if sig != Signature(6, 6):
+                return gen
+            last = gen.gammas[-1].copy()
+            row, col = np.argwhere(last)[0]
+            last[row, col] = -last[row, col]
+            return GeneratorSet(gen.sig, gen.gammas[:-1] + (last,), gen.reducible, gen.basis_note)
+
+        with mock.patch.object(checks.gamma, "build_generators", build):
+            r = checks.check_gamma(12, 0)
+        assert (r.passed, r.detail) == (False, "Cl(6,6)")
 
 
 class TestVolumeImage:
