@@ -12,10 +12,11 @@ Coefficients may be any Python scalars (int, Fraction, float, complex).
 All structural operations are bit-exact when ints or Fractions are used.
 
 Blade signs have two forms: :func:`blade_product` for one pair (the
-reference) and :func:`blade_signs` for numpy arrays of masks, with
-:func:`sign_table` caching the whole Cayley sign table of a signature
-(the bitmap-blade tables of Dorst, Fontijne & Mann, *Geometric Algebra
-for Computer Science*, ch. 19).  numpy is imported inside those two
+reference) and :func:`blade_signs` for numpy arrays of masks.  The array
+form is the closed-form bitmap-blade reordering sign (Dorst, Fontijne &
+Mann, *Geometric Algebra for Computer Science*, ch. 19): e_a e_b =
+(-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade, so no sign table is
+built and the dense product serves every n.  numpy is imported inside
 functions only, so the classification paths that import this module do
 not load it.
 """
@@ -24,23 +25,19 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
-#: largest generator count with a cached sign table (1 MB of int8 at n = 10)
-TABLE_MAX_GENERATORS = 10
-# gathered entries per row block of the table product (64 KB of int64)
+# gathered entries per row block of the gather product (64 KB of int64)
 _GATHER_ENTRIES = 1 << 13
-# Fewest blade pairs worth the table product.  Timed on int products
-# against the pair loop (2 vCPUs, n = 0..10): the table path costs a fixed
-# 8-14 us of numpy calls plus 2^n gathered entries per row, the loop about
-# 1 us per pair.  At 2^n pairs the table wins from n = 4 (1.1-1.3x at
-# n = 4, 3.5-15x at n = 7..10) but loses below (0.1-0.55x at n <= 3); at
-# 16 pairs it breaks even at n = 2 and wins 1.35x at n = 3.
-_TABLE_MIN_PAIRS = 16
+# Fewest blade pairs worth the gather product.  Timed on int products
+# against the pair loop (2 vCPUs, Python 3.11, numpy 2.4, n = 2..7): the
+# gather path costs a fixed 13-16 us of numpy calls, the loop about 0.4 us
+# per pair.  The gather path loses at 16 pairs (0.43-0.6x), breaks even at
+# 32 (0.88-1.23x) and wins from 64 pairs on (1.55-2.6x at 64, 3-7x at 128).
+_GATHER_MIN_PAIRS = 32
 
 
 class _Counts(NamedTuple):
@@ -130,13 +127,35 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     return -1 if swaps & 1 else 1, a ^ b
 
 
+def _sign_masks(masks, p: int, shift=operator.rshift):
+    """Sign masks of blades, as ints or numpy int64 arrays.
+
+    ``rshift`` gives L with e_a e_b = (-1)^|b & L(a)| e_{a^b}: bit j of L(a)
+    is the parity of a's generators above j (those generator j of b
+    crosses), XOR bit j of a when j >= p (its metric factor).  ``lshift``
+    gives the mirror R with e_a e_b = (-1)^|a & R(b)|: bit j of R(b) is the
+    parity of b's generators below j, XOR bit j of b when j >= p.  The
+    shift ladder 1, 2, 4, 8 assumes masks below 2^16 (MAX_GENERATORS = 16).
+    """
+    s = shift(masks, 1)
+    for k in (1, 2, 4, 8):
+        s = s ^ shift(s, k)
+    return s ^ (masks >> p << p)
+
+
+def _parity(x):
+    """Parity of the set bits of each mask below 2^16, by a four-step XOR fold."""
+    for k in (8, 4, 2, 1):
+        x = x ^ (x >> k)
+    return x & 1
+
+
 def blade_signs(a, b, sig):
     """Signs of ``e_a * e_b`` over broadcastable numpy integer arrays of masks.
 
-    The two steps of :func:`blade_product`, one generator at a time from
-    the top: for each generator k in b, one transposition per generator
-    of a above k, and one metric factor if k is also in a and lies above
-    p.  Returns an int8 array of +1/-1 in the broadcast shape.
+    The two steps of :func:`blade_product` in closed form (see
+    :func:`_sign_masks`).  Returns an int8 array of +1/-1 in the broadcast
+    shape.
     """
     import numpy as np
 
@@ -148,73 +167,51 @@ def blade_signs(a, b, sig):
         if masks.size and (masks.min() < 0 or masks.max() >> sig.n):
             raise ValueError("blade mask uses generators outside the signature")
     a, b = a.astype(np.int64), b.astype(np.int64)
-    parity = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.uint8)
-    above = np.zeros(a.shape, np.uint8)  # parity of the generators of a above k
-    for k in reversed(range(sig.n)):
-        a_k = (a >> k & 1).astype(np.uint8)
-        flips = above ^ a_k if k >= sig.p else above
-        parity ^= flips & (b >> k & 1).astype(np.uint8)
-        above ^= a_k
-    return 1 - 2 * parity.view(np.int8)
+    return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)
 
 
-@cache
-def sign_table(sig):
-    """Read-only int8 table ``T[a, b]`` = sign of ``e_a * e_b``, cached per signature.
+def _gather_product_fits(sig: Signature, a: dict, b: dict) -> bool:
+    """True when the gather product is exact and worth it.
 
-    Built for at most ``TABLE_MAX_GENERATORS`` generators.
-    """
-    import numpy as np
-
-    sig = as_signature(sig)
-    if sig.n > TABLE_MAX_GENERATORS:
-        raise ValueError(f"sign tables are built for at most {TABLE_MAX_GENERATORS} generators")
-    masks = np.arange(1 << sig.n)
-    table = blade_signs(masks[:, None], masks[None, :], sig)
-    table.flags.writeable = False
-    return table
-
-
-def _table_product_fits(sig: Signature, a: dict, b: dict) -> bool:
-    """True when the sign-table product is exact and worth it.
-
-    Needs at least ``max(2^n, _TABLE_MIN_PAIRS)`` blade pairs, plain int
+    Needs at least ``max(2^n, _GATHER_MIN_PAIRS)`` blade pairs, plain int
     coefficients only, and a bound on every output coefficient that fits
     in int64.
     """
-    if sig.n > TABLE_MAX_GENERATORS or len(a) * len(b) < max(1 << sig.n, _TABLE_MIN_PAIRS):
+    if len(a) * len(b) < max(1 << sig.n, _GATHER_MIN_PAIRS):
         return False
     if not all(type(c) is int for c in chain(a.values(), b.values())):
         return False
     return max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 1 << 63
 
 
-def _table_product(sig: Signature, a: dict, b: dict) -> dict[int, int]:
-    """Exact int product through :func:`sign_table` (see ``_table_product_fits``).
+def _gather_product(sig: Signature, a: dict, b: dict) -> dict[int, int]:
+    """Exact int product by XOR-indexed gathers (see ``_gather_product_fits``).
 
     Every output blade k takes one term from each blade i of the shorter
-    factor, paired with blade i ^ k of the other, so the product is an
-    XOR-indexed gather of 2^n columns per row and one integer matmul.
-    Rows go in blocks of about ``_GATHER_ENTRIES`` gathered entries, which
-    keeps the temporaries small (and in cache) at every n.
+    factor, paired with blade i ^ k of the other, so the product is a
+    gather of 2^n columns per row and one integer matmul.  Each row's sign
+    mask (:func:`_sign_masks`, the mirror rule when the rows are the right
+    factor) gives the signs of its whole row.  Rows go in blocks of about
+    ``_GATHER_ENTRIES`` gathered entries, which keeps the temporaries small
+    (and in cache) at every n.
     """
     import numpy as np
 
     left = len(a) <= len(b)
     rows, other = (a, b) if left else (b, a)
-    row_masks = np.fromiter(rows, np.int64, len(rows))[:, None]
+    row_masks = np.fromiter(rows, np.int64, len(rows))
     row_coeffs = np.fromiter(rows.values(), np.int64, len(rows))
+    sign_masks = _sign_masks(row_masks, sig.p, operator.rshift if left else operator.lshift)
     blades = np.arange(1 << sig.n)
     dense = np.zeros(1 << sig.n, np.int64)
     dense[np.fromiter(other, np.int64, len(other))] = np.fromiter(other.values(), np.int64, len(other))
-    table = sign_table(sig)
     out = np.zeros(1 << sig.n, np.int64)
     step = max(1, _GATHER_ENTRIES >> sig.n)
     for start in range(0, len(rows), step):
-        masks = row_masks[start : start + step]
-        partner = masks ^ blades
-        signs = table[masks, partner] if left else table[partner, masks]
-        out += row_coeffs[start : start + step] @ (signs * dense[partner])
+        block = slice(start, start + step)
+        partner = row_masks[block, None] ^ blades
+        signs = 1 - 2 * _parity(partner & sign_masks[block, None])
+        out += row_coeffs[block] @ (signs * dense[partner])
     nonzero = np.flatnonzero(out)
     return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
 
@@ -306,8 +303,8 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._require_same_sig(other)
-            if _table_product_fits(self.sig, self.terms, other.terms):
-                return Multivector(self.sig, _table_product(self.sig, self.terms, other.terms))
+            if _gather_product_fits(self.sig, self.terms, other.terms):
+                return Multivector(self.sig, _gather_product(self.sig, self.terms, other.terms))
             terms: dict[int, Number] = {}
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():

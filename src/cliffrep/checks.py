@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -223,7 +222,7 @@ def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def _worst_residual(name: str, residuals: list[float], tol: float, dim_max: int) -> CheckResult:
-    worst = reduce(max, residuals, 0.0)
+    worst = float(np.max(residuals, initial=0.0))  # a NaN residual stays NaN and fails
     return CheckResult(name, worst <= tol, f"dim <= {dim_max}, residual {worst:.2e}", len(residuals))
 
 

@@ -202,7 +202,8 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _worst(deviations) -> float:
-    return max(float(np.abs(d).max()) for d in deviations)
+    """Largest entry magnitude; NaN if any entry is NaN (numpy's max keeps it, Python's drops it)."""
+    return float(np.max([np.abs(d).max() for d in deviations]))
 
 
 def com1_residual(ab: ABOperators) -> float:

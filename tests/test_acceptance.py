@@ -85,6 +85,12 @@ CRITERIA = [
         ("gamma",),
         12, 0, (91,), None,
     ),
+    Criterion(
+        17,
+        "omega conjugation exact on every blade up to 16 generators",
+        ("omega-conjugation",),
+        16, 0, (81,), None,
+    ),
 ]
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cliffrep import algebra, tensor
 from cliffrep import checks
 from cliffrep.algebra import (
-    TABLE_MAX_GENERATORS,
     GradedBracketResult,
     Multivector,
     Signature,
@@ -29,7 +28,6 @@ from cliffrep.algebra import (
     involution_via_omega,
     omega_square,
     omega_square_mod8,
-    sign_table,
     volume_element,
 )
 from cliffrep.checks import brute_force_commutant
@@ -165,35 +163,26 @@ class TestBladeProduct:
             blade_product(0b100, 0b1, (1, 1))
 
 
-signatures_table = [Signature(p, n - p) for n in range(0, 9) for p in range(n + 1)]
+signatures_grid = [Signature(p, n - p) for n in range(0, 9) for p in range(n + 1)]
 
 
 class TestSignRule:
-    @pytest.mark.parametrize("sig", signatures_table)
-    def test_table_matches_blade_product_exhaustively(self, sig):
+    @pytest.mark.parametrize("sig", signatures_grid)
+    def test_signs_match_blade_product_exhaustively(self, sig):
         blades = all_blades(sig)
+        masks = np.arange(1 << sig.n)
         ref = [blade_product(a, b, sig)[0] for a in blades for b in blades]
-        assert sign_table(sig).ravel().tolist() == ref
+        assert blade_signs(masks[:, None], masks[None, :], sig).ravel().tolist() == ref
 
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_table_rows_at_large_n(self, n):
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_full_rows_and_columns_at_large_n(self, n):
         rng = random.Random(n)
-        for p in range(n + 1):
+        masks = np.arange(1 << n)
+        for p in sorted({0, rng.randint(1, n - 1), n}):
             sig = Signature(p, n - p)
-            table = sign_table(sig)
-            for a in rng.sample(range(1 << n), 3):
-                assert table[a].tolist() == [blade_product(a, b, sig)[0] for b in all_blades(sig)]
-
-    def test_table_is_cached_and_read_only(self):
-        table = sign_table((3, 1))
-        assert sign_table(Signature(3, 1)) is table
-        assert table.dtype == np.int8
-        with pytest.raises(ValueError):
-            table[0, 0] = -1
-
-    def test_table_size_limit(self):
-        with pytest.raises(ValueError):
-            sign_table((TABLE_MAX_GENERATORS + 1, 0))
+            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+            assert blade_signs(a, masks, sig).tolist() == [blade_product(a, m, sig)[0] for m in masks.tolist()]
+            assert blade_signs(masks, b, sig).tolist() == [blade_product(m, b, sig)[0] for m in masks.tolist()]
 
     @pytest.mark.parametrize("n", range(0, 17))
     def test_signs_match_blade_product_on_random_masks(self, n):
@@ -235,7 +224,7 @@ class TestSignRule:
 
 
 def reference_product(x, y):
-    """The pair loop on :func:`blade_product` alone: the oracle of the table path."""
+    """The pair loop on :func:`blade_product` alone: the oracle of the gather path."""
     terms = {}
     for ma, ca in x.terms.items():
         for mb, cb in y.terms.items():
@@ -251,18 +240,18 @@ def assert_same_product(x, y):
     assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
 
 
-def spy_table():
-    return mock.patch.object(algebra, "sign_table", wraps=algebra.sign_table)
+def spy_gather():
+    return mock.patch.object(algebra, "_gather_product", wraps=algebra._gather_product)
 
 
 @st.composite
 def dense_int_pairs(draw):
-    """Int multivectors with enough blade pairs for the table path, at most about 4 times that."""
-    n = draw(st.integers(2, TABLE_MAX_GENERATORS))  # n <= 1 never has 16 pairs
+    """Int multivectors with enough blade pairs for the gather path, at most about 4 times that."""
+    n = draw(st.integers(3, 12))  # n <= 2 never has 32 pairs
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
     size = 1 << n
-    need = max(size, algebra._TABLE_MIN_PAIRS)
+    need = max(size, algebra._GATHER_MIN_PAIRS)
     len_a = draw(st.integers(-(-need // size), size))
     low = -(-need // len_a)
     len_b = draw(st.integers(low, min(size, max(low, 4 * need // len_a))))
@@ -275,52 +264,55 @@ def dense_int_pairs(draw):
     return Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
 
 
-class TestTableProduct:
+class TestGatherProduct:
     @settings(max_examples=60, deadline=None)
     @given(dense_int_pairs())
-    def test_table_path_matches_reference(self, pair):
+    def test_gather_path_matches_reference(self, pair):
         x, y = pair
-        with spy_table() as spy:
+        with spy_gather() as spy:
             assert_same_product(x, y)
         assert spy.call_count == 1
 
     @pytest.mark.parametrize(
-        "sig,a,b,table",
+        "sig,a,b,gather",
         [
-            # exact ints at the int64 bound: 4 * 2^30 * (2^31 - 1) < 2^63 takes the table
-            ((2, 0), {m: 1 << 30 for m in range(4)}, {m: (1 << 31) - 1 for m in range(4)}, True),
-            ((2, 0), {m: 1 << 30 for m in range(4)}, {m: 1 << 31 for m in range(4)}, False),
+            # exact ints at the int64 bound: 8 * 2^29 * (2^31 - 1) < 2^63 takes the gather path
+            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: (1 << 31) - 1 for m in range(8)}, True),
+            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: 1 << 31 for m in range(8)}, False),
             ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, True),
             ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, False),
-            # (1 + e2)(1 + e1) * (1 - e1)(1 + e2) = 0
-            ((2, 0), {0: 1, 1: 1, 2: 1, 3: -1}, {0: 1, 1: -1, 2: 1, 3: -1}, True),
+            # (1 + e1)(1 + e2)(1 + e3) * (1 - e3)(1 + e2)(1 + e1) = 0
+            ((3, 0), {m: 1 for m in range(8)}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1}, True),
             ((0, 0), {0: 3}, {0: -4}, False),
-            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, False),  # 2^3 < 16 pairs
-            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, True),  # 2^4 = 16 pairs
+            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, False),  # 8 < 32 pairs
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, False),  # 16 < 32 pairs
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, True),  # 32 pairs
+            ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, True),  # 2^5 = 32 pairs
             ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
             ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, False),
-            ((1, 1), {m: complex(m, 1) for m in range(4)}, {m: 1j * m - 2 for m in range(4)}, False),
-            ((1, 1), {m: True for m in range(4)}, {m: True for m in range(4)}, False),
-            ((1, 1), {m: np.int64(m + 1) for m in range(4)}, {m: np.int64(2 - m) for m in range(4)}, False),
-            ((1, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(4)}, False),
-            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, False),  # no table above 10 generators
+            ((2, 1), {m: complex(m, 1) for m in range(8)}, {m: 1j * m - 2 for m in range(8)}, False),
+            ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, False),
+            ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, False),
+            ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, False),
+            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, True),  # the gather path serves every n
         ],
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
-            "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction", "n12",
+            "n4-32-pairs", "n5-32-pairs", "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction",
+            "n12",
         ],
     )
-    def test_path_selection(self, sig, a, b, table):
+    def test_path_selection(self, sig, a, b, gather):
         x, y = Multivector(sig, a), Multivector(sig, b)
-        with spy_table() as spy:
+        with spy_gather() as spy:
             assert_same_product(x, y)
-        assert spy.call_count == int(table)
+        assert spy.call_count == int(gather)
 
     def test_sparse_product_takes_the_loop(self):
         sig = (4, 4)
         x = Multivector(sig, {1: 2, 6: -1, 0b1000_0000: 3})
         y = Multivector(sig, {m: m - 5 for m in range(0, 256, 4)})  # 3 * 64 < 256 pairs
-        with spy_table() as spy:
+        with spy_gather() as spy:
             assert_same_product(x, y)
         assert spy.call_count == 0
 
@@ -328,9 +320,18 @@ class TestTableProduct:
         sig = (5, 5)
         x = Multivector(sig, {m: m % 7 - 7 for m in range(1 << 10)})
         y = Multivector.from_mask(sig, 0b1010110011, -2)
-        with spy_table() as spy:
+        with spy_gather() as spy:
             assert_same_product(x, y)
             assert_same_product(y, x)
+        assert spy.call_count == 2
+
+    def test_one_blade_times_every_blade_at_16_generators(self):
+        sig = Signature(8, 8)
+        x = checks._every_blade(sig)
+        blade = Multivector.from_mask(sig, 0b1011_0010_1100_0101, -3)
+        with spy_gather() as spy:
+            assert_same_product(blade, x)
+            assert_same_product(x, blade)
         assert spy.call_count == 2
 
 
@@ -487,6 +488,15 @@ class TestOmegaConjugation:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             involution_via_omega(Multivector.blade((3, 0), (1,)))
+
+    @pytest.mark.parametrize("sig", [Signature(6, 6), Signature(8, 8)])
+    def test_every_blade_takes_no_pair_loop(self, sig):
+        """omega_square and the omega * omega^-1 check make the only blade_product calls."""
+        x = checks._every_blade(sig)
+        with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as spy:
+            image = involution_via_omega(x)
+        assert spy.call_count == 2
+        assert image == x.grade_involution()
 
     @pytest.mark.parametrize("sig", [s for s in signatures_small if s.n % 2 == 0])
     def test_equals_grade_involution(self, sig):

@@ -152,6 +152,21 @@ class TestRepCommand:
         assert payload["commutator_residual"] <= VDW_COM_TOL
         assert payload["tolerance"] == GN_COM_TOL  # the default --tol
 
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        from cliffrep import lorentz
+
+        honest = lorentz.build_vdw_operators
+
+        def with_nan(l, ldot):
+            ops = honest(l, ldot)
+            ops.yminus[...] = np.nan
+            return ops
+
+        monkeypatch.setattr(lorentz, "build_vdw_operators", with_nan)
+        code, _, err = run(["rep", "--vdw", "1", "0"], capsys)
+        assert code == 1
+        assert err.splitlines()[-1] == "(l,ldot) = (1,0), dim 3, commutator residual nan FAIL"
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -3,10 +3,12 @@
 import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cliffrep import checks, lorentz
 from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, gn_vdw_case, vdw_labels
 from cliffrep.lorentz import (
     GNLabel,
@@ -177,6 +179,17 @@ class TestVdWOperators:
         ops = build_vdw_operators(F(1, 2), F(1, 2))
         swapped = replace(ops, y3=ops.x3.copy())
         assert com2_residual(swapped) > VDW_COM_TOL
+
+    def test_com2_nan_is_reported(self):
+        ops = build_vdw_operators(1, 0)
+        ops.yminus[...] = np.nan  # its deviations come after the finite X ones
+        assert np.isnan(com2_residual(ops))
+
+    def test_nan_residual_fails_the_check(self):
+        honest = lorentz.com2_residual
+        with mock.patch.object(lorentz, "com2_residual", lambda ops: np.nan if ops.l == 1 else honest(ops)):
+            r = checks.check_vdw_com2(0, 64)
+        assert (r.passed, r.detail) == (False, "dim <= 64, residual nan")
 
 
 class TestConversion:
