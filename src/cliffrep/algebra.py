@@ -32,12 +32,15 @@ from typing import Iterable, Mapping, NamedTuple
 MAX_GENERATORS = 16
 # gathered entries per row block of the gather product (64 KB of int64)
 _GATHER_ENTRIES = 1 << 13
-# Fewest blade pairs worth the gather product.  Timed on int products
-# against the pair loop (2 vCPUs, Python 3.11, numpy 2.4, n = 2..7): the
-# gather path costs a fixed 13-16 us of numpy calls, the loop about 0.4 us
-# per pair.  The gather path loses at 16 pairs (0.43-0.6x), breaks even at
-# 32 (0.88-1.23x) and wins from 64 pairs on (1.55-2.6x at 64, 3-7x at 128).
+# The gather product costs a fixed 13-16 us plus about 4 ns per gathered
+# entry, 2^n per row of its shorter factor; the pair loop costs 0.4-0.8 us
+# per pair.  Timed on int products (2 vCPUs, Python 3.11, numpy 2.4), loop
+# time / gather time by pairs at n = 2..7: 0.43-0.6x at 16, 0.88-1.23x at
+# 32, 1.55-7x from 64; by the density of the longer factor at n = 15, 16
+# (balanced sparse factors): 1.5-1.8x at 1/128, 1.07-1.7x below it, 0.89x
+# at 1/256 (256x256 at n = 16, which meets the 2^n pair floor).
 _GATHER_MIN_PAIRS = 32
+_GATHER_MAX_SPARSITY = 128  # most blades of Cl(p,q) per term of the longer factor
 
 
 class _Counts(NamedTuple):
@@ -171,13 +174,9 @@ def blade_signs(a, b, sig):
 
 
 def _gather_product_fits(sig: Signature, a: dict, b: dict) -> bool:
-    """True when the gather product is exact and worth it.
-
-    Needs at least ``max(2^n, _GATHER_MIN_PAIRS)`` blade pairs, plain int
-    coefficients only, and a bound on every output coefficient that fits
-    in int64.
-    """
-    if len(a) * len(b) < max(1 << sig.n, _GATHER_MIN_PAIRS):
+    """True when the gather product is worth it (the gates above) and exact in int64."""
+    size = 1 << sig.n
+    if len(a) * len(b) < max(size, _GATHER_MIN_PAIRS) or max(len(a), len(b)) * _GATHER_MAX_SPARSITY < size:
         return False
     if not all(type(c) is int for c in chain(a.values(), b.values())):
         return False

@@ -176,13 +176,16 @@ class TestSignRule:
 
     @pytest.mark.parametrize("n", range(9, 17))
     def test_full_rows_and_columns_at_large_n(self, n):
+        # every p with 3 rows and 3 columns up to n = 12; from n = 13, where a
+        # full row costs 2^13+ blade_product calls, p in {0, one drawn, n} with one each
         rng = random.Random(n)
         masks = np.arange(1 << n)
-        for p in sorted({0, rng.randint(1, n - 1), n}):
+        ps, lines = (range(n + 1), 3) if n <= 12 else (sorted({0, rng.randint(1, n - 1), n}), 1)
+        for p in ps:
             sig = Signature(p, n - p)
-            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
-            assert blade_signs(a, masks, sig).tolist() == [blade_product(a, m, sig)[0] for m in masks.tolist()]
-            assert blade_signs(masks, b, sig).tolist() == [blade_product(m, b, sig)[0] for m in masks.tolist()]
+            for a, b in zip(rng.sample(range(1 << n), lines), rng.sample(range(1 << n), lines)):
+                assert blade_signs(a, masks, sig).tolist() == [blade_product(a, m, sig)[0] for m in masks.tolist()]
+                assert blade_signs(masks, b, sig).tolist() == [blade_product(m, b, sig)[0] for m in masks.tolist()]
 
     @pytest.mark.parametrize("n", range(0, 17))
     def test_signs_match_blade_product_on_random_masks(self, n):
@@ -295,11 +298,14 @@ class TestGatherProduct:
             ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, False),
             ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, False),
             ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, True),  # the gather path serves every n
+            # balanced sparse factors at n = 16: the longer one needs 2^16 / 128 = 512 terms
+            ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, True),
+            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, False),
         ],
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
             "n4-32-pairs", "n5-32-pairs", "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction",
-            "n12",
+            "n12", "n16-density-1/128", "n16-sparser",
         ],
     )
     def test_path_selection(self, sig, a, b, gather):
