@@ -349,25 +349,21 @@ class Multivector:
 
     # -- fundamental (anti)automorphisms --------------------------------
 
+    def _negate_grades(self, flips: tuple[int, int, int, int]) -> "Multivector":
+        """Negate each grade-k part for which ``flips[k % 4]`` is set."""
+        return Multivector(self.sig, {m: -c if flips[grade(m) & 3] else c for m, c in self.terms.items()})
+
     def grade_involution(self) -> "Multivector":
         """Sign (-1)^k on each grade-k part."""
-        return Multivector(self.sig, {m: -c if grade(m) & 1 else c for m, c in self.terms.items()})
+        return self._negate_grades((0, 1, 0, 1))
 
     def reversion(self) -> "Multivector":
         """Sign (-1)^{k(k-1)/2}: index order of every blade reversed."""
-        out = {}
-        for m, c in self.terms.items():
-            k = grade(m)
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.sig, out)
+        return self._negate_grades((0, 0, 1, 1))
 
     def conjugation(self) -> "Multivector":
         """Sign (-1)^{k(k+1)/2}: reversion composed with grade involution."""
-        out = {}
-        for m, c in self.terms.items():
-            k = grade(m)
-            out[m] = -c if (k * (k + 1) // 2) & 1 else c
-        return Multivector(self.sig, out)
+        return self._negate_grades((0, 1, 1, 0))
 
     def __repr__(self) -> str:
         if not self.terms:

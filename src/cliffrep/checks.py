@@ -24,6 +24,7 @@ from .algebra import (
     Signature,
     all_blades,
     as_signature,
+    blade_product,
     blade_signs,
     center_blades,
     grade,
@@ -176,9 +177,17 @@ def check_karoubi(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_even_subalgebra(nmax: int, dim_max: int) -> CheckResult:
+    """Cl+(p,q) is generated by the n - 1 bivectors e_1 e_i, which anticommute
+    pairwise; their squares give its signature.  Shapes are compared, not whole
+    classes: isomorphic algebras such as Cl(q,p-1) and Cl(p,q-1) differ in hour."""
     def failure(s: Signature) -> str | None:
-        smaller = (s.p, s.q - 1) if s.q >= 1 else (0, s.p - 1)
-        return None if classify(even_subalgebra(s)) == classify(smaller) else str(s)
+        bivectors = [1 | 1 << i for i in range(1, s.n)]
+        for i, x in enumerate(bivectors):
+            if any(blade_product(x, y, s)[0] == blade_product(y, x, s)[0] for y in bivectors[:i]):
+                return f"{s} bivectors commute"
+        squares = [blade_product(x, x, s)[0] for x in bivectors]
+        got, ref = classify(even_subalgebra(s)), classify((squares.count(1), squares.count(-1)))
+        return None if (got.shape, got.simple) == (ref.shape, ref.simple) else str(s)
     return _sweep("even subalgebra", [s for s in _signatures(nmax) if s.n >= 1], failure, f"n <= {nmax}")
 
 
@@ -198,6 +207,8 @@ def check_gamma(nmax: int, dim_max: int) -> CheckResult:
 
 
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
+    """GN labels with l0 <= 3 and l1 - l0 <= 4 up to ``dim_max``: 28 labels, the
+    largest of dim 40, at every ``dim_max`` >= 40."""
     labels = []
     l0 = Fraction(0)
     while l0 <= 3:
@@ -221,15 +232,20 @@ def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _worst_residual(name: str, residuals: list[float], tol: float, dim_max: int) -> CheckResult:
+def _largest_dim(labels: list[lorentz.GNLabel]) -> int:
+    return max((lab.dim for lab in labels), default=0)
+
+
+def _worst_residual(name: str, residuals: list[float], tol: float, dim: int) -> CheckResult:
+    """``dim`` is the largest operator dimension swept."""
     worst = float(np.max(residuals, initial=0.0))  # a NaN residual stays NaN and fails
-    return CheckResult(name, worst <= tol, f"dim <= {dim_max}, residual {worst:.2e}", len(residuals))
+    return CheckResult(name, worst <= tol, f"dim <= {dim}, residual {worst:.2e}", len(residuals))
 
 
 def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
-    ops = map(lorentz.build_gn_operators, gn_labels(dim_max))
-    residuals = [lorentz.com1_residual(lorentz.reconstruct_AB(o)) for o in ops]
-    return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, dim_max)
+    labels = gn_labels(dim_max)
+    residuals = [lorentz.com1_residual(lorentz.reconstruct_AB(lorentz.build_gn_operators(lab))) for lab in labels]
+    return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(labels))
 
 
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
@@ -270,7 +286,8 @@ def check_gn_vdw(nmax: int, dim_max: int) -> CheckResult:
     def failure(lab: lorentz.GNLabel) -> str | None:
         case = gn_vdw_case(lab)
         return next((f"{lab} {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
-    return _sweep("basis conversion", gn_labels(dim_max), failure, f"dim <= {dim_max}")
+    labels = gn_labels(dim_max)
+    return _sweep("basis conversion", labels, failure, f"dim <= {_largest_dim(labels)}")
 
 
 def check_complex_cycle(nmax: int, dim_max: int) -> CheckResult:

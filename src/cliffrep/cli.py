@@ -167,6 +167,9 @@ def cmd_table(args) -> int:
 
 def cmd_clock(args) -> int:
     p, q = args.p, args.q
+    # both ends are valid only if every step is: check them before printing
+    as_signature((p, q))
+    as_signature((p, q + args.steps))
     for step in range(args.steps + 1):
         sig = as_signature((p, q + step))
         h, r = clock_hour(sig)

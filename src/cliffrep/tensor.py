@@ -18,13 +18,18 @@ arrays over all blades at once (numpy is imported inside those methods).
 
 from __future__ import annotations
 
-from .algebra import Multivector, Signature, as_signature, blade_product, blade_signs, grade
+from .algebra import Multivector, Signature, _parity, as_signature, blade_product, blade_signs, grade
 
 
 def _place(masks, p: int, shift: int, start: int):
     """Shift the ``p`` low bits of ``masks`` up by ``shift`` and move the bits
     above them to begin at bit ``start``; ``masks`` is an int or a numpy array."""
     return (masks & ((1 << p) - 1)) << shift | (masks >> p) << start
+
+
+def _read_back(masks, q: int, p: int, shift: int, start: int):
+    """The ``p + q`` bits that ``_place(., p, shift, start)`` put into ``masks``, back in place."""
+    return (masks >> shift & ((1 << p) - 1)) | (masks >> start & ((1 << q) - 1)) << p
 
 
 def _valid_mask(mask: int, sig: Signature) -> int:
@@ -46,12 +51,6 @@ class GradedTensorProduct:
         # blades are placed as (positive count, their shift, start of the negatives)
         self._a_place = (self.a_sig.p, 0, self.combined.p)
         self._b_place = (self.b_sig.p, self.a_sig.p, self.combined.p + self.a_sig.q)
-        # combined generator bit -> (A-side bit, B-side bit), exactly one nonzero
-        self._psi_bits = [(0, 0)] * self.combined.n
-        for i in range(1, self.a_sig.n + 1):
-            self._psi_bits[self.embed_a_index(i) - 1] = (1 << (i - 1), 0)
-        for j in range(1, self.b_sig.n + 1):
-            self._psi_bits[self.embed_b_index(j) - 1] = (0, 1 << (j - 1))
 
     def embed_a(self, mask: int) -> int:
         """Combined-algebra mask of an A-side blade (order preserving)."""
@@ -78,24 +77,22 @@ class GradedTensorProduct:
         """theta(e_A (x) e_B) as ``(sign, combined mask)``."""
         return blade_product(self.embed_a(mask_a), self.embed_b(mask_b), self.combined)
 
-    def psi_blade(self, mask: int) -> tuple[int, int, int]:
-        """psi(combined blade) as ``(sign, mask_a, mask_b)``.
+    def _psi(self, masks):
+        """psi on combined blades, an int or a numpy array: ``(signs, masks_a, masks_b)``.
 
-        Generator images are multiplied left to right in ascending
-        combined order; each A-side generator passes the B-side factor
-        accumulated so far, picking up one Koszul sign per odd crossing.
+        Each side's bits are its placement read back.  The generator images
+        are multiplied in ascending combined order A+, B+, A-, B-, so only
+        the A- generators pass a B-side factor, and that factor is all of
+        B+: the Koszul sign is (-1)^{|A-| |B+|}.
         """
-        _valid_mask(mask, self.combined)
-        sign = 1
-        mask_a = mask_b = 0
-        for g0 in range(mask.bit_length()):
-            if mask >> g0 & 1:
-                a_bit, b_bit = self._psi_bits[g0]
-                if a_bit and grade(mask_b) & 1:
-                    sign = -sign
-                mask_a |= a_bit
-                mask_b |= b_bit
-        return sign, mask_a, mask_b
+        masks_a = _read_back(masks, self.a_sig.q, *self._a_place)
+        masks_b = _read_back(masks, self.b_sig.q, *self._b_place)
+        odd = _parity(masks_a >> self.a_sig.p) & _parity(masks_b & ((1 << self.b_sig.p) - 1))
+        return 1 - 2 * odd, masks_a, masks_b
+
+    def psi_blade(self, mask: int) -> tuple[int, int, int]:
+        """psi(combined blade) as ``(sign, mask_a, mask_b)``."""
+        return self._psi(_valid_mask(mask, self.combined))
 
     def theta_arrays(self):
         """theta on every blade pair: ``(signs, masks)``, both indexed ``[mask_a, mask_b]``."""
@@ -106,26 +103,11 @@ class GradedTensorProduct:
         return blade_signs(ea, eb, self.combined), ea ^ eb
 
     def psi_arrays(self):
-        """psi on every combined blade: ``(signs, masks_a, masks_b)``, indexed by the blade.
-
-        The bit loop of :meth:`psi_blade`, run over all 2^n blades at once.
-        """
+        """psi on every combined blade: ``(signs, masks_a, masks_b)``, indexed by the blade."""
         import numpy as np
 
-        masks = np.arange(1 << self.combined.n)
-        odd = np.zeros_like(masks)  # grade parity of the B-side factor so far
-        parity = np.zeros_like(masks)
-        masks_a = np.zeros_like(masks)
-        masks_b = np.zeros_like(masks)
-        for g0, (a_bit, b_bit) in enumerate(self._psi_bits):
-            on = masks >> g0 & 1
-            if a_bit:
-                parity ^= on & odd
-                masks_a |= on * a_bit
-            else:
-                odd ^= on
-                masks_b |= on * b_bit
-        return (1 - 2 * parity).astype(np.int8), masks_a, masks_b
+        signs, masks_a, masks_b = self._psi(np.arange(1 << self.combined.n))
+        return signs.astype(np.int8), masks_a, masks_b
 
     def tensor_blade_product(
         self, left: tuple[int, int], right: tuple[int, int]

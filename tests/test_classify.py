@@ -1,7 +1,10 @@
 """Mod-8 / mod-2 classification against the embedded periodic table."""
 
+from unittest import mock
+
 import pytest
 
+from cliffrep import checks
 from cliffrep.algebra import Signature, center_blades, omega_square
 from cliffrep.classify import (
     MatrixShape,
@@ -128,6 +131,16 @@ class TestEvenSubalgebra:
                     assert classify(even_subalgebra((p, q))) == classify((p, q - 1))
                 else:
                     assert classify(even_subalgebra((p, 0))) == classify((0, p - 1))
+
+    def test_registry_check_rejects_one_positive_generator_fewer(self):
+        honest = even_subalgebra
+
+        def mutant(sig):  # Cl(p-1,q) where that exists
+            return Signature(sig.p - 1, sig.q) if sig.p else honest(sig)
+
+        with mock.patch.object(checks, "even_subalgebra", mutant):
+            r = checks.check_even_subalgebra(8, 0)
+        assert (r.passed, r.detail) == (False, "Cl(1,1)")
 
 
 class TestBwCompose:

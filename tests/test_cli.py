@@ -249,6 +249,7 @@ class TestInputErrors:
             (["rep", "--gn", "1/3", "2"], "1/3 is not a half-integer"),
             (["chain", "--spin2", "-1"], "spin doubling 2s must be non-negative"),
             (["table", "--pmax", "9", "--qmax", "9"], "at most 16 generators are supported"),
+            (["clock", "-p", "0", "-q", "10", "--steps", "8"], "at most 16 generators are supported"),
         ],
     )
     def test_domain_error_is_one_line_usage_error(self, argv, message, capsys):

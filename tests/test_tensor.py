@@ -138,6 +138,47 @@ class TestPlacementRule:
         ]
 
 
+def generator_images(t):
+    """psi on each combined generator e_g, keyed by g: e_i (x) 1 or 1 (x) e_j, by the written-out index maps."""
+    images = {written_out_index(t, "a", i): (1 << (i - 1), 0) for i in range(1, t.a_sig.n + 1)}
+    return images | {written_out_index(t, "b", j): (0, 1 << (j - 1)) for j in range(1, t.b_sig.n + 1)}
+
+
+def psi_by_definition(t, gens, rest, mask):
+    """psi(e_mask) as the ordered product psi(e_rest) psi(e_g), where g is the top
+    generator of ``mask`` and ``rest = (sign, mask_a, mask_b)`` is psi of mask without it."""
+    sign, ma, mb = rest
+    s, ra, rb = t.tensor_blade_product((ma, mb), gens[mask.bit_length()])
+    return sign * s, ra, rb
+
+
+def without_top(mask):
+    return mask ^ 1 << mask.bit_length() - 1
+
+
+class TestPsiDefinition:
+    """psi_blade against the ordered product of generator images under the Koszul rule."""
+
+    @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
+    def test_every_blade_up_to_eight_generators(self, a, b):
+        t = GradedTensorProduct(a, b)
+        gens = generator_images(t)
+        images = [(1, 0, 0)]
+        for m in range(1, 1 << t.combined.n):
+            images.append(psi_by_definition(t, gens, images[without_top(m)], m))
+        assert [t.psi_blade(m) for m in all_blades(t.combined)] == images
+
+    @pytest.mark.parametrize("a,b", [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6))])
+    def test_sampled_blades_at_sixteen_generators(self, a, b):
+        # one product per sampled blade: psi of the blade without its top
+        # generator is taken from psi_blade itself
+        t = GradedTensorProduct(a, b)
+        gens = generator_images(t)
+        rng = random.Random(f"psi{a}{b}")
+        for m in rng.sample(range(1, 1 << t.combined.n), 500):
+            assert t.psi_blade(m) == psi_by_definition(t, gens, t.psi_blade(without_top(m)), m)
+
+
 class TestBladeArrays:
     # every pair `verify` sweeps at its default nmax of 8
     @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
@@ -166,7 +207,8 @@ class TestBladeArrays:
 
     def test_detects_wrong_generator_images(self):
         t = GradedTensorProduct((1, 0), (1, 0))
-        t._psi_bits.reverse()  # psi(e1) = 1 (x) e1 instead of e1 (x) 1
+        signs, masks_a, masks_b = t.psi_arrays()
+        t.psi_arrays = lambda: (signs, masks_b, masks_a)  # psi(e1) = 1 (x) e1 instead of e1 (x) 1
         assert not t.mutually_inverse()
 
     def test_detects_wrong_sign(self):
