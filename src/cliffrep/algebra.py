@@ -10,6 +10,11 @@ in ascending index order.  Conventions:
 
 Coefficients may be any Python scalars (int, Fraction, float, complex).
 All structural operations are bit-exact when ints or Fractions are used.
+A product whose coefficients are all ``Fraction`` runs on ints: each
+factor is scaled by the lcm of its own denominators, the int product
+(gather or pair loop) runs on the numerators, and each nonzero output
+blade is divided once by the two scales.  ``Fraction`` is canonical, so
+values and types match the per-pair ``Fraction`` loop.
 
 Blade signs have two forms: :func:`blade_product` for one pair (the
 reference) and :func:`blade_signs` for numpy arrays of masks.  The array
@@ -23,8 +28,10 @@ not load it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
@@ -215,6 +222,12 @@ def _gather_product(sig: Signature, a: dict, b: dict) -> dict[int, int]:
     return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
 
 
+def _integer_form(terms: dict) -> tuple[dict[int, int], int]:
+    """``terms`` times the lcm of its ``Fraction`` denominators, as ints, and that lcm."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 def blade_name(mask: int) -> str:
     """Human-readable name, e.g. ``e0``, ``e134``, ``e{3,12}``."""
     if mask == 0:
@@ -302,13 +315,22 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._require_same_sig(other)
-            if _gather_product_fits(self.sig, self.terms, other.terms):
-                return Multivector(self.sig, _gather_product(self.sig, self.terms, other.terms))
-            terms: dict[int, Number] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    sign, mask = blade_product(ma, mb, self.sig)
-                    terms[mask] = terms.get(mask, 0) + sign * ca * cb
+            a, b = self.terms, other.terms
+            # all-Fraction factors run on ints: one denominator per factor, one Fraction per output blade
+            scaled = all(type(c) is Fraction for c in chain(a.values(), b.values()))
+            if scaled:
+                (a, den_a), (b, den_b) = _integer_form(a), _integer_form(b)
+            if _gather_product_fits(self.sig, a, b):
+                terms = _gather_product(self.sig, a, b)
+            else:
+                terms = {}
+                for ma, ca in a.items():
+                    for mb, cb in b.items():
+                        sign, mask = blade_product(ma, mb, self.sig)
+                        terms[mask] = terms.get(mask, 0) + sign * ca * cb
+            if scaled:
+                den = den_a * den_b
+                terms = {m: Fraction(v, den) for m, v in terms.items() if v}
             return Multivector(self.sig, terms)
         if isinstance(other, Number):
             return Multivector(self.sig, {m: c * other for m, c in self.terms.items()})

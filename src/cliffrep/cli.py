@@ -246,6 +246,14 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
+def _require_operator_dim(dim: int) -> None:
+    """A usage error for an operator above ``lorentz.MAX_OPERATOR_DIM``, before any is built."""
+    from .lorentz import MAX_OPERATOR_DIM
+
+    if dim > MAX_OPERATOR_DIM:
+        raise ValueError(f"operator dim {dim} exceeds the bound {MAX_OPERATOR_DIM}")
+
+
 def cmd_rep(args) -> int:
     from .checks import GN_COM_TOL
     from .lorentz import (
@@ -256,11 +264,13 @@ def cmd_rep(args) -> int:
         com2_residual,
         gn_to_vdw,
         reconstruct_AB,
+        vdw_dim,
     )
 
     tol = GN_COM_TOL if args.tol is None else args.tol
     if args.gn is not None:
         label = GNLabel(*args.gn)
+        _require_operator_dim(label.dim)
         ops = build_gn_operators(label)
         residual = com1_residual(reconstruct_AB(ops))
         converted = gn_to_vdw(ops)
@@ -279,6 +289,7 @@ def cmd_rep(args) -> int:
         }
         report = f"(l0,l1) = ({label.l0},{label.l1}), dim {ops.dim}, commutator residual {residual:.3e}"
     else:
+        _require_operator_dim(vdw_dim(*args.vdw))
         ops = build_vdw_operators(*args.vdw)
         residual = com2_residual(ops)
         payload = {
@@ -306,7 +317,10 @@ def cmd_chain(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import checks
+    from .lorentz import MAX_OPERATOR_DIM
 
+    if args.dim_max > MAX_OPERATOR_DIM:
+        raise ValueError(f"argument --dim-max: must be 1..{MAX_OPERATOR_DIM}, got {args.dim_max}")
     results = checks.run_all(nmax=args.nmax, dim_max=args.dim_max)
     failed = 0
     for r in results:

@@ -34,6 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+#: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
+#: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).
+MAX_OPERATOR_DIM = 400
+
 
 def as_half_integer(x) -> Fraction:
     f = Fraction(x)
@@ -248,16 +252,26 @@ class VdWOperators:
         }
 
 
-def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j3, j+, j-) on the basis m = -j .. j, ascending."""
+def _spin(j) -> Fraction:
     j = as_half_integer(j)
     if j < 0:
         raise ValueError("spin must be non-negative")
+    return j
+
+
+def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j3, j+, j-) on the basis m = -j .. j, ascending."""
+    j = _spin(j)
     ms = [-j + i for i in range(int(2 * j) + 1)]
     j3 = np.diag([float(m) for m in ms])
     jp = np.diag([_sqrt((j - m) * (j + m + 1)) for m in ms[:-1]], -1)
     jm = np.diag([_sqrt((j + m) * (j - m + 1)) for m in ms[1:]], 1)
     return j3.astype(complex), jp.astype(complex), jm.astype(complex)
+
+
+def vdw_dim(l, ldot) -> int:
+    """Dim (2l+1)(2ldot+1) of the (l, ldot) operators, without building them."""
+    return int((2 * _spin(l) + 1) * (2 * _spin(ldot) + 1))
 
 
 def build_vdw_operators(l, ldot) -> VdWOperators:

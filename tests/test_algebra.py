@@ -267,7 +267,77 @@ def dense_int_pairs(draw):
     return Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
 
 
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+
+
+class HalfStep(Fraction):
+    """A ``Fraction`` subclass: the product keeps it on the per-pair loop."""
+
+
+@st.composite
+def fraction_pairs(draw):
+    """All-Fraction multivectors and the path their product takes.
+
+    ``loop``: fewer blade pairs than the gather floor, n = 0..16, each
+    denominator drawn up to 10^4.  ``gather``: dense factors at n = 3..16
+    (the longer one holds at least 2^n/128 blades), each over one
+    denominator D <= 10^4, so its common denominator divides D and its
+    scaled numerators stay below 10^4.  ``overflow``: dense factors at
+    n = 3..10 (the int pair loop is slow above) with one numerator
+    D * 2^40 + 1 each, coprime to D, so the scaled factors fail the int64
+    bound and the int pair loop serves them.
+    """
+    path = draw(st.sampled_from(["loop", "gather", "overflow"]))
+    n = draw(st.integers(*{"loop": (0, 16), "gather": (3, 16), "overflow": (3, 10)}[path]))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    size = 1 << n
+    need = max(size, algebra._GATHER_MIN_PAIRS)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if path == "loop":
+        len_a = draw(st.integers(1, min(size, 12)))
+        len_b = draw(st.integers(1, max(1, min(size, 12, (need - 1) // len_a))))
+    else:
+        len_a = draw(st.integers(max(-(-size // algebra._GATHER_MAX_SPARSITY), -(-need // size)), size))
+        low = -(-need // len_a)
+        len_b = draw(st.integers(low, min(size, max(low, 2 * need // len_a))))
+
+    def terms(count):
+        masks = rng.sample(range(size), count)
+        if path == "loop":
+            return {m: Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**4)) for m in masks}
+        den = rng.randint(1, 10**4)
+        out = {m: Fraction(rng.randint(-10**4, 10**4) or 1, den) for m in masks}
+        if path == "overflow":
+            out[masks[0]] = Fraction(den * (1 << 40) + 1, den)
+        return out
+
+    x, y = Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
+    return (x, y) if draw(st.booleans()) else (y, x), path
+
+
 class TestGatherProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(fraction_pairs())
+    def test_fraction_product_is_exact(self, case):
+        (x, y), path = case
+        with spy_gather() as spy:
+            assert_same_product(x, y)
+        assert spy.call_count == (path == "gather")
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [lambda m: m % 5 - 2 or 3, lambda m: Fraction(m % 7 - 3 or 5, m % 9 + 1)],
+        ids=["int", "fraction"],
+    )
+    def test_pair_loop_calls_blade_product_once_per_pair(self, coeff):
+        sig = Signature(6, 8)
+        low_grade = [m for m in range(1 << sig.n) if 1 <= grade(m) <= 3]
+        x, y = (Multivector(sig, {m: coeff(m) for m in random.Random(seed).sample(low_grade, 28)}) for seed in (1, 2))
+        with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as spy:
+            x * y
+        assert spy.call_count == len(x.terms) * len(y.terms) == 28 * 28
+
     @settings(max_examples=60, deadline=None)
     @given(dense_int_pairs())
     def test_gather_path_matches_reference(self, pair):
@@ -291,7 +361,11 @@ class TestGatherProduct:
             ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, False),  # 16 < 32 pairs
             ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, True),  # 32 pairs
             ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, True),  # 2^5 = 32 pairs
-            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
+            # all-Fraction factors run on their integer forms, here over the common denominators 3 and 2520
+            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, True),
+            # 1/p over 8 distinct primes: each scaled numerator is the product of the other 7, about 2^70
+            ((2, 1), {m: Fraction(1, p) for m, p in enumerate(PRIMES)}, {m: Fraction(m - 4, p) for m, p in enumerate(PRIMES)}, False),
+            ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
             ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, False),
             ((2, 1), {m: complex(m, 1) for m in range(8)}, {m: 1j * m - 2 for m in range(8)}, False),
             ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, False),
@@ -304,8 +378,8 @@ class TestGatherProduct:
         ],
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
-            "n4-32-pairs", "n5-32-pairs", "fraction", "float", "complex", "bool", "np-int64", "mixed-int-fraction",
-            "n12", "n16-density-1/128", "n16-sparser",
+            "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "float", "complex",
+            "bool", "np-int64", "mixed-int-fraction", "n12", "n16-density-1/128", "n16-sparser",
         ],
     )
     def test_path_selection(self, sig, a, b, gather):

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import cliffrep
-from cliffrep import cli
+from cliffrep import checks, cli, lorentz
 from cliffrep.algebra import MAX_GENERATORS
 from cliffrep.checks import ALL_CHECKS, GN_COM_TOL, VDW_COM_TOL, check_periodicity
 from cliffrep.cli import main, matrix_from_json, matrix_to_json
@@ -250,12 +251,30 @@ class TestInputErrors:
             (["chain", "--spin2", "-1"], "spin doubling 2s must be non-negative"),
             (["table", "--pmax", "9", "--qmax", "9"], "at most 16 generators are supported"),
             (["clock", "-p", "0", "-q", "10", "--steps", "8"], "at most 16 generators are supported"),
+            (["rep", "--gn", "0", "100"], "operator dim 10000 exceeds the bound 400"),
+            (["rep", "--gn", "0", "21"], "operator dim 441 exceeds the bound 400"),
+            (["rep", "--vdw", "10", "19/2"], "operator dim 420 exceeds the bound 400"),
+            (["rep", "--vdw", "1000", "0"], "operator dim 2001 exceeds the bound 400"),
+            (["verify", "--dim-max", "401"], "argument --dim-max: must be 1..400, got 401"),
+            (["verify", "--dim-max", "10000"], "argument --dim-max: must be 1..400, got 10000"),
         ],
     )
     def test_domain_error_is_one_line_usage_error(self, argv, message, capsys):
-        code, out, err = run(argv, capsys)
+        # every row fails its input check: one that got past it to a builder or the
+        # registry fails here instead of building (dim 10^4 takes about 9.6 GB)
+        unreachable = mock.Mock(side_effect=AssertionError("past the input check"))
+        with mock.patch.multiple(lorentz, build_gn_operators=unreachable, build_vdw_operators=unreachable):
+            with mock.patch.object(checks, "run_all", unreachable):
+                code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"cliffrep {argv[0]}: error: {message}\n"
+
+    def test_operator_bound_admits_its_own_dim(self, capsys, monkeypatch):
+        monkeypatch.setattr(lorentz, "MAX_OPERATOR_DIM", 4)
+        assert run(["rep", "--vdw", "1/2", "1/2"], capsys)[0] == 0  # dim 4
+        assert run(["rep", "--gn", "0", "2"], capsys)[0] == 0  # dim 4
+        assert run(["verify", "--nmax", "2", "--dim-max", "4"], capsys)[0] == 0
+        assert run(["rep", "--gn", "1/2", "5/2"], capsys)[2] == "cliffrep rep: error: operator dim 6 exceeds the bound 4\n"
 
     @pytest.mark.parametrize(
         "argv,message",
