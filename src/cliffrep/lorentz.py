@@ -28,6 +28,7 @@ basis orders, so outputs are deterministic.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -81,7 +82,7 @@ class GNLabel:
 
 
 def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
-    """(A_k, C_k) for l0 <= k <= l1.
+    """(A_k, C_k) for k = l0, l0 + 1, ..., l1.
 
     C at the bottom level multiplies the nonexistent k-1 level and is
     defined as 0 (this also covers the 0/0 at k = 1/2);  C at k = l1
@@ -89,8 +90,8 @@ def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
     """
     k = as_half_integer(k)
     l0, l1 = label.l0, label.l1
-    if not l0 <= k <= l1:
-        raise ValueError(f"k = {k} outside [{l0}, {l1}]")
+    if not l0 <= k <= l1 or (k - l0).denominator != 1:
+        raise ValueError(f"k = {k} is not a level of (l0, l1) = ({l0}, {l1}): k - l0 must be one of 0..{l1 - l0}")
     if l0 == 0:
         a = 0j
     else:
@@ -129,46 +130,43 @@ class GNOperators:
         }
 
 
-def _sqrt(x: Fraction) -> float:
-    return float(x) ** 0.5
+def _roots(products: np.ndarray) -> np.ndarray:
+    """float(x) ** 0.5 of each integer: CPython's pow rounding, which np.sqrt need not share."""
+    return np.array([float(x) ** 0.5 for x in products.tolist()])
+
+
+def _gn_row(two_l0: int, two_k: int, two_nu: int) -> int:
+    """Position k^2 - l0^2 + k + nu of xi_(k,nu) in ``GNLabel.basis()``."""
+    return (two_k * two_k - two_l0 * two_l0 + 2 * two_k + 2 * two_nu) // 4
 
 
 def build_gn_operators(label: GNLabel) -> GNOperators:
     """Ladder matrices over the lexicographic (k, nu) basis.
 
     On level k, H3/H+/H- are the spin-k su(2) triple and the same-level
-    part of F3/F+/F- is -A_k times it; the C_k entries link adjacent levels.
+    part of F3/F+/F- is -A_k times it; the C_k entries link levels k-1 and k.
     """
-    index = {kv: i for i, kv in enumerate(label.basis())}
-    dim = len(index)
-    assert dim == label.dim
+    dim, two_l0 = label.dim, int(2 * label.l0)
     h3, hp, hm, f3, fp, fm = (np.zeros((dim, dim), dtype=complex) for _ in range(6))
-    coeff = {k: gn_coefficients(label, k) for k in label.levels()}
-    coeff[label.l1] = (0j, 0j)
 
     for k in label.levels():
-        lo, size = index[(k, -k)], int(2 * k) + 1
-        block, m = slice(lo, lo + size), np.arange(size)
+        a_k, c_k = gn_coefficients(label, k)
+        n = int(2 * k)
+        lo, m = _gn_row(two_l0, n, -n), np.arange(n + 1)
+        block = slice(lo, lo + n + 1)
         # where j3, j+, j- may be nonzero; j3's whole diagonal, nu = 0 included
         bands = ((m, m), (m[1:], m[:-1]), (m[:-1], m[1:]))
         for h, f, j, (rows, cols) in zip((h3, hp, hm), (f3, fp, fm), su2_ladder(k), bands):
             h[block, block] = j
-            f[lo + rows, lo + cols] = -coeff[k][0] * j[rows, cols]
-
-    for (k, nu), col in index.items():
-        c_k, c_up = coeff[k][1], coeff[k + 1][1]
-        if (k - 1, nu) in index:
-            f3[index[(k - 1, nu)], col] = c_k * _sqrt(k * k - nu * nu)
-        if (k + 1, nu) in index:
-            f3[index[(k + 1, nu)], col] = -c_up * _sqrt((k + 1) ** 2 - nu * nu)
-        if (k - 1, nu + 1) in index:
-            fp[index[(k - 1, nu + 1)], col] = c_k * _sqrt((k - nu) * (k - nu - 1))
-        if (k + 1, nu + 1) in index:
-            fp[index[(k + 1, nu + 1)], col] = c_up * _sqrt((k + nu + 1) * (k + nu + 2))
-        if (k - 1, nu - 1) in index:
-            fm[index[(k - 1, nu - 1)], col] = -c_k * _sqrt((k + nu) * (k + nu - 1))
-        if (k + 1, nu - 1) in index:
-            fm[index[(k + 1, nu - 1)], col] = -c_up * _sqrt((k - nu + 1) * (k - nu + 2))
+            f[lo + rows, lo + cols] = -a_k * j[rows, cols]
+        if k == label.l0:
+            continue
+        # a = nu + k - 1 on level k-1, whose block starts at row `below`; level k's starts at `lo`
+        a, below = np.arange(n - 1), lo - n + 1
+        r3, rp, rm = _roots((n - a - 1) * (a + 1)), _roots((a + 1) * (a + 2)), _roots((n - a - 1) * (n - a))
+        f3[lo + a + 1, below + a], f3[below + a, lo + a + 1] = -c_k * r3, c_k * r3
+        fp[lo + a + 2, below + a], fp[below + a, lo + a] = c_k * rp, c_k * rm
+        fm[lo + a, below + a], fm[below + a, lo + a + 2] = -c_k * rm, -c_k * rp
 
     note = f"xi_(k,nu), k = {label.l0}..{label.l1 - 1}, nu = -k..k, lexicographic"
     return GNOperators(label, h3, hp, hm, f3, fp, fm, note)
@@ -260,13 +258,14 @@ def _spin(j) -> Fraction:
 
 
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j3, j+, j-) on the basis m = -j .. j, ascending."""
-    j = _spin(j)
-    ms = [-j + i for i in range(int(2 * j) + 1)]
-    j3 = np.diag([float(m) for m in ms])
-    jp = np.diag([_sqrt((j - m) * (j + m + 1)) for m in ms[:-1]], -1)
-    jm = np.diag([_sqrt((j + m) * (j - m + 1)) for m in ms[1:]], 1)
-    return j3.astype(complex), jp.astype(complex), jm.astype(complex)
+    """(j3, j+, j-) on the basis m = -j .. j, ascending; with n = 2j and m = -j + i,
+    (j-m)(j+m+1) = (n-i)(i+1) is the square of j+ below the diagonal and of j- above it."""
+    n = int(2 * _spin(j))
+    i = np.arange(n)
+    j3, jp, jm = (np.zeros((n + 1, n + 1), dtype=complex) for _ in range(3))
+    np.fill_diagonal(j3, np.arange(-n, n + 1, 2) / 2)
+    jp[i + 1, i] = jm[i, i + 1] = _roots((n - i) * (i + 1))
+    return j3, jp, jm
 
 
 def vdw_dim(l, ldot) -> int:
@@ -274,26 +273,20 @@ def vdw_dim(l, ldot) -> int:
     return int((2 * _spin(l) + 1) * (2 * _spin(ldot) + 1))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices as one broadcast product: the same entrywise products, bit for bit."""
+    size = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+
+
 def build_vdw_operators(l, ldot) -> VdWOperators:
     """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic."""
     l = as_half_integer(l)
     ldot = as_half_integer(ldot)
-    x3, xp, xm = su2_ladder(l)
-    y3, yp, ym = su2_ladder(ldot)
-    left = np.eye(int(2 * l) + 1, dtype=complex)
-    right = np.eye(int(2 * ldot) + 1, dtype=complex)
+    xs, ys = su2_ladder(l), su2_ladder(ldot)
+    left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
     note = f"|l,m;ldot,mdot>, l = {l}, ldot = {ldot}, (m, mdot) lexicographic"
-    return VdWOperators(
-        l,
-        ldot,
-        np.kron(x3, right),
-        np.kron(xp, right),
-        np.kron(xm, right),
-        np.kron(left, y3),
-        np.kron(left, yp),
-        np.kron(left, ym),
-        note,
-    )
+    return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), note)
 
 
 def com2_residual(ops: VdWOperators) -> float:
@@ -345,6 +338,12 @@ class Spintensor:
     components: np.ndarray
 
     def __post_init__(self):
+        try:
+            natural = operator.index(self.k) >= 0 and operator.index(self.r) >= 0
+        except TypeError:
+            natural = False
+        if not natural:
+            raise ValueError(f"rank ({self.k!r}, {self.r!r}) must be two non-negative integers")
         arr = np.asarray(self.components, dtype=complex)
         if arr.size != 1 << (self.k + self.r):
             raise ValueError(

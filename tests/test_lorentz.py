@@ -40,9 +40,71 @@ def _digest(all_ops) -> str:
     return h.hexdigest()
 
 
+def all_gn_labels(dim_max: int) -> list[GNLabel]:
+    """Every GN label of dim <= dim_max, l0 ascending, then l1 ascending."""
+    labels, l0 = [], F(0)
+    while 2 * l0 + 1 <= dim_max:
+        p = 1
+        while p * (2 * l0 + p) <= dim_max:
+            labels.append(GNLabel(l0, l0 + p))
+            p += 1
+        l0 += F(1, 2)
+    return labels
+
+
 def test_operator_bits_unchanged():
     assert _digest(build_gn_operators(lab) for lab in gn_labels(64)) == GN_OPERATOR_DIGEST
     assert _digest(build_vdw_operators(l, ld) for l, ld in vdw_labels(64)) == VDW_OPERATOR_DIGEST
+
+
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        pytest.param(
+            lambda: map(build_gn_operators, all_gn_labels(100)),
+            "254f5cc0c1692c7d10005baa67e3bd1fb6113c58605e12ad809ff44172949a34",
+            id="gn-dim100",
+        ),
+        pytest.param(
+            lambda: [build_gn_operators(GNLabel(0, 20))],
+            "022947ee5f412dce3a979a285f03664b548f801d593180edf61368ae3dd144eb",
+            id="gn-dim400",
+        ),
+        pytest.param(
+            lambda: (build_vdw_operators(l, ld) for l, ld in vdw_labels(100)),
+            "ae823471afb6023edd281bb053b391c7bd3acfc48261e5090ee7256fd6f08ebd",
+            id="vdw-dim100",
+        ),
+        pytest.param(
+            lambda: [build_vdw_operators(F(19, 2), F(19, 2))],
+            "437a27906c681dbfc777b32d5a9dfacccc21f7ad12a5a46dd9434c5e81cbc59b",
+            id="vdw-dim400",
+        ),
+        # the first labels with a root of 2921, the smallest integer x where float(x) ** 0.5 and
+        # np.sqrt differ in the last bit (glibc pow, x86-64): a C_75 entry of (74, 76), a j+ entry of spin 149/2
+        pytest.param(
+            lambda: [build_gn_operators(GNLabel(74, 76))],
+            "c2df6381b7a02de1960bbedf8ac710c3a5b149a9a4f464c612b2c17174bbf253",
+            id="gn-pow-root",
+        ),
+        pytest.param(
+            lambda: [build_vdw_operators(F(149, 2), 0)],
+            "55a55dfc9f691c659fb9737ec56589937d9b47d5950d9917490f9a3c5a0d9bc1",
+            id="vdw-pow-root",
+        ),
+    ],
+)
+def test_operator_bits_unchanged_up_to_dim_400(build, digest):
+    """The same digest over all 246 GN and 482 VdW labels of dim <= 100, one dim-400 label of
+    each, and the first labels whose roots tell CPython's pow rounding from np.sqrt's."""
+    assert _digest(build()) == digest
+
+
+def test_gn_row_closed_form():
+    for lab in all_gn_labels(400):
+        two_l0 = int(2 * lab.l0)
+        rows = [lorentz._gn_row(two_l0, int(2 * k), int(2 * nu)) for k, nu in lab.basis()]
+        assert rows == list(range(lab.dim)), lab
 
 
 class TestGNLabel:
@@ -86,6 +148,11 @@ class TestCoefficients:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             gn_coefficients(GNLabel(F(0), F(1)), F(2))
+
+    def test_off_the_level_lattice(self):
+        # k = 1/2 lies in [0, 2] but is no level of (0, 2); 4k^2 - 1 = 0 there
+        with pytest.raises(ValueError, match=r"k = 1/2 .*\(0, 2\)"):
+            gn_coefficients(GNLabel(F(0), F(2)), F(1, 2))
 
 
 class TestGNOperators:
@@ -260,6 +327,11 @@ class TestSpintensor:
         once = spintensor_transform(g @ h, t)
         twice = spintensor_transform(g, spintensor_transform(h, t))
         assert np.abs(once.flat - twice.flat).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,r,size", [(-1, 1, 1), (1, -1, 1), (1.5, 0.5, 4), ("1", 0, 2)])
+    def test_rank_must_be_a_natural_number(self, k, r, size):
+        with pytest.raises(ValueError, match="rank"):
+            Spintensor(k, r, np.ones(size))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
