@@ -20,8 +20,9 @@ Blade signs have two forms: :func:`blade_product` for one pair (the
 reference) and :func:`blade_signs` for numpy arrays of masks.  The array
 form is the closed-form bitmap-blade reordering sign (Dorst, Fontijne &
 Mann, *Geometric Algebra for Computer Science*, ch. 19): e_a e_b =
-(-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade, so no sign table is
-built and the dense product serves every n.  numpy is imported inside
+(-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade.  A 64 KB parity
+table, built on first use, serves array parities; no 4^n sign table is
+built, so the dense product serves every n.  numpy is imported inside
 functions only, so the classification paths that import this module do
 not load it.
 """
@@ -31,21 +32,26 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import chain
 from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
-# gathered entries per row block of the gather product (64 KB of int64)
-_GATHER_ENTRIES = 1 << 13
-# The gather product costs a fixed 13-16 us plus about 4 ns per gathered
-# entry, 2^n per row of its shorter factor; the pair loop costs 0.4-0.8 us
-# per pair.  Timed on int products (2 vCPUs, Python 3.11, numpy 2.4), loop
-# time / gather time by pairs at n = 2..7: 0.43-0.6x at 16, 0.88-1.23x at
-# 32, 1.55-7x from 64; by the density of the longer factor at n = 15, 16
-# (balanced sparse factors): 1.5-1.8x at 1/128, 1.07-1.7x below it, 0.89x
-# at 1/256 (256x256 at n = 16, which meets the 2^n pair floor).
+# Gathered entries per row block of the gather product.  Timed on int
+# products (2 vCPUs, 2 MB L2, Python 3.11, numpy 2.4) at n = 6..12 in three
+# interleaved runs, against 2^14: 2^13 took 0.9-1.2x as long, 2^15 0.93-1.7x
+# (its block temporaries, about 800 KB, do not always stay in L2) and 2^16
+# up to 2x.
+_GATHER_ENTRIES = 1 << 14
+# Pair-loop time / gather time on the same host, by pairs at n = 2..7:
+# 0.42-0.97x at 16, 0.61-1.21x at 32, 1.5-2.9x at 64, 2.4-3.5x at 128; by
+# the density of the longer factor at n = 15, 16 (balanced sparse
+# factors): 1.85-2.65x at 1/128, 1.5-2.35x at 1/180, 1.1-1.6x at 1/256.
+# The gather still wins at 1/256, by a narrowing margin, but the sparsity
+# gate stays at 1/128; products of a few dozen terms a factor (the
+# mv-sparse benchmark's) fail the 2^n pair floor either way.
 _GATHER_MIN_PAIRS = 32
 _GATHER_MAX_SPARSITY = 128  # most blades of Cl(p,q) per term of the longer factor
 
@@ -153,11 +159,27 @@ def _sign_masks(masks, p: int, shift=operator.rshift):
     return s ^ (masks >> p << p)
 
 
+@cache
+def _parity_table():
+    """Read-only int8 parity of every mask below 2^16 (64 KB), by doubling:
+    parity(m + 2^k) = 1 - parity(m) for m < 2^k."""
+    import numpy as np
+
+    table = np.zeros(1 << MAX_GENERATORS, np.int8)
+    k = 1
+    while k < table.size:
+        table[k : 2 * k] = table[:k] ^ 1
+        k <<= 1
+    table.flags.writeable = False
+    return table
+
+
 def _parity(x):
-    """Parity of the set bits of each mask below 2^16, by a four-step XOR fold."""
-    for k in (8, 4, 2, 1):
-        x = x ^ (x >> k)
-    return x & 1
+    """Parity of the set bits of a mask below 2^16: an ``int`` for an int,
+    and an int8 array read off :func:`_parity_table` for a numpy array."""
+    if isinstance(x, int):
+        return x.bit_count() & 1
+    return _parity_table().take(x)
 
 
 def blade_signs(a, b, sig):
@@ -180,44 +202,48 @@ def blade_signs(a, b, sig):
     return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)
 
 
-def _gather_product_fits(sig: Signature, a: dict, b: dict) -> bool:
-    """True when the gather product is worth it (the gates above) and exact in int64."""
+def _gather_product_fits(sig: Signature, a: dict[int, int], b: dict[int, int]) -> bool:
+    """True when the gather product of int factors is worth it (the gates above) and exact in int64."""
     size = 1 << sig.n
     if len(a) * len(b) < max(size, _GATHER_MIN_PAIRS) or max(len(a), len(b)) * _GATHER_MAX_SPARSITY < size:
-        return False
-    if not all(type(c) is int for c in chain(a.values(), b.values())):
         return False
     return max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 1 << 63
 
 
-def _gather_product(sig: Signature, a: dict, b: dict) -> dict[int, int]:
+def _gather_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Exact int product by XOR-indexed gathers (see ``_gather_product_fits``).
 
     Every output blade k takes one term from each blade i of the shorter
     factor, paired with blade i ^ k of the other, so the product is a
     gather of 2^n columns per row and one integer matmul.  Each row's sign
     mask (:func:`_sign_masks`, the mirror rule when the rows are the right
-    factor) gives the signs of its whole row.  Rows go in blocks of about
-    ``_GATHER_ENTRIES`` gathered entries, which keeps the temporaries small
-    (and in cache) at every n.
+    factor) gives the signs of its whole row, and each sign is folded into
+    the gather: the other factor is held as ``[other, -other]`` and entry
+    ``partner`` is read at ``partner | parity << n``.  Masks and indices
+    are int32: every index is below 2^17, and the ``lshift`` sign masks,
+    which wrap above bit 31, are only read ANDed with a mask below 2^16.
+    Rows go in blocks of about ``_GATHER_ENTRIES`` gathered entries, which
+    keeps the temporaries small (and in cache) at every n.
     """
     import numpy as np
 
+    n = sig.n
     left = len(a) <= len(b)
     rows, other = (a, b) if left else (b, a)
-    row_masks = np.fromiter(rows, np.int64, len(rows))
+    row_masks = np.fromiter(rows, np.int32, len(rows))
     row_coeffs = np.fromiter(rows.values(), np.int64, len(rows))
     sign_masks = _sign_masks(row_masks, sig.p, operator.rshift if left else operator.lshift)
-    blades = np.arange(1 << sig.n)
-    dense = np.zeros(1 << sig.n, np.int64)
-    dense[np.fromiter(other, np.int64, len(other))] = np.fromiter(other.values(), np.int64, len(other))
-    out = np.zeros(1 << sig.n, np.int64)
-    step = max(1, _GATHER_ENTRIES >> sig.n)
+    blades = np.arange(1 << n, dtype=np.int32)
+    signed = np.zeros(2 << n, np.int64)
+    signed[np.fromiter(other, np.int32, len(other))] = np.fromiter(other.values(), np.int64, len(other))
+    signed[1 << n :] = -signed[: 1 << n]
+    out = np.zeros(1 << n, np.int64)
+    step = max(1, _GATHER_ENTRIES >> n)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
         partner = row_masks[block, None] ^ blades
-        signs = 1 - 2 * _parity(partner & sign_masks[block, None])
-        out += row_coeffs[block] @ (signs * dense[partner])
+        index = partner | np.left_shift(_parity(partner & sign_masks[block, None]), n, dtype=np.int32)
+        out += row_coeffs[block] @ signed.take(index)
     nonzero = np.flatnonzero(out)
     return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
 
@@ -316,11 +342,12 @@ class Multivector:
         if isinstance(other, Multivector):
             self._require_same_sig(other)
             a, b = self.terms, other.terms
+            types = set(map(type, chain(a.values(), b.values())))
             # all-Fraction factors run on ints: one denominator per factor, one Fraction per output blade
-            scaled = all(type(c) is Fraction for c in chain(a.values(), b.values()))
+            scaled = types == {Fraction}
             if scaled:
                 (a, den_a), (b, den_b) = _integer_form(a), _integer_form(b)
-            if _gather_product_fits(self.sig, a, b):
+            if (scaled or types == {int}) and _gather_product_fits(self.sig, a, b):
                 terms = _gather_product(self.sig, a, b)
             else:
                 terms = {}

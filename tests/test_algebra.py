@@ -215,6 +215,17 @@ class TestSignRule:
         with pytest.raises(TypeError):
             blade_signs(np.array([1.0]), np.array([0]), (1, 1))
 
+    def test_parity_table_is_exact(self):
+        want = [m.bit_count() & 1 for m in range(1 << 16)]
+        masks = np.arange(1 << 16)
+        for dtype in (np.int32, np.int64):
+            assert algebra._parity(masks.astype(dtype)).tolist() == want
+        for m in (0, 1, 0b1011, 1 << 15, (1 << 16) - 1):
+            assert type(algebra._parity(m)) is int and algebra._parity(m) == want[m]
+        # so psi_blade keeps returning Python ints
+        t = tensor.graded_tensor((3, 2), (1, 2))
+        assert all(type(v) is int for m in all_blades(t.combined) for v in t.psi_blade(m))
+
     @pytest.mark.parametrize("module", [algebra, tensor])
     def test_numpy_is_imported_inside_functions(self, module):
         imported = set()
@@ -413,6 +424,20 @@ class TestGatherProduct:
             assert_same_product(blade, x)
             assert_same_product(x, blade)
         assert spy.call_count == 2
+
+    @pytest.mark.parametrize("left", [True, False], ids=["rows-left", "rows-right"])
+    @pytest.mark.parametrize("p", [0, 8, 16])
+    def test_several_rows_times_every_blade_at_16_generators(self, p, left):
+        # rows left of the dense factor read the rshift sign masks, rows right of it the lshift ones
+        sig = Signature(p, 16 - p)
+        rng = random.Random(p)
+        masks = [0xFFFF, 1 << 15, rng.randrange(1 << 15, 1 << 16), rng.randrange(1 << 15)]
+        masks += rng.sample(range(1 << 16), 4)
+        rows = Multivector(sig, {m: rng.choice([-1, 1]) * rng.randint(1, 9) for m in masks})
+        x = checks._every_blade(sig)
+        with spy_gather() as spy:
+            assert_same_product(*((rows, x) if left else (x, rows)))
+        assert spy.call_count == 1
 
 
 class TestMultivectorProduct:
