@@ -46,14 +46,15 @@ MAX_GENERATORS = 16
 # up to 2x.
 _GATHER_ENTRIES = 1 << 14
 # Pair-loop time / gather time on the same host, by pairs at n = 2..7:
-# 0.42-0.97x at 16, 0.61-1.21x at 32, 1.5-2.9x at 64, 2.4-3.5x at 128; by
-# the density of the longer factor at n = 15, 16 (balanced sparse
-# factors): 1.85-2.65x at 1/128, 1.5-2.35x at 1/180, 1.1-1.6x at 1/256.
-# The gather still wins at 1/256, by a narrowing margin, but the sparsity
-# gate stays at 1/128; products of a few dozen terms a factor (the
-# mv-sparse benchmark's) fail the 2^n pair floor either way.
+# 0.42-0.97x at 16, 0.61-1.21x at 32, 1.5-2.9x at 64, 2.4-3.5x at 128.
+# No gate on sparsity is needed: 2^n pairs take a longer factor of at least
+# 2^(n/2) terms, a density of 1/256 or more at n <= 16.  By that density at
+# n = 15, 16 (balanced int factors, both paths forced, nine runs each):
+# 1.8-3.2x at 1/128, 1.4-2.45x at 1/181, 0.84-1.62x at 1/256, then
+# 0.65-1.0x at 1/362, 0.47-0.71x at 1/512 and 0.23-0.37x at 1/1024, which
+# the pair floor never admits.  Products of a few dozen terms a factor (the
+# mv-sparse benchmark's) fail the floor and take the pair loop.
 _GATHER_MIN_PAIRS = 32
-_GATHER_MAX_SPARSITY = 128  # most blades of Cl(p,q) per term of the longer factor
 
 
 class _Counts(NamedTuple):
@@ -203,9 +204,9 @@ def blade_signs(a, b, sig):
 
 
 def _gather_product_fits(sig: Signature, a: dict[int, int], b: dict[int, int]) -> bool:
-    """True when the gather product of int factors is worth it (the gates above) and exact in int64."""
+    """True when the gather product of int factors is worth it (the pair floor above) and exact in int64."""
     size = 1 << sig.n
-    if len(a) * len(b) < max(size, _GATHER_MIN_PAIRS) or max(len(a), len(b)) * _GATHER_MAX_SPARSITY < size:
+    if len(a) * len(b) < max(size, _GATHER_MIN_PAIRS):
         return False
     return max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 1 << 63
 

@@ -248,9 +248,28 @@ def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
     return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(labels))
 
 
+def _not_kronecker(label: tuple[Fraction, Fraction]) -> str | None:
+    """Failure text unless the built (l, ldot) operators are exactly np.kron(x, I) and np.kron(I, y)
+    of the spin-l and spin-ldot ladders.  The reference is numpy's kron, not ``lorentz._kron``."""
+    l, ld = label
+    xs, ys = lorentz.su2_ladder(l), lorentz.su2_ladder(ld)
+    left, right = np.eye(len(xs[0])), np.eye(len(ys[0]))
+    want = [np.kron(x, right) for x in xs] + [np.kron(left, y) for y in ys]
+    built = lorentz.build_vdw_operators(l, ld).operators().values()
+    return None if all(map(np.array_equal, built, want)) else f"({l}, {ld}) is not x (x) I, I (x) y"
+
+
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
-    residuals = [lorentz.com2_residual(lorentz.build_vdw_operators(l, ld)) for l, ld in vdw_labels(dim_max)]
-    return _worst_residual("paired su(2) commutators", residuals, VDW_COM_TOL, dim_max)
+    """X = x (x) I and Y = I (x) y give [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I and [Xi, Yj] = 0,
+    so every label satisfies the relations once each spin's ladders do (one su(2) residual per
+    spin) and each label's operators are exactly those Kronecker products.  Ladders are built
+    where they are used and dropped after, so no sweep holds them all."""
+    labels = vdw_labels(dim_max)
+    spins = sorted({j for label in labels for j in label})
+    residuals = [lorentz.su2_residual(lorentz.cartesian(*lorentz.su2_ladder(j))) for j in spins]
+    ladders = _worst_residual("paired su(2) commutators", residuals, VDW_COM_TOL, dim_max)
+    assembly = _sweep(ladders.name, labels, _not_kronecker, ladders.detail)
+    return CheckResult(ladders.name, ladders.passed and assembly.passed, assembly.detail, assembly.covered)
 
 
 def _x3_spectrum(ops, v) -> bool:

@@ -217,7 +217,7 @@ def cmd_matrep(args) -> int:
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # "1/0" parses, then divides by zero
         raise argparse.ArgumentTypeError(f"not a (half-)integer: {text!r}") from exc
 
 

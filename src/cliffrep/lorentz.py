@@ -289,13 +289,17 @@ def build_vdw_operators(l, ldot) -> VdWOperators:
     return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), note)
 
 
+def su2_residual(t: tuple[np.ndarray, ...]) -> float:
+    """Largest deviation of a cartesian triple from [J1,J2] = iJ3 and its cyclic shifts."""
+    return _worst([_comm(t[i], t[j]) - 1j * t[k] for i, j, k in _CYCLIC])
+
+
 def com2_residual(ops: VdWOperators) -> float:
     """Deviation from two commuting su(2) triples ([X1,X2] = iX3 etc.)."""
     xs = cartesian(ops.x3, ops.xplus, ops.xminus)
     ys = cartesian(ops.y3, ops.yplus, ops.yminus)
-    deviations = [_comm(t[i], t[j]) - 1j * t[k] for t in (xs, ys) for i, j, k in _CYCLIC]
-    deviations += [_comm(xi, yi) for xi in xs for yi in ys]
-    return _worst(deviations)
+    cross = _worst([_comm(xi, yi) for xi in xs for yi in ys])
+    return float(np.max([su2_residual(xs), su2_residual(ys), cross]))  # a NaN anywhere stays NaN
 
 
 def gn_to_vdw(ops: GNOperators) -> VdWOperators:

@@ -290,8 +290,8 @@ def fraction_pairs(draw):
     """All-Fraction multivectors and the path their product takes.
 
     ``loop``: fewer blade pairs than the gather floor, n = 0..16, each
-    denominator drawn up to 10^4.  ``gather``: dense factors at n = 3..16
-    (the longer one holds at least 2^n/128 blades), each over one
+    denominator drawn up to 10^4.  ``gather``: factors with at least 2^n
+    blade pairs at n = 3..16, each over one
     denominator D <= 10^4, so its common denominator divides D and its
     scaled numerators stay below 10^4.  ``overflow``: dense factors at
     n = 3..10 (the int pair loop is slow above) with one numerator
@@ -309,7 +309,7 @@ def fraction_pairs(draw):
         len_a = draw(st.integers(1, min(size, 12)))
         len_b = draw(st.integers(1, max(1, min(size, 12, (need - 1) // len_a))))
     else:
-        len_a = draw(st.integers(max(-(-size // algebra._GATHER_MAX_SPARSITY), -(-need // size)), size))
+        len_a = draw(st.integers(-(-need // size), size))
         low = -(-need // len_a)
         len_b = draw(st.integers(low, min(size, max(low, 2 * need // len_a))))
 
@@ -383,14 +383,19 @@ class TestGatherProduct:
             ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, False),
             ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, False),
             ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, True),  # the gather path serves every n
-            # balanced sparse factors at n = 16: the longer one needs 2^16 / 128 = 512 terms
+            # sparse factors at n = 15, 16: the 2^n pair floor alone decides, down to a density of 2^(-n/2)
             ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, True),
-            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, False),
+            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, True),
+            ((8, 8), {m * 256: m % 3 + 1 for m in range(256)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, True),
+            ((8, 8), {m * 256: m % 3 + 1 for m in range(255)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, False),
+            ((7, 8), {m * 180: m % 3 + 1 for m in range(182)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, True),
+            ((7, 8), {m * 180: m % 3 + 1 for m in range(181)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, False),
         ],
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
             "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "float", "complex",
             "bool", "np-int64", "mixed-int-fraction", "n12", "n16-density-1/128", "n16-sparser",
+            "n16-density-1/256", "n16-below-pair-floor", "n15-density-1/180", "n15-below-pair-floor",
         ],
     )
     def test_path_selection(self, sig, a, b, gather):

@@ -290,6 +290,21 @@ class TestInputErrors:
         assert exc.value.code == 2 and captured.out == ""
         assert [l for l in captured.err.splitlines() if "error:" in l] == [f"cliffrep {argv[0]}: error: {message}"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["rep", "--gn", "0", "1/0"], "argument --gn: not a (half-)integer: '1/0'"),
+            (["rep", "--vdw", "1/0", "0"], "argument --vdw: not a (half-)integer: '1/0'"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [l for l in captured.err.splitlines() if "error:" in l] == [f"cliffrep rep: error: {message}"]
+        assert "Traceback" not in captured.err
+
 
 class TestMatrixJson:
     def test_floats_roundtrip_bit_identical(self):

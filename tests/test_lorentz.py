@@ -1,6 +1,7 @@
 """Spin+(1,3) operators: ladder coefficients, commutators, conversions."""
 
 import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cliffrep import checks, lorentz
+from cliffrep.cli import main
 from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, gn_vdw_case, vdw_labels
 from cliffrep.lorentz import (
     GNLabel,
@@ -252,11 +254,72 @@ class TestVdWOperators:
         ops.yminus[...] = np.nan  # its deviations come after the finite X ones
         assert np.isnan(com2_residual(ops))
 
+    def test_com2_residual_folds_the_su2_residuals(self):
+        # the 15 deviations folded inline, against com2_residual's fold through su2_residual
+        rng = np.random.default_rng(5)
+        for l, ld in [(F(1, 2), F(1, 2)), (1, F(3, 2)), (F(5, 2), 0)]:
+            ops = build_vdw_operators(l, ld)
+            ops = replace(ops, **{f: m + 1e-6 * rng.normal(size=m.shape) for f, m in vars(ops).items() if f[0] in "xy"})
+            xs = cartesian(ops.x3, ops.xplus, ops.xminus)
+            ys = cartesian(ops.y3, ops.yplus, ops.yminus)
+            deviations = [lorentz._comm(t[i], t[j]) - 1j * t[k] for t in (xs, ys) for i, j, k in lorentz._CYCLIC]
+            deviations += [lorentz._comm(xi, yi) for xi in xs for yi in ys]
+            assert com2_residual(ops) == max(np.abs(d).max() for d in deviations) > 0
+
     def test_nan_residual_fails_the_check(self):
-        honest = lorentz.com2_residual
-        with mock.patch.object(lorentz, "com2_residual", lambda ops: np.nan if ops.l == 1 else honest(ops)):
+        # the check takes one su(2) residual per spin; spin 1's triple is the only 3 x 3 one
+        honest = lorentz.su2_residual
+        with mock.patch.object(lorentz, "su2_residual", lambda t: np.nan if len(t[2]) == 3 else honest(t)):
             r = checks.check_vdw_com2(0, 64)
+            assert np.isnan(com2_residual(build_vdw_operators(0, 1)))  # the dense fold shares the helper
         assert (r.passed, r.detail) == (False, "dim <= 64, residual nan")
+
+    @pytest.mark.parametrize("dim_max", [1, 16, 36])
+    def test_check_matches_the_dense_residuals(self, dim_max):
+        """Per-spin residuals and exact Kronecker assembly give what dense com2_residual gives on every label."""
+        residuals = [com2_residual(build_vdw_operators(l, ld)) for l, ld in vdw_labels(dim_max)]
+        worst = float(np.max(residuals))
+        r = checks.check_vdw_com2(0, dim_max)
+        assert (r.passed, r.detail, r.covered) == (worst <= VDW_COM_TOL, f"dim <= {dim_max}, residual {worst:.2e}", len(residuals))
+
+    @pytest.mark.parametrize(
+        "mutant,detail",
+        [
+            ("doubled-root", r"dim <= 16, residual [1-9]\.\d\de[+-]\d\d"),
+            ("identity-first", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
+            ("kron-axes-swapped", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
+        ],
+    )
+    def test_mutant_fails_the_check(self, mutant, detail, capsys):
+        honest_ladder = lorentz.su2_ladder
+
+        def doubled_root(j):  # the first root of j+ and j-, which share it; spin 0 has none
+            j3, jp, jm = honest_ladder(j)
+            jp[1:2, 0] *= 2
+            jm[0, 1:2] *= 2
+            return j3, jp, jm
+
+        def identity_first(l, ldot):
+            xs, ys = su2_ladder(l), su2_ladder(ldot)
+            left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
+            ops = [lorentz._kron(right, x) for x in xs] + [lorentz._kron(left, y) for y in ys]
+            return lorentz.VdWOperators(l, ldot, *ops, "")
+
+        def kron_axes_swapped(a, b):
+            size = len(a) * len(b)
+            return (a[None, :, None, :] * b[:, None, :, None]).reshape(size, size)
+
+        patch = {
+            "doubled-root": ("su2_ladder", doubled_root),
+            "identity-first": ("build_vdw_operators", identity_first),
+            "kron-axes-swapped": ("_kron", kron_axes_swapped),
+        }[mutant]
+        with mock.patch.object(lorentz, *patch):
+            r = checks.check_vdw_com2(0, 16)
+            code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
+        assert not r.passed and re.fullmatch(detail, r.detail), r.detail
+        assert code == 1 and f"FAIL  paired su(2) commutators  [{r.detail}]" in out.splitlines()
+        assert checks.check_vdw_com2(0, 16).passed  # and the honest code passes again
 
 
 class TestConversion:
