@@ -11,6 +11,8 @@ are defined nowhere else; everything else is exact.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -221,15 +223,9 @@ def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
 
 
 def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:
-    out = []
-    l = Fraction(0)
-    while (2 * l + 1) <= dim_max:
-        ld = Fraction(0)
-        while (2 * l + 1) * (2 * ld + 1) <= dim_max:
-            out.append((l, ld))
-            ld += Fraction(1, 2)
-        l += Fraction(1, 2)
-    return out
+    """Every (l, ldot) with (2l+1)(2ldot+1) <= dim_max, l-major, both ascending."""
+    halves = [Fraction(a, 2) for a in range(max(dim_max, 0))]
+    return [(halves[a], halves[b]) for a in range(len(halves)) for b in range(dim_max // (a + 1))]
 
 
 def _largest_dim(labels: list[lorentz.GNLabel]) -> int:
@@ -248,28 +244,44 @@ def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
     return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(labels))
 
 
-def _not_kronecker(label: tuple[Fraction, Fraction]) -> str | None:
-    """Failure text unless the built (l, ldot) operators are exactly np.kron(x, I) and np.kron(I, y)
-    of the spin-l and spin-ldot ladders.  The reference is numpy's kron, not ``lorentz._kron``."""
-    l, ld = label
-    xs, ys = lorentz.su2_ladder(l), lorentz.su2_ladder(ld)
-    left, right = np.eye(len(xs[0])), np.eye(len(ys[0]))
-    want = [np.kron(x, right) for x in xs] + [np.kron(left, y) for y in ys]
-    built = lorentz.build_vdw_operators(l, ld).operators().values()
-    return None if all(map(np.array_equal, built, want)) else f"({l}, {ld}) is not x (x) I, I (x) y"
+def _is_block_kron_identity(op4: np.ndarray, block: np.ndarray) -> bool:
+    """``op4`` is block (x) I_n read as (m, n, m, n), exactly: each diagonal block op4[:, r, :, r]
+    equals ``block`` and nothing else is nonzero.  For a finite block this is
+    np.array_equal(op, np.kron(block, I_n)): +-0 compare equal, a NaN fails."""
+    r = np.arange(op4.shape[1])
+    return bool((op4[:, r, :, r] == block).all()) and np.count_nonzero(op4) == len(r) * np.count_nonzero(block)
+
+
+def _not_kronecker(l: Fraction, ld: Fraction, xs: tuple[np.ndarray, ...]) -> str | None:
+    """Failure text unless the built (l, ldot) operators are exactly x (x) I and I (x) y of the
+    spin-l ladders ``xs`` and the spin-ldot ladders; I (x) y is y (x) I with both axis pairs swapped."""
+    ys = lorentz.su2_ladder(ld)
+    m, n = len(xs[0]), len(ys[0])
+    built = list(lorentz.build_vdw_operators(l, ld).operators().values())
+    exact = (
+        all(op.shape == (m * n, m * n) for op in built)
+        and all(_is_block_kron_identity(op.reshape(m, n, m, n), x) for op, x in zip(built[:3], xs))
+        and all(_is_block_kron_identity(op.reshape(m, n, m, n).transpose(1, 0, 3, 2), y) for op, y in zip(built[3:], ys))
+    )
+    return None if exact else f"({l}, {ld}) is not x (x) I, I (x) y"
 
 
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
     """X = x (x) I and Y = I (x) y give [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I and [Xi, Yj] = 0,
     so every label satisfies the relations once each spin's ladders do (one su(2) residual per
-    spin) and each label's operators are exactly those Kronecker products.  Ladders are built
-    where they are used and dropped after, so no sweep holds them all."""
+    spin) and each label's operators are exactly those Kronecker products.  The label set is
+    symmetric, so the spins are the l values: one l-major pass builds each x ladder once, takes
+    its residual and checks the labels (l, ldot) against it.  No sweep holds more than one l's ladders."""
     labels = vdw_labels(dim_max)
-    spins = sorted({j for label in labels for j in label})
-    residuals = [lorentz.su2_residual(lorentz.cartesian(*lorentz.su2_ladder(j))) for j in spins]
-    ladders = _worst_residual("paired su(2) commutators", residuals, VDW_COM_TOL, dim_max)
-    assembly = _sweep(ladders.name, labels, _not_kronecker, ladders.detail)
-    return CheckResult(ladders.name, ladders.passed and assembly.passed, assembly.detail, assembly.covered)
+    name, residuals = "paired su(2) commutators", []
+    for l, group in itertools.groupby(labels, key=operator.itemgetter(0)):
+        xs = lorentz.su2_ladder(l)
+        residuals.append(lorentz.su2_residual(lorentz.cartesian(*xs)))
+        failure = next((text for _, ld in group if (text := _not_kronecker(l, ld, xs)) is not None), None)
+        if failure is not None:
+            return CheckResult(name, False, failure, len(labels))
+    ladders = _worst_residual(name, residuals, VDW_COM_TOL, dim_max)
+    return CheckResult(name, ladders.passed, ladders.detail, len(labels))
 
 
 def _x3_spectrum(ops, v) -> bool:
@@ -304,7 +316,7 @@ def gn_vdw_case(lab: lorentz.GNLabel) -> tuple[lorentz.GNOperators, lorentz.VdWO
 def check_gn_vdw(nmax: int, dim_max: int) -> CheckResult:
     def failure(lab: lorentz.GNLabel) -> str | None:
         case = gn_vdw_case(lab)
-        return next((f"{lab} {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
+        return next((f"({lab.l0}, {lab.l1}) {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
     labels = gn_labels(dim_max)
     return _sweep("basis conversion", labels, failure, f"dim <= {_largest_dim(labels)}")
 

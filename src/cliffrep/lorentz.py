@@ -250,27 +250,30 @@ class VdWOperators:
         }
 
 
-def _spin(j) -> Fraction:
-    j = as_half_integer(j)
-    if j < 0:
+def _twice_spin(j) -> int:
+    """n = 2j of a spin j, read off its numerator and denominator."""
+    j = Fraction(j)
+    if j.denominator > 2:
+        raise ValueError(f"{j} is not a half-integer")
+    if j.numerator < 0:
         raise ValueError("spin must be non-negative")
-    return j
+    return j.numerator * (2 // j.denominator)
 
 
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j3, j+, j-) on the basis m = -j .. j, ascending; with n = 2j and m = -j + i,
     (j-m)(j+m+1) = (n-i)(i+1) is the square of j+ below the diagonal and of j- above it."""
-    n = int(2 * _spin(j))
+    n = _twice_spin(j)
     i = np.arange(n)
-    j3, jp, jm = (np.zeros((n + 1, n + 1), dtype=complex) for _ in range(3))
-    np.fill_diagonal(j3, np.arange(-n, n + 1, 2) / 2)
+    j3 = np.diag(np.arange(-n, n + 1, 2) / 2).astype(complex)
+    jp, jm = np.zeros((2, n + 1, n + 1), dtype=complex)
     jp[i + 1, i] = jm[i, i + 1] = _roots((n - i) * (i + 1))
     return j3, jp, jm
 
 
 def vdw_dim(l, ldot) -> int:
     """Dim (2l+1)(2ldot+1) of the (l, ldot) operators, without building them."""
-    return int((2 * _spin(l) + 1) * (2 * _spin(ldot) + 1))
+    return (_twice_spin(l) + 1) * (_twice_spin(ldot) + 1)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

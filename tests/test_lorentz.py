@@ -288,10 +288,13 @@ class TestVdWOperators:
             ("doubled-root", r"dim <= 16, residual [1-9]\.\d\de[+-]\d\d"),
             ("identity-first", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
             ("kron-axes-swapped", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
+            ("off-diagonal-entry", re.escape("(0, 1/2) is not x (x) I, I (x) y")),
+            ("off-diagonal-nan", re.escape("(1/2, 0) is not x (x) I, I (x) y")),
+            ("transposed-block", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
         ],
     )
     def test_mutant_fails_the_check(self, mutant, detail, capsys):
-        honest_ladder = lorentz.su2_ladder
+        honest_ladder, honest_build = lorentz.su2_ladder, lorentz.build_vdw_operators
 
         def doubled_root(j):  # the first root of j+ and j-, which share it; spin 0 has none
             j3, jp, jm = honest_ladder(j)
@@ -309,10 +312,33 @@ class TestVdWOperators:
             size = len(a) * len(b)
             return (a[None, :, None, :] * b[:, None, :, None]).reshape(size, size)
 
+        def edited(edit):  # the honest operators, changed in place by edit(ops, m, n) on an m x n label
+            def build(l, ldot):
+                ops = honest_build(l, ldot)
+                edit(ops, int(2 * F(l)) + 1, int(2 * F(ldot)) + 1)
+                return ops
+            return build
+
+        def off_diagonal_entry(ops, m, n):  # X3[(0, 0), (0, 1)]: block (r, s) = (0, 1) of x (x) I
+            if n > 1:
+                ops.x3[0, 1] = 1
+
+        def off_diagonal_nan(ops, m, n):  # Y3[(0, 0), (1, 0)]: block (a, b) = (0, 1) of I (x) y
+            if m > 1:
+                ops.y3[0, n] = np.nan
+
+        def transposed_block(ops, m, n):  # X+'s r = 0 diagonal block is x+ transposed: same nonzero count
+            if m == n > 1:
+                block = ops.xplus.reshape(m, n, m, n)[:, 0, :, 0]
+                block[...] = block.T.copy()
+
         patch = {
             "doubled-root": ("su2_ladder", doubled_root),
             "identity-first": ("build_vdw_operators", identity_first),
             "kron-axes-swapped": ("_kron", kron_axes_swapped),
+            "off-diagonal-entry": ("build_vdw_operators", edited(off_diagonal_entry)),
+            "off-diagonal-nan": ("build_vdw_operators", edited(off_diagonal_nan)),
+            "transposed-block": ("build_vdw_operators", edited(transposed_block)),
         }[mutant]
         with mock.patch.object(lorentz, *patch):
             r = checks.check_vdw_com2(0, 16)
@@ -320,6 +346,40 @@ class TestVdWOperators:
         assert not r.passed and re.fullmatch(detail, r.detail), r.detail
         assert code == 1 and f"FAIL  paired su(2) commutators  [{r.detail}]" in out.splitlines()
         assert checks.check_vdw_com2(0, 16).passed  # and the honest code passes again
+
+
+    def test_assembly_test_agrees_with_np_kron(self):
+        """On every label of dim <= 160 the structural test gives np.array_equal against np.kron,
+        on each built operator and on a copy with one entry (in any block) moved by 1."""
+        rng = np.random.default_rng(14)
+        for l, ld in vdw_labels(160):
+            xs, ys = su2_ladder(l), su2_ladder(ld)
+            m, n = len(xs[0]), len(ys[0])
+            assert checks._not_kronecker(l, ld, xs) is None
+            built = build_vdw_operators(l, ld).operators().values()
+            for op, block, identity_first in zip(built, xs + ys, 3 * [False] + 3 * [True]):
+                want = np.kron(np.eye(m), block) if identity_first else np.kron(block, np.eye(n))
+                moved = op.copy()
+                moved[tuple(rng.integers(m * n, size=2))] += 1
+                for got in (op, moved):
+                    op4 = got.reshape(m, n, m, n)
+                    op4 = op4.transpose(1, 0, 3, 2) if identity_first else op4
+                    assert checks._is_block_kron_identity(op4, block) == np.array_equal(got, want) == (got is op)
+
+    def test_labels_match_the_fraction_loop(self):
+        def fraction_loop(dim_max):  # vdw_labels before it read the labels off integers
+            out = []
+            l = F(0)
+            while (2 * l + 1) <= dim_max:
+                ld = F(0)
+                while (2 * l + 1) * (2 * ld + 1) <= dim_max:
+                    out.append((l, ld))
+                    ld += F(1, 2)
+                l += F(1, 2)
+            return out
+
+        for d in range(-1, 401):
+            assert vdw_labels(d) == fraction_loop(d), d
 
 
 class TestConversion:
@@ -357,6 +417,21 @@ class TestConversion:
         ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
         assert GN_VDW_PROPERTIES[prop](ops, v)
         assert not GN_VDW_PROPERTIES[prop](ops, mutate(v))
+
+    def test_doubled_root_fails_the_check(self):
+        # build_gn_operators assembles each level from su2_ladder; the failing label is named by (l0, l1)
+        honest = lorentz.su2_ladder
+
+        def doubled_root(j):
+            j3, jp, jm = honest(j)
+            jp[1:2, 0] *= 2
+            jm[0, 1:2] *= 2
+            return j3, jp, jm
+
+        with mock.patch.object(lorentz, "su2_ladder", doubled_root):
+            r = checks.check_gn_vdw(0, 64)
+        assert (r.passed, r.detail, r.covered) == (False, "(0, 2) su(2) relations", 28)
+        assert checks.check_gn_vdw(0, 64).passed
 
     def test_dimension_identity(self):
         for lab in gn_labels(64):
