@@ -103,6 +103,14 @@ def as_signature(sig) -> Signature:
     return Signature(p, q)
 
 
+def as_count(x, name: str) -> int:
+    """``x`` through ``operator.index``, as :class:`Signature` takes its counts: a float is a ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def grade(mask: int) -> int:
     """Number of generators in a blade."""
     return mask.bit_count()

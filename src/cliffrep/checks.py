@@ -211,15 +211,8 @@ def check_gamma(nmax: int, dim_max: int) -> CheckResult:
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
     """GN labels with l0 <= 3 and l1 - l0 <= 4 up to ``dim_max``: 28 labels, the
     largest of dim 40, at every ``dim_max`` >= 40."""
-    labels = []
-    l0 = Fraction(0)
-    while l0 <= 3:
-        for d in range(1, 5):
-            lab = lorentz.GNLabel(l0, l0 + d)
-            if lab.dim <= dim_max:
-                labels.append(lab)
-        l0 += Fraction(1, 2)
-    return labels
+    labels = (lorentz.GNLabel(Fraction(a, 2), Fraction(a, 2) + d) for a in range(7) for d in range(1, 5))
+    return [lab for lab in labels if lab.dim <= dim_max]
 
 
 def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import Signature, as_signature
+from .algebra import Signature, as_count, as_signature
 
 
 class RingType(enum.Enum):
@@ -157,6 +157,7 @@ def classify(sig) -> AlgebraClass:
 
 def classify_complex(n: int) -> ComplexClass:
     """C_n is Mat_{2^{n/2}}(C) for even n and a double of C_{n-1} for odd n."""
+    n = as_count(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     return ComplexClass(parity=n % 2, matrix_size=1 << (n // 2), simple=n % 2 == 0)
@@ -165,9 +166,8 @@ def classify_complex(n: int) -> ComplexClass:
 def clock_hour(sig) -> tuple[int, int]:
     """The unique (h, r) with q - p = h + 8r and h in 0..7."""
     sig = as_signature(sig)
-    d = sig.q - sig.p
-    h = d % 8
-    return h, (d - h) // 8
+    h = classify(sig).hour
+    return h, (sig.q - sig.p - h) // 8
 
 
 def even_subalgebra(sig) -> Signature:

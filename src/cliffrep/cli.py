@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .algebra import MAX_GENERATORS, as_signature
 from .classify import classify, clock_hour
@@ -51,15 +51,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-class _Entries(NamedTuple):
-    """The ``[[re, im], ...]`` entries of a matrix, in row-major order."""
-
-    matrix: np.ndarray
-
-
 def _matrix_payload(m: np.ndarray, basis: str) -> dict:
     """``matrix_to_json(m, basis)`` with the entries left to :func:`_json_chunks`."""
-    return {"dim": int(m.shape[0]), "entries": _Entries(m), "basis": basis}
+    return {"dim": int(m.shape[0]), "entries": m, "basis": basis}
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -73,32 +67,30 @@ def _float_texts(values: list[float]) -> list[str]:
     return texts
 
 
-def _json_chunks(obj, pad: str = ""):
-    """``json.dumps(obj, indent=2)`` in pieces, where matrices are :func:`_matrix_payload` objects.
+def _json_chunks(obj):
+    """``json.dumps(obj, indent=2)`` in pieces, one per array in ``obj``: ``json`` writes the
+    layout around a placeholder for each array, and the array's ``[[re, im], ...]`` entries,
+    joined in bulk, are spliced in there (``json`` would encode them one float at a time)."""
+    import numpy as np
 
-    ``json`` encodes with indentation in pure Python, one call per float;
-    here the entries of a matrix are joined in bulk, one piece per matrix.
-    ``pad`` is the indentation of the line ``obj`` starts on.
-    """
-    inner = pad + "  "
-    if isinstance(obj, _Entries):
-        m = obj.matrix.astype(complex, copy=False)
-        leaf = inner + "  "
+    arrays = []
+
+    def hold(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        arrays.append(o.astype(complex, copy=False))
+        return "\0"  # the placeholder: no payload string is a lone NUL
+
+    *pieces, last = json.dumps(obj, indent=2, default=hold).split(json.dumps("\0"))
+    for piece, m in zip(pieces, arrays):
+        yield piece
+        line = piece[piece.rfind("\n") + 1 :]
+        pad = " " * (len(line) - len(line.lstrip(" ")))
+        inner, leaf = pad + "  ", pad + "    "
         re, im = _float_texts(m.real.ravel().tolist()), _float_texts(m.imag.ravel().tolist())
         pairs = map(f",\n{leaf}".join, zip(re, im))
         yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(pairs) + f"\n{inner}]\n{pad}]"
-    elif isinstance(obj, dict) and obj:
-        for i, (key, value) in enumerate(obj.items()):
-            yield f"{',' if i else '{'}\n{inner}{json.dumps(key)}: "
-            yield from _json_chunks(value, inner)
-        yield f"\n{pad}}}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, value in enumerate(obj):
-            yield f"{',' if i else '['}\n{inner}"
-            yield from _json_chunks(value, inner)
-        yield f"\n{pad}]"
-    else:
-        yield json.dumps(obj)
+    yield last
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -120,9 +112,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _class_text(sig) -> str:
     c = classify(sig)
-    h, _ = clock_hour(sig)
     kind = "simple" if c.simple else "semi-simple"
-    return f"Cl({sig[0]},{sig[1]}) ≅ {c}, {kind}, hour {h}"
+    return f"Cl({sig[0]},{sig[1]}) ≅ {c}, {kind}, hour {c.hour}"
 
 
 def cmd_classify(args) -> int:
@@ -172,8 +163,7 @@ def cmd_clock(args) -> int:
     as_signature((p, q + args.steps))
     for step in range(args.steps + 1):
         sig = as_signature((p, q + step))
-        h, r = clock_hour(sig)
-        print(f"step {step}: {_class_text(sig)} (octave {r})")
+        print(f"step {step}: {_class_text(sig)} (octave {clock_hour(sig)[1]})")
     return 0
 
 
@@ -268,44 +258,34 @@ def cmd_rep(args) -> int:
     )
 
     tol = GN_COM_TOL if args.tol is None else args.tol
+    tail = {}
     if args.gn is not None:
         label = GNLabel(*args.gn)
         _require_operator_dim(label.dim)
         ops = build_gn_operators(label)
         residual = com1_residual(reconstruct_AB(ops))
-        converted = gn_to_vdw(ops)
-        payload = {
-            "basis": "gn",
-            "l0": str(label.l0),
-            "l1": str(label.l1),
-            "dim": ops.dim,
-            "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
-            "commutator_residual": residual,
-            "converted": {
-                "l": str(converted.l),
-                "ldot": str(converted.ldot),
-                "commutator_residual": com2_residual(converted),
-            },
-        }
-        report = f"(l0,l1) = ({label.l0},{label.l1}), dim {ops.dim}, commutator residual {residual:.3e}"
+        basis, labels = "gn", {"l0": label.l0, "l1": label.l1}
+        c = gn_to_vdw(ops)
+        tail = {"converted": {"l": str(c.l), "ldot": str(c.ldot), "commutator_residual": com2_residual(c)}}
     else:
         _require_operator_dim(vdw_dim(*args.vdw))
         ops = build_vdw_operators(*args.vdw)
         residual = com2_residual(ops)
-        payload = {
-            "basis": "vdw",
-            "l": str(ops.l),
-            "ldot": str(ops.ldot),
-            "dim": ops.dim,
-            "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
-            "commutator_residual": residual,
-        }
-        report = f"(l,ldot) = ({ops.l},{ops.ldot}), dim {ops.dim}, commutator residual {residual:.3e}"
+        basis, labels = "vdw", {"l": ops.l, "ldot": ops.ldot}
     ok = residual <= tol
-    payload["tolerance"] = tol
-    payload["pass"] = ok
+    payload = {
+        "basis": basis,
+        **{k: str(v) for k, v in labels.items()},
+        "dim": ops.dim,
+        "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
+        "commutator_residual": residual,
+        **tail,
+        "tolerance": tol,
+        "pass": ok,
+    }
     _emit(payload, args.out)
-    print(report + (" PASS" if ok else " FAIL"), file=sys.stderr)
+    report = f"({','.join(labels)}) = ({','.join(map(str, labels.values()))}), dim {ops.dim}"
+    print(f"{report}, commutator residual {residual:.3e} {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     return 0 if ok else 1
 
 

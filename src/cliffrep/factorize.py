@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Signature, as_signature
+from .algebra import Signature, as_count, as_signature
 from .classify import (
     MatrixShape,
     RingType,
@@ -36,16 +36,19 @@ FACTOR_NEG = Signature(0, 2)
 class Factorization:
     """Ordered 2-generator factors of Cl(p,q).
 
-    ``flip_steps`` records the factor indices whose peeling negated the
-    remaining quadratic form; ``doubled`` marks the odd-dimensional
-    semi-simple case (the factors then describe one of the two identical
-    components, built from the even subalgebra).
+    ``doubled`` marks the odd-dimensional semi-simple case (the factors then
+    describe one of the two identical components, built from the even
+    subalgebra).
     """
 
     sig: Signature
     factors: tuple[Signature, ...]
     doubled: bool
-    flip_steps: tuple[int, ...]
+
+    @property
+    def flip_steps(self) -> tuple[int, ...]:
+        """Indices of the definite factors Cl(2,0) and Cl(0,2): peeling one negated the remaining form."""
+        return tuple(i for i, f in enumerate(self.factors) if f != FACTOR_HYPERBOLIC)
 
     @property
     def spinspace_dim(self) -> int:
@@ -73,13 +76,10 @@ def karoubi_factorize(sig) -> Factorization:
         raise ValueError("even p+q required; route odd signatures through factorize_odd")
     p, q = sig
     factors: list[Signature] = []
-    flips: list[int] = []
     while p + q:
         factor, p, q = _peel(p, q)
-        if factor != FACTOR_HYPERBOLIC:
-            flips.append(len(factors))
         factors.append(factor)
-    return Factorization(sig, tuple(factors), doubled=False, flip_steps=tuple(flips))
+    return Factorization(sig, tuple(factors), doubled=False)
 
 
 def factorize_odd(sig) -> Factorization:
@@ -92,7 +92,7 @@ def factorize_odd(sig) -> Factorization:
     if sig.n % 2 == 0:
         raise ValueError("odd p+q required; use karoubi_factorize for even signatures")
     base = karoubi_factorize(even_subalgebra(sig))
-    return Factorization(sig, base.factors, doubled=classify(sig).ring.is_double, flip_steps=base.flip_steps)
+    return Factorization(sig, base.factors, doubled=classify(sig).ring.is_double)
 
 
 def factorize(sig) -> Factorization:
@@ -150,6 +150,7 @@ def verify_factorization(fact: Factorization) -> bool:
 
 def complex_factorize(n: int) -> int:
     """Number m of Pauli-algebra factors with C_n = C_2 (x) ... (x) C_2."""
+    n = as_count(n, "n")
     if n < 0 or n % 2:
         raise ValueError("n must be even and non-negative")
     m = n // 2

@@ -251,13 +251,10 @@ class VdWOperators:
 
 
 def _twice_spin(j) -> int:
-    """n = 2j of a spin j, read off its numerator and denominator."""
-    j = Fraction(j)
-    if j.denominator > 2:
-        raise ValueError(f"{j} is not a half-integer")
-    if j.numerator < 0:
+    """n = 2j of a spin j."""
+    if (n := int(2 * as_half_integer(j))) < 0:
         raise ValueError("spin must be non-negative")
-    return j.numerator * (2 // j.denominator)
+    return n
 
 
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

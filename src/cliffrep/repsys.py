@@ -12,22 +12,26 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Rational
 
-from .algebra import as_signature
+from .algebra import as_count, as_signature
 from .classify import RING_BY_TYPE
 
 
 @dataclass(frozen=True)
 class ComplexRepLabel:
-    """The label C^{a,b}, optionally doubled (C u C)."""
+    """The label C^{a,b}, optionally doubled (C u C), in the wedge a >= 0 >= b."""
 
     a: int
     b: int = 0
     doubled: bool = False
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("first superscript must be non-negative")
+        a, b = as_count(self.a, "a"), as_count(self.b, "b")
+        if not a >= 0 >= b:
+            raise ValueError(f"C^{{{a},{b}}} lies outside the wedge a >= 0 >= b")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
@@ -50,13 +54,7 @@ def bw_complex_step(rep: ComplexRepLabel) -> ComplexRepLabel:
     doubles in place (hour 0).  The scalar label C^{0,0} starts the walk
     at the odd slot, so its tick is the hour-1 step to C^{1,0}.
     """
-    if rep.b != 0:
-        raise ValueError("the cycle is defined on the C^{a,0} ladder")
-    if rep.doubled:
-        return ComplexRepLabel(rep.a + 1)
-    if rep.a == 0:
-        return ComplexRepLabel(1)
-    return replace(rep, doubled=True)
+    return ComplexRepLabel(rep.a + 1) if complex_step_hour(rep) else replace(rep, doubled=True)
 
 
 def complex_step_hour(rep: ComplexRepLabel) -> int:
@@ -98,6 +96,13 @@ def _class_of_type(t: int) -> RealRepClass:
 class RealRepLabel:
     cls: RealRepClass
     l0: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.cls, RealRepClass):
+            raise ValueError(f"class must be a RealRepClass, got {self.cls!r}")
+        if not isinstance(self.l0, Rational) or self.l0 < 0 or (2 * self.l0).denominator != 1:
+            raise ValueError(f"l0 must be a non-negative half-integer int or Fraction, got {self.l0!r}")
+        object.__setattr__(self, "l0", Fraction(self.l0))
 
     def __str__(self) -> str:
         one = f"{self.cls.value.split('u')[0]}^{self.l0}"
@@ -157,6 +162,7 @@ def run_real_cycle(start: RealRepLabel, hours: int = 8) -> list[RealRepLabel]:
 
 def interlocking_chain(two_s: int) -> list[ComplexRepLabel]:
     """The bottom chain C^{n,0} <-> C^{n-1,-1} <-> ... <-> C^{0,-n}, n = 2s."""
+    two_s = as_count(two_s, "spin doubling 2s")
     if two_s < 0:
         raise ValueError("spin doubling 2s must be non-negative")
     return [ComplexRepLabel(two_s - j, -j) for j in range(two_s + 1)]

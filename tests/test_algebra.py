@@ -543,6 +543,19 @@ class TestAutomorphisms:
             assert x.conjugation() == x.reversion().grade_involution()
 
 
+class TestGradeParts:
+    @pytest.mark.parametrize("sig", [(p, n - p) for n in range(7) for p in range(n + 1)])
+    def test_parts_split_every_blade_by_grade(self, sig):
+        x = Multivector(sig, {m: m + 1 for m in all_blades(sig)})
+        n = sum(sig)
+        assert x.grades() == set(range(n + 1))
+        parts = [x.grade_part(k) for k in range(n + 1)]
+        for k, part in enumerate(parts):
+            assert part.terms and all(grade(m) == k for m in part.terms)
+        assert sum(parts, Multivector.zero(sig)) == x
+        assert x.grade_part(n + 1).is_zero()
+
+
 class TestVolumeElement:
     @pytest.mark.parametrize(
         "sig,expected",

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, JSON round-trips, exit codes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -492,3 +493,28 @@ class TestJsonWriter:
                 ops = cliffrep.build_vdw_operators(a, b)
             payload["operators"] = {k: matrix_to_json(v, ops.basis_note) for k, v in ops.operators().items()}
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_unknown_object_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            "".join(cli._json_chunks({"m": cli._matrix_payload(np.eye(2), "note"), "x": object()}))
+
+
+def label_runs() -> list[list[str]]:
+    """The label commands over every p+q <= 16, the 8 x 8 tables and the first 13 chains."""
+    pqs = [["-p", str(p), "-q", str(n - p)] for n in range(17) for p in range(n + 1)]
+    forms = [["classify"], ["classify", "--json"], ["factorize"], ["clock", "--steps", "3"]]
+    runs = [[cmd, *pq, *rest] for pq in pqs for cmd, *rest in forms]
+    runs += [["table", "--pmax", str(p), "--qmax", str(q)] for p in range(8) for q in range(8)]
+    return runs + [["chain", "--spin2", str(s)] for s in range(13)]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every label_runs() run: these
+# commands are pure Python, so their text holds on any numpy and BLAS
+LABEL_TEXT_DIGEST = "36e8218d751a3271d46569409f43e56b5e9d6157748703b728e21ef8baed9819"
+
+
+def test_label_command_text_unchanged(capsys):
+    h = hashlib.sha256()
+    for argv in label_runs():
+        h.update(json.dumps([argv, *run(argv, capsys)]).encode())
+    assert h.hexdigest() == LABEL_TEXT_DIGEST

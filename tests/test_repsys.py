@@ -1,10 +1,13 @@
 """Representation-label arithmetic: cycles, chains, periodicity steps."""
 
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from cliffrep.classify import RingType, classify
+from cliffrep.classify import RingType, classify, classify_complex
+from cliffrep.factorize import complex_factorize
 from cliffrep.repsys import (
     ComplexRepLabel,
     RealRepClass,
@@ -209,3 +212,33 @@ class TestTensorSteps:
             rep = classify_real_rep(sig)
             stepped = real_period_step(rep)
             assert classify_real_rep((sig[0], sig[1] + 8)) == stepped
+
+
+class TestLabelValidation:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ComplexRepLabel(1, 1), "C^{1,1} lies outside the wedge a >= 0 >= b"),
+            (lambda: ComplexRepLabel(-1), "C^{-1,0} lies outside the wedge a >= 0 >= b"),
+            (lambda: ComplexRepLabel(1.5), "a must be an integer, got 1.5"),
+            (lambda: ComplexRepLabel(1, -0.5), "b must be an integer, got -0.5"),
+            (lambda: RealRepLabel(RealRepClass.R0, F(1, 3)), "l0 must be a non-negative half-integer"),
+            (lambda: RealRepLabel(RealRepClass.R0, F(-1, 2)), "l0 must be a non-negative half-integer"),
+            (lambda: RealRepLabel(RealRepClass.R0, 0.5), "half-integer int or Fraction, got 0.5"),
+            (lambda: RealRepLabel("R0", F(0)), "class must be a RealRepClass, got 'R0'"),
+            (lambda: classify_complex(2.0), "n must be an integer, got 2.0"),
+            (lambda: complex_factorize(4.0), "n must be an integer, got 4.0"),
+            (lambda: interlocking_chain(1.5), "spin doubling 2s must be an integer, got 1.5"),
+        ],
+    )
+    def test_rejected_at_the_boundary(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_integral_inputs_are_stored_as_python_numbers(self):
+        rep = ComplexRepLabel(np.int64(2), np.int8(-1))
+        assert rep == ComplexRepLabel(2, -1) and type(rep.a) is int and type(rep.b) is int
+        real = RealRepLabel(RealRepClass.R0, np.int64(1))
+        assert real.l0 == 1 and type(real.l0) is F and str(real) == "R0^1"
+        assert interlocking_chain(np.int64(1)) == interlocking_chain(1)
+        assert classify_complex(np.int64(4)) == classify_complex(4) and complex_factorize(np.int64(4)) == 2
