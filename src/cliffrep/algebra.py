@@ -10,9 +10,28 @@ in ascending index order.  Conventions:
 
 Coefficients may be any Python scalars (int, Fraction, float, complex).
 All structural operations are bit-exact when ints or Fractions are used.
+A product of int factors takes one of three exact routes, chosen in
+``_int_route``:
+
+* Pauli, when the shorter factor has rows terms with rows·2^n >=
+  max(2·d^3, 2^11), d = 2^m, m = ceil(n/2) (the measured crossover, see
+  ``_PAULI_MIN_ENTRIES``), and 2^m·Σ|a|·Σ|b| < 2^63.  Each factor goes to
+  its Jordan-Wigner image, a d x d Gaussian-integer matrix in which blade
+  A is i^c X^x Z^z (Jordan & Wigner 1928); the images multiply in int64
+  and each coefficient comes back as tr(Γ_A^† P) / d.  The images are
+  faithful and trace-orthogonal, tr(Γ_A^† Γ_B) = d δ_AB (distinct blades
+  have distinct Pauli strings; Lounesto, *Clifford Algebras and Spinors*,
+  ch. 16-17), so the division is exact, and a remainder raises.
+* gather, when the factors have at least max(2^n, 32) blade pairs and
+  max|a|·max|b|·min(terms) < 2^63: 2^n XOR-indexed entries per term of
+  the shorter factor, one int64 matmul.  A blade times a dense element
+  (omega conjugation) is a one-row gather.
+* the pair loop on :func:`blade_product` otherwise, as for every other
+  coefficient type.
+
 A product whose coefficients are all ``Fraction`` runs on ints: each
 factor is scaled by the lcm of its own denominators, the int product
-(gather or pair loop) runs on the numerators, and each nonzero output
+(by the same routes) runs on the numerators, and each nonzero output
 blade is divided once by the two scales.  ``Fraction`` is canonical, so
 values and types match the per-pair ``Fraction`` loop.
 
@@ -55,6 +74,19 @@ _GATHER_ENTRIES = 1 << 14
 # the pair floor never admits.  Products of a few dozen terms a factor (the
 # mv-sparse benchmark's) fail the floor and take the pair loop.
 _GATHER_MIN_PAIRS = 32
+# The Pauli route's int64 matmuls cost about 10·d^3 multiply-adds for
+# d = 2^ceil(n/2), the gather rows·2^n entries.  Gather time / Pauli time on
+# the same host, both routes forced, dense longer factor, by rows (terms of
+# the shorter factor): n = 5: 0.95x at 32 (every blade); n = 6: 1.04x at 16,
+# 1.05x at 32, 1.28x at 64; n = 8: 0.79x at 16, 1.00x at 32, 2.06x at 48,
+# 5.7x at 256; n = 7, 9, 11: 1.02x at 64, 2.15x at 128, 1.97x at 256;
+# n = 10: 1.15x at 32, 1.60x at 64; n = 12: 0.78x at 48, 1.20x at 64, 1.63x
+# at 128; n = 13: 0.70x at 384, 1.04x at 512; n = 14: 1.22x at 256; n = 15:
+# 0.31x at 256, 1.00x at 512; n = 16: 0.92x at 384, 1.36x at 512.  So the
+# Pauli route takes products with rows·2^n >= max(2·d^3, 2^11): 32 rows at
+# n = 6 and 8, 64 at n = 7 and 10, 128 at n = 9 and 12, 512 at n = 16, and
+# never at n <= 5, where about 45 us of numpy calls lose to the gather.
+_PAULI_MIN_ENTRIES = 1 << 11
 
 
 class _Counts(NamedTuple):
@@ -257,6 +289,126 @@ def _gather_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dic
     return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
 
 
+@cache
+def _pauli_images(sig: Signature):
+    """Jordan-Wigner images Γ_A = i^c X^x Z^z of every blade A of ``sig``, read-only.
+
+    With m = ceil(n/2) qubits, generator 2k is Z^{<k} X_k and generator
+    2k + 1 is Z^{<k} Y_k with Y = iXZ, each times i when its index is at
+    least p (so it squares to -1).  Blades are built by doubling over the
+    generators: e_a e_g for the top generator g of a, by the rule
+    (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).  Returns
+    the int32 index c·4^m + x·2^m + z of each blade among the planes
+    (re, im, -re, -im) of a Gaussian-integer array over the X^x Z^z: a
+    coefficient put there stands for i^c times it, and the entry read
+    there from a value T is the real part of i^-c·T.
+    """
+    import numpy as np
+
+    n, m = sig.n, (sig.n + 1) // 2
+    x, z, c = (np.zeros(1 << n, np.int32) for _ in range(3))
+    for g in range(n):
+        k, low, high = g >> 1, slice(0, 1 << g), slice(1 << g, 2 << g)
+        gx, gz = 1 << k, (1 << k) - 1 | (g & 1) << k
+        c[high] = (c[low] + (g & 1) + (g >= sig.p) + 2 * _parity(z[low] & gx)) & 3
+        x[high], z[high] = x[low] ^ gx, z[low] ^ gz
+    index = c << 2 * m | x << m | z
+    index.flags.writeable = False
+    return index
+
+
+@cache
+def _pauli_frame(m: int):
+    """Read-only int arrays for d = 2^m: the Sylvester Hadamard H[z, j] =
+    (-1)^|z & j| (int64), the shuffle (x ^ j)·d + j from Z-diagonal
+    coordinates to matrix entries and back (an involution), and that
+    shuffle over the planes (re, im, -re, -im) laid out as the real
+    2d x 2d block [[re, -im], [im, re]] of a Gaussian-integer matrix."""
+    import numpy as np
+
+    d = 1 << m
+    j = np.arange(d)
+    hadamard = (1 - 2 * _parity(j[:, None] & j)).astype(np.int64)
+    shuffle = (j[:, None] ^ j) << m | j
+    block = np.block([[shuffle, shuffle + 3 * d * d], [shuffle + d * d, shuffle]])
+    for a in (hadamard, shuffle, block):
+        a.flags.writeable = False
+    return hadamard, shuffle, block
+
+
+def _pauli_product_fits(sig: Signature, a: dict[int, int], b: dict[int, int]) -> bool:
+    """True when the Pauli product of int factors is worth it (the crossover at ``_PAULI_MIN_ENTRIES``) and exact in int64.
+
+    An image entry's real and imaginary parts are at most Σ|a| together,
+    so every partial sum of the product's entries is at most Σ|a|·Σ|b|,
+    and each trace is a signed sum of 2^m of them.
+    """
+    if min(len(a), len(b)) << sig.n < max(2 << 3 * ((sig.n + 1) // 2), _PAULI_MIN_ENTRIES):
+        return False
+    return sum(map(abs, a.values())) * sum(map(abs, b.values())) << (sig.n + 1) // 2 < 1 << 63
+
+
+def _pauli_diagonals(sig: Signature, terms: dict[int, int]):
+    """The image of an int multivector in Z-diagonal coordinates: (real, imaginary) planes of 4^m int64.
+
+    With W[x, z] the coefficient of X^x Z^z, row x of W @ H is the diagonal
+    of sum_z W[x, z] Z^z, and X^x moves its entry j to (j ^ x, j).
+    """
+    import numpy as np
+
+    m = (sig.n + 1) // 2
+    w = np.zeros(4 << 2 * m, np.int64)
+    w[_pauli_images(sig)[np.fromiter(terms, np.int32, len(terms))]] = np.fromiter(terms.values(), np.int64, len(terms))
+    w = w[: 2 << 2 * m] - w[2 << 2 * m :]
+    return (w.reshape(2 << m, 1 << m) @ _pauli_frame(m)[0]).reshape(2, -1)
+
+
+def _from_pauli(sig: Signature, image) -> dict[int, int]:
+    """The int multivector whose image has the int64 planes ``image`` (real rows above imaginary, 2d x d).
+
+    Each blade's coefficient is tr(Γ_A^† P) / 2^m, the real part of
+    i^-c·tr((X^x Z^z)^† P) / 2^m: the images are trace-orthogonal,
+    tr(Γ_A^† Γ_B) = 2^m δ_AB, so the division is exact on the image of any
+    int multivector.  A remainder is an ``ArithmeticError``.
+    """
+    import numpy as np
+
+    m = (sig.n + 1) // 2
+    hadamard, shuffle, _ = _pauli_frame(m)
+    traces = image.reshape(2, -1).take(shuffle, axis=1).reshape(2 << m, 1 << m) @ hadamard
+    traces = np.concatenate([traces, -traces]).take(_pauli_images(sig))
+    if (traces & ((1 << m) - 1)).any():
+        raise ArithmeticError(f"a Pauli trace of a {sig} product is not divisible by 2^{m}")
+    out = traces >> m
+    nonzero = out.nonzero()[0]
+    return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
+
+
+def _pauli_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Exact int product through the Jordan-Wigner images (see ``_pauli_product_fits``).
+
+    The Gaussian-integer image of ``a`` is laid out as the real block
+    [[re, -im], [im, re]], so one int64 matmul with [re; im] of ``b``
+    gives [re; im] of the product, which comes back by traces.
+    """
+    import numpy as np
+
+    m = (sig.n + 1) // 2
+    _, shuffle, block = _pauli_frame(m)
+    left, right = _pauli_diagonals(sig, a), _pauli_diagonals(sig, b)
+    left = np.concatenate([left, -left]).take(block)
+    return _from_pauli(sig, left @ right.take(shuffle, axis=1).reshape(2 << m, 1 << m))
+
+
+def _int_route(sig: Signature, a: dict[int, int], b: dict[int, int]):
+    """The exact product of int factors to run: Pauli, gather, or None for the pair loop."""
+    if _pauli_product_fits(sig, a, b):
+        return _pauli_product
+    if _gather_product_fits(sig, a, b):
+        return _gather_product
+    return None
+
+
 def _integer_form(terms: dict) -> tuple[dict[int, int], int]:
     """``terms`` times the lcm of its ``Fraction`` denominators, as ints, and that lcm."""
     den = math.lcm(*(c.denominator for c in terms.values()))
@@ -356,8 +508,9 @@ class Multivector:
             scaled = types == {Fraction}
             if scaled:
                 (a, den_a), (b, den_b) = _integer_form(a), _integer_form(b)
-            if (scaled or types == {int}) and _gather_product_fits(self.sig, a, b):
-                terms = _gather_product(self.sig, a, b)
+            route = _int_route(self.sig, a, b) if scaled or types == {int} else None
+            if route:
+                terms = route(self.sig, a, b)
             else:
                 terms = {}
                 for ma, ca in a.items():

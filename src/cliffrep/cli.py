@@ -236,11 +236,17 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
-def _require_operator_dim(dim: int) -> None:
-    """A usage error for an operator above ``lorentz.MAX_OPERATOR_DIM``, before any is built."""
+def _require_operator_dim(dim: int, option: str | None = None) -> None:
+    """A usage error for an operator above ``lorentz.MAX_OPERATOR_DIM``, before any is built.
+
+    ``option`` names the budget argument that set ``dim`` (``verify
+    --dim-max``); without it the message names the operator (``rep``).
+    """
     from .lorentz import MAX_OPERATOR_DIM
 
     if dim > MAX_OPERATOR_DIM:
+        if option:
+            raise ValueError(f"argument {option}: must be 1..{MAX_OPERATOR_DIM}, got {dim}")
         raise ValueError(f"operator dim {dim} exceeds the bound {MAX_OPERATOR_DIM}")
 
 
@@ -297,10 +303,8 @@ def cmd_chain(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import checks
-    from .lorentz import MAX_OPERATOR_DIM
 
-    if args.dim_max > MAX_OPERATOR_DIM:
-        raise ValueError(f"argument --dim-max: must be 1..{MAX_OPERATOR_DIM}, got {args.dim_max}")
+    _require_operator_dim(args.dim_max, "--dim-max")
     results = checks.run_all(nmax=args.nmax, dim_max=args.dim_max)
     failed = 0
     for r in results:

@@ -30,6 +30,8 @@ class ComplexRepLabel:
         a, b = as_count(self.a, "a"), as_count(self.b, "b")
         if not a >= 0 >= b:
             raise ValueError(f"C^{{{a},{b}}} lies outside the wedge a >= 0 >= b")
+        if type(self.doubled) is not bool:
+            raise ValueError(f"doubled must be a bool, got {self.doubled!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -1,6 +1,7 @@
 """Core multivector arithmetic: products, automorphisms, volume, center."""
 
 import ast
+import contextlib
 import inspect
 import random
 from fractions import Fraction
@@ -254,8 +255,44 @@ def assert_same_product(x, y):
     assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
 
 
-def spy_gather():
-    return mock.patch.object(algebra, "_gather_product", wraps=algebra._gather_product)
+@contextlib.contextmanager
+def spy_routes():
+    """Spies on the two exact int routes: the yielded list gets "gather" or
+    "pauli" for each product that takes one; the pair loop adds nothing."""
+    routes = []
+
+    def spy(route):
+        honest = getattr(algebra, f"_{route}_product")
+
+        def wrapper(*args):
+            routes.append(route)
+            return honest(*args)
+
+        return mock.patch.object(algebra, f"_{route}_product", wrapper)
+
+    with spy("gather"), spy("pauli"):
+        yield routes
+
+
+def pauli_rows(n):
+    """Fewest terms of the shorter factor that take the Pauli route at n
+    generators: rows·2^n >= max(2·d^3, 2^11) with d = 2^ceil(n/2)."""
+    return max(2 << 3 * ((n + 1) // 2), 1 << 11) >> n
+
+
+def documented_route(x, y):
+    """The route the algebra module documents for a product of int factors."""
+    a, b, n = x.terms, y.terms, x.sig.n
+    if min(len(a), len(b)) >= pauli_rows(n):
+        if sum(map(abs, a.values())) * sum(map(abs, b.values())) * 2 ** ((n + 1) // 2) < 2**63:
+            return "pauli"
+    if len(a) * len(b) >= max(1 << n, 32) and max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 2**63:
+        return "gather"
+    return "loop"
+
+
+def int_terms(rng, size, count, bound=9):
+    return {m: rng.choice([-1, 1]) * rng.randint(1, bound) for m in rng.sample(range(size), count)}
 
 
 @st.composite
@@ -271,11 +308,23 @@ def dense_int_pairs(draw):
     len_b = draw(st.integers(low, min(size, max(low, 4 * need // len_a))))
     bound = draw(st.sampled_from([2, 9, 1 << 26]))
     rng = random.Random(draw(st.integers(0, 2**32)))
+    return Multivector(sig, int_terms(rng, size, len_a, bound)), Multivector(sig, int_terms(rng, size, len_b, bound))
 
-    def terms(count):
-        return {m: rng.choice([-1, 1]) * rng.randint(1, bound) for m in rng.sample(range(size), count)}
 
-    return Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
+@st.composite
+def pauli_int_pairs(draw):
+    """Int multivectors at n = 6..12 whose shorter factor reaches the Pauli
+    crossover, each at most twice that; coefficients up to 2^26 can pass
+    the Pauli int64 bound, which sends them to the gather."""
+    n = draw(st.integers(6, 12))
+    p = draw(st.integers(0, n))
+    rows = pauli_rows(n)
+    len_a = draw(st.integers(rows, min(1 << n, 2 * rows)))
+    len_b = draw(st.integers(rows, min(1 << n, 2 * rows)))
+    bound = draw(st.sampled_from([1, 9, 1 << 20, 1 << 26]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = 1 << n
+    return Multivector((p, n - p), int_terms(rng, size, len_a, bound)), Multivector((p, n - p), int_terms(rng, size, len_b, bound))
 
 
 PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
@@ -293,10 +342,11 @@ def fraction_pairs(draw):
     denominator drawn up to 10^4.  ``gather``: factors with at least 2^n
     blade pairs at n = 3..16, each over one
     denominator D <= 10^4, so its common denominator divides D and its
-    scaled numerators stay below 10^4.  ``overflow``: dense factors at
-    n = 3..10 (the int pair loop is slow above) with one numerator
-    D * 2^40 + 1 each, coprime to D, so the scaled factors fail the int64
-    bound and the int pair loop serves them.
+    scaled numerators stay below 10^4; from the Pauli crossover on, the
+    Pauli route serves them.  ``overflow``: dense factors at n = 3..10
+    (the int pair loop is slow above) with one numerator D * 2^40 + 1
+    each, coprime to D, so the scaled factors fail both int64 bounds and
+    the int pair loop serves them.
     """
     path = draw(st.sampled_from(["loop", "gather", "overflow"]))
     n = draw(st.integers(*{"loop": (0, 16), "gather": (3, 16), "overflow": (3, 10)}[path]))
@@ -332,9 +382,11 @@ class TestGatherProduct:
     @given(fraction_pairs())
     def test_fraction_product_is_exact(self, case):
         (x, y), path = case
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(x, y)
-        assert spy.call_count == (path == "gather")
+        if path == "gather" and min(len(x.terms), len(y.terms)) >= pauli_rows(x.sig.n):
+            path = "pauli"
+        assert (routes or ["loop"]) == [path.replace("overflow", "loop")]
 
     @pytest.mark.parametrize(
         "coeff",
@@ -353,82 +405,125 @@ class TestGatherProduct:
     @given(dense_int_pairs())
     def test_gather_path_matches_reference(self, pair):
         x, y = pair
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(x, y)
-        assert spy.call_count == 1
+        route = documented_route(x, y)
+        assert route != "loop" and routes == [route]
+
+    @settings(max_examples=25, deadline=None)
+    @given(pauli_int_pairs())
+    def test_pauli_path_matches_reference(self, pair):
+        x, y = pair
+        with spy_routes() as routes:
+            assert_same_product(x, y)
+        assert routes == [documented_route(x, y)]
 
     @pytest.mark.parametrize(
-        "sig,a,b,gather",
+        "sig,a,b,route",
         [
             # exact ints at the int64 bound: 8 * 2^29 * (2^31 - 1) < 2^63 takes the gather path
-            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: (1 << 31) - 1 for m in range(8)}, True),
-            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: 1 << 31 for m in range(8)}, False),
-            ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, True),
-            ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, False),
+            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: (1 << 31) - 1 for m in range(8)}, "gather"),
+            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: 1 << 31 for m in range(8)}, "loop"),
+            ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, "gather"),
+            ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, "loop"),
             # (1 + e1)(1 + e2)(1 + e3) * (1 - e3)(1 + e2)(1 + e1) = 0
-            ((3, 0), {m: 1 for m in range(8)}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1}, True),
-            ((0, 0), {0: 3}, {0: -4}, False),
-            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, False),  # 8 < 32 pairs
-            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, False),  # 16 < 32 pairs
-            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, True),  # 32 pairs
-            ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, True),  # 2^5 = 32 pairs
+            ((3, 0), {m: 1 for m in range(8)}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1}, "gather"),
+            ((0, 0), {0: 3}, {0: -4}, "loop"),
+            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, "loop"),  # 8 < 32 pairs
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, "loop"),  # 16 < 32 pairs
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, "gather"),  # 32 pairs
+            ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, "gather"),  # 2^5 = 32 pairs
             # all-Fraction factors run on their integer forms, here over the common denominators 3 and 2520
-            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, True),
+            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "gather"),
             # 1/p over 8 distinct primes: each scaled numerator is the product of the other 7, about 2^70
-            ((2, 1), {m: Fraction(1, p) for m, p in enumerate(PRIMES)}, {m: Fraction(m - 4, p) for m, p in enumerate(PRIMES)}, False),
-            ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, False),
-            ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, False),
-            ((2, 1), {m: complex(m, 1) for m in range(8)}, {m: 1j * m - 2 for m in range(8)}, False),
-            ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, False),
-            ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, False),
-            ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, False),
-            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, True),  # the gather path serves every n
+            ((2, 1), {m: Fraction(1, p) for m, p in enumerate(PRIMES)}, {m: Fraction(m - 4, p) for m, p in enumerate(PRIMES)}, "loop"),
+            ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "loop"),
+            ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, "loop"),
+            ((2, 1), {m: complex(m, 1) for m in range(8)}, {m: 1j * m - 2 for m in range(8)}, "loop"),
+            ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, "loop"),
+            ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, "loop"),
+            ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, "loop"),
+            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, "gather"),  # the gather path serves every n
             # sparse factors at n = 15, 16: the 2^n pair floor alone decides, down to a density of 2^(-n/2)
-            ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, True),
-            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, True),
-            ((8, 8), {m * 256: m % 3 + 1 for m in range(256)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, True),
-            ((8, 8), {m * 256: m % 3 + 1 for m in range(255)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, False),
-            ((7, 8), {m * 180: m % 3 + 1 for m in range(182)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, True),
-            ((7, 8), {m * 180: m % 3 + 1 for m in range(181)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, False),
+            ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, "gather"),
+            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, "gather"),
+            ((8, 8), {m * 256: m % 3 + 1 for m in range(256)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, "gather"),
+            ((8, 8), {m * 256: m % 3 + 1 for m in range(255)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, "loop"),
+            ((7, 8), {m * 180: m % 3 + 1 for m in range(182)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, "gather"),
+            ((7, 8), {m * 180: m % 3 + 1 for m in range(181)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, "loop"),
+            # the Pauli crossover, rows·2^n >= max(2·d^3, 2^11), on both sides
+            ((4, 2), {m: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(64)}, "pauli"),
+            ((4, 2), {m: m % 5 - 2 or 3 for m in range(31)}, {m: m % 7 - 3 or 1 for m in range(64)}, "gather"),
+            ((2, 3), {m: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(32)}, "gather"),  # never at n = 5
+            ((3, 4), {m: m % 5 - 2 or 3 for m in range(64)}, {m: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
+            ((3, 4), {m: m % 5 - 2 or 3 for m in range(63)}, {m: m % 7 - 3 or 1 for m in range(128)}, "gather"),
+            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(256)}, "pauli"),
+            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(31)}, {m: m % 7 - 3 or 1 for m in range(256)}, "gather"),
+            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(128)}, {m: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
+            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(127)}, {m: m % 7 - 3 or 1 for m in range(128)}, "gather"),
+            # the Pauli int64 bound 2^m·Σ|a|·Σ|b| < 2^63, here 8 · 2^30 · Σ|b|: met, exactly reached, exceeded
+            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: (1 << 24) - (m == 0) for m in range(64)}, "pauli"),
+            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: 1 << 24 for m in range(64)}, "gather"),
+            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: -(1 << 24) - m for m in range(64)}, "gather"),
+            ((3, 3), {m: 1 << 40 for m in range(32)}, {m: 1 << 24 for m in range(64)}, "loop"),
+            # dense all-Fraction factors: numerators within the bound, then past it (scaled by 2^44) but within the gather's
+            ((4, 4), {m: Fraction(m % 9 - 4 or 1, m % 4 + 1) for m in range(256)}, {m: Fraction(3, m % 6 + 2) for m in range(250)}, "pauli"),
+            ((4, 4), {m: Fraction(m % 9 - 4 or 1, 1 << 44 if m == 0 else 1) for m in range(256)}, {m: Fraction(m % 7 - 3 or 1) for m in range(256)}, "gather"),
         ],
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
             "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "float", "complex",
             "bool", "np-int64", "mixed-int-fraction", "n12", "n16-density-1/128", "n16-sparser",
             "n16-density-1/256", "n16-below-pair-floor", "n15-density-1/180", "n15-below-pair-floor",
+            "n6-pauli-crossover", "n6-below-pauli-crossover", "n5-every-blade", "n7-pauli-crossover",
+            "n7-below-pauli-crossover", "n8-pauli-crossover", "n8-below-pauli-crossover", "n9-pauli-crossover",
+            "n9-below-pauli-crossover", "pauli-int64-bound", "pauli-int64-bound-reached", "pauli-int64-bound-exceeded",
+            "pauli-and-gather-bounds-exceeded", "dense-fraction", "dense-fraction-past-pauli-bound",
         ],
     )
-    def test_path_selection(self, sig, a, b, gather):
+    def test_path_selection(self, sig, a, b, route):
         x, y = Multivector(sig, a), Multivector(sig, b)
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(x, y)
-        assert spy.call_count == int(gather)
+        assert (routes or ["loop"]) == [route]
+
+    def test_pauli_crossover_at_every_n(self):
+        """Both sides of the crossover against a dense factor, read off the route chosen (no product runs)."""
+        assert [pauli_rows(n) for n in range(17)] == [2048, 1024, 512, 256, 128, 64, 32, 64, 32, 128, 64, 256, 128, 512, 256, 1024, 512]
+        for n in range(17):
+            sig = Signature(n // 2, n - n // 2)
+            dense = dict.fromkeys(range(1 << n), 1)
+            for rows in (pauli_rows(n) - 1, pauli_rows(n)):
+                short = dict.fromkeys(range(min(rows, 1 << n)), -1)
+                pauli = rows == pauli_rows(n) <= 1 << n
+                for a, b in ((short, dense), (dense, short)):
+                    assert (algebra._int_route(sig, a, b) is algebra._pauli_product) == pauli, (n, rows)
 
     def test_sparse_product_takes_the_loop(self):
         sig = (4, 4)
         x = Multivector(sig, {1: 2, 6: -1, 0b1000_0000: 3})
         y = Multivector(sig, {m: m - 5 for m in range(0, 256, 4)})  # 3 * 64 < 256 pairs
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(x, y)
-        assert spy.call_count == 0
+        assert routes == []
 
     def test_dense_factor_times_single_blade(self):
         sig = (5, 5)
         x = Multivector(sig, {m: m % 7 - 7 for m in range(1 << 10)})
         y = Multivector.from_mask(sig, 0b1010110011, -2)
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(x, y)
             assert_same_product(y, x)
-        assert spy.call_count == 2
+        assert routes == ["gather", "gather"]
 
     def test_one_blade_times_every_blade_at_16_generators(self):
         sig = Signature(8, 8)
         x = checks._every_blade(sig)
         blade = Multivector.from_mask(sig, 0b1011_0010_1100_0101, -3)
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(blade, x)
             assert_same_product(x, blade)
-        assert spy.call_count == 2
+        assert routes == ["gather", "gather"]
 
     @pytest.mark.parametrize("left", [True, False], ids=["rows-left", "rows-right"])
     @pytest.mark.parametrize("p", [0, 8, 16])
@@ -440,9 +535,62 @@ class TestGatherProduct:
         masks += rng.sample(range(1 << 16), 4)
         rows = Multivector(sig, {m: rng.choice([-1, 1]) * rng.randint(1, 9) for m in masks})
         x = checks._every_blade(sig)
-        with spy_gather() as spy:
+        with spy_routes() as routes:
             assert_same_product(*((rows, x) if left else (x, rows)))
-        assert spy.call_count == 1
+        assert routes == ["gather"]
+
+
+class TestPauliProduct:
+    """The Jordan-Wigner route against the pair loop on ``blade_product``."""
+
+    @pytest.mark.parametrize("sig", [Signature(p, n - p) for n in (6, 7, 8) for p in range(n + 1)])
+    def test_dense_factors_at_every_signature(self, sig):
+        rng = random.Random(sig.n * 17 + sig.p)
+        size = 1 << sig.n
+        x = Multivector(sig, int_terms(rng, size, size))
+        y = Multivector(sig, int_terms(rng, size, size - size // 10))
+        with spy_routes() as routes:
+            assert_same_product(x, y)
+            assert_same_product(y, x)
+        assert routes == ["pauli", "pauli"]
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_sampled_signatures(self, n):
+        rng = random.Random(n)
+        rows = pauli_rows(n)
+        for p in (n * (n % 2), rng.randint(1, n - 1)):
+            sig = Signature(p, n - p)
+            x = Multivector(sig, int_terms(rng, 1 << n, rows))
+            y = Multivector(sig, int_terms(rng, 1 << n, rows + 7))
+            with spy_routes() as routes:
+                assert_same_product(x, y)
+                assert_same_product(y, x)
+            assert routes == ["pauli", "pauli"]
+
+    def test_above_the_crossover_at_16_generators(self):
+        sig = Signature(5, 11)
+        rng = random.Random(16)
+        x = Multivector(sig, int_terms(rng, 1 << 16, 512))
+        y = Multivector(sig, int_terms(rng, 1 << 16, 520))
+        with spy_routes() as routes:
+            assert_same_product(x, y)
+        assert routes == ["pauli"]
+
+    @pytest.mark.parametrize("sig", [Signature(p, n - p) for n in range(9) for p in range(n + 1)])
+    def test_images_round_trip(self, sig):
+        """The product with the unit, forced onto the route, returns the factor: images and back-map agree."""
+        x = {m: m % 11 - 5 for m in range(1 << sig.n)}
+        assert algebra._pauli_product(sig, x, {0: 1}) == {m: c for m, c in x.items() if c}
+        assert algebra._pauli_product(sig, {0: 1}, x) == {m: c for m, c in x.items() if c}
+
+    @pytest.mark.parametrize("sig", [Signature(2, 1), Signature(3, 3), Signature(8, 8)])
+    def test_back_map_rejects_a_matrix_outside_the_image(self, sig):
+        """One unit entry has traces ±1, which 2^m does not divide: the exact-division check raises."""
+        m = (sig.n + 1) // 2
+        image = np.zeros((2 << m, 1 << m), np.int64)
+        image[0, 0] = 1
+        with pytest.raises(ArithmeticError, match="not divisible by 2\\^"):
+            algebra._from_pauli(sig, image)
 
 
 class TestMultivectorProduct:

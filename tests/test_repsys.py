@@ -1,6 +1,7 @@
 """Representation-label arithmetic: cycles, chains, periodicity steps."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -222,6 +223,10 @@ class TestLabelValidation:
             (lambda: ComplexRepLabel(-1), "C^{-1,0} lies outside the wedge a >= 0 >= b"),
             (lambda: ComplexRepLabel(1.5), "a must be an integer, got 1.5"),
             (lambda: ComplexRepLabel(1, -0.5), "b must be an integer, got -0.5"),
+            (lambda: ComplexRepLabel(1, 0, doubled="no"), "doubled must be a bool, got 'no'"),
+            (lambda: ComplexRepLabel(1, 0, doubled=1), "doubled must be a bool, got 1"),
+            (lambda: ComplexRepLabel(1, 0, doubled=None), "doubled must be a bool, got None"),
+            (lambda: replace(ComplexRepLabel(2), doubled=0), "doubled must be a bool, got 0"),
             (lambda: RealRepLabel(RealRepClass.R0, F(1, 3)), "l0 must be a non-negative half-integer"),
             (lambda: RealRepLabel(RealRepClass.R0, F(-1, 2)), "l0 must be a non-negative half-integer"),
             (lambda: RealRepLabel(RealRepClass.R0, 0.5), "half-integer int or Fraction, got 0.5"),
