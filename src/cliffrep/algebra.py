@@ -10,24 +10,22 @@ in ascending index order.  Conventions:
 
 Coefficients may be any Python scalars (int, Fraction, float, complex).
 All structural operations are bit-exact when ints or Fractions are used.
-A product of int factors takes one of three exact routes, chosen in
-``_int_route``:
+A product takes one of two routes, chosen in ``_int_route``:
 
-* Pauli, when the shorter factor has rows terms with rows·2^n >=
-  max(2·d^3, 2^11), d = 2^m, m = ceil(n/2) (the measured crossover, see
-  ``_PAULI_MIN_ENTRIES``), and 2^m·Σ|a|·Σ|b| < 2^63.  Each factor goes to
-  its Jordan-Wigner image, a d x d Gaussian-integer matrix in which blade
-  A is i^c X^x Z^z (Jordan & Wigner 1928); the images multiply in int64
-  and each coefficient comes back as tr(Γ_A^† P) / d.  The images are
-  faithful and trace-orthogonal, tr(Γ_A^† Γ_B) = d δ_AB (distinct blades
-  have distinct Pauli strings; Lounesto, *Clifford Algebras and Spinors*,
-  ch. 16-17), so the division is exact, and a remainder raises.
-* gather, when the factors have at least max(2^n, 32) blade pairs and
-  max|a|·max|b|·min(terms) < 2^63: 2^n XOR-indexed entries per term of
-  the shorter factor, one int64 matmul.  A blade times a dense element
-  (omega conjugation) is a one-row gather.
-* the pair loop on :func:`blade_product` otherwise, as for every other
-  coefficient type.
+* Pauli, for int factors of at least two terms each with at least
+  max(d^3/128, 2^6) blade pairs, d = 2^m, m = ceil(n/2) (the measured
+  crossover, see ``_PAULI_MIN_PAIRS``), and 2^m·Σ|a|·Σ|b| < 2^63.  Each
+  factor goes to its Jordan-Wigner image, a d x d Gaussian-integer matrix
+  in which blade A is i^c X^x Z^z (Jordan & Wigner 1928); the images
+  multiply in int64 and each coefficient comes back as tr(Γ_A^† P) / d.
+  The images are faithful and trace-orthogonal, tr(Γ_A^† Γ_B) = d δ_AB
+  (distinct blades have distinct Pauli strings; Lounesto, *Clifford
+  Algebras and Spinors*, ch. 16-17), so the division is exact, and a
+  remainder raises.
+* the pair loop on :func:`blade_product` otherwise, for every coefficient
+  type.  A single blade times a multivector (omega conjugation) is one
+  row: it reads one sign mask and relabels the other factor's terms, with
+  the values and types of the loop.
 
 A product whose coefficients are all ``Fraction`` runs on ints: each
 factor is scaled by the lcm of its own denominators, the int product
@@ -36,14 +34,15 @@ blade is divided once by the two scales.  ``Fraction`` is canonical, so
 values and types match the per-pair ``Fraction`` loop.
 
 Blade signs have two forms: :func:`blade_product` for one pair (the
-reference) and :func:`blade_signs` for numpy arrays of masks.  The array
-form is the closed-form bitmap-blade reordering sign (Dorst, Fontijne &
-Mann, *Geometric Algebra for Computer Science*, ch. 19): e_a e_b =
-(-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade.  A 64 KB parity
-table, built on first use, serves array parities; no 4^n sign table is
-built, so the dense product serves every n.  numpy is imported inside
-functions only, so the classification paths that import this module do
-not load it.
+reference) and the closed-form bitmap-blade reordering sign (Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19),
+e_a e_b = (-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade
+(:func:`_sign_masks`), which the one-row loop reads on ints and
+:func:`blade_signs` on numpy arrays of masks.  A 64 KB parity table, built
+on first use, serves array parities; no 4^n sign table is built, so every
+route serves every n.  numpy is imported inside functions only, so the
+classification paths that import this module, and products below the
+Pauli floor, do not load it.
 """
 
 from __future__ import annotations
@@ -58,35 +57,24 @@ from numbers import Number
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
-# Gathered entries per row block of the gather product.  Timed on int
-# products (2 vCPUs, 2 MB L2, Python 3.11, numpy 2.4) at n = 6..12 in three
-# interleaved runs, against 2^14: 2^13 took 0.9-1.2x as long, 2^15 0.93-1.7x
-# (its block temporaries, about 800 KB, do not always stay in L2) and 2^16
-# up to 2x.
-_GATHER_ENTRIES = 1 << 14
-# Pair-loop time / gather time on the same host, by pairs at n = 2..7:
-# 0.42-0.97x at 16, 0.61-1.21x at 32, 1.5-2.9x at 64, 2.4-3.5x at 128.
-# No gate on sparsity is needed: 2^n pairs take a longer factor of at least
-# 2^(n/2) terms, a density of 1/256 or more at n <= 16.  By that density at
-# n = 15, 16 (balanced int factors, both paths forced, nine runs each):
-# 1.8-3.2x at 1/128, 1.4-2.45x at 1/181, 0.84-1.62x at 1/256, then
-# 0.65-1.0x at 1/362, 0.47-0.71x at 1/512 and 0.23-0.37x at 1/1024, which
-# the pair floor never admits.  Products of a few dozen terms a factor (the
-# mv-sparse benchmark's) fail the floor and take the pair loop.
-_GATHER_MIN_PAIRS = 32
-# The Pauli route's int64 matmuls cost about 10·d^3 multiply-adds for
-# d = 2^ceil(n/2), the gather rows·2^n entries.  Gather time / Pauli time on
-# the same host, both routes forced, dense longer factor, by rows (terms of
-# the shorter factor): n = 5: 0.95x at 32 (every blade); n = 6: 1.04x at 16,
-# 1.05x at 32, 1.28x at 64; n = 8: 0.79x at 16, 1.00x at 32, 2.06x at 48,
-# 5.7x at 256; n = 7, 9, 11: 1.02x at 64, 2.15x at 128, 1.97x at 256;
-# n = 10: 1.15x at 32, 1.60x at 64; n = 12: 0.78x at 48, 1.20x at 64, 1.63x
-# at 128; n = 13: 0.70x at 384, 1.04x at 512; n = 14: 1.22x at 256; n = 15:
-# 0.31x at 256, 1.00x at 512; n = 16: 0.92x at 384, 1.36x at 512.  So the
-# Pauli route takes products with rows·2^n >= max(2·d^3, 2^11): 32 rows at
-# n = 6 and 8, 64 at n = 7 and 10, 128 at n = 9 and 12, 512 at n = 16, and
-# never at n <= 5, where about 45 us of numpy calls lose to the gather.
-_PAULI_MIN_ENTRIES = 1 << 11
+# The pair loop takes one blade_product per blade pair; the Pauli route's
+# int64 matmuls cost about d^3/128 of those for d = 2^ceil(n/2), and its
+# numpy calls (30-130 us) about 2^6.  Pair-loop time / Pauli time on int
+# factors, both routes forced, both orders (2 vCPUs, Python 3.11, numpy
+# 2.4, best of 2-7 runs), by blade pairs, 4 terms times k: n = 3..6:
+# 0.44-0.63x at 16, 0.90-1.09x at 32, 1.02-1.55x at 48, 1.38-1.88x at 64;
+# n = 7, 8: 0.79-0.84x at 48, 1.00-1.06x at 64, 1.39-1.70x at 96; n = 9,
+# 10: 0.52-0.77x at 96-128, 0.87-1.26x at 192, 1.08-1.54x at 256; n = 11,
+# 12: 0.15-0.22x at 256.  Then 2 rows times every blade: n = 11: 1.35-1.42x
+# (4096 pairs); n = 12: 5.6-6.0x; n = 13: 0.96-1.29x, 1.37-1.69x at 3 rows;
+# n = 14: 1.9-2.1x; n = 15: 0.68-0.71x, 1.08-1.11x at 3 rows, 1.29-1.51x at
+# 4; n = 16: 1.54-1.73x.  So the Pauli route takes products of two factors
+# of at least two terms with at least max(d^3/128, 2^6) blade pairs: times
+# every blade, 2 rows at n = 5..14 and 16, 4 at n = 15 and 4, 8 at n = 3,
+# never at n <= 2.  One row (a signed relabelling, see _pair_product) never
+# takes it, and sparse factors stay on the loop.
+_PAULI_MIN_PAIRS = 1 << 6
+_SIGNS = (1, -1)  # indexed by a pair's sign parity
 
 
 class _Counts(NamedTuple):
@@ -243,52 +231,6 @@ def blade_signs(a, b, sig):
     return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)
 
 
-def _gather_product_fits(sig: Signature, a: dict[int, int], b: dict[int, int]) -> bool:
-    """True when the gather product of int factors is worth it (the pair floor above) and exact in int64."""
-    size = 1 << sig.n
-    if len(a) * len(b) < max(size, _GATHER_MIN_PAIRS):
-        return False
-    return max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 1 << 63
-
-
-def _gather_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Exact int product by XOR-indexed gathers (see ``_gather_product_fits``).
-
-    Every output blade k takes one term from each blade i of the shorter
-    factor, paired with blade i ^ k of the other, so the product is a
-    gather of 2^n columns per row and one integer matmul.  Each row's sign
-    mask (:func:`_sign_masks`, the mirror rule when the rows are the right
-    factor) gives the signs of its whole row, and each sign is folded into
-    the gather: the other factor is held as ``[other, -other]`` and entry
-    ``partner`` is read at ``partner | parity << n``.  Masks and indices
-    are int32: every index is below 2^17, and the ``lshift`` sign masks,
-    which wrap above bit 31, are only read ANDed with a mask below 2^16.
-    Rows go in blocks of about ``_GATHER_ENTRIES`` gathered entries, which
-    keeps the temporaries small (and in cache) at every n.
-    """
-    import numpy as np
-
-    n = sig.n
-    left = len(a) <= len(b)
-    rows, other = (a, b) if left else (b, a)
-    row_masks = np.fromiter(rows, np.int32, len(rows))
-    row_coeffs = np.fromiter(rows.values(), np.int64, len(rows))
-    sign_masks = _sign_masks(row_masks, sig.p, operator.rshift if left else operator.lshift)
-    blades = np.arange(1 << n, dtype=np.int32)
-    signed = np.zeros(2 << n, np.int64)
-    signed[np.fromiter(other, np.int32, len(other))] = np.fromiter(other.values(), np.int64, len(other))
-    signed[1 << n :] = -signed[: 1 << n]
-    out = np.zeros(1 << n, np.int64)
-    step = max(1, _GATHER_ENTRIES >> n)
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
-        partner = row_masks[block, None] ^ blades
-        index = partner | np.left_shift(_parity(partner & sign_masks[block, None]), n, dtype=np.int32)
-        out += row_coeffs[block] @ signed.take(index)
-    nonzero = np.flatnonzero(out)
-    return dict(zip(nonzero.tolist(), out[nonzero].tolist()))
-
-
 @cache
 def _pauli_images(sig: Signature):
     """Jordan-Wigner images Γ_A = i^c X^x Z^z of every blade A of ``sig``, read-only.
@@ -336,18 +278,6 @@ def _pauli_frame(m: int):
     return hadamard, shuffle, block
 
 
-def _pauli_product_fits(sig: Signature, a: dict[int, int], b: dict[int, int]) -> bool:
-    """True when the Pauli product of int factors is worth it (the crossover at ``_PAULI_MIN_ENTRIES``) and exact in int64.
-
-    An image entry's real and imaginary parts are at most Σ|a| together,
-    so every partial sum of the product's entries is at most Σ|a|·Σ|b|,
-    and each trace is a signed sum of 2^m of them.
-    """
-    if min(len(a), len(b)) << sig.n < max(2 << 3 * ((sig.n + 1) // 2), _PAULI_MIN_ENTRIES):
-        return False
-    return sum(map(abs, a.values())) * sum(map(abs, b.values())) << (sig.n + 1) // 2 < 1 << 63
-
-
 def _pauli_diagonals(sig: Signature, terms: dict[int, int]):
     """The image of an int multivector in Z-diagonal coordinates: (real, imaginary) planes of 4^m int64.
 
@@ -385,7 +315,7 @@ def _from_pauli(sig: Signature, image) -> dict[int, int]:
 
 
 def _pauli_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Exact int product through the Jordan-Wigner images (see ``_pauli_product_fits``).
+    """Exact int product through the Jordan-Wigner images (see ``_int_route``).
 
     The Gaussian-integer image of ``a`` is laid out as the real block
     [[re, -im], [im, re]], so one int64 matmul with [re; im] of ``b``
@@ -401,12 +331,48 @@ def _pauli_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict
 
 
 def _int_route(sig: Signature, a: dict[int, int], b: dict[int, int]):
-    """The exact product of int factors to run: Pauli, gather, or None for the pair loop."""
-    if _pauli_product_fits(sig, a, b):
-        return _pauli_product
-    if _gather_product_fits(sig, a, b):
-        return _gather_product
-    return None
+    """The exact product of int factors to run: Pauli when it is worth it (the
+    floor at ``_PAULI_MIN_PAIRS``) and exact in int64, else None for the pair loop.
+
+    An image entry's real and imaginary parts are at most Σ|a| together,
+    so every partial sum of the product's entries is at most Σ|a|·Σ|b|,
+    and each trace is a signed sum of 2^m of them.
+    """
+    m = (sig.n + 1) // 2
+    if min(len(a), len(b)) < 2 or len(a) * len(b) < max(1 << 3 * m >> 7, _PAULI_MIN_PAIRS):
+        return None
+    if sum(map(abs, a.values())) * sum(map(abs, b.values())) << m >= 1 << 63:
+        return None
+    return _pauli_product
+
+
+def _pair_product(sig: Signature, a: dict, b: dict) -> dict:
+    """The product of two term dicts of any coefficient type, one blade pair at a time, zero sums dropped.
+
+    Each pair takes one :func:`blade_product` and adds ``sign * ca * cb``
+    to its output blade, the left factor the outer loop.  A single blade
+    times a multivector (one row, as in omega conjugation) relabels the
+    other factor's terms: the row's sign mask (:func:`_sign_masks`, the
+    mirror rule when the row is the right factor) gives each pair's sign
+    as one AND and one parity, and each output blade takes its one term as
+    ``0 + sign * ca * cb``, in the other factor's order, as in the pair
+    loop, whose sums start from the int 0 (0 + (-0.0+1j) is 1j).
+    """
+    if len(a) == 1:
+        ((ma, ca),) = a.items()
+        rule = _sign_masks(ma, sig.p)
+        terms = {ma ^ mb: 0 + _SIGNS[(mb & rule).bit_count() & 1] * ca * cb for mb, cb in b.items()}
+    elif len(b) == 1:
+        ((mb, cb),) = b.items()
+        rule = _sign_masks(mb, sig.p, operator.lshift)
+        terms = {ma ^ mb: 0 + _SIGNS[(ma & rule).bit_count() & 1] * ca * cb for ma, ca in a.items()}
+    else:
+        terms = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                sign, mask = blade_product(ma, mb, sig)
+                terms[mask] = terms.get(mask, 0) + sign * ca * cb
+    return {m: c for m, c in terms.items() if c != 0}
 
 
 def _integer_form(terms: dict) -> tuple[dict[int, int], int]:
@@ -433,11 +399,21 @@ class Multivector:
     def __init__(self, sig, terms: Mapping[int, Number] | None = None):
         self.sig = as_signature(sig)
         terms = terms or {}
+        if not set(map(type, terms)) <= {int}:
+            terms = {as_count(m, "blade mask"): c for m, c in terms.items()}
         if terms:
             low, high = min(terms), max(terms)
             if low < 0 or high >> self.sig.n:
                 raise ValueError(f"blade {low if low < 0 else high:#x} invalid for {self.sig}")
         self.terms: dict[int, Number] = {m: c for m, c in terms.items() if c != 0}
+
+    @classmethod
+    def _valid(cls, sig: Signature, terms: dict[int, Number]) -> "Multivector":
+        """An element whose int masks lie in ``sig`` and whose coefficients are nonzero, unchecked:
+        the result of an operation on valid elements (the masks were checked when its inputs were built)."""
+        x = object.__new__(cls)
+        x.sig, x.terms = sig, terms
+        return x
 
     # -- constructors -------------------------------------------------
 
@@ -497,7 +473,7 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        return Multivector(self.sig, {m: -c for m, c in self.terms.items()})
+        return Multivector._valid(self.sig, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -509,18 +485,11 @@ class Multivector:
             if scaled:
                 (a, den_a), (b, den_b) = _integer_form(a), _integer_form(b)
             route = _int_route(self.sig, a, b) if scaled or types == {int} else None
-            if route:
-                terms = route(self.sig, a, b)
-            else:
-                terms = {}
-                for ma, ca in a.items():
-                    for mb, cb in b.items():
-                        sign, mask = blade_product(ma, mb, self.sig)
-                        terms[mask] = terms.get(mask, 0) + sign * ca * cb
+            terms = (route or _pair_product)(self.sig, a, b)
             if scaled:
                 den = den_a * den_b
-                terms = {m: Fraction(v, den) for m, v in terms.items() if v}
-            return Multivector(self.sig, terms)
+                terms = {m: Fraction(v, den) for m, v in terms.items()}
+            return Multivector._valid(self.sig, terms)
         if isinstance(other, Number):
             return Multivector(self.sig, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
@@ -546,7 +515,7 @@ class Multivector:
         return {grade(m) for m in self.terms}
 
     def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.sig, {m: c for m, c in self.terms.items() if grade(m) == k})
+        return Multivector._valid(self.sig, {m: c for m, c in self.terms.items() if grade(m) == k})
 
     def z2_degree(self) -> int | None:
         """0 for even, 1 for odd, None if mixed.  The zero element is even."""
@@ -562,7 +531,7 @@ class Multivector:
 
     def _negate_grades(self, flips: tuple[int, int, int, int]) -> "Multivector":
         """Negate each grade-k part for which ``flips[k % 4]`` is set."""
-        return Multivector(self.sig, {m: -c if flips[grade(m) & 3] else c for m, c in self.terms.items()})
+        return Multivector._valid(self.sig, {m: -c if flips[grade(m) & 3] else c for m, c in self.terms.items()})
 
     def grade_involution(self) -> "Multivector":
         """Sign (-1)^k on each grade-k part."""

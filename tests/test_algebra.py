@@ -3,8 +3,14 @@
 import ast
 import contextlib
 import inspect
+import math
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,6 +39,8 @@ from cliffrep.algebra import (
 )
 from cliffrep.checks import brute_force_commutant
 from cliffrep.classify import classify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def slow_blade_product(a_mask, b_mask, sig):
@@ -239,7 +247,7 @@ class TestSignRule:
 
 
 def reference_product(x, y):
-    """The pair loop on :func:`blade_product` alone: the oracle of the gather path."""
+    """The pair loop on :func:`blade_product` alone: the oracle of both routes."""
     terms = {}
     for ma, ca in x.terms.items():
         for mb, cb in y.terms.items():
@@ -249,45 +257,49 @@ def reference_product(x, y):
 
 
 def assert_same_product(x, y):
+    """``x * y`` equals the reference in value, type and repr: float and complex bits, signed zeros included."""
     got = (x * y).terms
     want = reference_product(x, y)
     assert got == want
-    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
+    assert {m: (type(c), repr(c)) for m, c in got.items()} == {m: (type(c), repr(c)) for m, c in want.items()}
 
 
 @contextlib.contextmanager
 def spy_routes():
-    """Spies on the two exact int routes: the yielded list gets "gather" or
-    "pauli" for each product that takes one; the pair loop adds nothing."""
+    """Spies on the two product routes: the yielded list gets "pauli" or
+    "loop" for each product, in order."""
     routes = []
 
-    def spy(route):
-        honest = getattr(algebra, f"_{route}_product")
+    def spy(name, route):
+        honest = getattr(algebra, name)
 
         def wrapper(*args):
             routes.append(route)
             return honest(*args)
 
-        return mock.patch.object(algebra, f"_{route}_product", wrapper)
+        return mock.patch.object(algebra, name, wrapper)
 
-    with spy("gather"), spy("pauli"):
+    with spy("_pauli_product", "pauli"), spy("_pair_product", "loop"):
         yield routes
 
 
+def pauli_pairs(n):
+    """Fewest blade pairs that take the Pauli route at n generators:
+    max(d^3/128, 2^6) with d = 2^ceil(n/2)."""
+    return max(8 ** ((n + 1) // 2) // 128, 64)
+
+
 def pauli_rows(n):
-    """Fewest terms of the shorter factor that take the Pauli route at n
-    generators: rows·2^n >= max(2·d^3, 2^11) with d = 2^ceil(n/2)."""
-    return max(2 << 3 * ((n + 1) // 2), 1 << 11) >> n
+    """Fewest terms that, times every blade, take the Pauli route at n generators (one row never does)."""
+    return max(2, -(-pauli_pairs(n) >> n))
 
 
 def documented_route(x, y):
     """The route the algebra module documents for a product of int factors."""
     a, b, n = x.terms, y.terms, x.sig.n
-    if min(len(a), len(b)) >= pauli_rows(n):
+    if min(len(a), len(b)) >= 2 and len(a) * len(b) >= pauli_pairs(n):
         if sum(map(abs, a.values())) * sum(map(abs, b.values())) * 2 ** ((n + 1) // 2) < 2**63:
             return "pauli"
-    if len(a) * len(b) >= max(1 << n, 32) and max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) < 2**63:
-        return "gather"
     return "loop"
 
 
@@ -295,17 +307,25 @@ def int_terms(rng, size, count, bound=9):
     return {m: rng.choice([-1, 1]) * rng.randint(1, bound) for m in rng.sample(range(size), count)}
 
 
+def draw_lengths(draw, n, low, high):
+    """Term counts, at least two each, of two factors at n >= 1 generators with
+    low to high blade pairs between them (at least that many)."""
+    size = 1 << n
+    high = min(high, size * size)
+    pairs = draw(st.integers(min(max(low, 4), high), high))
+    len_a = draw(st.integers(max(2, -(-pairs // size)), min(size, pairs // 2)))
+    return len_a, max(2, -(-pairs // len_a))
+
+
 @st.composite
-def dense_int_pairs(draw):
-    """Int multivectors with enough blade pairs for the gather path, at most about 4 times that."""
-    n = draw(st.integers(3, 12))  # n <= 2 never has 32 pairs
+def int_pairs_near_the_pauli_floor(draw):
+    """Int multivectors at n = 3..12 with a quarter to four times the Pauli
+    floor's blade pairs (at most every pair), so both routes are drawn."""
+    n = draw(st.integers(3, 12))
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
     size = 1 << n
-    need = max(size, algebra._GATHER_MIN_PAIRS)
-    len_a = draw(st.integers(-(-need // size), size))
-    low = -(-need // len_a)
-    len_b = draw(st.integers(low, min(size, max(low, 4 * need // len_a))))
+    len_a, len_b = draw_lengths(draw, n, pauli_pairs(n) // 4, 4 * pauli_pairs(n))
     bound = draw(st.sampled_from([2, 9, 1 << 26]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return Multivector(sig, int_terms(rng, size, len_a, bound)), Multivector(sig, int_terms(rng, size, len_b, bound))
@@ -313,14 +333,12 @@ def dense_int_pairs(draw):
 
 @st.composite
 def pauli_int_pairs(draw):
-    """Int multivectors at n = 6..12 whose shorter factor reaches the Pauli
-    crossover, each at most twice that; coefficients up to 2^26 can pass
-    the Pauli int64 bound, which sends them to the gather."""
+    """Int multivectors at n = 6..12 with one to two times the Pauli floor's
+    blade pairs; coefficients up to 2^26 can pass the Pauli int64 bound,
+    which sends them to the loop."""
     n = draw(st.integers(6, 12))
     p = draw(st.integers(0, n))
-    rows = pauli_rows(n)
-    len_a = draw(st.integers(rows, min(1 << n, 2 * rows)))
-    len_b = draw(st.integers(rows, min(1 << n, 2 * rows)))
+    len_a, len_b = draw_lengths(draw, n, pauli_pairs(n), 2 * pauli_pairs(n))
     bound = draw(st.sampled_from([1, 9, 1 << 20, 1 << 26]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     size = 1 << n
@@ -336,32 +354,27 @@ class HalfStep(Fraction):
 
 @st.composite
 def fraction_pairs(draw):
-    """All-Fraction multivectors and the path their product takes.
+    """All-Fraction multivectors and the route their product takes.
 
-    ``loop``: fewer blade pairs than the gather floor, n = 0..16, each
-    denominator drawn up to 10^4.  ``gather``: factors with at least 2^n
-    blade pairs at n = 3..16, each over one
-    denominator D <= 10^4, so its common denominator divides D and its
-    scaled numerators stay below 10^4; from the Pauli crossover on, the
-    Pauli route serves them.  ``overflow``: dense factors at n = 3..10
-    (the int pair loop is slow above) with one numerator D * 2^40 + 1
-    each, coprime to D, so the scaled factors fail both int64 bounds and
-    the int pair loop serves them.
+    ``loop``: at most 5 and 12 terms, so below the Pauli floor of 2^6
+    pairs, n = 0..16, each denominator drawn up to 10^4.  ``pauli``: one to two times
+    the floor's blade pairs at n = 5..12, each factor over one denominator
+    D <= 10^4, so its common denominator divides D and its scaled
+    numerators stay below 10^4, within the Pauli int64 bound.
+    ``overflow``: the same at n = 5..10 with one numerator D * 2^40 + 1 a
+    factor, coprime to D, so the scaled factors fail the Pauli int64 bound
+    and the int pair loop serves them.
     """
-    path = draw(st.sampled_from(["loop", "gather", "overflow"]))
-    n = draw(st.integers(*{"loop": (0, 16), "gather": (3, 16), "overflow": (3, 10)}[path]))
+    path = draw(st.sampled_from(["loop", "pauli", "overflow"]))
+    n = draw(st.integers(*{"loop": (0, 16), "pauli": (5, 12), "overflow": (5, 10)}[path]))
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
     size = 1 << n
-    need = max(size, algebra._GATHER_MIN_PAIRS)
     rng = random.Random(draw(st.integers(0, 2**32)))
     if path == "loop":
-        len_a = draw(st.integers(1, min(size, 12)))
-        len_b = draw(st.integers(1, max(1, min(size, 12, (need - 1) // len_a))))
+        len_a, len_b = draw(st.integers(1, min(size, 5))), draw(st.integers(1, min(size, 12)))
     else:
-        len_a = draw(st.integers(-(-need // size), size))
-        low = -(-need // len_a)
-        len_b = draw(st.integers(low, min(size, max(low, 2 * need // len_a))))
+        len_a, len_b = draw_lengths(draw, n, pauli_pairs(n), 2 * pauli_pairs(n))
 
     def terms(count):
         masks = rng.sample(range(size), count)
@@ -374,19 +387,23 @@ def fraction_pairs(draw):
         return out
 
     x, y = Multivector(sig, terms(len_a)), Multivector(sig, terms(len_b))
-    return (x, y) if draw(st.booleans()) else (y, x), path
+    return (x, y) if draw(st.booleans()) else (y, x), path.replace("overflow", "loop")
 
 
-class TestGatherProduct:
+def signed_zero_complex(rng):
+    """A nonzero complex with parts drawn from signed zeros and small floats."""
+    parts = [0.0, -0.0, 0.5, -1.25, 3.0, rng.uniform(-2, 2)]
+    return complex(rng.choice(parts), rng.choice(parts)) or complex(1.0, -0.0)
+
+
+class TestProductRoutes:
     @settings(max_examples=40, deadline=None)
     @given(fraction_pairs())
     def test_fraction_product_is_exact(self, case):
-        (x, y), path = case
+        (x, y), route = case
         with spy_routes() as routes:
             assert_same_product(x, y)
-        if path == "gather" and min(len(x.terms), len(y.terms)) >= pauli_rows(x.sig.n):
-            path = "pauli"
-        assert (routes or ["loop"]) == [path.replace("overflow", "loop")]
+        assert routes == [route]
 
     @pytest.mark.parametrize(
         "coeff",
@@ -397,18 +414,37 @@ class TestGatherProduct:
         sig = Signature(6, 8)
         low_grade = [m for m in range(1 << sig.n) if 1 <= grade(m) <= 3]
         x, y = (Multivector(sig, {m: coeff(m) for m in random.Random(seed).sample(low_grade, 28)}) for seed in (1, 2))
-        with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as spy:
+        with spy_routes() as routes, mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as spy:
             x * y
-        assert spy.call_count == len(x.terms) * len(y.terms) == 28 * 28
+        assert spy.call_count == len(x.terms) * len(y.terms) == 28 * 28 and routes == ["loop"]
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [lambda m: m % 5 - 2 or 3, lambda m: Fraction(m % 7 - 3 or 5, m % 9 + 1)],
+        ids=["int", "fraction"],
+    )
+    def test_one_row_takes_one_sign_mask(self, coeff):
+        """A single blade times 20 terms reads one sign mask, by the mirror rule
+        when it is the right factor, and makes no blade_product call."""
+        sig = Signature(6, 8)
+        low_grade = [m for m in range(1 << sig.n) if 1 <= grade(m) <= 3]
+        x = Multivector(sig, {m: coeff(m) for m in random.Random(2).sample(low_grade, 20)})
+        row = Multivector.from_mask(sig, 0b10_0110_1000_1011, coeff(5))
+        for left, right, shift in ((row, x, ()), (x, row, (operator.lshift,))):
+            with spy_routes() as routes, mock.patch.object(algebra, "_sign_masks", wraps=algebra._sign_masks) as masks:
+                with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as pairs:
+                    left * right
+            assert masks.call_args_list == [mock.call(0b10_0110_1000_1011, sig.p, *shift)]
+            assert pairs.call_count == 0 and routes == ["loop"]
+            assert_same_product(left, right)
 
     @settings(max_examples=60, deadline=None)
-    @given(dense_int_pairs())
-    def test_gather_path_matches_reference(self, pair):
+    @given(int_pairs_near_the_pauli_floor())
+    def test_int_product_matches_reference(self, pair):
         x, y = pair
         with spy_routes() as routes:
             assert_same_product(x, y)
-        route = documented_route(x, y)
-        assert route != "loop" and routes == [route]
+        assert routes == [documented_route(x, y)]
 
     @settings(max_examples=25, deadline=None)
     @given(pauli_int_pairs())
@@ -418,23 +454,64 @@ class TestGatherProduct:
             assert_same_product(x, y)
         assert routes == [documented_route(x, y)]
 
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    @pytest.mark.parametrize("n", [0, 3, 6, 8])
+    def test_float_and_complex_products_match_reference(self, kind, n):
+        """Floats and complexes keep the reference's arithmetic and summation
+        order, one row and several, left and right of a dense factor, bit for
+        bit: a complex part that cancels to zero comes out +0.0."""
+        rng = random.Random(f"{kind}/{n}")
+        sig = Signature(n // 2, n - n // 2)
+        draw = (lambda: rng.uniform(-3, 3)) if kind == "float" else (lambda: signed_zero_complex(rng))
+        dense = Multivector(sig, {m: draw() for m in range(1 << n)})
+        one = Multivector(sig, {rng.randrange(1 << n): draw()})
+        rows = Multivector(sig, {m: draw() for m in rng.sample(range(1 << n), min(1 << n, 5))})
+        with spy_routes() as routes:
+            for x, y in ((one, dense), (dense, one), (rows, dense), (dense, rows), (dense, dense)):
+                assert_same_product(x, y)
+        assert routes == ["loop"] * 5
+
+    def test_complex_products_keep_the_int_sign_factor(self):
+        """The sign multiplies as an int, as in the reference: -1 * complex(inf, 1)
+        is (-inf+nanj) where negation gives (-inf-1j), and a zero part comes
+        out +0.0, since each sum starts from the int 0; one row or several."""
+        sig = Signature(0, 2)
+        x = Multivector(sig, {0b01: complex(math.inf, 1), 0b10: complex(-0.0, 2)})
+        y = Multivector(sig, {0b01: complex(1, -0.0), 0b10: complex(0.0, -1)})
+        x1, y1 = Multivector(sig, {0b01: x.terms[0b01]}), Multivector(sig, {0b01: y.terms[0b01]})
+        for a, b in ((x, y), (y, x), (x1, y), (x, y1)):
+            assert repr(sorted((a * b).terms.items())) == repr(sorted(reference_product(a, b).items()))
+
     @pytest.mark.parametrize(
         "sig,a,b,route",
         [
-            # exact ints at the int64 bound: 8 * 2^29 * (2^31 - 1) < 2^63 takes the gather path
-            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: (1 << 31) - 1 for m in range(8)}, "gather"),
+            # exact ints up to and past the int64 range: the loop runs on Python ints, the Pauli route within its bound
+            ((3, 0), {m: 1 << 29 for m in range(8)}, {m: (1 << 31) - 1 for m in range(8)}, "loop"),
             ((3, 0), {m: 1 << 29 for m in range(8)}, {m: 1 << 31 for m in range(8)}, "loop"),
-            ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, "gather"),
+            ((2, 1), {m: (1 << 31) + m for m in range(8)}, {m: m - 9 for m in range(8)}, "pauli"),
             ((2, 1), {m: (1 << 62) + m for m in range(8)}, {m: m - 4 for m in range(8)}, "loop"),
+            # products that cancel to zero, z(1 + e)·(1 - e)w with e^2 = 1:
             # (1 + e1)(1 + e2)(1 + e3) * (1 - e3)(1 + e2)(1 + e1) = 0
-            ((3, 0), {m: 1 for m in range(8)}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1}, "gather"),
+            ((3, 0), {m: 1 for m in range(8)}, {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1}, "pauli"),
+            # (1 + e2)(1 + e1) * (1 - e1)(1 + e2) = 0
+            ((2, 0), {0: 1, 1: 1, 2: 1, 3: -1}, {0: 1, 1: -1, 2: 1, 3: -1}, "loop"),
+            # z, w over the blades without e1, z(1 + e1) = z + Σ (-1)^|m| z_m e_{m|1}, (1 - e1)w = w - Σ w_m e_{m|1}
+            *(
+                (
+                    sig,
+                    {m | s: (-1) ** (s * m.bit_count()) * (m % 7 - 3 or 1) for m in range(0, 1 << sum(sig), 2) for s in (0, 1)},
+                    {m | s: (-1) ** s * (m % 5 - 2 or 2) for m in range(0, 1 << sum(sig), 2) for s in (0, 1)},
+                    "pauli",
+                )
+                for sig in ((1, 5), (4, 4))
+            ),
             ((0, 0), {0: 3}, {0: -4}, "loop"),
-            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, "loop"),  # 8 < 32 pairs
-            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, "loop"),  # 16 < 32 pairs
-            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, "gather"),  # 32 pairs
-            ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, "gather"),  # 2^5 = 32 pairs
+            ((2, 1), {m: m + 1 for m in range(2)}, {m: m - 9 for m in range(4)}, "loop"),
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2}, "loop"),
+            ((3, 1), {m: m + 1 for m in range(16)}, {5: 2, 6: -1}, "loop"),
+            ((3, 2), {m: m + 1 for m in range(32)}, {5: 2}, "loop"),
             # all-Fraction factors run on their integer forms, here over the common denominators 3 and 2520
-            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "gather"),
+            ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "pauli"),
             # 1/p over 8 distinct primes: each scaled numerator is the product of the other 7, about 2^70
             ((2, 1), {m: Fraction(1, p) for m, p in enumerate(PRIMES)}, {m: Fraction(m - 4, p) for m, p in enumerate(PRIMES)}, "loop"),
             ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "loop"),
@@ -443,69 +520,90 @@ class TestGatherProduct:
             ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, "loop"),
             ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, "loop"),
             ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, "loop"),
-            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, "gather"),  # the gather path serves every n
-            # sparse factors at n = 15, 16: the 2^n pair floor alone decides, down to a density of 2^(-n/2)
-            ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, "gather"),
-            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, "gather"),
-            ((8, 8), {m * 256: m % 3 + 1 for m in range(256)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, "gather"),
+            ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, "loop"),  # one row never takes the Pauli route
+            # sparse factors at n = 15, 16: below the Pauli floor of 2^24/128 pairs
+            ((8, 8), {m * 512: m % 3 + 1 for m in range(128)}, {m * 128: m % 7 - 3 or 4 for m in range(512)}, "loop"),
+            ((8, 8), {m * 500: m % 3 + 1 for m in range(129)}, {m * 128: m % 7 - 3 or 4 for m in range(511)}, "loop"),
+            ((8, 8), {m * 256: m % 3 + 1 for m in range(256)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, "loop"),
             ((8, 8), {m * 256: m % 3 + 1 for m in range(255)}, {m * 255: m % 7 - 3 or 4 for m in range(256)}, "loop"),
-            ((7, 8), {m * 180: m % 3 + 1 for m in range(182)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, "gather"),
+            ((7, 8), {m * 180: m % 3 + 1 for m in range(182)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, "loop"),
             ((7, 8), {m * 180: m % 3 + 1 for m in range(181)}, {m * 179: m % 7 - 3 or 4 for m in range(181)}, "loop"),
-            # the Pauli crossover, rows·2^n >= max(2·d^3, 2^11), on both sides
-            ((4, 2), {m: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(64)}, "pauli"),
-            ((4, 2), {m: m % 5 - 2 or 3 for m in range(31)}, {m: m % 7 - 3 or 1 for m in range(64)}, "gather"),
-            ((2, 3), {m: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(32)}, "gather"),  # never at n = 5
-            ((3, 4), {m: m % 5 - 2 or 3 for m in range(64)}, {m: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
-            ((3, 4), {m: m % 5 - 2 or 3 for m in range(63)}, {m: m % 7 - 3 or 1 for m in range(128)}, "gather"),
-            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(256)}, "pauli"),
-            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(31)}, {m: m % 7 - 3 or 1 for m in range(256)}, "gather"),
-            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(128)}, {m: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
-            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(127)}, {m: m % 7 - 3 or 1 for m in range(128)}, "gather"),
+            # the Pauli floor, max(d^3/128, 2^6) pairs of factors of two terms or more, on both sides
+            ((4, 2), {m: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(32)}, "pauli"),
+            ((4, 2), {m: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(31)}, "loop"),
+            ((2, 3), {m: m % 5 - 2 or 3 for m in range(32)}, {m: m % 7 - 3 or 1 for m in range(32)}, "pauli"),
+            ((2, 2), {m: m % 5 - 2 or 3 for m in range(16)}, {m: m % 7 - 3 or 1 for m in range(16)}, "pauli"),
+            ((1, 1), {m: m % 5 - 2 or 3 for m in range(4)}, {m: m % 7 - 3 or 1 for m in range(4)}, "loop"),  # never at n <= 2
+            ((3, 4), {m * 5: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(32)}, "pauli"),
+            ((3, 4), {m * 5: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(31)}, "loop"),
+            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(256)}, "pauli"),
+            ((5, 3), {m * 7 % 256: m % 5 - 2 or 3 for m in range(1)}, {m: m % 7 - 3 or 1 for m in range(256)}, "loop"),  # one row
+            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
+            ((2, 7), {m * 3: m % 5 - 2 or 3 for m in range(2)}, {m: m % 7 - 3 or 1 for m in range(127)}, "loop"),
             # the Pauli int64 bound 2^m·Σ|a|·Σ|b| < 2^63, here 8 · 2^30 · Σ|b|: met, exactly reached, exceeded
             ((3, 3), {m: 1 << 25 for m in range(32)}, {m: (1 << 24) - (m == 0) for m in range(64)}, "pauli"),
-            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: 1 << 24 for m in range(64)}, "gather"),
-            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: -(1 << 24) - m for m in range(64)}, "gather"),
+            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: 1 << 24 for m in range(64)}, "loop"),
+            ((3, 3), {m: 1 << 25 for m in range(32)}, {m: -(1 << 24) - m for m in range(64)}, "loop"),
             ((3, 3), {m: 1 << 40 for m in range(32)}, {m: 1 << 24 for m in range(64)}, "loop"),
-            # dense all-Fraction factors: numerators within the bound, then past it (scaled by 2^44) but within the gather's
+            # dense all-Fraction factors: numerators within the bound, then past it (scaled by 2^44)
             ((4, 4), {m: Fraction(m % 9 - 4 or 1, m % 4 + 1) for m in range(256)}, {m: Fraction(3, m % 6 + 2) for m in range(250)}, "pauli"),
-            ((4, 4), {m: Fraction(m % 9 - 4 or 1, 1 << 44 if m == 0 else 1) for m in range(256)}, {m: Fraction(m % 7 - 3 or 1) for m in range(256)}, "gather"),
+            ((4, 4), {m: Fraction(m % 9 - 4 or 1, 1 << 44 if m == 0 else 1) for m in range(256)}, {m: Fraction(m % 7 - 3 or 1) for m in range(256)}, "loop"),
+            # sparse factors at the floor of 2^21/128 pairs at n = 14: 128 x 128 and 128 x 127
+            ((7, 7), {m * 61: m % 5 - 2 or 3 for m in range(128)}, {m * 42: m % 7 - 3 or 1 for m in range(128)}, "pauli"),
+            ((7, 7), {m * 61: m % 5 - 2 or 3 for m in range(128)}, {m * 42: m % 7 - 3 or 1 for m in range(127)}, "loop"),
         ],
         ids=[
-            "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
+            "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n2-cancels-to-zero",
+            "n6-pauli-cancels-to-zero", "n8-pauli-cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
             "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "float", "complex",
             "bool", "np-int64", "mixed-int-fraction", "n12", "n16-density-1/128", "n16-sparser",
             "n16-density-1/256", "n16-below-pair-floor", "n15-density-1/180", "n15-below-pair-floor",
-            "n6-pauli-crossover", "n6-below-pauli-crossover", "n5-every-blade", "n7-pauli-crossover",
-            "n7-below-pauli-crossover", "n8-pauli-crossover", "n8-below-pauli-crossover", "n9-pauli-crossover",
+            "n6-pauli-crossover", "n6-below-pauli-crossover", "n5-every-blade", "n4-every-blade", "n2-every-blade",
+            "n7-pauli-crossover", "n7-below-pauli-crossover", "n8-pauli-crossover", "n8-below-pauli-crossover", "n9-pauli-crossover",
             "n9-below-pauli-crossover", "pauli-int64-bound", "pauli-int64-bound-reached", "pauli-int64-bound-exceeded",
-            "pauli-and-gather-bounds-exceeded", "dense-fraction", "dense-fraction-past-pauli-bound",
+            "pauli-int64-bound-far-exceeded", "dense-fraction", "dense-fraction-past-pauli-bound",
+            "n14-sparse-pauli-crossover", "n14-sparse-below-pauli-crossover",
         ],
     )
     def test_path_selection(self, sig, a, b, route):
         x, y = Multivector(sig, a), Multivector(sig, b)
         with spy_routes() as routes:
             assert_same_product(x, y)
-        assert (routes or ["loop"]) == [route]
+        assert routes == [route]
 
     def test_pauli_crossover_at_every_n(self):
-        """Both sides of the crossover against a dense factor, read off the route chosen (no product runs)."""
-        assert [pauli_rows(n) for n in range(17)] == [2048, 1024, 512, 256, 128, 64, 32, 64, 32, 128, 64, 256, 128, 512, 256, 1024, 512]
+        """Both sides of the floor, read off the route chosen (no product runs):
+        rows times every blade, then sparse factors, at every n; one row never
+        takes the Pauli route, the mv-dense shape (230 x 230 terms at n = 8)
+        always does and the mv-sparse shape (2n x 2n at n = 12..16) never."""
+        assert [pauli_pairs(n) for n in range(17)] == [64] * 9 + [256] * 2 + [2048] * 2 + [16384] * 2 + [131072] * 2
+        assert [pauli_rows(n) for n in range(17)] == [64, 32, 16, 8, 4] + [2] * 10 + [4, 2]
+
+        def pauli(sig, len_a, len_b):
+            a, b = dict.fromkeys(range(len_a), -1), dict.fromkeys(range(len_b), 1)
+            return algebra._int_route(sig, a, b) is algebra._pauli_product
+
         for n in range(17):
             sig = Signature(n // 2, n - n // 2)
-            dense = dict.fromkeys(range(1 << n), 1)
             for rows in (pauli_rows(n) - 1, pauli_rows(n)):
-                short = dict.fromkeys(range(min(rows, 1 << n)), -1)
-                pauli = rows == pauli_rows(n) <= 1 << n
-                for a, b in ((short, dense), (dense, short)):
-                    assert (algebra._int_route(sig, a, b) is algebra._pauli_product) == pauli, (n, rows)
+                rows = min(rows, 1 << n)
+                want = rows >= 2 and rows << n >= pauli_pairs(n)
+                assert pauli(sig, rows, 1 << n) == pauli(sig, 1 << n, rows) == want, (n, rows)
+            assert not pauli(sig, 1, 1 << n)
+            if n >= 6:
+                short = 1 << (n + 1) // 2
+                long = -(-pauli_pairs(n) // short)
+                assert pauli(sig, short, long) and not pauli(sig, short, long - 1), n
+        assert pauli(Signature(4, 4), 230, 230)
+        assert not any(pauli(Signature(n // 2, n - n // 2), 2 * n, 2 * n) for n in range(12, 17))
 
     def test_sparse_product_takes_the_loop(self):
         sig = (4, 4)
         x = Multivector(sig, {1: 2, 6: -1, 0b1000_0000: 3})
-        y = Multivector(sig, {m: m - 5 for m in range(0, 256, 4)})  # 3 * 64 < 256 pairs
+        y = Multivector(sig, {m: m - 5 for m in range(0, 256, 13)})  # 3 * 20 < 64 pairs
         with spy_routes() as routes:
             assert_same_product(x, y)
-        assert routes == []
+        assert routes == ["loop"]
 
     def test_dense_factor_times_single_blade(self):
         sig = (5, 5)
@@ -514,30 +612,47 @@ class TestGatherProduct:
         with spy_routes() as routes:
             assert_same_product(x, y)
             assert_same_product(y, x)
-        assert routes == ["gather", "gather"]
+        assert routes == ["loop", "loop"]
 
-    def test_one_blade_times_every_blade_at_16_generators(self):
-        sig = Signature(8, 8)
-        x = checks._every_blade(sig)
-        blade = Multivector.from_mask(sig, 0b1011_0010_1100_0101, -3)
-        with spy_routes() as routes:
-            assert_same_product(blade, x)
-            assert_same_product(x, blade)
-        assert routes == ["gather", "gather"]
-
+    @pytest.mark.parametrize("rows,route", [(1, "loop"), (2, "pauli"), (8, "pauli")])
     @pytest.mark.parametrize("left", [True, False], ids=["rows-left", "rows-right"])
     @pytest.mark.parametrize("p", [0, 8, 16])
-    def test_several_rows_times_every_blade_at_16_generators(self, p, left):
-        # rows left of the dense factor read the rshift sign masks, rows right of it the lshift ones
+    def test_rows_times_every_blade_at_16_generators(self, p, left, rows, route):
+        """One row stays on the loop (rows left of the dense factor read the
+        rshift sign mask, rows right of it the lshift one); two rows, the
+        floor of 2^24/128 pairs, and more take the Pauli route."""
         sig = Signature(p, 16 - p)
         rng = random.Random(p)
         masks = [0xFFFF, 1 << 15, rng.randrange(1 << 15, 1 << 16), rng.randrange(1 << 15)]
         masks += rng.sample(range(1 << 16), 4)
-        rows = Multivector(sig, {m: rng.choice([-1, 1]) * rng.randint(1, 9) for m in masks})
+        rows = Multivector(sig, {m: rng.choice([-1, 1]) * rng.randint(1, 9) for m in masks[:rows]})
         x = checks._every_blade(sig)
         with spy_routes() as routes:
             assert_same_product(*((rows, x) if left else (x, rows)))
-        assert routes == ["gather"]
+        assert routes == [route]
+
+    def test_product_below_the_pauli_floor_imports_no_numpy(self):
+        """Products on the pair loop, int and Fraction, one row times every
+        blade at n = 16 included, run without loading numpy; the first Pauli
+        product loads it."""
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from cliffrep.algebra import Multivector, involution_via_omega, volume_element\n"
+            "x = Multivector((8, 8), {m: m + 1 for m in range(1 << 16)})\n"
+            "w = volume_element((8, 8))\n"
+            "y = Multivector((6, 6), {m: Fraction(m % 7 - 3 or 1, m % 5 + 1) for m in range(0, 1 << 12, 103)})\n"
+            "assert (w * x * w).terms and (y * y).terms and involution_via_omega(y).terms\n"
+            "print('numpy' in sys.modules)\n"
+            "z = Multivector((4, 4), {m: m % 7 - 3 or 1 for m in range(256)})\n"
+            "assert (z * z).terms\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nTrue\n"
 
 
 class TestPauliProduct:
@@ -557,11 +672,10 @@ class TestPauliProduct:
     @pytest.mark.parametrize("n", range(9, 13))
     def test_sampled_signatures(self, n):
         rng = random.Random(n)
-        rows = pauli_rows(n)
         for p in (n * (n % 2), rng.randint(1, n - 1)):
             sig = Signature(p, n - p)
-            x = Multivector(sig, int_terms(rng, 1 << n, rows))
-            y = Multivector(sig, int_terms(rng, 1 << n, rows + 7))
+            x = Multivector(sig, int_terms(rng, 1 << n, 64))
+            y = Multivector(sig, int_terms(rng, 1 << n, (1 << n) - 7))
             with spy_routes() as routes:
                 assert_same_product(x, y)
                 assert_same_product(y, x)
@@ -628,6 +742,18 @@ class TestMultivectorProduct:
     def test_construction_rejects_masks_outside_the_signature(self, terms, bad):
         with pytest.raises(ValueError, match=f"blade {bad} invalid for Cl\\(1,1\\)"):
             Multivector((1, 1), terms)
+
+    @pytest.mark.parametrize("mask", [np.int64(3), np.uint16(3), True])
+    def test_construction_stores_integer_masks_as_int(self, mask):
+        x = Multivector((2, 0), {mask: 2})
+        assert x.terms == {int(mask): 2} and all(type(m) is int for m in x.terms)
+        assert repr(x) == ("2*e12" if mask == 3 else "2*e1")
+        assert (x * x).terms == reference_product(x, x) and repr(x * x)
+
+    @pytest.mark.parametrize("mask", [3.0, 1.5, "3", None])
+    def test_construction_rejects_non_integer_masks(self, mask):
+        with pytest.raises(ValueError, match="blade mask must be an integer, got"):
+            Multivector((2, 0), {mask: 2, 1: 1})
 
     def test_construction_drops_zero_coefficients(self):
         x = Multivector((1, 1), {0: 0, 1: Fraction(0), 2: 0.0, 3: Fraction(1, 2)})
@@ -761,12 +887,14 @@ class TestOmegaConjugation:
             involution_via_omega(Multivector.blade((3, 0), (1,)))
 
     @pytest.mark.parametrize("sig", [Signature(6, 6), Signature(8, 8)])
-    def test_every_blade_takes_no_pair_loop(self, sig):
-        """omega_square and the omega * omega^-1 check make the only blade_product calls."""
+    def test_every_blade_takes_one_row_loops(self, sig):
+        """omega * omega^-1, omega * x and (omega x) * omega^-1 each take one sign
+        mask; omega_square makes the only blade_product call."""
         x = checks._every_blade(sig)
-        with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as spy:
-            image = involution_via_omega(x)
-        assert spy.call_count == 2
+        with spy_routes() as routes, mock.patch.object(algebra, "_sign_masks", wraps=algebra._sign_masks) as masks:
+            with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as pairs:
+                image = involution_via_omega(x)
+        assert routes == ["loop"] * 3 and masks.call_count == 3 and pairs.call_count == 1
         assert image == x.grade_involution()
 
     @pytest.mark.parametrize("sig", [s for s in signatures_small if s.n % 2 == 0])
