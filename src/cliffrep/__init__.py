@@ -68,7 +68,7 @@ from .repsys import (
     real_period_step,
     tensor_step,
 )
-from .tensor import GradedTensorProduct, graded_tensor, theta_psi_check
+from .tensor import GradedTensorProduct, graded_tensor, theta_psi_check, theta_psi_checks
 
 __version__ = "0.1.0"
 

@@ -38,7 +38,7 @@ from .classify import MatrixShape, RingType, classify, classify_complex, even_su
 from .factorize import factorize, replay_flips, verify_factorization
 from .repsys import ComplexRepLabel, RealRepClass, RealRepLabel
 from .table_data import reference_diff, reference_table
-from .tensor import theta_psi_check
+from .tensor import theta_psi_checks
 
 #: rotation/boost commutator residual bound (GN basis)
 GN_COM_TOL = 1e-10
@@ -137,11 +137,13 @@ def check_omega_conjugation(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_theta_psi(nmax: int, dim_max: int) -> CheckResult:
+    """The verdicts come from one grouped pass; the first failing pair is reported in sweep order."""
     pairs = [(a, b) for a in _signatures(nmax) for b in _signatures(nmax - a.n)]
-    def failure(pair: tuple[Signature, Signature]) -> str | None:
-        a, b = pair
-        return None if theta_psi_check(a, b) else f"({a.p},{a.q}) x ({b.p},{b.q})"
-    return _sweep("graded tensor isomorphism", pairs, failure, f"combined n <= {nmax}")
+    def failure(item: tuple[tuple[Signature, Signature], bool]) -> str | None:
+        (a, b), holds = item
+        return None if holds else f"({a.p},{a.q}) x ({b.p},{b.q})"
+    verdicts = list(zip(pairs, theta_psi_checks(pairs)))
+    return _sweep("graded tensor isomorphism", verdicts, failure, f"combined n <= {nmax}")
 
 
 def check_table(nmax: int, dim_max: int) -> CheckResult:

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from cliffrep import checks, tensor
 from cliffrep.algebra import Multivector, Signature, all_blades, grade
-from cliffrep.tensor import GradedTensorProduct, graded_tensor, theta_psi_check
+from cliffrep.tensor import GradedTensorProduct, graded_tensor, theta_psi_check, theta_psi_checks
 
 
 class TestCombinedAlgebra:
@@ -218,6 +220,111 @@ class TestBladeArrays:
         flipped[3, 1] *= -1
         t.theta_arrays = lambda: (flipped, masks)
         assert not t.mutually_inverse()
+
+
+def assert_rows_match_per_blade_maps(pairs, blades=None):
+    """Every stacked row of ``tensor._batches(pairs)`` against its pair's
+    theta_blade and psi_blade, on every blade or on ``blades(t)`` samples;
+    returns the chunks' index lists."""
+    chunks = []
+    for chunk, (t_signs, t_masks), psi in tensor._batches(pairs):
+        chunks.append(chunk)
+        for row, i in enumerate(chunk):
+            t = GradedTensorProduct(*pairs[i])
+            a_b, combined = blades(t) if blades else (
+                [(ma, mb) for ma in all_blades(t.a_sig) for mb in all_blades(t.b_sig)], all_blades(t.combined)
+            )
+            assert [(int(t_signs[row, ma, mb]), int(t_masks[row, ma, mb])) for ma, mb in a_b] == [
+                t.theta_blade(ma, mb) for ma, mb in a_b
+            ]
+            assert [tuple(int(x[row, m]) for x in psi) for m in combined] == [t.psi_blade(m) for m in combined]
+    return chunks
+
+
+def sampled_blades(t, k=200):
+    rng = random.Random(f"rows{t.a_sig}{t.b_sig}")
+    a_b = [(rng.randrange(1 << t.a_sig.n), rng.randrange(1 << t.b_sig.n)) for _ in range(k)]
+    return a_b, [rng.randrange(1 << t.combined.n) for _ in range(k)]
+
+
+def per_pair_sweep(nmax):
+    """check_theta_psi's ``(passed, detail, covered)`` by one theta_psi_check per pair."""
+    pairs = _pairs(nmax)  # the sweep's order: a over signatures, b over those that fit beside it
+    first = next((f"({a.p},{a.q}) x ({b.p},{b.q})" for a, b in pairs if not theta_psi_check(a, b)), None)
+    return first is None, f"combined n <= {nmax}" if first is None else first, len(pairs)
+
+
+def psi_without_koszul_sign(psi):
+    def wrapped(*args):
+        signs, masks_a, masks_b = psi(*args)
+        return signs * 0 + 1, masks_a, masks_b
+    return wrapped
+
+
+def b_side_shifted_up_one(placements):
+    def wrapped(pa, qa, pb):
+        a_place, (p, shift, start) = placements(pa, qa, pb)
+        return a_place, (p, shift + 1, start)
+    return wrapped
+
+
+def one_theta_sign_flipped_for_21_x_11(theta):
+    """theta with the sign of its last blade pair flipped in Cl(2,1) x Cl(1,1) only."""
+    def wrapped(na, nb, pa, qa, pb):
+        signs, masks = theta(na, nb, pa, qa, pb)
+        corner = np.zeros(signs.shape[-2:], bool)
+        corner[-1, -1] = True
+        hit = (pa == 2) & (qa == 1) & (pb == 1) & (nb == 2) & corner
+        return np.where(hit, -signs, signs), masks
+    return wrapped
+
+
+class TestGroupedChecks:
+    def test_every_row_up_to_eight_generators(self):
+        # the 495 pairs `verify` sweeps at its default nmax, every group one chunk
+        pairs = _pairs(8)
+        chunks = assert_rows_match_per_blade_maps(pairs)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(pairs)))
+        assert len(chunks) == len({(a.n, b.n) for a, b in pairs}) == 45
+
+    def test_sampled_rows_at_sixteen_generators(self):
+        pairs = [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6)), ((5, 3), (2, 6))]
+        pairs = [(Signature(*a), Signature(*b)) for a, b in pairs]
+        chunks = assert_rows_match_per_blade_maps(pairs, sampled_blades)
+        assert sorted(chunks) == [[0], [1], [2], [3], [4]]  # one pair per chunk at n = 16
+
+    def test_group_split_across_chunks(self):
+        # sides of 5 and 6 generators: 42 pairs, 8 to a chunk of 2^14 blades
+        pairs = [(Signature(pa, 5 - pa), Signature(pb, 6 - pb)) for pa in range(6) for pb in range(7)]
+        chunks = assert_rows_match_per_blade_maps(pairs, sampled_blades)
+        assert [len(chunk) for chunk in chunks] == [8, 8, 8, 8, 8, 2]
+        assert theta_psi_checks(pairs) == [theta_psi_check(a, b) for a, b in pairs] == [True] * 42
+
+    def test_empty_and_oversized(self):
+        assert theta_psi_checks([]) == []
+        with pytest.raises(ValueError):
+            theta_psi_checks([((1, 1), (0, 2)), ((5, 4), (4, 4))])
+
+    @pytest.mark.parametrize("nmax", range(11))
+    def test_same_verdict_as_the_per_pair_sweep(self, nmax):
+        got = checks.check_theta_psi(nmax, 0)
+        assert (got.passed, got.detail, got.covered) == per_pair_sweep(nmax) == (
+            True, f"combined n <= {nmax}", len(_pairs(nmax))
+        )
+
+    @pytest.mark.parametrize(
+        "target,fault,first",
+        [
+            ("_psi", psi_without_koszul_sign, "(0,1) x (1,0)"),
+            ("_placements", b_side_shifted_up_one, "(0,0) x (1,0)"),
+            ("_theta", one_theta_sign_flipped_for_21_x_11, "(2,1) x (1,1)"),
+        ],
+        ids=["psi-koszul-sign", "b-placement-shift", "one-pair-theta-sign"],
+    )
+    def test_faults_name_the_per_pair_sweeps_first_pair(self, monkeypatch, target, fault, first):
+        monkeypatch.setattr(tensor, target, fault(getattr(tensor, target)))
+        got = checks.check_theta_psi(8, 0)
+        assert (got.passed, got.detail, got.covered) == per_pair_sweep(8) == (False, first, 495)
 
 
 class TestBladeRange:
