@@ -211,6 +211,13 @@ def _parity(x):
     return _parity_table().take(x)
 
 
+def _kron(a, b):
+    """np.kron of two square numpy matrices as one broadcast product, bit for bit: the
+    one Kronecker product behind the gamma matrices and the Spin+(1,3) operators."""
+    size = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+
+
 def blade_signs(a, b, sig):
     """Signs of ``e_a * e_b`` over broadcastable numpy integer arrays of masks.
 
@@ -440,6 +447,7 @@ class Multivector:
         mask = 0
         last = 0
         for i in indices:
+            metric_sign(sig, i)  # validates the range
             if i <= last:
                 raise ValueError(f"indices must be strictly ascending: {indices!r}")
             last = i

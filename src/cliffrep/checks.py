@@ -5,8 +5,9 @@ generator count of the algebra sweeps and ``dim_max`` the operator size
 of the representation sweeps; a check reads the budget it needs and
 ignores the other.  It returns a :class:`CheckResult` whose ``covered``
 counts the signatures, signature pairs, labels or table entries the
-check sweeps.  The floating-point tolerances are the constants below and
-are defined nowhere else; everything else is exact.
+check sweeps.  The floating-point tolerances are :mod:`cliffrep.lorentz`'s,
+beside the residuals they bound, and are defined nowhere else; everything
+else is exact.
 """
 
 from __future__ import annotations
@@ -36,18 +37,10 @@ from .algebra import (
 )
 from .classify import MatrixShape, RingType, classify, classify_complex, even_subalgebra, tensor_compose
 from .factorize import factorize, replay_flips, verify_factorization
+from .lorentz import GN_COM_TOL, SL25_TOL, SPECTRUM_TOL, VDW_COM_TOL
 from .repsys import ComplexRepLabel, RealRepClass, RealRepLabel
 from .table_data import reference_diff, reference_table
 from .tensor import theta_psi_checks
-
-#: rotation/boost commutator residual bound (GN basis)
-GN_COM_TOL = 1e-10
-#: paired su(2) commutator residual bound (VdW basis)
-VDW_COM_TOL = 1e-12
-#: GN -> VdW operator reconstruction bound against the sl(2,C) basis
-SL25_TOL = 1e-12
-#: absolute bound on the X3 eigenvalues against their exact half-integers
-SPECTRUM_TOL = 1e-8
 
 #: factor lists quoted in the paper; (8,0) is quoted up to order
 KAROUBI_QUOTES = {

@@ -141,6 +141,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # every cell is valid only if the far corner is: check it before building any row
+    as_signature((args.pmax, args.qmax))
     width = 8
     ps, qs = range(args.pmax + 1), range(args.qmax + 1)
     rows = ["p\\q" + "".join(f"{q:>{width}}" for q in qs)]
@@ -251,8 +253,8 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 
 def cmd_rep(args) -> int:
-    from .checks import GN_COM_TOL
     from .lorentz import (
+        GN_COM_TOL,
         GNLabel,
         build_gn_operators,
         build_vdw_operators,
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     basis.add_argument("--gn", nargs=2, type=_fraction, metavar=("L0", "L1"))
     basis.add_argument("--vdw", nargs=2, type=_fraction, metavar=("L", "LDOT"))
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--tol", type=_positive_float)  # default: checks.GN_COM_TOL
+    sp.add_argument("--tol", type=_positive_float)  # default: lorentz.GN_COM_TOL
     sp.set_defaults(func=cmd_rep)
 
     sp = sub.add_parser("chain", help="interlocking representation chain for spin s = N/2")

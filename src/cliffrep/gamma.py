@@ -13,6 +13,7 @@ in the two blocks, which keeps the representation faithful at twice the
 even-truncated dimension.
 
 All seed entries lie in {0, +/-1, +/-i}, so every check below is exact.
+Every Kronecker product is ``algebra._kron``, as in :mod:`cliffrep.lorentz`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import Signature, as_signature
+from .algebra import Signature, _kron, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,10 +71,10 @@ def _even_generator_lists(fact: Factorization) -> tuple[list[np.ndarray], list[n
         pad = np.eye(1 << (remaining // 2), dtype=complex)
         a, b = SEEDS[f]
         for seed, seed_sq in ((a, 1 if f.p >= 1 else -1), (b, -1 if f.q >= 1 else 1)):
-            g = np.kron(np.kron(left, seed), pad)
+            g = _kron(_kron(left, seed), pad)
             (pos if left_sq * seed_sq > 0 else neg).append(g)
         omega = a @ b
-        left = np.kron(left, omega)
+        left = _kron(left, omega)
         if i in fact.flip_steps:  # a definite factor: its volume squares to -1
             left_sq = -left_sq
     return pos, neg
@@ -101,10 +102,10 @@ def build_generators(sig) -> GeneratorSet:
         last_metric = 1
     base = build_generators(trunc)
     eye2 = np.eye(2, dtype=complex)
-    gammas = [np.kron(eye2, g) for g in base.gammas]
+    gammas = [_kron(eye2, g) for g in base.gammas]
     omega = omega_image(base)
     scale = 1 if _square_sign(omega) == last_metric else 1j
-    last = np.kron(_Z, scale * omega)
+    last = _kron(_Z, scale * omega)
     gammas.append(last)
     note = f"two blocks of the {trunc} module, last generator = +/- scaled volume element"
     return GeneratorSet(sig, tuple(gammas), reducible=True, basis_note=note)

@@ -20,24 +20,36 @@ which is the unique scaling under which both triples close into su(2)
 
 Both bases are assembled from one su(2) triple (``su2_ladder``), and every
 ladder triple is read in cartesian form through one map (``cartesian``).
+Every tensor product is ``algebra._kron``, as for the gamma matrices.
 
 All matrices are dense complex numpy arrays over fixed lexicographic
-basis orders, so outputs are deterministic.
+basis orders, so outputs are deterministic.  The ``*_TOL`` constants bound
+the float residuals and are defined nowhere else.
 """
 
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import _kron, as_count
+
 #: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
 #: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).
 MAX_OPERATOR_DIM = 400
+
+#: rotation/boost commutator residual bound (GN basis)
+GN_COM_TOL = 1e-10
+#: paired su(2) commutator residual bound (VdW basis)
+VDW_COM_TOL = 1e-12
+#: GN -> VdW operator reconstruction bound against the sl(2,C) basis
+SL25_TOL = 1e-12
+#: absolute bound on the X3 eigenvalues against their exact half-integers
+SPECTRUM_TOL = 1e-8
 
 
 def as_half_integer(x) -> Fraction:
@@ -273,12 +285,6 @@ def vdw_dim(l, ldot) -> int:
     return (_twice_spin(l) + 1) * (_twice_spin(ldot) + 1)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices as one broadcast product: the same entrywise products, bit for bit."""
-    size = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
-
-
 def build_vdw_operators(l, ldot) -> VdWOperators:
     """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic."""
     l = as_half_integer(l)
@@ -342,11 +348,7 @@ class Spintensor:
     components: np.ndarray
 
     def __post_init__(self):
-        try:
-            natural = operator.index(self.k) >= 0 and operator.index(self.r) >= 0
-        except TypeError:
-            natural = False
-        if not natural:
+        if as_count(self.k, "rank k") < 0 or as_count(self.r, "rank r") < 0:
             raise ValueError(f"rank ({self.k!r}, {self.r!r}) must be two non-negative integers")
         arr = np.asarray(self.components, dtype=complex)
         if arr.size != 1 << (self.k + self.r):
@@ -367,7 +369,7 @@ def spintensor_transform(g: np.ndarray, t: Spintensor) -> Spintensor:
         raise ValueError("transformation must be a 2x2 matrix")
     op = np.eye(1, dtype=complex)
     for _ in range(t.k):
-        op = np.kron(op, g)
+        op = _kron(op, g)
     for _ in range(t.r):
-        op = np.kron(op, g.conj())
+        op = _kron(op, g.conj())
     return Spintensor(t.k, t.r, op @ t.flat)

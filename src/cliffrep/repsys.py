@@ -16,6 +16,7 @@ from numbers import Rational
 
 from .algebra import as_count, as_signature
 from .classify import RING_BY_TYPE
+from .factorize import factorize
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,14 @@ class RealRepLabel:
 
 
 def classify_real_rep(sig) -> RealRepLabel:
-    """Class from (p-q) mod 8 with spin index l0 = r/2, r the factor count.
+    """Class from (p-q) mod 8 with spin index l0 = r/2, r the factor count
+    (``Factorization.spin_index``).
 
     r two-generator factors cover p+q generators for even p+q and
-    p+q-1 for odd (the doubled/complex series), so l0 = (p+q)/4,
-    rounded down to the nearest quarter-integer step.
+    p+q-1 for odd (the doubled/complex series).
     """
     sig = as_signature(sig)
-    cls = _class_of_type((sig.p - sig.q) % 8)
-    gens = sig.n if sig.n % 2 == 0 else sig.n - 1
-    return RealRepLabel(cls, Fraction(gens, 4))
+    return RealRepLabel(_class_of_type((sig.p - sig.q) % 8), factorize(sig).spin_index)
 
 
 #: state of the eight-hour cycle reached after the transition at each hour

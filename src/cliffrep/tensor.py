@@ -26,7 +26,7 @@ One pair (:meth:`GradedTensorProduct.mutually_inverse`,
 
 from __future__ import annotations
 
-from .algebra import Multivector, Signature, _parity, _sign_masks, as_signature, blade_product, grade
+from .algebra import Multivector, Signature, _parity, _sign_masks, as_signature, blade_product, grade, metric_sign
 
 #: most blades, pairs x 2^n, that one chunk of :func:`_batches` stacks.  Swept
 #: from 2^12 to 2^20 (2 vCPUs, Python 3.11, numpy 2.4, medians of 3): the 495
@@ -120,22 +120,17 @@ def _valid_mask(mask: int, sig: Signature) -> int:
     return mask
 
 
-def _pair_counts(a_sig, b_sig) -> tuple[int, int, int, int]:
-    """``(pa, qa, pb, qb)`` of a pair; a combined algebra too large raises ``ValueError``."""
+def _pair(a_sig, b_sig) -> tuple[Signature, Signature, Signature]:
+    """``(a, b, Cl(pa+pb, qa+qb))`` of a pair; a combined algebra too large raises ``ValueError``."""
     a, b = as_signature(a_sig), as_signature(b_sig)
-    Signature(a.p + b.p, a.q + b.q)
-    return a.p, a.q, b.p, b.q
+    return a, b, Signature(a.p + b.p, a.q + b.q)
 
 
 class GradedTensorProduct:
     """The graded tensor product of Cl(a_sig) and Cl(b_sig)."""
 
     def __init__(self, a_sig, b_sig):
-        self.a_sig = as_signature(a_sig)
-        self.b_sig = as_signature(b_sig)
-        self.combined = as_signature(
-            Signature(self.a_sig.p + self.b_sig.p, self.a_sig.q + self.b_sig.q)
-        )
+        self.a_sig, self.b_sig, self.combined = _pair(a_sig, b_sig)
         self._counts = (self.a_sig.p, self.a_sig.q, self.b_sig.p, self.b_sig.q)
         self._a_place, self._b_place = _placements(*self._counts[:3])
 
@@ -149,13 +144,11 @@ class GradedTensorProduct:
     # -- generator index maps (1-based) ---------------------------------
 
     def embed_a_index(self, i: int) -> int:
-        if not 1 <= i <= self.a_sig.n:
-            raise ValueError(f"no generator {i} in {self.a_sig}")
+        metric_sign(self.a_sig, i)  # validates the range
         return _place(1 << (i - 1), *self._a_place).bit_length()
 
     def embed_b_index(self, j: int) -> int:
-        if not 1 <= j <= self.b_sig.n:
-            raise ValueError(f"no generator {j} in {self.b_sig}")
+        metric_sign(self.b_sig, j)  # validates the range
         return _place(1 << (j - 1), *self._b_place).bit_length()
 
     # -- the two homomorphisms ------------------------------------------
@@ -234,7 +227,7 @@ def _batches(pairs):
     """
     import numpy as np
 
-    counts = [_pair_counts(a, b) for a, b in pairs]
+    counts = [(a.p, a.q, b.p, b.q) for a, b, _ in (_pair(*pair) for pair in pairs)]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (pa, qa, pb, qb) in enumerate(counts):
         groups.setdefault((pa + qa, pb + qb), []).append(i)

@@ -33,6 +33,7 @@ from cliffrep.algebra import (
     grade,
     graded_bracket,
     involution_via_omega,
+    metric_sign,
     omega_square,
     omega_square_mod8,
     volume_element,
@@ -88,6 +89,30 @@ def mv_strategy(sig, max_terms=4):
     return st.dictionaries(masks, coeffs, max_size=max_terms).map(
         lambda terms: Multivector(sig, terms)
     )
+
+
+class TestGeneratorIndex:
+    """Every 1-based generator index is checked by metric_sign, with its one message."""
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_out_of_range_index(self, i):
+        sig = Signature(2, 1)
+        builds = [
+            metric_sign,
+            Multivector.generator,
+            lambda sig, i: Multivector.blade(sig, [i]),
+            lambda sig, i: Multivector.blade(sig, (1, i)),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build(sig, i)
+            assert str(err.value) == f"generator index {i} outside 1..3"
+
+    @pytest.mark.parametrize("indices", [[1, 1], [2, 1], [1, 3, 2]])
+    def test_repeated_or_descending_index(self, indices):
+        with pytest.raises(ValueError) as err:
+            Multivector.blade(Signature(2, 1), indices)
+        assert str(err.value) == f"indices must be strictly ascending: {indices}"
 
 
 class TestAsSignature:

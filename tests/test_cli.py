@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from cliffrep.cli import main, matrix_from_json, matrix_to_json
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(args, **kwargs):
+def run_python(args, timeout=120, **kwargs):
     """``python ARGS`` in a fresh interpreter that imports cliffrep from this checkout.
 
     stdout is block-buffered, as in a shell pipeline, unless ARGS hold ``-u``.
@@ -30,7 +31,7 @@ def run_python(args, **kwargs):
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout, **kwargs)
 
 
 def run(argv, capsys):
@@ -76,6 +77,19 @@ class TestTableCommand:
         assert code == 0
         assert "64 entries compared, 0 mismatches" in out
         assert "2H(2)" in out
+
+    def test_far_corner_is_checked_first(self):
+        """A table past 16 generators is a usage error before any row is built, however wide:
+        under a 1 GiB address-space limit and a 10 s timeout, where building the 10^9 header
+        cells first would run out of memory."""
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["-m", "cliffrep.cli", "table", "--qmax", "1000000000"]
+        proc = run_python(argv, capture_output=True, text=True, preexec_fn=limit_memory, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "cliffrep table: error: at most 16 generators are supported\n"
 
 
 class TestClockCommand:
@@ -395,6 +409,26 @@ print("numpy" in sys.modules)
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+
+    @pytest.mark.parametrize(
+        "argv,unimported",
+        [
+            (["rep", "--gn", "0", "1"], ["cliffrep.checks", "cliffrep.gamma"]),
+            (["rep", "--vdw", "1/2", "0"], ["cliffrep.checks", "cliffrep.gamma"]),
+            (["matrep", "-p", "1", "-q", "3"], ["cliffrep.lorentz", "cliffrep.checks"]),
+        ],
+    )
+    def test_matrix_commands_import_what_they_run(self, argv, unimported):
+        code = f"""
+import contextlib, io, sys
+import cliffrep.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cliffrep.cli.main({argv!r}) == 0
+print([m for m in {unimported!r} if m in sys.modules])
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_old_exports_are_the_submodule_objects(self, module):

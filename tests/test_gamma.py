@@ -1,5 +1,6 @@
 """Gamma-matrix synthesis: defining relations, faithfulness, volume image."""
 
+import hashlib
 import re
 from unittest import mock
 
@@ -56,6 +57,16 @@ class TestBuildGenerators:
     def test_size_overflow(self):
         with pytest.raises(ValueError, match="generator synthesis supported up to 12 generators"):
             build_generators((13, 0))
+
+    def test_matrix_bits_unchanged(self):
+        """sha256 of the raw bytes of every gamma matrix for all 91 p+q <= 12, n then p
+        ascending: ``matrep`` emits these bits, signed zeros included."""
+        h = hashlib.sha256()
+        for n in range(13):
+            for p in range(n + 1):
+                for g in build_generators((p, n - p)).gammas:
+                    h.update(g.tobytes())
+        assert h.hexdigest() == "46819fb8dd2ee37f67cc81cdad8832cfd4299a210cabf29c4013c5161b46ead4"
 
 
 class TestAnticommutation:

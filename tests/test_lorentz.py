@@ -469,10 +469,32 @@ class TestSpintensor:
         twice = spintensor_transform(g, spintensor_transform(h, t))
         assert np.abs(once.flat - twice.flat).max() <= 1e-12
 
-    @pytest.mark.parametrize("k,r,size", [(-1, 1, 1), (1, -1, 1), (1.5, 0.5, 4), ("1", 0, 2)])
-    def test_rank_must_be_a_natural_number(self, k, r, size):
-        with pytest.raises(ValueError, match="rank"):
+    def test_transform_bits_unchanged(self):
+        """sha256 of the raw bytes of one fixed g applied to a fixed tensor of every rank k, r <= 3."""
+        g = np.array([[0.6 + 0.8j, -1.3 + 0.1j], [0.7 - 0.2j, 1.1 + 0.4j]])
+        h = hashlib.sha256()
+        for k in range(4):
+            for r in range(4):
+                size = 1 << (k + r)
+                t = Spintensor(k, r, np.arange(size) / 3 + 1j * np.arange(size, 0, -1) / 7)
+                h.update(spintensor_transform(g, t).flat.tobytes())
+        assert h.hexdigest() == "81c40ee22adfbafba849e02c495fbe6b18e24fdcf3023743948bbb4c41885f0d"
+
+    @pytest.mark.parametrize(
+        "k,r,size,message",
+        [
+            (-1, 1, 1, "rank (-1, 1) must be two non-negative integers"),
+            (1, -1, 1, "rank (1, -1) must be two non-negative integers"),
+            (1.5, 0.5, 4, "rank k must be an integer, got 1.5"),
+            (1, 0.5, 4, "rank r must be an integer, got 0.5"),
+            ("1", 0, 2, "rank k must be an integer, got '1'"),
+        ],
+    )
+    def test_rank_must_be_a_natural_number(self, k, r, size, message):
+        """A negative rank fails the range test and a non-integer one algebra.as_count, each with its message."""
+        with pytest.raises(ValueError) as err:
             Spintensor(k, r, np.ones(size))
+        assert str(err.value) == message
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

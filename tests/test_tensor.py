@@ -35,6 +35,14 @@ class TestEmbeddings:
         assert t.embed_b_index(2) == 3
         assert t.embed_b_index(3) == 5      # B negative after A's negatives
 
+    @pytest.mark.parametrize("side,i,n", [("a", 0, 2), ("a", -1, 2), ("a", 3, 2), ("b", 0, 3), ("b", -1, 3), ("b", 4, 3)])
+    def test_index_out_of_range(self, side, i, n):
+        """The generator-index error of metric_sign, for the side's own count n."""
+        t = graded_tensor((1, 1), (2, 1))
+        with pytest.raises(ValueError) as err:
+            getattr(t, f"embed_{side}_index")(i)
+        assert str(err.value) == f"generator index {i} outside 1..{n}"
+
     def test_embedded_generators_anticommute(self):
         # the Koszul sign makes e'_1 and e''_1 anticommute inside Cl(2,0)
         t = graded_tensor((1, 0), (1, 0))
