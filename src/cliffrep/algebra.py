@@ -43,6 +43,20 @@ on first use, serves array parities; no 4^n sign table is built, so every
 route serves every n.  numpy is imported inside functions only, so the
 classification paths that import this module, and products below the
 Pauli floor, do not load it.
+
+The top of this module holds the one rule for each scalar input, and
+every other module calls it, so each input kind fails one way:
+
+* a signature (p, q): :class:`Signature`, through :func:`as_signature`;
+* a count or other integer: :func:`as_count`;
+* a 1-based generator index: :func:`metric_sign`, "generator index 4
+  outside 1..3";
+* a blade mask: ``_require_blades``, "blade 0x4 invalid for Cl(1,1)" or
+  "blade mask must be an integer, got 1.5";
+* a spin of Spin+(1,3): :func:`as_half_integer`, an int or ``Fraction``
+  whose double is an integer.
+
+Each raises ``ValueError`` naming the value.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import chain
-from numbers import Number
+from numbers import Number, Rational
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
@@ -116,10 +130,14 @@ class Signature(_Counts):
 
 
 def as_signature(sig) -> Signature:
-    """Coerce a (p, q) pair to a :class:`Signature`, which validates it."""
+    """Coerce a (p, q) pair to a :class:`Signature`, which validates it; anything
+    that does not unpack to two values is a ``ValueError`` naming it."""
     if isinstance(sig, Signature):
         return sig
-    p, q = sig
+    try:
+        p, q = sig
+    except (TypeError, ValueError):
+        raise ValueError(f"a signature must be a (p, q) pair, got {sig!r}") from None
     return Signature(p, q)
 
 
@@ -131,14 +149,24 @@ def as_count(x, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
+def as_half_integer(x) -> Fraction:
+    """``x`` as a ``Fraction``: an int or ``Fraction`` (any ``numbers.Rational``) whose double is an integer."""
+    if not isinstance(x, Rational):
+        raise ValueError(f"expected a half-integer int or Fraction, got {x!r}")
+    if (2 * (f := Fraction(x))).denominator != 1:
+        raise ValueError(f"{f} is not a half-integer")
+    return f
+
+
 def grade(mask: int) -> int:
     """Number of generators in a blade."""
     return mask.bit_count()
 
 
 def metric_sign(sig, i: int) -> int:
-    """Square of the generator e_i (1-based index)."""
+    """Square of the generator e_i (1-based index): the check of every generator index."""
     sig = as_signature(sig)
+    i = as_count(i, "generator index")
     if not 1 <= i <= sig.n:
         raise ValueError(f"generator index {i} outside 1..{sig.n}")
     return 1 if i <= sig.p else -1
@@ -147,6 +175,19 @@ def metric_sign(sig, i: int) -> int:
 def all_blades(sig) -> range:
     """All blade masks of Cl(p,q), ascending."""
     return range(1 << as_signature(sig).n)
+
+
+def _require_blades(sig: Signature, a, b) -> None:
+    """Every blade-mask check: ``a`` and ``b`` (one mask twice, a pair, or the least and greatest
+    of many) are integers with 0 <= m < 2^n, else a ``ValueError`` names the least if it is negative,
+    else the greatest.  It calls no public (traced) function: ``blade_product`` runs it per pair."""
+    try:
+        if a >= 0 and b >= 0 and not (a | b) >> sig.n:
+            return
+        bad = min(a, b) if min(operator.index(a), operator.index(b)) < 0 else max(a, b)
+    except TypeError:
+        raise ValueError(f"blade mask must be an integer, got {b if hasattr(a, '__index__') else a!r}") from None
+    raise ValueError(f"blade {bad:#x} invalid for {sig}")
 
 
 def blade_product(a: int, b: int, sig) -> tuple[int, int]:
@@ -158,8 +199,7 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     generator.
     """
     sig = as_signature(sig)
-    if a >> sig.n or b >> sig.n or a < 0 or b < 0:
-        raise ValueError("blade mask uses generators outside the signature")
+    _require_blades(sig, a, b)
     swaps = 0
     t = b
     while t:
@@ -230,10 +270,8 @@ def blade_signs(a, b, sig):
     sig = as_signature(sig)
     a, b = np.asarray(a), np.asarray(b)
     for masks in (a, b):
-        if masks.dtype.kind not in "iu":
-            raise TypeError(f"blade masks must be integers, got dtype {masks.dtype}")
-        if masks.size and (masks.min() < 0 or masks.max() >> sig.n):
-            raise ValueError("blade mask uses generators outside the signature")
+        if masks.size:  # the least and greatest mask as Python scalars, so a float is named as the constructor names it
+            _require_blades(sig, *np.array([masks.min(), masks.max()]).tolist())
     a, b = a.astype(np.int64), b.astype(np.int64)
     return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)
 
@@ -408,10 +446,7 @@ class Multivector:
         terms = terms or {}
         if not set(map(type, terms)) <= {int}:
             terms = {as_count(m, "blade mask"): c for m, c in terms.items()}
-        if terms:
-            low, high = min(terms), max(terms)
-            if low < 0 or high >> self.sig.n:
-                raise ValueError(f"blade {low if low < 0 else high:#x} invalid for {self.sig}")
+        _require_blades(self.sig, min(terms, default=0), max(terms, default=0))
         self.terms: dict[int, Number] = {m: c for m, c in terms.items() if c != 0}
 
     @classmethod
@@ -444,6 +479,7 @@ class Multivector:
         different (sign-flipped) product, which this constructor does not
         resolve.
         """
+        indices = tuple(indices)
         mask = 0
         last = 0
         for i in indices:

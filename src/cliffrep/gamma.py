@@ -168,4 +168,4 @@ def _square_sign(m: np.ndarray) -> int:
         return 1
     if np.array_equal(sq, -eye):
         return -1
-    raise AssertionError("volume element image does not square to +/- identity")
+    raise ValueError("volume element image does not square to +/- identity")

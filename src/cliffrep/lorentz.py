@@ -22,6 +22,9 @@ Both bases are assembled from one su(2) triple (``su2_ladder``), and every
 ladder triple is read in cartesian form through one map (``cartesian``).
 Every tensor product is ``algebra._kron``, as for the gamma matrices.
 
+Every spin argument goes through ``algebra.as_half_integer``, the one
+half-integer rule: an int or ``Fraction`` whose double is an integer.
+
 All matrices are dense complex numpy arrays over fixed lexicographic
 basis orders, so outputs are deterministic.  The ``*_TOL`` constants bound
 the float residuals and are defined nowhere else.
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _kron, as_count
+from .algebra import _kron, as_count, as_half_integer
 
 #: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
 #: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).
@@ -50,13 +53,6 @@ VDW_COM_TOL = 1e-12
 SL25_TOL = 1e-12
 #: absolute bound on the X3 eigenvalues against their exact half-integers
 SPECTRUM_TOL = 1e-8
-
-
-def as_half_integer(x) -> Fraction:
-    f = Fraction(x)
-    if (2 * f).denominator != 1:
-        raise ValueError(f"{f} is not a half-integer")
-    return f
 
 
 @dataclass(frozen=True)
@@ -348,8 +344,11 @@ class Spintensor:
     components: np.ndarray
 
     def __post_init__(self):
-        if as_count(self.k, "rank k") < 0 or as_count(self.r, "rank r") < 0:
-            raise ValueError(f"rank ({self.k!r}, {self.r!r}) must be two non-negative integers")
+        k, r = as_count(self.k, "rank k"), as_count(self.r, "rank r")
+        if k < 0 or r < 0:
+            raise ValueError(f"rank ({k!r}, {r!r}) must be two non-negative integers")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r", r)
         arr = np.asarray(self.components, dtype=complex)
         if arr.size != 1 << (self.k + self.r):
             raise ValueError(

@@ -5,6 +5,10 @@ dimension 2^{a+|b|}; the two-step mod-2 cycle alternately doubles a
 label and undoubles it into the next spin.  Real labels pair one of the
 eight mod-8 classes with a spin index l0; the eight-hour cycle advances
 l0 by 1/2 on every even hour and doubles on every odd hour.
+
+Inputs are checked by the rules in :mod:`cliffrep.algebra`: integers
+(superscripts, hours, the spin doubling 2s) by ``as_count`` and the spin
+index l0 by ``as_half_integer``.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Rational
 
-from .algebra import as_count, as_signature
+from .algebra import as_count, as_half_integer, as_signature
 from .classify import RING_BY_TYPE
 from .factorize import factorize
 
@@ -103,9 +106,10 @@ class RealRepLabel:
     def __post_init__(self):
         if not isinstance(self.cls, RealRepClass):
             raise ValueError(f"class must be a RealRepClass, got {self.cls!r}")
-        if not isinstance(self.l0, Rational) or self.l0 < 0 or (2 * self.l0).denominator != 1:
-            raise ValueError(f"l0 must be a non-negative half-integer int or Fraction, got {self.l0!r}")
-        object.__setattr__(self, "l0", Fraction(self.l0))
+        l0 = as_half_integer(self.l0)
+        if l0 < 0:
+            raise ValueError(f"l0 must be a non-negative half-integer, got {self.l0!r}")
+        object.__setattr__(self, "l0", l0)
 
     def __str__(self) -> str:
         one = f"{self.cls.value.split('u')[0]}^{self.l0}"
@@ -143,6 +147,7 @@ def bw_real_step(rep: RealRepLabel, h: int) -> RealRepLabel:
     odd hours double in place.  The input must sit at the state reached
     by hour h-1, otherwise the hour is inconsistent with the label.
     """
+    h = as_count(h, "hour")
     if not 0 <= h <= 7:
         raise ValueError("hour must lie in 0..7")
     expected = _CYCLE_STATE[(h - 1) % 8]
@@ -156,7 +161,7 @@ def bw_real_step(rep: RealRepLabel, h: int) -> RealRepLabel:
 def run_real_cycle(start: RealRepLabel, hours: int = 8) -> list[RealRepLabel]:
     """States visited by ``hours`` consecutive ticks starting at hour 0."""
     states = [start]
-    for h in range(hours):
+    for h in range(as_count(hours, "hour count")):
         states.append(bw_real_step(states[-1], h % 8))
     return states
 

@@ -22,11 +22,16 @@ A chunk holds at most ``_CHUNK_ENTRIES`` blades, so every group of
 combined n <= 8 is one chunk and a pair of n = 16 is a chunk of its own.
 One pair (:meth:`GradedTensorProduct.mutually_inverse`,
 :func:`theta_psi_check`) is the one-row case of the same kernel.
+
+A blade mask passed to ``embed_a``, ``embed_b`` or ``psi_blade`` is checked
+by ``algebra._require_blades``, the rule of the ``Multivector`` constructor,
+and a generator index by ``algebra.metric_sign``.
 """
 
 from __future__ import annotations
 
-from .algebra import Multivector, Signature, _parity, _sign_masks, as_signature, blade_product, grade, metric_sign
+from .algebra import Multivector, Signature, _parity, _require_blades, _sign_masks, as_signature, blade_product
+from .algebra import grade, metric_sign
 
 #: most blades, pairs x 2^n, that one chunk of :func:`_batches` stacks.  Swept
 #: from 2^12 to 2^20 (2 vCPUs, Python 3.11, numpy 2.4, medians of 3): the 495
@@ -114,12 +119,6 @@ def _round_trips(theta, psi):
     return psi_theta.reshape(rows, -1).all(axis=1) & theta_psi.all(axis=1)
 
 
-def _valid_mask(mask: int, sig: Signature) -> int:
-    if mask >> sig.n or mask < 0:
-        raise ValueError(f"blade {mask:#x} invalid for {sig}")
-    return mask
-
-
 def _pair(a_sig, b_sig) -> tuple[Signature, Signature, Signature]:
     """``(a, b, Cl(pa+pb, qa+qb))`` of a pair; a combined algebra too large raises ``ValueError``."""
     a, b = as_signature(a_sig), as_signature(b_sig)
@@ -136,10 +135,12 @@ class GradedTensorProduct:
 
     def embed_a(self, mask: int) -> int:
         """Combined-algebra mask of an A-side blade (order preserving)."""
-        return _place(_valid_mask(mask, self.a_sig), *self._a_place)
+        _require_blades(self.a_sig, mask, mask)
+        return _place(mask, *self._a_place)
 
     def embed_b(self, mask: int) -> int:
-        return _place(_valid_mask(mask, self.b_sig), *self._b_place)
+        _require_blades(self.b_sig, mask, mask)
+        return _place(mask, *self._b_place)
 
     # -- generator index maps (1-based) ---------------------------------
 
@@ -159,7 +160,8 @@ class GradedTensorProduct:
 
     def psi_blade(self, mask: int) -> tuple[int, int, int]:
         """psi(combined blade) as ``(sign, mask_a, mask_b)``."""
-        return _psi(_valid_mask(mask, self.combined), *self._counts)
+        _require_blades(self.combined, mask, mask)
+        return _psi(mask, *self._counts)
 
     def theta_arrays(self):
         """theta on every blade pair: ``(signs, masks)``, both indexed ``[mask_a, mask_b]``."""

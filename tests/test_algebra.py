@@ -108,11 +108,30 @@ class TestGeneratorIndex:
                 build(sig, i)
             assert str(err.value) == f"generator index {i} outside 1..3"
 
+    @pytest.mark.parametrize("i", [1.5, 1.0, None, "1"])
+    def test_non_integer_index(self, i):
+        """metric_sign takes the index through as_count, as Signature takes its counts."""
+        builds = [
+            metric_sign,
+            Multivector.generator,
+            lambda sig, i: Multivector.blade(sig, [i]),
+            lambda sig, i: tensor.graded_tensor(sig, (0, 0)).embed_a_index(i),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build(Signature(1, 1), i)
+            assert str(err.value) == f"generator index must be an integer, got {i!r}"
+
     @pytest.mark.parametrize("indices", [[1, 1], [2, 1], [1, 3, 2]])
     def test_repeated_or_descending_index(self, indices):
         with pytest.raises(ValueError) as err:
             Multivector.blade(Signature(2, 1), indices)
-        assert str(err.value) == f"indices must be strictly ascending: {indices}"
+        assert str(err.value) == f"indices must be strictly ascending: {tuple(indices)}"
+
+    def test_descending_iterator_names_its_indices(self):
+        with pytest.raises(ValueError) as err:
+            Multivector.blade((3, 0), (i for i in [2, 1]))
+        assert str(err.value) == "indices must be strictly ascending: (2, 1)"
 
 
 class TestAsSignature:
@@ -129,6 +148,13 @@ class TestAsSignature:
     def test_signature_passes_through(self):
         sig = Signature(2, 1)
         assert as_signature(sig) is sig
+
+    @pytest.mark.parametrize("value", [None, (1, 2, 3), (1,), 5, 2.0, []])
+    def test_rejects_anything_but_a_pair(self, value):
+        for build in (as_signature, classify, lambda sig: metric_sign(sig, 1), algebra.all_blades):
+            with pytest.raises(ValueError) as err:
+                build(value)
+            assert str(err.value) == f"a signature must be a (p, q) pair, got {value!r}"
 
     @pytest.mark.parametrize(
         "pair,message",
@@ -246,7 +272,7 @@ class TestSignRule:
             blade_signs(np.array([a]), np.array([b]), (1, 1))
 
     def test_signs_reject_non_integer_masks(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="blade mask must be an integer, got 1.0"):
             blade_signs(np.array([1.0]), np.array([0]), (1, 1))
 
     def test_parity_table_is_exact(self):
@@ -767,6 +793,36 @@ class TestMultivectorProduct:
     def test_construction_rejects_masks_outside_the_signature(self, terms, bad):
         with pytest.raises(ValueError, match=f"blade {bad} invalid for Cl\\(1,1\\)"):
             Multivector((1, 1), terms)
+
+    @pytest.mark.parametrize(
+        "mask,message",
+        [
+            (4, "blade 0x4 invalid for Cl(1,1)"),
+            (-1, "blade -0x1 invalid for Cl(1,1)"),
+            (1 << 16, "blade 0x10000 invalid for Cl(1,1)"),
+            (1.0, "blade mask must be an integer, got 1.0"),
+            (None, "blade mask must be an integer, got None"),
+        ],
+    )
+    def test_every_mask_check_raises_the_constructor_message(self, mask, message):
+        """One blade-mask rule: the constructor, both sign forms and the tensor maps, on Cl(1,1)."""
+        sig = Signature(1, 1)
+        pairs = [(sig, (0, 0)), ((0, 0), sig), ((1, 0), (0, 1))]  # A, B and combined algebra Cl(1,1)
+        a_side, b_side, both = (tensor.graded_tensor(*pair) for pair in pairs)
+        builds = [
+            lambda: Multivector(sig, {mask: 1, 1: 1}),
+            lambda: blade_product(mask, 1, sig),
+            lambda: blade_product(1, mask, sig),
+            lambda: blade_signs(np.array([mask]), np.array([0, 1]), sig),
+            lambda: blade_signs(np.array([0, 1]), np.array([mask]), sig),
+            lambda: a_side.embed_a(mask),
+            lambda: b_side.embed_b(mask),
+            lambda: both.psi_blade(mask),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("mask", [np.int64(3), np.uint16(3), True])
     def test_construction_stores_integer_masks_as_int(self, mask):

@@ -171,6 +171,14 @@ class TestVolumeImage:
     def test_omega_square_sign(self, sig):
         assert omega_image_square_sign(build_generators(sig)) == omega_square_mod8(sig)
 
+    def test_broken_set_raises(self):
+        """A hand-built Cl(2,0) set whose volume image X(X + I) = I + X squares to 2(I + X), not +-I."""
+        gen = GeneratorSet(Signature(2, 0), (_X, _X + np.eye(2)), reducible=False, basis_note="by hand")
+        with pytest.raises(ValueError, match="volume element image does not square to"):
+            omega_image_square_sign(gen)
+        with pytest.raises(ValueError, match="violate the defining relations"):
+            faithfulness_rank(gen)
+
     @pytest.mark.parametrize("sig", [s for s in all_signatures if s.n >= 2 and s.n % 2 == 0])
     def test_omega_conjugation_realizes_grade_involution(self, sig):
         g = build_generators(sig)

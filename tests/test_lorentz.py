@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cliffrep import checks, lorentz
+from cliffrep import algebra, checks, lorentz
 from cliffrep.cli import main
 from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, gn_vdw_case, vdw_labels
 from cliffrep.lorentz import (
@@ -126,6 +126,41 @@ class TestGNLabel:
             GNLabel(F(1), F(1))
         with pytest.raises(ValueError):
             GNLabel(F(-1, 2), F(1, 2))
+
+
+class TestHalfIntegers:
+    """Every spin goes through algebra.as_half_integer: an int or Fraction whose double is an integer."""
+
+    ENTRY_POINTS = [
+        lambda x: GNLabel(x, F(3)),
+        su2_ladder,
+        lambda x: lorentz.vdw_dim(x, 0),
+        lambda x: build_vdw_operators(0, x),
+        lambda x: gn_coefficients(GNLabel(F(0), F(2)), x),
+    ]
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            (float("inf"), "expected a half-integer int or Fraction, got inf"),
+            (float("nan"), "expected a half-integer int or Fraction, got nan"),
+            (None, "expected a half-integer int or Fraction, got None"),
+            ("1/2", "expected a half-integer int or Fraction, got '1/2'"),
+            (0.5, "expected a half-integer int or Fraction, got 0.5"),
+            (1 / 3, "expected a half-integer int or Fraction, got 0.3333333333333333"),
+        ],
+    )
+    def test_rejects_all_but_ints_and_fractions(self, x, message):
+        for build in self.ENTRY_POINTS:
+            with pytest.raises(ValueError) as err:
+                build(x)
+            assert str(err.value) == message
+
+    def test_shared_with_the_label_arithmetic(self):
+        assert lorentz.as_half_integer is algebra.as_half_integer
+        for x in (1, np.int64(1), True, F(2, 2)):
+            assert lorentz.as_half_integer(x) == 1 and type(lorentz.as_half_integer(x)) is F
+        assert GNLabel(np.int64(1), 2) == GNLabel(F(1), F(2)) and su2_ladder(F(1, 2))[0].shape == (2, 2)
 
 
 class TestCoefficients:
@@ -495,6 +530,11 @@ class TestSpintensor:
         with pytest.raises(ValueError) as err:
             Spintensor(k, r, np.ones(size))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("k,r", [(True, 0), (np.int64(1), np.uint8(1))])
+    def test_rank_is_stored_as_int(self, k, r):
+        t = Spintensor(k, r, np.ones(1 << int(k + r)))
+        assert (t.k, t.r) == (k, r) and type(t.k) is int and type(t.r) is int
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

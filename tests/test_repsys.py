@@ -227,13 +227,17 @@ class TestLabelValidation:
             (lambda: ComplexRepLabel(1, 0, doubled=1), "doubled must be a bool, got 1"),
             (lambda: ComplexRepLabel(1, 0, doubled=None), "doubled must be a bool, got None"),
             (lambda: replace(ComplexRepLabel(2), doubled=0), "doubled must be a bool, got 0"),
-            (lambda: RealRepLabel(RealRepClass.R0, F(1, 3)), "l0 must be a non-negative half-integer"),
+            (lambda: RealRepLabel(RealRepClass.R0, F(1, 3)), "1/3 is not a half-integer"),
             (lambda: RealRepLabel(RealRepClass.R0, F(-1, 2)), "l0 must be a non-negative half-integer"),
             (lambda: RealRepLabel(RealRepClass.R0, 0.5), "half-integer int or Fraction, got 0.5"),
             (lambda: RealRepLabel("R0", F(0)), "class must be a RealRepClass, got 'R0'"),
             (lambda: classify_complex(2.0), "n must be an integer, got 2.0"),
             (lambda: complex_factorize(4.0), "n must be an integer, got 4.0"),
             (lambda: interlocking_chain(1.5), "spin doubling 2s must be an integer, got 1.5"),
+            (lambda: bw_real_step(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), 1.5), "hour must be an integer, got 1.5"),
+            (lambda: bw_real_step(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), None), "hour must be an integer, got None"),
+            (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), 1.5), "hour count must be an integer, got 1.5"),
+            (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), "8"), "hour count must be an integer, got '8'"),
         ],
     )
     def test_rejected_at_the_boundary(self, build, message):

@@ -43,6 +43,22 @@ class TestEmbeddings:
             getattr(t, f"embed_{side}_index")(i)
         assert str(err.value) == f"generator index {i} outside 1..{n}"
 
+    @pytest.mark.parametrize(
+        "embed,mask,message",
+        [
+            ("embed_a", 1.5, "blade mask must be an integer, got 1.5"),
+            ("embed_b", None, "blade mask must be an integer, got None"),
+            ("psi_blade", 2.0, "blade mask must be an integer, got 2.0"),
+            ("psi_blade", "3", "blade mask must be an integer, got '3'"),
+        ],
+    )
+    def test_non_integer_mask(self, embed, mask, message):
+        """The constructor's blade-mask rule, which also names a mask out of range (test_algebra)."""
+        t = graded_tensor((1, 1), (2, 1))
+        with pytest.raises(ValueError) as err:
+            getattr(t, embed)(mask)
+        assert str(err.value) == message
+
     def test_embedded_generators_anticommute(self):
         # the Koszul sign makes e'_1 and e''_1 anticommute inside Cl(2,0)
         t = graded_tensor((1, 0), (1, 0))
