@@ -24,7 +24,7 @@ print("generator squares:", e1 * e1, ",", e2 * e2)
 print("anticommutation:  e2*e1 =", e2 * e1, "  e1*e2 =", e1 * e2)
 
 # a general element with exact coefficients
-x = Multivector.scalar(sig, Fraction(1, 2)) + 3 * (e1 * e2) - e4
+x = Multivector.scalar(sig, Fraction(1, 2)) + Multivector.blade(sig, (1, 2), 3) - e4
 print("\nx               =", x)
 print("grade involution =", x.grade_involution())
 print("reversion        =", x.reversion())

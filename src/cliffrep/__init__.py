@@ -66,9 +66,8 @@ from .repsys import (
     classify_real_rep,
     interlocking_chain,
     real_period_step,
-    tensor_step,
 )
-from .tensor import GradedTensorProduct, graded_tensor, theta_psi_check, theta_psi_checks
+from .tensor import GradedTensorProduct, theta_psi_check, theta_psi_checks
 
 __version__ = "0.1.0"
 

@@ -68,7 +68,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import chain
 from numbers import Number, Rational
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 MAX_GENERATORS = 16
 # The pair loop takes one blade_product per blade pair; the Pauli route's
@@ -119,7 +119,8 @@ class Signature(_Counts):
 
     @classmethod
     def _make(cls, iterable) -> "Signature":  # also behind _replace
-        return cls(*iterable)
+        """The rule of :func:`as_signature`; an iterator is read into a tuple first, so a message names its values."""
+        return as_signature(tuple(iterable) if isinstance(iterable, Iterator) else iterable)
 
     @property
     def n(self) -> int:
@@ -200,6 +201,10 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     """
     sig = as_signature(sig)
     _require_blades(sig, a, b)
+    mask = a ^ b
+    if type(mask) is not int:  # a numpy integer passes the check but has no bit_length
+        a, b = operator.index(a), operator.index(b)
+        mask = a ^ b
     swaps = 0
     t = b
     while t:
@@ -209,7 +214,7 @@ def blade_product(a: int, b: int, sig) -> tuple[int, int]:
         t ^= low
     # one metric factor per repeated generator above p
     swaps += ((a & b) >> sig.p).bit_count()
-    return -1 if swaps & 1 else 1, a ^ b
+    return -1 if swaps & 1 else 1, mask
 
 
 def _sign_masks(masks, p: int, shift=operator.rshift):
@@ -271,7 +276,11 @@ def blade_signs(a, b, sig):
     a, b = np.asarray(a), np.asarray(b)
     for masks in (a, b):
         if masks.size:  # the least and greatest mask as Python scalars, so a float is named as the constructor names it
-            _require_blades(sig, *np.array([masks.min(), masks.max()]).tolist())
+            try:
+                ends = masks.min(), masks.max()
+            except TypeError:  # an object array of values that do not compare: name the first non-integer
+                ends = (next(m for m in masks.flat if not hasattr(m, "__index__")),) * 2
+            _require_blades(sig, *np.array(ends).tolist())
     a, b = a.astype(np.int64), b.astype(np.int64)
     return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)
 
@@ -460,10 +469,6 @@ class Multivector:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, sig) -> "Multivector":
-        return cls(sig, {})
-
-    @classmethod
     def scalar(cls, sig, value) -> "Multivector":
         return cls(sig, {0: value})
 
@@ -550,16 +555,7 @@ class Multivector:
 
     __hash__ = None  # mutable-by-convention container
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- structure ----------------------------------------------------
-
-    def grades(self) -> set[int]:
-        return {grade(m) for m in self.terms}
-
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector._valid(self.sig, {m: c for m, c in self.terms.items() if grade(m) == k})
 
     def z2_degree(self) -> int | None:
         """0 for even, 1 for odd, None if mixed.  The zero element is even."""

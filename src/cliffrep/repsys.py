@@ -21,6 +21,10 @@ from .algebra import as_count, as_half_integer, as_signature
 from .classify import RING_BY_TYPE
 from .factorize import factorize
 
+#: largest spin doubling 2s that :func:`interlocking_chain` builds: 2s + 1 labels,
+#: about 15 KB of ``cliffrep chain`` text at the bound, and none built above it
+MAX_CHAIN_SPIN2 = 1000
+
 
 @dataclass(frozen=True)
 class ComplexRepLabel:
@@ -160,17 +164,22 @@ def bw_real_step(rep: RealRepLabel, h: int) -> RealRepLabel:
 
 def run_real_cycle(start: RealRepLabel, hours: int = 8) -> list[RealRepLabel]:
     """States visited by ``hours`` consecutive ticks starting at hour 0."""
+    hours = as_count(hours, "hour count")
+    if hours < 0:
+        raise ValueError("hour count must be non-negative")
     states = [start]
-    for h in range(as_count(hours, "hour count")):
+    for h in range(hours):
         states.append(bw_real_step(states[-1], h % 8))
     return states
 
 
 def interlocking_chain(two_s: int) -> list[ComplexRepLabel]:
-    """The bottom chain C^{n,0} <-> C^{n-1,-1} <-> ... <-> C^{0,-n}, n = 2s."""
+    """The bottom chain C^{n,0} <-> C^{n-1,-1} <-> ... <-> C^{0,-n}, n = 2s, for 0 <= n <= ``MAX_CHAIN_SPIN2``."""
     two_s = as_count(two_s, "spin doubling 2s")
     if two_s < 0:
         raise ValueError("spin doubling 2s must be non-negative")
+    if two_s > MAX_CHAIN_SPIN2:
+        raise ValueError(f"spin doubling 2s must be at most {MAX_CHAIN_SPIN2}, got {two_s}")
     return [ComplexRepLabel(two_s - j, -j) for j in range(two_s + 1)]
 
 
@@ -184,21 +193,6 @@ def chain_neighbors(rep: ComplexRepLabel) -> list[ComplexRepLabel]:
             if a >= 0 >= b:
                 out.append(ComplexRepLabel(a, b, rep.doubled))
     return out
-
-
-def is_interlocking(x: ComplexRepLabel, y: ComplexRepLabel) -> bool:
-    return abs(x.a - y.a) == 1 and abs(x.b - y.b) == 1
-
-
-def tensor_step(rep: ComplexRepLabel, step: tuple[int, int] = (1, 0)) -> ComplexRepLabel:
-    """Tensor with a fundamental label: C^{1,0}, C^{0,-1} or C^{1,-1}.
-
-    The superscripts add and the spinspace dimension multiplies by
-    2^{da+|db|}.
-    """
-    if step not in ((1, 0), (0, -1), (1, -1)):
-        raise ValueError("step must be one of (1,0), (0,-1), (1,-1)")
-    return ComplexRepLabel(rep.a + step[0], rep.b + step[1], rep.doubled)
 
 
 def real_period_step(rep: RealRepLabel) -> RealRepLabel:

@@ -1,12 +1,17 @@
 """Command-line interface: output formats, JSON round-trips, exit codes."""
 
+import ast
 import hashlib
 import importlib
+import io
 import json
 import os
+import random
+import re
 import resource
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -19,8 +24,14 @@ from cliffrep import checks, cli, lorentz
 from cliffrep.algebra import MAX_GENERATORS
 from cliffrep.checks import ALL_CHECKS, GN_COM_TOL, VDW_COM_TOL, check_periodicity
 from cliffrep.cli import main, matrix_from_json, matrix_to_json
+from cliffrep.repsys import MAX_CHAIN_SPIN2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def limit_memory():
+    """A 1 GiB address-space limit for a child, so a build past an input check fails there, not on the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_python(args, timeout=120, **kwargs):
@@ -82,10 +93,6 @@ class TestTableCommand:
         """A table past 16 generators is a usage error before any row is built, however wide:
         under a 1 GiB address-space limit and a 10 s timeout, where building the 10^9 header
         cells first would run out of memory."""
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         argv = ["-m", "cliffrep.cli", "table", "--qmax", "1000000000"]
         proc = run_python(argv, capture_output=True, text=True, preexec_fn=limit_memory, timeout=10)
         assert proc.returncode == 2 and proc.stdout == ""
@@ -222,6 +229,19 @@ class TestChainCommand:
         assert code == 0
         assert out.strip() == "C^{1,0} <-> C^{0,-1}"
 
+    @pytest.mark.parametrize("two_s", [MAX_CHAIN_SPIN2, MAX_CHAIN_SPIN2 + 1, 10**22], ids=["bound", "above", "1e22"])
+    def test_spin_bound(self, two_s):
+        """2s up to the bound prints its chain; above it, exit 2 and one line before any label is
+        built: in a child under a 1 GiB address-space limit and a 10 s timeout, where building
+        10^22 labels first would run out of memory."""
+        argv = ["-m", "cliffrep.cli", "chain", "--spin2", str(two_s)]
+        proc = run_python(argv, capture_output=True, text=True, preexec_fn=limit_memory, timeout=10)
+        if two_s <= MAX_CHAIN_SPIN2:
+            assert proc.returncode == 0 and proc.stderr == "" and proc.stdout.count(" <-> ") == two_s
+        else:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == f"cliffrep chain: error: spin doubling 2s must be at most {MAX_CHAIN_SPIN2}, got {two_s}\n"
+
 
 class TestVerifyCommand:
     def test_small_budget_passes(self, capsys):
@@ -321,6 +341,52 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
 
 
+#: (valid, odd) values for the fuzz: odd ones are huge, negative, non-finite, non-ASCII digits or junk
+FUZZ_INTS = (["0", "1", "2", "3", "5"], ["8", "17", "-1", "1000000000", str(10**22), "٣", "１", "³", "1.5", "1/0", "inf", "nan", "", "x"])
+FUZZ_SPINS = (["0", "1/2", "1", "3/2", "2"], ["7/2", "-1/2", "1/3", "1/0", "inf", "nan", str(10**22), "٣", "x"])
+FUZZ_TOLS = (["1e-10", "1e-3"], ["0", "-1", "inf", "nan", "x"])
+
+
+def fuzz_argv(rng: random.Random, command: str, tmp_path: Path) -> list[str]:
+    """One argv for ``command``: each option present with probability 0.8 (verify's budgets always,
+    and small), each value valid with probability 0.7 and odd otherwise; ``--out`` names a file,
+    a file in a missing directory, a directory or nothing."""
+    pick = lambda pools: rng.choice(pools[rng.random() >= 0.7])
+    num, spin = (lambda: pick(FUZZ_INTS)), (lambda: pick(FUZZ_SPINS))
+    out = lambda: str(rng.choice([tmp_path / "out.json", tmp_path / "missing" / "out.json", tmp_path, ""]))
+    options = {
+        "classify": [["-p", num()], ["-q", num()], ["--json"]],
+        "table": [["--pmax", num()], ["--qmax", num()]],
+        "clock": [["-p", num()], ["-q", num()], ["--steps", num()]],
+        "factorize": [["-p", num()], ["-q", num()]],
+        "chain": [["--spin2", num()]],
+        "matrep": [["-p", num()], ["-q", num()], ["--out", out()]],
+        "rep": [[rng.choice(["--gn", "--vdw"]), spin(), spin()], ["--tol", pick(FUZZ_TOLS)], ["--out", out()]],
+        "verify": [["--all"]],
+    }[command]
+    argv = [command] + [word for option in options if rng.random() < 0.8 for word in option]
+    if command == "verify":
+        argv += ["--nmax", rng.choice(["0", "1", "3", "-1", "17", "٣", "x"]), "--dim-max", rng.choice(["1", "4", "16", "0", "401", "inf"])]
+    return argv
+
+
+class TestExitContract:
+    def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(self, tmp_path, capsys):
+        """200 seeded argv vectors, 25 per subcommand, in-process through ``main``; argparse's
+        usage errors arrive as ``SystemExit``."""
+        rng = random.Random(21)
+        commands = ["classify", "table", "clock", "factorize", "chain", "matrep", "rep", "verify"]
+        for argv in [fuzz_argv(rng, command, tmp_path) for command in commands for _ in range(25)]:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any other escape breaks the contract: name the argv, keep the traceback
+                raise AssertionError(f"{argv} raised") from exc
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+
+
 class TestMatrixJson:
     def test_floats_roundtrip_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -364,31 +430,17 @@ LABEL_RUNS = [
     ["chain", "--spin2", "3"],
 ]
 
-#: every public name ``import cliffrep`` bound before gamma and lorentz became lazy, by submodule
-EXPORTS = {
-    "algebra": [
-        "GradedBracketResult", "Multivector", "Signature", "blade_product", "center_blades", "generators",
-        "graded_bracket", "involution_via_omega", "omega_square", "omega_square_mod8", "volume_element",
-    ],
-    "classify": [
-        "AlgebraClass", "ComplexClass", "MatrixShape", "RingType", "bw_compose", "classify", "classify_complex",
-        "clock_hour", "even_subalgebra", "tensor_compose",
-    ],
-    "factorize": [
-        "Factorization", "complex_factorize", "factorize", "factorize_odd", "karoubi_factorize", "periodicity_reduce",
-    ],
-    "gamma": ["GeneratorSet", "blade_images", "build_generators", "faithfulness_rank", "verify_anticommutation"],
-    "lorentz": [
-        "GNLabel", "GNOperators", "Spintensor", "VdWOperators", "build_gn_operators", "build_vdw_operators",
-        "gn_coefficients", "gn_to_vdw", "reconstruct_AB", "spintensor_transform",
-    ],
-    "repsys": [
-        "ComplexRepLabel", "RealRepClass", "RealRepLabel", "bw_complex_step", "bw_real_step", "chain_neighbors",
-        "classify_real_rep", "interlocking_chain", "real_period_step", "tensor_step",
-    ],
-    "tensor": ["GradedTensorProduct", "graded_tensor", "theta_psi_check"],
-}
-SUBMODULES = ["algebra", "gamma", "lorentz", "repsys", "tensor"]  # classify/factorize are shadowed by functions
+README = SRC.parent / "README.md"
+
+
+def readme_api() -> dict[str | None, list[str]]:
+    """The README's "Public API" list: ``{module: names}``, and the exported submodules under ``None``."""
+    text = README.read_text(encoding="utf-8").split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^- (?:`cliffrep\.(\w+)`|submodules): (.+)$", text, re.M)
+    return {module or None: re.findall(r"`(\w+)`", names) for module, names in rows}
+
+
+API = readme_api()
 
 
 class TestLazyImports:
@@ -430,17 +482,18 @@ print([m for m in {unimported!r} if m in sys.modules])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
 
-    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    @pytest.mark.parametrize("module", sorted(m for m in API if m))
     def test_old_exports_are_the_submodule_objects(self, module):
         mod = importlib.import_module(f"cliffrep.{module}")
-        for name in EXPORTS[module]:
+        for name in API[module]:
             assert getattr(cliffrep, name) is getattr(mod, name), name
 
     def test_namespace_listing(self):
-        names = {n for names in EXPORTS.values() for n in names} | set(SUBMODULES)
-        for name in SUBMODULES:
+        names = [n for names in API.values() for n in names]
+        for name in API[None]:
             assert getattr(cliffrep, name) is sys.modules[f"cliffrep.{name}"]
-        assert names <= set(cliffrep.__all__) and names <= set(dir(cliffrep))
+        assert len(names) == len(set(names)) and sorted(names) == sorted(cliffrep.__all__)
+        assert set(names) <= set(dir(cliffrep))
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             cliffrep.nonexistent
 
@@ -449,6 +502,60 @@ print([m for m in {unimported!r} if m in sys.modules])
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["cliffrep.gamma", "cliffrep.lorentz", "cliffrep.gamma"]
+
+
+#: public names that no code in src, demos or benchmarks calls, each kept for the reason given
+KEPT_WITHOUT_CALLER = {
+    "tensor.GradedTensorProduct.tensor_blade_product": "the Koszul-sign reference TestPsiDefinition holds psi to",
+    "classify.bw_compose": "the graded Brauer-Wall law, for the abstract's theorems (ROADMAP item 5)",
+    "cli.matrix_from_json": "reads back what matrep and rep write, for certificates (ROADMAP item 9)",
+}
+
+
+def code_names() -> dict[str, set[tuple[str, int]]]:
+    """Where each name is used in the code of src, demos and benchmarks, as ``{name: {(path, line)}}``.
+
+    A use is a name token, an identifier in an f-string's replacement
+    field, or a string literal that is one identifier
+    (``benchmarks/tracing.py`` wraps methods by name); comments, docstrings
+    and other string text are not uses.  The package ``__init__`` only
+    re-exports, so it is skipped.
+    """
+    uses: dict[str, set[tuple[str, int]]] = {}
+    root = SRC.parent
+    for path in sorted(p for d in ("src", "demos", "benchmarks") for p in (root / d).rglob("*.py")):
+        if path == SRC / "cliffrep" / "__init__.py":
+            continue
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline):
+            if tok.type == tokenize.NAME:
+                names = [tok.string]
+            elif tok.type == tokenize.STRING and "f" in tok.string.split(tok.string[-1])[0].lower():
+                names = [n for field in re.findall(r"\{([^{}]*)\}", tok.string) for n in re.findall(r"[A-Za-z_]\w*", field)]
+            elif tok.type == tokenize.STRING and str(ast.literal_eval(tok.string)).isidentifier():
+                names = [ast.literal_eval(tok.string)]
+            else:
+                continue
+            for name in names:
+                uses.setdefault(name, set()).add((str(path), tok.start[0]))
+    return uses
+
+
+class TestPublicNames:
+    def test_every_public_name_has_a_caller(self):
+        """Each public function, class and method of the package is used outside its own definition
+        and the tests, or is kept in KEPT_WITHOUT_CALLER, and nothing kept there has gained a caller."""
+        uses = code_names()
+        uncalled = set()
+        for path in sorted((SRC / "cliffrep").glob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                members = [s for s in node.body if isinstance(s, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+                for owner, d in [(None, node)] + [(node.name, m) for m in members]:
+                    if d.name.startswith("_") or uses.get(d.name, set()) - {(str(path), d.lineno)}:
+                        continue
+                    uncalled.add(".".join(filter(None, (path.stem, owner, d.name))))
+        assert uncalled == set(KEPT_WITHOUT_CALLER)
 
 
 def with_matrices(v, matrix):

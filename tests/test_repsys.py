@@ -19,10 +19,8 @@ from cliffrep.repsys import (
     classify_real_rep,
     complex_step_hour,
     interlocking_chain,
-    is_interlocking,
     real_period_step,
     run_real_cycle,
-    tensor_step,
 )
 
 RING_OF_CLASS = {
@@ -35,6 +33,11 @@ RING_OF_CLASS = {
     RealRepClass.R02_DOUBLE: RingType.R_R,
     RealRepClass.H46_DOUBLE: RingType.H_H,
 }
+
+
+def interlock(x, y):
+    """Interlocking labels: both superscripts differ by exactly 1."""
+    return abs(x.a - y.a) == 1 and abs(x.b - y.b) == 1
 
 
 class TestClassifyRealRep:
@@ -172,35 +175,20 @@ class TestChains:
         for n in range(0, 8):
             chain = interlocking_chain(n)
             for x, y in zip(chain, chain[1:]):
-                assert is_interlocking(x, y)
+                assert interlock(x, y)
 
     def test_neighbors_stay_in_wedge(self):
         for a in range(0, 4):
             for b in range(-3, 1):
                 for nb in chain_neighbors(ComplexRepLabel(a, b)):
                     assert nb.a >= 0 >= nb.b
-                    assert is_interlocking(ComplexRepLabel(a, b), nb)
+                    assert interlock(ComplexRepLabel(a, b), nb)
 
     def test_corner_has_one_neighbor(self):
         assert [(c.a, c.b) for c in chain_neighbors(ComplexRepLabel(0, 0))] == [(1, -1)]
 
 
-class TestTensorSteps:
-    def test_fundamental_step(self):
-        assert tensor_step(ComplexRepLabel(1)) == ComplexRepLabel(2)
-        assert tensor_step(ComplexRepLabel(1)).dim == 2 * ComplexRepLabel(1).dim
-
-    def test_dotted_step(self):
-        assert tensor_step(ComplexRepLabel(0, -1), (0, -1)) == ComplexRepLabel(0, -2)
-
-    def test_mixed_step(self):
-        assert tensor_step(ComplexRepLabel(1, -1), (1, -1)) == ComplexRepLabel(2, -2)
-        assert tensor_step(ComplexRepLabel(1, -1), (1, -1)).dim == 4 * ComplexRepLabel(1, -1).dim
-
-    def test_rejects_other_steps(self):
-        with pytest.raises(ValueError):
-            tensor_step(ComplexRepLabel(1), (2, 0))
-
+class TestPeriodSteps:
     def test_real_period_step(self):
         rep = RealRepLabel(RealRepClass.H6, F(1))
         out = real_period_step(rep)
@@ -238,6 +226,8 @@ class TestLabelValidation:
             (lambda: bw_real_step(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), None), "hour must be an integer, got None"),
             (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), 1.5), "hour count must be an integer, got 1.5"),
             (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), "8"), "hour count must be an integer, got '8'"),
+            (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), -3), "hour count must be non-negative"),
+            (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), -1), "hour count must be non-negative"),
         ],
     )
     def test_rejected_at_the_boundary(self, build, message):

@@ -6,42 +6,39 @@ import numpy as np
 import pytest
 
 from cliffrep import checks, tensor
-from cliffrep.algebra import Multivector, Signature, all_blades, grade
-from cliffrep.tensor import GradedTensorProduct, graded_tensor, theta_psi_check, theta_psi_checks
+from cliffrep.algebra import Multivector, Signature, all_blades, blade_product, grade
+from cliffrep.tensor import GradedTensorProduct, theta_psi_check, theta_psi_checks
 
 
 class TestCombinedAlgebra:
     def test_signature_addition(self):
-        t = graded_tensor((1, 1), (0, 2))
+        t = GradedTensorProduct((1, 1), (0, 2))
         assert t.combined == Signature(1, 3)
 
     def test_unit_factor(self):
-        t = graded_tensor((0, 0), (2, 1))
+        t = GradedTensorProduct((0, 0), (2, 1))
         assert t.combined == Signature(2, 1)
         assert theta_psi_check((0, 0), (2, 1))
 
     def test_size_overflow(self):
         with pytest.raises(ValueError):
-            graded_tensor((5, 4), (4, 4))
+            GradedTensorProduct((5, 4), (4, 4))
+
+
+def embedded_index(t, side, i):
+    """The combined index of generator e_i of one side, read off that side's embedding of the blade e_i."""
+    return getattr(t, f"embed_{side}")(1 << (i - 1)).bit_length()
 
 
 class TestEmbeddings:
     def test_index_maps_preserve_metric(self):
-        t = graded_tensor((1, 1), (2, 1))
+        t = GradedTensorProduct((1, 1), (2, 1))
         # combined is Cl(3,2): positives 1..3, negatives 4..5
-        assert t.embed_a_index(1) == 1      # A positive
-        assert t.embed_a_index(2) == 4      # A negative
-        assert t.embed_b_index(1) == 2      # B positives after A's
-        assert t.embed_b_index(2) == 3
-        assert t.embed_b_index(3) == 5      # B negative after A's negatives
-
-    @pytest.mark.parametrize("side,i,n", [("a", 0, 2), ("a", -1, 2), ("a", 3, 2), ("b", 0, 3), ("b", -1, 3), ("b", 4, 3)])
-    def test_index_out_of_range(self, side, i, n):
-        """The generator-index error of metric_sign, for the side's own count n."""
-        t = graded_tensor((1, 1), (2, 1))
-        with pytest.raises(ValueError) as err:
-            getattr(t, f"embed_{side}_index")(i)
-        assert str(err.value) == f"generator index {i} outside 1..{n}"
+        assert embedded_index(t, "a", 1) == 1      # A positive
+        assert embedded_index(t, "a", 2) == 4      # A negative
+        assert embedded_index(t, "b", 1) == 2      # B positives after A's
+        assert embedded_index(t, "b", 2) == 3
+        assert embedded_index(t, "b", 3) == 5      # B negative after A's negatives
 
     @pytest.mark.parametrize(
         "embed,mask,message",
@@ -54,19 +51,19 @@ class TestEmbeddings:
     )
     def test_non_integer_mask(self, embed, mask, message):
         """The constructor's blade-mask rule, which also names a mask out of range (test_algebra)."""
-        t = graded_tensor((1, 1), (2, 1))
+        t = GradedTensorProduct((1, 1), (2, 1))
         with pytest.raises(ValueError) as err:
             getattr(t, embed)(mask)
         assert str(err.value) == message
 
     def test_embedded_generators_anticommute(self):
         # the Koszul sign makes e'_1 and e''_1 anticommute inside Cl(2,0)
-        t = graded_tensor((1, 0), (1, 0))
+        t = GradedTensorProduct((1, 0), (1, 0))
         sig = t.combined
         a = Multivector.from_mask(sig, t.embed_a(0b1))
         b = Multivector.from_mask(sig, t.embed_b(0b1))
         assert a * b == -(b * a)
-        assert not (a * b).is_zero()
+        assert (a * b).terms
 
 
 class TestThetaPsi:
@@ -84,15 +81,17 @@ class TestThetaPsi:
                     assert theta_psi_check((pa, na - pa), (pb, nb - pb))
 
     def test_theta_is_algebra_homomorphism(self):
+        # theta(x y) = theta(x) theta(y) on every pair of pure tensor blades
         t = GradedTensorProduct((1, 1), (0, 2))
         for ma in all_blades(t.a_sig):
             for mb in all_blades(t.b_sig):
                 for na in all_blades(t.a_sig):
                     for nb in all_blades(t.b_sig):
                         s, ra, rb = t.tensor_blade_product((ma, mb), (na, nb))
-                        lhs = t.theta({(ra, rb): s})
-                        rhs = t.theta({(ma, mb): 1}) * t.theta({(na, nb): 1})
-                        assert lhs == rhs
+                        s_xy, m_xy = t.theta_blade(ra, rb)
+                        (s_x, m_x), (s_y, m_y) = t.theta_blade(ma, mb), t.theta_blade(na, nb)
+                        s_prod, m_prod = blade_product(m_x, m_y, t.combined)
+                        assert (s * s_xy, m_xy) == (s_x * s_y * s_prod, m_prod)
 
     def test_koszul_sign_rule(self):
         t = GradedTensorProduct((2, 0), (0, 2))
@@ -103,10 +102,11 @@ class TestThetaPsi:
                 expected = -1 if (grade(mb) & 1) and (grade(na) & 1) else 1
                 assert (s, ra, rb) == (expected, na, mb)
 
-    def test_psi_roundtrip_on_elements(self):
+    def test_theta_undoes_psi_on_every_blade(self):
         t = GradedTensorProduct((1, 1), (1, 0))
-        x = Multivector(t.combined, {0b101: 2, 0b011: -1, 0: 7})
-        assert t.theta(t.psi(x)) == x
+        for mask in all_blades(t.combined):
+            sign, ma, mb = t.psi_blade(mask)
+            assert t.theta_blade(ma, mb) == (sign, mask)
 
 
 def _pairs(nmax):
@@ -127,6 +127,12 @@ def written_out_embedding(t, side, mask):
     return sum(1 << (written_out_index(t, side, i + 1) - 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def one_row(a, b):
+    """The one-row chunk of :func:`tensor._batches` that ``theta_psi_check(a, b)`` checks: ``(theta, psi)``."""
+    ((_chunk, theta, psi),) = tensor._batches([(a, b)])
+    return theta, psi
+
+
 class TestPlacementRule:
     """The closed-form placement against the written-out index maps."""
 
@@ -134,19 +140,17 @@ class TestPlacementRule:
     def _assert_blades(t, masks_a, masks_b):
         assert [t.embed_a(m) for m in masks_a] == [written_out_embedding(t, "a", m) for m in masks_a]
         assert [t.embed_b(m) for m in masks_b] == [written_out_embedding(t, "b", m) for m in masks_b]
-        assert [t.embed_a_index(i) for i in range(1, t.a_sig.n + 1)] == [
-            written_out_index(t, "a", i) for i in range(1, t.a_sig.n + 1)
-        ]
-        assert [t.embed_b_index(j) for j in range(1, t.b_sig.n + 1)] == [
-            written_out_index(t, "b", j) for j in range(1, t.b_sig.n + 1)
-        ]
+        for side, sig in (("a", t.a_sig), ("b", t.b_sig)):  # each generator e_i, a one-generator blade
+            assert [embedded_index(t, side, i) for i in range(1, sig.n + 1)] == [
+                written_out_index(t, side, i) for i in range(1, sig.n + 1)
+            ]
 
     @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
     def test_every_blade_up_to_eight_generators(self, a, b):
         t = GradedTensorProduct(a, b)
         self._assert_blades(t, all_blades(a), all_blades(b))
-        _signs, masks = t.theta_arrays()
-        assert masks.tolist() == [
+        (_signs, masks), _psi = one_row(a, b)
+        assert masks[0].tolist() == [
             [written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for mb in all_blades(b)]
             for ma in all_blades(a)
         ]
@@ -158,8 +162,8 @@ class TestPlacementRule:
         masks_a = [rng.randrange(1 << t.a_sig.n) for _ in range(500)]
         masks_b = [rng.randrange(1 << t.b_sig.n) for _ in range(500)]
         self._assert_blades(t, masks_a, masks_b)
-        _signs, masks = t.theta_arrays()
-        assert [masks[ma, mb] for ma, mb in zip(masks_a, masks_b)] == [
+        (_signs, masks), _psi = one_row(a, b)
+        assert [masks[0, ma, mb] for ma, mb in zip(masks_a, masks_b)] == [
             written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for ma, mb in zip(masks_a, masks_b)
         ]
 
@@ -206,44 +210,30 @@ class TestPsiDefinition:
 
 
 class TestBladeArrays:
+    """theta_psi_check's one-row chunk: its arrays, its verdict, and faults fed to the round trip."""
+
     # every pair `verify` sweeps at its default nmax of 8
     @pytest.mark.parametrize("a,b", _pairs(8), ids=str)
     def test_arrays_match_per_blade_maps(self, a, b):
-        t = GradedTensorProduct(a, b)
-        signs, masks = t.theta_arrays()
-        assert [(int(s), int(m)) for s, m in zip(signs.ravel(), masks.ravel())] == [
-            t.theta_blade(ma, mb) for ma in all_blades(a) for mb in all_blades(b)
-        ]
-        psi = t.psi_arrays()
-        assert [tuple(map(int, row)) for row in zip(*psi)] == [t.psi_blade(m) for m in all_blades(t.combined)]
+        assert assert_rows_match_per_blade_maps([(a, b)]) == [[0]]
 
     @pytest.mark.parametrize("a,b", [((16, 0), (0, 0)), ((0, 0), (0, 16)), ((8, 0), (0, 8)), ((3, 5), (2, 6))])
     def test_sixteen_generators(self, a, b):
-        assert theta_psi_check(a, b)
-        # the arrays against the per-blade maps on sampled blades
-        t = GradedTensorProduct(a, b)
-        rng = random.Random(f"{a}{b}")
-        t_signs, t_masks = t.theta_arrays()
-        for _ in range(500):
-            ma, mb = rng.randrange(1 << t.a_sig.n), rng.randrange(1 << t.b_sig.n)
-            assert t.theta_blade(ma, mb) == (t_signs[ma, mb], t_masks[ma, mb])
-        p_signs, p_a, p_b = t.psi_arrays()
-        for m in rng.sample(range(1 << t.combined.n), 500):
-            assert t.psi_blade(m) == (p_signs[m], p_a[m], p_b[m])
+        # TestGroupedChecks holds these one-pair chunks to the per-blade maps on sampled blades
+        assert theta_psi_check(a, b) is True
 
     def test_detects_wrong_generator_images(self):
-        t = GradedTensorProduct((1, 0), (1, 0))
-        signs, masks_a, masks_b = t.psi_arrays()
-        t.psi_arrays = lambda: (signs, masks_b, masks_a)  # psi(e1) = 1 (x) e1 instead of e1 (x) 1
-        assert not t.mutually_inverse()
+        theta, (signs, masks_a, masks_b) = one_row((1, 0), (1, 0))
+        assert tensor._round_trips(theta, (signs, masks_a, masks_b)).tolist() == [True]
+        # psi(e1) = 1 (x) e1 instead of e1 (x) 1
+        assert tensor._round_trips(theta, (signs, masks_b, masks_a)).tolist() == [False]
 
     def test_detects_wrong_sign(self):
-        t = GradedTensorProduct((2, 1), (1, 1))
-        signs, masks = t.theta_arrays()
+        (signs, masks), psi = one_row((2, 1), (1, 1))
         flipped = signs.copy()
-        flipped[3, 1] *= -1
-        t.theta_arrays = lambda: (flipped, masks)
-        assert not t.mutually_inverse()
+        flipped[0, 3, 1] *= -1
+        assert tensor._round_trips((signs, masks), psi).tolist() == [True]
+        assert tensor._round_trips((flipped, masks), psi).tolist() == [False]
 
 
 def assert_rows_match_per_blade_maps(pairs, blades=None):
@@ -354,13 +344,13 @@ class TestGroupedChecks:
 class TestBladeRange:
     @pytest.mark.parametrize("mask_a,mask_b", [(-1, 0), (-2, 0), (4, 0), (0, -1), (0, 4), (1 << 20, 0)])
     def test_theta_rejects_foreign_blades(self, mask_a, mask_b):
-        t = graded_tensor((1, 1), (0, 2))
+        t = GradedTensorProduct((1, 1), (0, 2))
         with pytest.raises(ValueError):
             t.theta_blade(mask_a, mask_b)
 
     @pytest.mark.parametrize("mask", [-1, 4])
     def test_embeddings_reject_foreign_blades(self, mask):
-        t = graded_tensor((1, 1), (0, 2))
+        t = GradedTensorProduct((1, 1), (0, 2))
         with pytest.raises(ValueError):
             t.embed_a(mask)
         with pytest.raises(ValueError):
@@ -369,4 +359,4 @@ class TestBladeRange:
     @pytest.mark.parametrize("mask", [-1, 16])
     def test_psi_rejects_foreign_blades(self, mask):
         with pytest.raises(ValueError):
-            graded_tensor((1, 1), (0, 2)).psi_blade(mask)
+            GradedTensorProduct((1, 1), (0, 2)).psi_blade(mask)
