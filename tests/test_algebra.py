@@ -921,6 +921,20 @@ class TestAutomorphisms:
             assert x.conjugation() == x.reversion().grade_involution()
 
 
+class TestGradeParts:
+    @pytest.mark.parametrize("sig", [(p, n - p) for n in range(7) for p in range(n + 1)])
+    def test_parts_split_every_blade_by_grade(self, sig):
+        """The grade-k parts of an element with every blade: each non-empty, summing back, signed by the involutions."""
+        x = Multivector(sig, {m: m + 1 for m in all_blades(sig)})
+        n = sum(sig)
+        parts = [Multivector(sig, {m: c for m, c in x.terms.items() if grade(m) == k}) for k in range(n + 1)]
+        for k, part in enumerate(parts):
+            assert part.terms and all(grade(m) == k for m in part.terms)
+        assert sum(parts, Multivector(sig)) == x
+        assert x.grade_involution() == sum(((-1) ** k * part for k, part in enumerate(parts)), Multivector(sig))
+        assert x.reversion() == sum(((-1) ** (k * (k - 1) // 2) * part for k, part in enumerate(parts)), Multivector(sig))
+
+
 class TestVolumeElement:
     @pytest.mark.parametrize(
         "sig,expected",

@@ -188,7 +188,9 @@ class TestChains:
         assert [(c.a, c.b) for c in chain_neighbors(ComplexRepLabel(0, 0))] == [(1, -1)]
 
 
-class TestPeriodSteps:
+class TestTensorSteps:
+    """Tensoring with Cl(0,8) or Cl(8,0): the mod-8 period of the real labels."""
+
     def test_real_period_step(self):
         rep = RealRepLabel(RealRepClass.H6, F(1))
         out = real_period_step(rep)

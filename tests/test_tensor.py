@@ -27,7 +27,8 @@ class TestCombinedAlgebra:
 
 def embedded_index(t, side, i):
     """The combined index of generator e_i of one side, read off that side's embedding of the blade e_i."""
-    return getattr(t, f"embed_{side}")(1 << (i - 1)).bit_length()
+    (mask,) = Multivector.generator(getattr(t, f"{side}_sig"), i).terms
+    return getattr(t, f"embed_{side}")(mask).bit_length()
 
 
 class TestEmbeddings:
@@ -39,6 +40,14 @@ class TestEmbeddings:
         assert embedded_index(t, "b", 1) == 2      # B positives after A's
         assert embedded_index(t, "b", 2) == 3
         assert embedded_index(t, "b", 3) == 5      # B negative after A's negatives
+
+    @pytest.mark.parametrize("side,i,n", [("a", 0, 2), ("a", -1, 2), ("a", 3, 2), ("b", 0, 3), ("b", -1, 3), ("b", 4, 3)])
+    def test_index_out_of_range(self, side, i, n):
+        """The generator-index error of metric_sign, for the side's own count n."""
+        t = GradedTensorProduct((1, 1), (2, 1))
+        with pytest.raises(ValueError) as err:
+            embedded_index(t, side, i)
+        assert str(err.value) == f"generator index {i} outside 1..{n}"
 
     @pytest.mark.parametrize(
         "embed,mask,message",
@@ -102,11 +111,19 @@ class TestThetaPsi:
                 expected = -1 if (grade(mb) & 1) and (grade(na) & 1) else 1
                 assert (s, ra, rb) == (expected, na, mb)
 
-    def test_theta_undoes_psi_on_every_blade(self):
+    def test_psi_roundtrip_on_elements(self):
+        """theta(psi(x)) = x, blade by blade, on every blade of the combined algebra and on a mixed element."""
         t = GradedTensorProduct((1, 1), (1, 0))
         for mask in all_blades(t.combined):
             sign, ma, mb = t.psi_blade(mask)
             assert t.theta_blade(ma, mb) == (sign, mask)
+        x = Multivector(t.combined, {0b101: 2, 0b011: -1, 0: 7})
+        back = Multivector(t.combined)
+        for mask, c in x.terms.items():
+            sign, ma, mb = t.psi_blade(mask)
+            s, m = t.theta_blade(ma, mb)
+            back = back + Multivector(t.combined, {m: sign * s * c})
+        assert back == x
 
 
 def _pairs(nmax):
