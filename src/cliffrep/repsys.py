@@ -17,13 +17,16 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import as_count, as_half_integer, as_signature
-from .classify import RING_BY_TYPE
+from .algebra import as_count, as_half_integer
+from .classify import RING_BY_TYPE, classify
 from .factorize import factorize
 
 #: largest spin doubling 2s that :func:`interlocking_chain` builds: 2s + 1 labels,
 #: about 15 KB of ``cliffrep chain`` text at the bound, and none built above it
 MAX_CHAIN_SPIN2 = 1000
+
+#: most hours :func:`run_real_cycle` walks, one label each and none built above it (``verify`` walks 16)
+MAX_CYCLE_HOURS = 1000
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,7 @@ def classify_real_rep(sig) -> RealRepLabel:
     r two-generator factors cover p+q generators for even p+q and
     p+q-1 for odd (the doubled/complex series).
     """
-    sig = as_signature(sig)
-    return RealRepLabel(_class_of_type((sig.p - sig.q) % 8), factorize(sig).spin_index)
+    return RealRepLabel(_class_of_type(classify(sig).type_label), factorize(sig).spin_index)
 
 
 #: state of the eight-hour cycle reached after the transition at each hour
@@ -163,10 +165,12 @@ def bw_real_step(rep: RealRepLabel, h: int) -> RealRepLabel:
 
 
 def run_real_cycle(start: RealRepLabel, hours: int = 8) -> list[RealRepLabel]:
-    """States visited by ``hours`` consecutive ticks starting at hour 0."""
+    """States visited by ``hours`` consecutive ticks starting at hour 0, for 0 <= hours <= ``MAX_CYCLE_HOURS``."""
     hours = as_count(hours, "hour count")
     if hours < 0:
         raise ValueError("hour count must be non-negative")
+    if hours > MAX_CYCLE_HOURS:
+        raise ValueError(f"hour count must be at most {MAX_CYCLE_HOURS}, got {hours}")
     states = [start]
     for h in range(hours):
         states.append(bw_real_step(states[-1], h % 8))

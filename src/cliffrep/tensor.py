@@ -16,11 +16,12 @@ that they invert each other is exact integer arithmetic on numpy arrays
 over all blades at once (numpy is imported inside the functions that use
 it).  :func:`theta_psi_checks` checks many signature pairs in one pass:
 pairs with the same A and B generator counts stack along a leading axis,
-their generator counts become (S, 1, 1) arrays, and both directions of the
-round trip read the stacked arrays through one ``take`` with row offsets.
-A chunk holds at most ``_CHUNK_ENTRIES`` blades, so every group of
-combined n <= 8 is one chunk and a pair of n = 16 is a chunk of its own.
-:func:`theta_psi_check`, one pair, is the one-row case of the same kernel.
+their generator counts become (S, 1, 1) arrays, and psi is evaluated in
+closed form at theta's stacked masks, one direction being enough (see
+:func:`_round_trips`).  A chunk holds at most ``_CHUNK_ENTRIES`` blades, so
+every group of combined n <= 8 is one chunk and a pair of n = 16 is a chunk
+of its own.  :func:`theta_psi_check`, one pair, is the one-row case of the
+same kernel.
 
 A blade mask passed to ``embed_a``, ``embed_b`` or ``psi_blade`` is checked
 by ``algebra._require_blades``, the rule of the ``Multivector`` constructor.
@@ -31,9 +32,9 @@ from __future__ import annotations
 from .algebra import Signature, _parity, _require_blades, _sign_masks, as_signature, blade_product, grade
 
 #: most blades, pairs x 2^n, that one chunk of :func:`_batches` stacks.  Swept
-#: from 2^12 to 2^20 (2 vCPUs, Python 3.11, numpy 2.4, medians of 3): the 495
-#: pairs of nmax 8 took 12-14 ms at every size; the 3060 of nmax 14 took
-#: 0.72-0.79 s at 2^14 and 2^16, 0.87 s at 2^18, 0.91 s at 2^12, 1.18 s at 2^20.
+#: from 2^12 to 2^18 (2 vCPUs, Python 3.11, numpy 2.4, medians of 3): the 495
+#: pairs of nmax 8 took 7 ms at 2^12 and 2^14 and 11 ms above; the 3060 of
+#: nmax 14 took 0.49 s at 2^14 and 0.61-0.70 s at 2^12, 2^16 and 2^18.
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -86,34 +87,29 @@ def _psi(masks, pa, qa, pb, qb):
     return 1 - 2 * odd, masks_a, masks_b
 
 
-def _round_trips(theta, psi):
-    """Per-row verdicts, a bool array, that psi . theta = id and theta . psi = id exactly.
+def _round_trips(theta, counts):
+    """Per-row verdicts, a bool array, that psi . theta = id exactly.
 
-    ``theta = (signs, masks)`` stacks (S, 2^na, 2^nb) grids and ``psi =
-    (signs, masks_a, masks_b)`` stacks (S, 2^n) vectors.  Each direction
-    reads the other map through one ``take`` whose indices are folded into
-    2^n entries and offset by row << n, so an index out of range reads its
-    own row and fails there.  Both directions holding makes theta a
-    bijection onto the 2^n blades with psi its inverse, so the folds never
-    hide a failure.
+    ``theta = (signs, masks)`` stacks (S, 2^na, 2^nb) grids and ``counts`` holds
+    (pa, qa, pb, qb) as (S, 1, 1) arrays.  psi, read at each theta mask, must give
+    back the pair's A-side and B-side masks, each compared on its own (a combined
+    index could hide a B-side carry), with sign product +1; each theta mask must
+    lie in 0..2^n - 1, the bits psi reads.  theta is then injective from the 2^n
+    blade pairs into the 2^n combined blades, so a bijection whose inverse is psi:
+    theta . psi = id follows, signs included.
     """
     import numpy as np
 
     t_sign, t_mask = theta
-    p_sign, p_a, p_b = psi
-    rows, size_a, size_b = t_mask.shape
-    n, nb = (size_a * size_b).bit_length() - 1, size_b.bit_length() - 1
-    full = (1 << n) - 1
-    offsets = np.arange(rows)[:, None, None] << n
-    at = t_mask & full | offsets
-    psi_theta = (
-        (p_a.take(at) == np.arange(size_a)[:, None])
-        & (p_b.take(at) == np.arange(size_b))
-        & (p_sign.take(at) * t_sign == 1)
+    size_a, size_b = t_mask.shape[1:]
+    p_sign, p_a, p_b = _psi(t_mask, *counts)
+    holds = (
+        (0 <= t_mask) & (t_mask < size_a * size_b)
+        & (p_a == np.arange(size_a)[:, None])
+        & (p_b == np.arange(size_b))
+        & (p_sign * t_sign == 1)
     )
-    back = (p_a << nb | p_b) & full | offsets[:, 0]
-    theta_psi = (t_mask.take(back) == np.arange(1 << n)) & (t_sign.take(back) * p_sign == 1)
-    return psi_theta.reshape(rows, -1).all(axis=1) & theta_psi.all(axis=1)
+    return holds.all(axis=(1, 2))
 
 
 def _pair(a_sig, b_sig) -> tuple[Signature, Signature, Signature]:
@@ -168,11 +164,11 @@ class GradedTensorProduct:
 
 def _batches(pairs):
     """Chunks of ``pairs`` whose sides have the same generator counts, as
-    ``(indices into pairs, theta, psi)`` with one stacked row per pair.
+    ``(indices into pairs, theta, counts)`` with one stacked row per pair.
 
-    Sides of na and nb generators fix theta's (2^na, 2^nb) grid and psi's
-    2^n vector, so a chunk of up to ``_CHUNK_ENTRIES`` blades stacks along
-    a leading axis, with the generator counts as (S, 1, 1) arrays.
+    Sides of na and nb generators fix theta's (2^na, 2^nb) grid, so a chunk
+    of up to ``_CHUNK_ENTRIES`` blades stacks along a leading axis, with the
+    generator counts ``(pa, qa, pb, qb)`` as (S, 1, 1) arrays.
     """
     import numpy as np
 
@@ -184,9 +180,8 @@ def _batches(pairs):
         step = max(1, _CHUNK_ENTRIES >> na + nb)
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
-            pa, qa, pb, qb = np.array([counts[i] for i in chunk]).T[:, :, None, None]
-            psi = _psi(np.arange(1 << na + nb), pa[:, 0], qa[:, 0], pb[:, 0], qb[:, 0])
-            yield chunk, _theta(na, nb, pa, qa, pb), psi
+            stacked = np.array([counts[i] for i in chunk]).T[:, :, None, None]
+            yield chunk, _theta(na, nb, *stacked[:3]), tuple(stacked)
 
 
 def theta_psi_checks(pairs) -> list[bool]:
@@ -194,8 +189,8 @@ def theta_psi_checks(pairs) -> list[bool]:
     canonical homomorphisms invert each other exactly: one set of array
     operations per chunk of :func:`_batches`."""
     verdicts = [False] * len(pairs)
-    for chunk, theta, psi in _batches(pairs):
-        for i, holds in zip(chunk, _round_trips(theta, psi).tolist()):
+    for chunk, theta, counts in _batches(pairs):
+        for i, holds in zip(chunk, _round_trips(theta, counts).tolist()):
             verdicts[i] = holds
     return verdicts
 

@@ -659,3 +659,32 @@ def test_label_command_text_unchanged(capsys):
     for argv in label_runs():
         h.update(json.dumps([argv, *run(argv, capsys)]).encode())
     assert h.hexdigest() == LABEL_TEXT_DIGEST
+
+
+# sha256 over (argv, exit code, stdout, stderr) of ``matrep`` for all 91 p+q <= 12: every
+# entry lies in {0, +-1, +-i}, so these bytes, signed zeros included, depend on no libm or BLAS
+MATREP_JSON_DIGEST = "1b92591f2cdfa50ab4ca244eef9c18faf83a02d6ce2e59de54c673bd166652fa"
+
+
+def test_matrep_json_unchanged(capsys):
+    h = hashlib.sha256()
+    for n in range(13):
+        for p in range(n + 1):
+            argv = ["matrep", "-p", str(p), "-q", str(n - p)]
+            h.update(json.dumps([argv, *run(argv, capsys)]).encode())
+    assert h.hexdigest() == MATREP_JSON_DIGEST
+
+
+# sha256 of ``verify`` stdout per budget, each float residual's digits masked as "#":
+# the residuals vary with BLAS and libm, the names, verdicts and details do not
+VERIFY_TEXT_DIGESTS = {
+    (): "a629d59a4ab711f4689a7e0caa39ead9592d0d16d564b0f607c0b7e964422273",
+    ("--nmax", "5", "--dim-max", "16"): "6d383d6b978808399795d8e1498985aa01907a07460487f99f21df09202efe62",
+}
+
+
+@pytest.mark.parametrize("budget", sorted(VERIFY_TEXT_DIGESTS), ids=lambda budget: " ".join(budget) or "default")
+def test_verify_text_unchanged(budget, capsys):
+    code, out, err = run(["verify", *budget], capsys)
+    masked = re.sub(r"(?<=residual )[^\]]+", "#", out)
+    assert (code, err, hashlib.sha256(masked.encode()).hexdigest()) == (0, "", VERIFY_TEXT_DIGESTS[budget])

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cliffrep import repsys
 from cliffrep.classify import RingType, classify, classify_complex
 from cliffrep.factorize import complex_factorize
 from cliffrep.repsys import (
+    MAX_CYCLE_HOURS,
     ComplexRepLabel,
     RealRepClass,
     RealRepLabel,
@@ -230,11 +232,24 @@ class TestLabelValidation:
             (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), "8"), "hour count must be an integer, got '8'"),
             (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), -3), "hour count must be non-negative"),
             (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), -1), "hour count must be non-negative"),
+            (lambda: run_real_cycle(RealRepLabel(RealRepClass.R0, F(0)), 1001), "hour count must be at most 1000, got 1001"),
         ],
     )
     def test_rejected_at_the_boundary(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    def test_hour_count_bound_is_checked_before_any_tick(self, monkeypatch):
+        """10^8 hours would build 10^8 labels: the bound raises first.  MAX_CYCLE_HOURS itself is
+        walked, 125 periods of l0 + 2."""
+        start = RealRepLabel(RealRepClass.R02_DOUBLE, F(0))
+        assert run_real_cycle(start, MAX_CYCLE_HOURS)[-1] == RealRepLabel(RealRepClass.R02_DOUBLE, F(MAX_CYCLE_HOURS, 4))
+        def no_tick(*args):
+            raise AssertionError("a label was built")
+        monkeypatch.setattr(repsys, "bw_real_step", no_tick)
+        with pytest.raises(ValueError) as err:
+            run_real_cycle(start, 10**8)
+        assert str(err.value) == f"hour count must be at most {MAX_CYCLE_HOURS}, got {10**8}"
 
     def test_integral_inputs_are_stored_as_python_numbers(self):
         rep = ComplexRepLabel(np.int64(2), np.int8(-1))

@@ -145,9 +145,9 @@ def written_out_embedding(t, side, mask):
 
 
 def one_row(a, b):
-    """The one-row chunk of :func:`tensor._batches` that ``theta_psi_check(a, b)`` checks: ``(theta, psi)``."""
-    ((_chunk, theta, psi),) = tensor._batches([(a, b)])
-    return theta, psi
+    """The one-row chunk of :func:`tensor._batches` that ``theta_psi_check(a, b)`` checks: ``(theta, counts)``."""
+    ((_chunk, theta, counts),) = tensor._batches([(a, b)])
+    return theta, counts
 
 
 class TestPlacementRule:
@@ -166,7 +166,7 @@ class TestPlacementRule:
     def test_every_blade_up_to_eight_generators(self, a, b):
         t = GradedTensorProduct(a, b)
         self._assert_blades(t, all_blades(a), all_blades(b))
-        (_signs, masks), _psi = one_row(a, b)
+        (_signs, masks), _counts = one_row(a, b)
         assert masks[0].tolist() == [
             [written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for mb in all_blades(b)]
             for ma in all_blades(a)
@@ -179,7 +179,7 @@ class TestPlacementRule:
         masks_a = [rng.randrange(1 << t.a_sig.n) for _ in range(500)]
         masks_b = [rng.randrange(1 << t.b_sig.n) for _ in range(500)]
         self._assert_blades(t, masks_a, masks_b)
-        (_signs, masks), _psi = one_row(a, b)
+        (_signs, masks), _counts = one_row(a, b)
         assert [masks[0, ma, mb] for ma, mb in zip(masks_a, masks_b)] == [
             written_out_embedding(t, "a", ma) ^ written_out_embedding(t, "b", mb) for ma, mb in zip(masks_a, masks_b)
         ]
@@ -239,26 +239,28 @@ class TestBladeArrays:
         # TestGroupedChecks holds these one-pair chunks to the per-blade maps on sampled blades
         assert theta_psi_check(a, b) is True
 
-    def test_detects_wrong_generator_images(self):
-        theta, (signs, masks_a, masks_b) = one_row((1, 0), (1, 0))
-        assert tensor._round_trips(theta, (signs, masks_a, masks_b)).tolist() == [True]
+    def test_detects_wrong_generator_images(self, monkeypatch):
+        theta, counts = one_row((1, 0), (1, 0))
+        assert tensor._round_trips(theta, counts).tolist() == [True]
         # psi(e1) = 1 (x) e1 instead of e1 (x) 1
-        assert tensor._round_trips(theta, (signs, masks_b, masks_a)).tolist() == [False]
+        monkeypatch.setattr(tensor, "_psi", psi_sides_swapped(tensor._psi))
+        assert tensor._round_trips(theta, counts).tolist() == [False]
 
     def test_detects_wrong_sign(self):
-        (signs, masks), psi = one_row((2, 1), (1, 1))
+        (signs, masks), counts = one_row((2, 1), (1, 1))
         flipped = signs.copy()
         flipped[0, 3, 1] *= -1
-        assert tensor._round_trips((signs, masks), psi).tolist() == [True]
-        assert tensor._round_trips((flipped, masks), psi).tolist() == [False]
+        assert tensor._round_trips((signs, masks), counts).tolist() == [True]
+        assert tensor._round_trips((flipped, masks), counts).tolist() == [False]
 
 
 def assert_rows_match_per_blade_maps(pairs, blades=None):
-    """Every stacked row of ``tensor._batches(pairs)`` against its pair's
-    theta_blade and psi_blade, on every blade or on ``blades(t)`` samples;
-    returns the chunks' index lists."""
+    """Every stacked row of ``tensor._batches(pairs)`` against its pair: theta's
+    grid against theta_blade, and psi read with the row's stacked counts against
+    psi_blade, on every blade or on ``blades(t)`` samples; returns the chunks'
+    index lists."""
     chunks = []
-    for chunk, (t_signs, t_masks), psi in tensor._batches(pairs):
+    for chunk, (t_signs, t_masks), counts in tensor._batches(pairs):
         chunks.append(chunk)
         for row, i in enumerate(chunk):
             t = GradedTensorProduct(*pairs[i])
@@ -268,7 +270,10 @@ def assert_rows_match_per_blade_maps(pairs, blades=None):
             assert [(int(t_signs[row, ma, mb]), int(t_masks[row, ma, mb])) for ma, mb in a_b] == [
                 t.theta_blade(ma, mb) for ma, mb in a_b
             ]
-            assert [tuple(int(x[row, m]) for x in psi) for m in combined] == [t.psi_blade(m) for m in combined]
+            row_counts = [c[row, 0, 0] for c in counts]
+            assert row_counts == [t.a_sig.p, t.a_sig.q, t.b_sig.p, t.b_sig.q]
+            psi = zip(*(x.tolist() for x in tensor._psi(np.array(combined), *row_counts)))
+            assert list(psi) == [t.psi_blade(m) for m in combined]
     return chunks
 
 
@@ -289,6 +294,40 @@ def psi_without_koszul_sign(psi):
     def wrapped(*args):
         signs, masks_a, masks_b = psi(*args)
         return signs * 0 + 1, masks_a, masks_b
+    return wrapped
+
+
+def psi_sides_swapped(psi):
+    def wrapped(*args):
+        signs, masks_a, masks_b = psi(*args)
+        return signs, masks_b, masks_a
+    return wrapped
+
+
+def psi_with_a_b_side_carry(psi):
+    """psi moving one unit of its A-side mask into a carry above the B side: the
+    combined index ``mask_a * 2^nb + mask_b`` stays right, so only the side-by-side
+    comparison sees it."""
+    def wrapped(masks, pa, qa, pb, qb):
+        signs, masks_a, masks_b = psi(masks, pa, qa, pb, qb)
+        carry = masks_a > 0
+        return signs, masks_a - carry, masks_b + (carry << pb + qb)
+    return wrapped
+
+
+def theta_with_a_stray_high_bit(theta):
+    """theta with bit n set on every mask: psi reads only the low n bits, so only the range clause sees it."""
+    def wrapped(na, nb, pa, qa, pb):
+        signs, masks = theta(na, nb, pa, qa, pb)
+        return signs, masks | 1 << na + nb
+    return wrapped
+
+
+def theta_with_bit_zero_cleared(theta):
+    """theta with bit 0 of every mask cleared: the two blade pairs whose images differ in bit 0 share one mask."""
+    def wrapped(na, nb, pa, qa, pb):
+        signs, masks = theta(na, nb, pa, qa, pb)
+        return signs, masks & ~1
     return wrapped
 
 
@@ -349,8 +388,15 @@ class TestGroupedChecks:
             ("_psi", psi_without_koszul_sign, "(0,1) x (1,0)"),
             ("_placements", b_side_shifted_up_one, "(0,0) x (1,0)"),
             ("_theta", one_theta_sign_flipped_for_21_x_11, "(2,1) x (1,1)"),
+            ("_psi", psi_sides_swapped, "(0,0) x (0,1)"),
+            ("_theta", theta_with_a_stray_high_bit, "(0,0) x (0,0)"),
+            ("_theta", theta_with_bit_zero_cleared, "(0,0) x (0,1)"),
+            ("_psi", psi_with_a_b_side_carry, "(0,1) x (0,0)"),
         ],
-        ids=["psi-koszul-sign", "b-placement-shift", "one-pair-theta-sign"],
+        ids=[
+            "psi-koszul-sign", "b-placement-shift", "one-pair-theta-sign",
+            "psi-sides-swapped", "theta-stray-high-bit", "theta-two-pairs-one-mask", "psi-b-side-carry",
+        ],
     )
     def test_faults_name_the_per_pair_sweeps_first_pair(self, monkeypatch, target, fault, first):
         monkeypatch.setattr(tensor, target, fault(getattr(tensor, target)))
