@@ -17,25 +17,16 @@ Subpackage map:
   interlocking chains, periodicity steps;
 * :mod:`cliffrep.cli` -- the ``cliffrep`` command-line tool.
 
-The numpy-backed :mod:`cliffrep.gamma` and :mod:`cliffrep.lorentz`, and the
-names this package exports from them, are imported on first access, so
-``import cliffrep`` (and every ``cliffrep`` subcommand that builds no
-matrix) does not import numpy.
+Only :mod:`cliffrep.classify` and :mod:`cliffrep.factorize` (with the input
+rules they use) are imported with the package: their functions ``classify``
+and ``factorize`` must keep those names, which a later lazy import of the
+submodule would rebind to the module.  Every other submodule, and the names
+this package exports from it, is imported on first access, so
+``import cliffrep`` loads neither numpy nor the multivector code, and a label
+command (classify, table, clock, factorize, chain) loads only the modules it
+runs.
 """
 
-from .algebra import (
-    GradedBracketResult,
-    Multivector,
-    Signature,
-    blade_product,
-    center_blades,
-    generators,
-    graded_bracket,
-    involution_via_omega,
-    omega_square,
-    omega_square_mod8,
-    volume_element,
-)
 from .classify import (
     AlgebraClass,
     ComplexClass,
@@ -56,42 +47,23 @@ from .factorize import (
     karoubi_factorize,
     periodicity_reduce,
 )
-from .repsys import (
-    ComplexRepLabel,
-    RealRepClass,
-    RealRepLabel,
-    bw_complex_step,
-    bw_real_step,
-    chain_neighbors,
-    classify_real_rep,
-    interlocking_chain,
-    real_period_step,
-)
-from .tensor import GradedTensorProduct, theta_psi_check, theta_psi_checks
 
 __version__ = "0.1.0"
 
+# every lazily imported submodule, and the names it exports, to the submodule
 _LAZY = {
-    **dict.fromkeys(
-        ("gamma", "GeneratorSet", "blade_images", "build_generators", "faithfulness_rank", "verify_anticommutation"),
-        "gamma",
-    ),
-    **dict.fromkeys(
-        (
-            "lorentz",
-            "GNLabel",
-            "GNOperators",
-            "Spintensor",
-            "VdWOperators",
-            "build_gn_operators",
-            "build_vdw_operators",
-            "gn_coefficients",
-            "gn_to_vdw",
-            "reconstruct_AB",
-            "spintensor_transform",
-        ),
-        "lorentz",
-    ),
+    name: module
+    for module, names in {
+        "algebra": "GradedBracketResult Multivector Signature blade_product center_blades generators graded_bracket "
+        "involution_via_omega omega_square omega_square_mod8 volume_element",
+        "tensor": "GradedTensorProduct theta_psi_check theta_psi_checks",
+        "repsys": "ComplexRepLabel RealRepClass RealRepLabel bw_complex_step bw_real_step chain_neighbors "
+        "classify_real_rep interlocking_chain real_period_step",
+        "gamma": "GeneratorSet blade_images build_generators faithfulness_rank verify_anticommutation",
+        "lorentz": "GNLabel GNOperators Spintensor VdWOperators build_gn_operators build_vdw_operators "
+        "gn_coefficients gn_to_vdw reconstruct_AB spintensor_transform",
+    }.items()
+    for name in (module, *names.split())
 }
 
 # ``from cliffrep import *`` still exports the lazy names, importing their modules
@@ -99,7 +71,7 @@ __all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
 
 
 def __getattr__(name: str):
-    """Import ``gamma``/``lorentz`` the first time one of their names is read."""
+    """Import a lazy submodule the first time it or one of its names is read."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
@@ -111,4 +83,5 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    # the private submodules are bound here by their imports, but are not names of the package
+    return sorted(set(globals()) - {"_kronecker", "_rules"} | set(_LAZY))

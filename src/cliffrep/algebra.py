@@ -40,23 +40,12 @@ e_a e_b = (-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade
 (:func:`_sign_masks`), which the one-row loop reads on ints and
 :func:`blade_signs` on numpy arrays of masks.  A 64 KB parity table, built
 on first use, serves array parities; no 4^n sign table is built, so every
-route serves every n.  numpy is imported inside functions only, so the
-classification paths that import this module, and products below the
-Pauli floor, do not load it.
+route serves every n.  numpy is imported inside functions only, so
+products below the Pauli floor do not load it.
 
-The top of this module holds the one rule for each scalar input, and
-every other module calls it, so each input kind fails one way:
-
-* a signature (p, q): :class:`Signature`, through :func:`as_signature`;
-* a count or other integer: :func:`as_count`;
-* a 1-based generator index: :func:`metric_sign`, "generator index 4
-  outside 1..3";
-* a blade mask: ``_require_blades``, "blade 0x4 invalid for Cl(1,1)" or
-  "blade mask must be an integer, got 1.5";
-* a spin of Spin+(1,3): :func:`as_half_integer`, an int or ``Fraction``
-  whose double is an integer.
-
-Each raises ``ValueError`` naming the value.
+The input rules live in :mod:`cliffrep._rules` and are imported back
+here; the blade-mask rule, ``_require_blades``, needs the blade code and
+stays in this module.
 """
 
 from __future__ import annotations
@@ -67,10 +56,12 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import chain
-from numbers import Number, Rational
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from numbers import Number
+from typing import Iterable, Mapping
 
-MAX_GENERATORS = 16
+# the input rules, all of them bound here too, so cliffrep.algebra.Signature is cliffrep._rules.Signature
+from ._rules import MAX_GENERATORS, Signature, as_count, as_half_integer, as_signature, metric_sign
+
 # The pair loop takes one blade_product per blade pair; the Pauli route's
 # int64 matmuls cost about d^3/128 of those for d = 2^ceil(n/2), and its
 # numpy calls (30-130 us) about 2^6.  Pair-loop time / Pauli time on int
@@ -91,86 +82,9 @@ _PAULI_MIN_PAIRS = 1 << 6
 _SIGNS = (1, -1)  # indexed by a pair's sign parity
 
 
-class _Counts(NamedTuple):
-    p: int
-    q: int
-
-
-class Signature(_Counts):
-    """Counts of generators squaring to +1 (``p``) and -1 (``q``).
-
-    Valid by construction: both counts are integers (numpy integers are
-    stored as ``int``), neither is negative and they sum to at most
-    ``MAX_GENERATORS``; anything else is a ``ValueError``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p, q):
-        try:
-            p, q = operator.index(p), operator.index(q)
-        except TypeError:
-            raise ValueError(f"generator counts must be integers, got {p!r}, {q!r}") from None
-        if p < 0 or q < 0:
-            raise ValueError("generator counts must be non-negative")
-        if p + q > MAX_GENERATORS:
-            raise ValueError(f"at most {MAX_GENERATORS} generators are supported")
-        return super().__new__(cls, p, q)
-
-    @classmethod
-    def _make(cls, iterable) -> "Signature":  # also behind _replace
-        """The rule of :func:`as_signature`; an iterator is read into a tuple first, so a message names its values."""
-        return as_signature(tuple(iterable) if isinstance(iterable, Iterator) else iterable)
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
-    def __str__(self) -> str:
-        return f"Cl({self.p},{self.q})"
-
-
-def as_signature(sig) -> Signature:
-    """Coerce a (p, q) pair to a :class:`Signature`, which validates it; anything
-    that does not unpack to two values is a ``ValueError`` naming it."""
-    if isinstance(sig, Signature):
-        return sig
-    try:
-        p, q = sig
-    except (TypeError, ValueError):
-        raise ValueError(f"a signature must be a (p, q) pair, got {sig!r}") from None
-    return Signature(p, q)
-
-
-def as_count(x, name: str) -> int:
-    """``x`` through ``operator.index``, as :class:`Signature` takes its counts: a float is a ValueError."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-
-
-def as_half_integer(x) -> Fraction:
-    """``x`` as a ``Fraction``: an int or ``Fraction`` (any ``numbers.Rational``) whose double is an integer."""
-    if not isinstance(x, Rational):
-        raise ValueError(f"expected a half-integer int or Fraction, got {x!r}")
-    if (2 * (f := Fraction(x))).denominator != 1:
-        raise ValueError(f"{f} is not a half-integer")
-    return f
-
-
 def grade(mask: int) -> int:
     """Number of generators in a blade."""
     return mask.bit_count()
-
-
-def metric_sign(sig, i: int) -> int:
-    """Square of the generator e_i (1-based index): the check of every generator index."""
-    sig = as_signature(sig)
-    i = as_count(i, "generator index")
-    if not 1 <= i <= sig.n:
-        raise ValueError(f"generator index {i} outside 1..{sig.n}")
-    return 1 if i <= sig.p else -1
 
 
 def all_blades(sig) -> range:
@@ -254,13 +168,6 @@ def _parity(x):
     if isinstance(x, int):
         return x.bit_count() & 1
     return _parity_table().take(x)
-
-
-def _kron(a, b):
-    """np.kron of two square numpy matrices as one broadcast product, bit for bit: the
-    one Kronecker product behind the gamma matrices and the Spin+(1,3) operators."""
-    size = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def blade_signs(a, b, sig):

@@ -16,9 +16,9 @@ the classical 8x8 periodic table in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algebra import Signature, as_count, as_signature
+from ._rules import Signature, as_generator_count, as_signature
 
 
 class RingType(enum.Enum):
@@ -64,8 +64,7 @@ RING_BY_TYPE = {
 }
 
 
-@dataclass(frozen=True)
-class MatrixShape:
+class MatrixShape(NamedTuple):
     """A full matrix algebra Mat_size(ring), optionally doubled."""
 
     ring: RingType
@@ -83,8 +82,7 @@ class MatrixShape:
         return f"{one}⊕{one}" if self.ring.is_double else one
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(NamedTuple):
     """Classification data of one real Clifford algebra.
 
     ``hour`` is h in q - p = h + 8r (the clock transition label);
@@ -111,8 +109,7 @@ class AlgebraClass:
         return str(self.shape)
 
 
-@dataclass(frozen=True)
-class ComplexClass:
+class ComplexClass(NamedTuple):
     """Classification of the complex Clifford algebra on n generators."""
 
     parity: int
@@ -157,9 +154,7 @@ def classify(sig) -> AlgebraClass:
 
 def classify_complex(n: int) -> ComplexClass:
     """C_n is Mat_{2^{n/2}}(C) for even n and a double of C_{n-1} for odd n."""
-    n = as_count(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = as_generator_count(n)
     return ComplexClass(parity=n % 2, matrix_size=1 << (n // 2), simple=n % 2 == 0)
 
 

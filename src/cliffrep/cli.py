@@ -8,10 +8,10 @@ order, which round-trips to bit-identical floats.
 Exit codes: 0 success, 1 verification failure (or a closed output pipe),
 2 usage error.
 
-numpy, :mod:`cliffrep.gamma`, :mod:`cliffrep.lorentz` and
-:mod:`cliffrep.checks` are imported inside the commands that use them, so
-the label commands (classify, table, clock, factorize, chain) start
-without them.
+A label command (classify, table, clock, factorize, chain) loads only
+the input rules, :mod:`cliffrep.classify`, :mod:`cliffrep.factorize` and
+:mod:`cliffrep.table_data`, and ``chain`` adds :mod:`cliffrep.repsys`;
+numpy and every other module are imported inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import MAX_GENERATORS, as_signature
+from ._rules import MAX_GENERATORS, as_signature
 from .classify import classify, clock_hour
 from .factorize import factorize, verify_factorization
-from .repsys import interlocking_chain
 from .table_data import format_entry, reference_diff
 
 if TYPE_CHECKING:
@@ -298,6 +297,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .repsys import interlocking_chain
+
     chain = interlocking_chain(args.spin2)
     print(" <-> ".join(f"C^{{{c.a},{c.b}}}" for c in chain))
     return 0

@@ -14,10 +14,10 @@ generators; it is factorized instead, and the semi-simple types
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import Signature, as_count, as_signature
+from ._rules import Signature, as_generator_count, as_signature
 from .classify import (
     MatrixShape,
     RingType,
@@ -32,8 +32,7 @@ FACTOR_POS = Signature(2, 0)
 FACTOR_NEG = Signature(0, 2)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Ordered 2-generator factors of Cl(p,q).
 
     ``doubled`` marks the odd-dimensional semi-simple case (the factors then
@@ -150,8 +149,8 @@ def verify_factorization(fact: Factorization) -> bool:
 
 def complex_factorize(n: int) -> int:
     """Number m of Pauli-algebra factors with C_n = C_2 (x) ... (x) C_2."""
-    n = as_count(n, "n")
-    if n < 0 or n % 2:
+    n = as_generator_count(n)
+    if n % 2:
         raise ValueError("n must be even and non-negative")
     m = n // 2
     assert classify_complex(n).matrix_size == 1 << m

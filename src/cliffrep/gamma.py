@@ -13,7 +13,7 @@ in the two blocks, which keeps the representation faithful at twice the
 even-truncated dimension.
 
 All seed entries lie in {0, +/-1, +/-i}, so every check below is exact.
-Every Kronecker product is ``algebra._kron``, as in :mod:`cliffrep.lorentz`.
+Every Kronecker product is ``_kronecker._kron``, as in :mod:`cliffrep.lorentz`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import Signature, _kron, as_signature
+from ._kronecker import _kron
+from ._rules import Signature, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

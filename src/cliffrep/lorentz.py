@@ -20,9 +20,9 @@ which is the unique scaling under which both triples close into su(2)
 
 Both bases are assembled from one su(2) triple (``su2_ladder``), and every
 ladder triple is read in cartesian form through one map (``cartesian``).
-Every tensor product is ``algebra._kron``, as for the gamma matrices.
+Every tensor product is ``_kronecker._kron``, as for the gamma matrices.
 
-Every spin argument goes through ``algebra.as_half_integer``, the one
+Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
 
 All matrices are dense complex numpy arrays over fixed lexicographic
@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _kron, as_count, as_half_integer
+from ._kronecker import _kron
+from ._rules import as_count, as_half_integer
 
 #: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
 #: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).

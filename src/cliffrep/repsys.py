@@ -6,7 +6,7 @@ label and undoubles it into the next spin.  Real labels pair one of the
 eight mod-8 classes with a spin index l0; the eight-hour cycle advances
 l0 by 1/2 on every even hour and doubles on every odd hour.
 
-Inputs are checked by the rules in :mod:`cliffrep.algebra`: integers
+Inputs are checked by the rules in :mod:`cliffrep._rules`: integers
 (superscripts, hours, the spin doubling 2s) by ``as_count`` and the spin
 index l0 by ``as_half_integer``.
 """
@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import as_count, as_half_integer
+from ._rules import as_count, as_half_integer
 from .classify import RING_BY_TYPE, classify
 from .factorize import factorize
 

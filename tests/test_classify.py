@@ -1,5 +1,6 @@
 """Mod-8 / mod-2 classification against the embedded periodic table."""
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -16,7 +17,8 @@ from cliffrep.classify import (
     even_subalgebra,
     tensor_compose,
 )
-from cliffrep.table_data import parse_entry, reference_table
+from cliffrep.factorize import factorize
+from cliffrep.table_data import parse_entry, reference_diff, reference_table
 
 
 class TestClassify:
@@ -96,6 +98,10 @@ class TestClassifyComplex:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             classify_complex(-1)
+
+    def test_largest_n(self):
+        """16 generators, the bound of a signature, is accepted (17 is rejected in test_repsys)."""
+        assert classify_complex(16) == classify_complex(14)._replace(matrix_size=256)
 
 
 class TestClockHour:
@@ -209,3 +215,85 @@ class TestTableData:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_entry("Q(3)")
+
+
+#: (record, repr, str) of the classification records: their text is that of the frozen
+#: dataclasses they were, field by field
+RECORD_TEXT = [
+    (MatrixShape(RingType.H, 2), "MatrixShape(ring=<RingType.H: 'H'>, size=2)", "Mat_2(H)"),
+    (MatrixShape(RingType.R_R, 1), "MatrixShape(ring=<RingType.R_R: 'R+R'>, size=1)", "R⊕R"),
+    (
+        classify((1, 3)),
+        "AlgebraClass(ring=<RingType.H: 'H'>, matrix_size=2, simple=True, hour=2, type_label=6)",
+        "Mat_2(H)",
+    ),
+    (
+        classify((5, 0)),
+        "AlgebraClass(ring=<RingType.H_H: 'H+H'>, matrix_size=2, simple=False, hour=3, type_label=5)",
+        "Mat_2(H)⊕Mat_2(H)",
+    ),
+    (classify_complex(3), "ComplexClass(parity=1, matrix_size=2, simple=False)", "Mat_2(C)⊕Mat_2(C)"),
+    (classify_complex(0), "ComplexClass(parity=0, matrix_size=1, simple=True)", "C"),
+    (
+        factorize((1, 3)),
+        "Factorization(sig=Signature(p=1, q=3), factors=(Signature(p=1, q=1), Signature(p=0, q=2)), doubled=False)",
+        None,
+    ),
+    (
+        factorize((5, 0)),
+        "Factorization(sig=Signature(p=5, q=0), factors=(Signature(p=0, q=2), Signature(p=2, q=0)), doubled=True)",
+        None,
+    ),
+]
+
+# sha256 of tensor_compose (its repr, or its ValueError) over every ordered pair of the 45 shapes
+# classify gives for p+q <= 8, each line "a b result"
+TENSOR_COMPOSE_DIGEST = "22ef64eb1cfebb1d1e4eaf09b0a6634577f3fe11f86da8ddf962e667308deafd"
+
+
+class TestRecords:
+    """MatrixShape, AlgebraClass, ComplexClass and Factorization are NamedTuples."""
+
+    @pytest.mark.parametrize("record,text,string", RECORD_TEXT)
+    def test_repr_and_str_pinned(self, record, text, string):
+        assert repr(record) == text and str(record) == (text if string is None else string)
+
+    @pytest.mark.parametrize("record", [r for r, _, _ in RECORD_TEXT[::2]], ids=lambda r: type(r).__name__)  # one of each
+    def test_fields_are_read_only(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equal_values_hash_equal(self):
+        for build, arg in [(classify, (1, 3)), (classify_complex, 5), (factorize, (4, 3))]:
+            a, b = build(arg), build(arg)
+            assert a is not b and a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+        assert classify((2, 0)) != classify((1, 1)) and classify((2, 0)).shape == classify((1, 1)).shape
+        assert {classify((p, q)).shape for p in range(8) for q in range(8)} == {
+            MatrixShape(ring, size) for ring, size in reference_table().values()
+        }
+
+    def test_tuple_behaviour(self):
+        """The records are tuples: they iterate, index and compare equal to plain tuples of their fields."""
+        shape = MatrixShape(RingType.R, 2)
+        assert tuple(shape) == (RingType.R, 2) and shape == (RingType.R, 2) and shape[1] == 2
+        assert classify_complex(2) == (0, 2, True) and factorize((2, 0)) == (Signature(2, 0), (Signature(2, 0),), False)
+
+    def test_reference_diff_unchanged(self):
+        assert reference_diff([(p, q) for p in range(10) for q in range(10)]) == (64, [])
+        with mock.patch("cliffrep.table_data.classify", lambda sig: classify(sig[::-1])):
+            compared, bad = reference_diff([(p, q) for p in range(8) for q in range(8)])
+        assert compared == 64 and (1, 0) in bad and (1, 1) not in bad
+
+    def test_tensor_compose_unchanged(self):
+        shapes = [classify((p, n - p)).shape for n in range(9) for p in range(n + 1)]
+        h = hashlib.sha256()
+        for a in shapes:
+            for b in shapes:
+                try:
+                    r = repr(tensor_compose(a, b))
+                except ValueError as e:
+                    r = f"ValueError: {e}"
+                h.update(f"{a!r} {b!r} {r}\n".encode())
+        assert h.hexdigest() == TENSOR_COMPOSE_DIGEST

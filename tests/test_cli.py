@@ -430,6 +430,10 @@ LABEL_RUNS = [
     ["chain", "--spin2", "3"],
 ]
 
+#: besides LAZY_MODULES: what classify, table, clock and factorize do not load, and what chain does not load
+LABEL_ONLY = ("cliffrep.algebra", "cliffrep.tensor", "cliffrep.repsys", "dataclasses", "inspect")
+CHAIN_ONLY = ("cliffrep.algebra", "cliffrep.tensor")
+
 README = SRC.parent / "README.md"
 
 
@@ -445,14 +449,22 @@ API = readme_api()
 
 class TestLazyImports:
     def test_label_commands_import_no_numpy(self):
+        """The label commands load no numpy and no matrix module; classify, table, clock and
+        factorize load no multivector, graded-tensor or label-system code and no ``dataclasses``
+        either, and chain adds ``repsys`` (so ``dataclasses``) and nothing more.  A module the
+        interpreter had loaded before cliffrep does not count."""
         code = f"""
 import contextlib, io, sys
+before = set(sys.modules)
 import cliffrep.cli
 print([m for m in {LAZY_MODULES!r} if m in sys.modules])
-for argv in {LABEL_RUNS!r}:
+for argv in {LABEL_RUNS[:-1]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cliffrep.cli.main(argv) == 0, argv
-print([m for m in {LAZY_MODULES!r} if m in sys.modules])
+print([m for m in {LAZY_MODULES + LABEL_ONLY!r} if m in set(sys.modules) - before])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cliffrep.cli.main({LABEL_RUNS[-1]!r}) == 0
+print([m for m in {LAZY_MODULES + CHAIN_ONLY!r} if m in set(sys.modules) - before], "cliffrep.repsys" in sys.modules)
 import cliffrep
 assert cliffrep.build_generators is sys.modules["cliffrep.gamma"].build_generators
 assert cliffrep.GNLabel is sys.modules["cliffrep.lorentz"].GNLabel
@@ -460,14 +472,32 @@ print("numpy" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "[] True", "True"]
+
+    def test_submodule_import_keeps_the_functions(self):
+        """``classify`` and ``factorize`` name both a submodule and a function: the function wins,
+        also after the submodules and every module that imports them are imported."""
+        code = """
+import sys
+import cliffrep.classify, cliffrep.factorize
+import cliffrep
+assert cliffrep.classify is sys.modules["cliffrep.classify"].classify
+assert cliffrep.factorize is sys.modules["cliffrep.factorize"].factorize
+import cliffrep.repsys, cliffrep.checks, cliffrep.cli
+assert cliffrep.classify is sys.modules["cliffrep.classify"].classify
+assert cliffrep.factorize is sys.modules["cliffrep.factorize"].factorize
+print(cliffrep.classify((1, 3)), cliffrep.factorize((2, 0)).factors)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["Mat_2(H) (Signature(p=2, q=0),)"]
 
     @pytest.mark.parametrize(
         "argv,unimported",
         [
-            (["rep", "--gn", "0", "1"], ["cliffrep.checks", "cliffrep.gamma"]),
-            (["rep", "--vdw", "1/2", "0"], ["cliffrep.checks", "cliffrep.gamma"]),
-            (["matrep", "-p", "1", "-q", "3"], ["cliffrep.lorentz", "cliffrep.checks"]),
+            (["rep", "--gn", "0", "1"], ["cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
+            (["rep", "--vdw", "1/2", "0"], ["cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
+            (["matrep", "-p", "1", "-q", "3"], ["cliffrep.lorentz", "cliffrep.checks", "cliffrep.algebra", "cliffrep.tensor"]),
         ],
     )
     def test_matrix_commands_import_what_they_run(self, argv, unimported):
@@ -688,3 +718,71 @@ def test_verify_text_unchanged(budget, capsys):
     code, out, err = run(["verify", *budget], capsys)
     masked = re.sub(r"(?<=residual )[^\]]+", "#", out)
     assert (code, err, hashlib.sha256(masked.encode()).hexdigest()) == (0, "", VERIFY_TEXT_DIGESTS[budget])
+
+
+#: bad argv lists over all eight subcommands and none: signatures past 16 generators, negative
+#: counts, float counts and spins, out-of-range steps, 2s and budgets, bad ``rep`` labels, missing
+#: and unknown arguments and subcommands
+USAGE_ERROR_RUNS = [
+    ["classify", "-p", "9", "-q", "8"],
+    ["classify", "-p", "-1", "-q", "3"],
+    ["classify", "-p", "1.5", "-q", "3"],
+    ["classify", "--json", "-p", "17", "-q", "0"],
+    ["classify", "-p", "1"],
+    ["table", "--pmax", "9", "--qmax", "8"],
+    ["table", "--pmax", "-1"],
+    ["table", "--qmax", "1000000000"],
+    ["table", "--pmax", "x"],
+    ["clock", "-p", "1", "-q", "0", "--steps", "-1"],
+    ["clock", "-p", "0", "-q", "10", "--steps", "8"],
+    ["clock", "-p", "-2", "-q", "0"],
+    ["clock", "-p", "17", "-q", "0", "--steps", "0"],
+    ["factorize", "-p", "17", "-q", "0"],
+    ["factorize", "-p", "0", "-q", "-1"],
+    ["factorize", "-p", "2", "-q", "2.0"],
+    ["matrep", "-p", "7", "-q", "6"],
+    ["matrep", "-p", "-1", "-q", "0"],
+    ["matrep", "-p", "9", "-q", "8"],
+    ["matrep", "-q", "1"],
+    ["rep", "--gn", "1/2", "1/2"],
+    ["rep", "--gn", "0.3", "2"],
+    ["rep", "--gn", "-1/2", "3/2"],
+    ["rep", "--vdw", "nan", "0"],
+    ["rep", "--vdw", "2.5e0", "1/3"],
+    ["rep", "--vdw", "0", "1/0"],
+    ["rep", "--gn", "0", "100"],
+    ["rep", "--vdw", "10", "19/2"],
+    ["rep", "--gn", "0", "1", "--vdw", "0", "0"],
+    ["rep", "--vdw", "1/2", "1/2", "--tol", "-1"],
+    ["rep"],
+    ["chain", "--spin2", "-1"],
+    ["chain", "--spin2", "1001"],
+    ["chain", "--spin2", str(10**22)],
+    ["chain", "--spin2", "1.5"],
+    ["chain"],
+    ["verify", "--nmax", "17"],
+    ["verify", "--nmax", "-1"],
+    ["verify", "--dim-max", "401"],
+    ["verify", "--dim-max", "0"],
+    ["classify", "-p", "1", "-q", "3", "--bogus"],
+    ["frobnicate"],
+    [],
+]
+
+# sha256 over (argv, exit code, stdout, stderr) of every USAGE_ERROR_RUNS run, argparse's usage
+# lines wrapped at 80 columns: cliffrep's messages and argparse's, the same on Python 3.10, 3.11 and 3.12
+USAGE_ERROR_DIGEST = "6b22b3b93e7a6874da6da22bcf5939d4e216f82678ac78a180359094abd94255"
+
+
+def test_usage_error_text_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    h = hashlib.sha256()
+    for argv in USAGE_ERROR_RUNS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        h.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+    assert h.hexdigest() == USAGE_ERROR_DIGEST

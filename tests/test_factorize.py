@@ -134,7 +134,7 @@ class TestKaroubiCheck:
 
 
 class TestComplexFactorize:
-    @pytest.mark.parametrize("n,m", [(4, 2), (0, 0), (8, 4), (2, 1)])
+    @pytest.mark.parametrize("n,m", [(4, 2), (0, 0), (8, 4), (2, 1), (16, 8)])
     def test_examples(self, n, m):
         assert complex_factorize(n) == m
 

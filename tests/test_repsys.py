@@ -225,6 +225,11 @@ class TestLabelValidation:
             (lambda: RealRepLabel("R0", F(0)), "class must be a RealRepClass, got 'R0'"),
             (lambda: classify_complex(2.0), "n must be an integer, got 2.0"),
             (lambda: complex_factorize(4.0), "n must be an integer, got 4.0"),
+            (lambda: classify_complex(17), "at most 16 generators are supported"),
+            (lambda: classify_complex(10**18), "at most 16 generators are supported"),
+            (lambda: complex_factorize(17), "at most 16 generators are supported"),
+            (lambda: complex_factorize(10**18), "at most 16 generators are supported"),
+            (lambda: complex_factorize(-2), "n must be non-negative"),
             (lambda: interlocking_chain(1.5), "spin doubling 2s must be an integer, got 1.5"),
             (lambda: bw_real_step(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), 1.5), "hour must be an integer, got 1.5"),
             (lambda: bw_real_step(RealRepLabel(RealRepClass.R02_DOUBLE, F(0)), None), "hour must be an integer, got None"),
