@@ -33,15 +33,16 @@ factor is scaled by the lcm of its own denominators, the int product
 blade is divided once by the two scales.  ``Fraction`` is canonical, so
 values and types match the per-pair ``Fraction`` loop.
 
-Blade signs have two forms: :func:`blade_product` for one pair (the
-reference) and the closed-form bitmap-blade reordering sign (Dorst,
-Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19),
-e_a e_b = (-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade
-(:func:`_sign_masks`), which the one-row loop reads on ints and
-:func:`blade_signs` on numpy arrays of masks.  A 64 KB parity table, built
-on first use, serves array parities; no 4^n sign table is built, so every
-route serves every n.  numpy is imported inside functions only, so
-products below the Pauli floor do not load it.
+Blade signs have one rule, the closed-form bitmap-blade reordering sign
+(Dorst, Fontijne & Mann, *Geometric Algebra for Computer Science*,
+ch. 19): e_a e_b = (-1)^|b & L(a)| e_{a^b} with one mask L(a) per blade
+(:func:`_sign_masks`).  :func:`blade_product` writes it out for one pair
+of ints, the one-row loop reads one mask per row, and :func:`blade_signs`
+reads it on numpy arrays of masks.  Its references, a crossing count and
+a bubble sort of the index lists, live in the tests.  A 64 KB parity
+table, built on first use, serves array parities; no 4^n sign table is
+built, so every route serves every n.  numpy is imported inside
+functions only, so products below the Pauli floor do not load it.
 
 The input rules live in :mod:`cliffrep._rules` and are imported back
 here; the blade-mask rule, ``_require_blades``, needs the blade code and
@@ -65,19 +66,23 @@ from ._rules import MAX_GENERATORS, Signature, as_count, as_half_integer, as_sig
 # The pair loop takes one blade_product per blade pair; the Pauli route's
 # int64 matmuls cost about d^3/128 of those for d = 2^ceil(n/2), and its
 # numpy calls (30-130 us) about 2^6.  Pair-loop time / Pauli time on int
-# factors, both routes forced, both orders (2 vCPUs, Python 3.11, numpy
-# 2.4, best of 2-7 runs), by blade pairs, 4 terms times k: n = 3..6:
-# 0.44-0.63x at 16, 0.90-1.09x at 32, 1.02-1.55x at 48, 1.38-1.88x at 64;
-# n = 7, 8: 0.79-0.84x at 48, 1.00-1.06x at 64, 1.39-1.70x at 96; n = 9,
-# 10: 0.52-0.77x at 96-128, 0.87-1.26x at 192, 1.08-1.54x at 256; n = 11,
-# 12: 0.15-0.22x at 256.  Then 2 rows times every blade: n = 11: 1.35-1.42x
-# (4096 pairs); n = 12: 5.6-6.0x; n = 13: 0.96-1.29x, 1.37-1.69x at 3 rows;
-# n = 14: 1.9-2.1x; n = 15: 0.68-0.71x, 1.08-1.11x at 3 rows, 1.29-1.51x at
-# 4; n = 16: 1.54-1.73x.  So the Pauli route takes products of two factors
+# factors with the closed-form blade_product, both routes forced, both
+# orders, p in {0, n/2, n} (2 vCPUs, Python 3.11, numpy 2.4, best of 2-7
+# runs), by blade pairs, 4 terms times k: n = 3..6: 0.33-0.48x at 16,
+# 0.56-0.76x at 32, 0.85-1.05x at 48, 1.08-1.43x at 64; n = 7, 8:
+# 0.44-0.55x at 48, 0.63-0.68x at 64, 0.90-0.99x at 96; n = 9, 10:
+# 0.26-0.40x at 96-128, 0.52-0.94x at 192, 0.68-0.76x at 256; n = 11, 12:
+# 0.08-0.09x at 256.  Then 2 rows times every blade: n = 11: 1.17-1.52x
+# (4096 pairs); n = 12: 1.9-2.3x; n = 13: 0.43-0.50x, 0.64-0.70x at 3 rows;
+# n = 14: 0.82-1.00x; n = 15: 0.24-0.33x, 0.37-0.41x at 3 rows, 0.52-1.02x
+# at 4; n = 16: 0.55-0.83x.  The Pauli route takes products of two factors
 # of at least two terms with at least max(d^3/128, 2^6) blade pairs: times
 # every blade, 2 rows at n = 5..14 and 16, 4 at n = 15 and 4, 8 at n = 3,
-# never at n <= 2.  One row (a signed relabelling, see _pair_product) never
-# takes it, and sparse factors stay on the loop.
+# never at n <= 2.  The floor was set on the crossing-count loop, which
+# these shapes ran 1.4-3x slower; at n = 7..10 and 13..16 the loop now wins
+# at the floor, which is kept until it is measured again.  One row (a
+# signed relabelling, see _pair_product) never takes it, and sparse
+# factors stay on the loop.
 _PAULI_MIN_PAIRS = 1 << 6
 _SIGNS = (1, -1)  # indexed by a pair's sign parity
 
@@ -95,7 +100,7 @@ def all_blades(sig) -> range:
 def _require_blades(sig: Signature, a, b) -> None:
     """Every blade-mask check: ``a`` and ``b`` (one mask twice, a pair, or the least and greatest
     of many) are integers with 0 <= m < 2^n, else a ``ValueError`` names the least if it is negative,
-    else the greatest.  It calls no public (traced) function: ``blade_product`` runs it per pair."""
+    else the greatest.  ``blade_product`` runs it only on masks off its fast path, so its errors come from here too."""
     try:
         if a >= 0 and b >= 0 and not (a | b) >> sig.n:
             return
@@ -108,27 +113,29 @@ def _require_blades(sig: Signature, a, b) -> None:
 def blade_product(a: int, b: int, sig) -> tuple[int, int]:
     """Product of two basis blades.
 
-    Returns ``(sign, mask)`` such that ``e_a * e_b = sign * e_mask``.
-    The sign collects (i) one transposition per crossing needed to sort
-    the concatenated index lists and (ii) one metric factor per repeated
-    generator.
+    Returns ``(sign, mask)`` such that ``e_a * e_b = sign * e_mask``, with
+    sign = (-1)^(|b & L(a)| + |(a & b) >> p|): bit j of L(a) is the parity
+    of a's generators above j, those generator j of b crosses (the shift
+    ladder of :func:`_sign_masks`, written out for ints: calling it per
+    pair gives back about half the time saved), and each repeated
+    generator above p gives a metric factor -1.  A ``Signature``
+    and two int masks in 0..2^n-1 take that path alone; any other input
+    goes through ``as_signature`` and ``_require_blades`` first, and an
+    integer mask of another type (a bool or a numpy integer) is read as
+    an ``int``.
     """
-    sig = as_signature(sig)
-    _require_blades(sig, a, b)
-    mask = a ^ b
-    if type(mask) is not int:  # a numpy integer passes the check but has no bit_length
+    if type(sig) is not Signature:
+        sig = as_signature(sig)
+    p, q = sig
+    if not (type(a) is int and type(b) is int and not (a | b) >> (p + q)):  # for ints, one shift tests both ranges
+        _require_blades(sig, a, b)
         a, b = operator.index(a), operator.index(b)
-        mask = a ^ b
-    swaps = 0
-    t = b
-    while t:
-        low = t & -t
-        # generators of a strictly above this one must be crossed
-        swaps += (a >> low.bit_length()).bit_count()
-        t ^= low
-    # one metric factor per repeated generator above p
-    swaps += ((a & b) >> sig.p).bit_count()
-    return -1 if swaps & 1 else 1, mask
+    s = a >> 1
+    s ^= s >> 1
+    s ^= s >> 2
+    s ^= s >> 4
+    s ^= s >> 8
+    return -1 if ((b & s).bit_count() + ((a & b) >> p).bit_count()) & 1 else 1, a ^ b
 
 
 def _sign_masks(masks, p: int, shift=operator.rshift):
@@ -310,14 +317,16 @@ def _int_route(sig: Signature, a: dict[int, int], b: dict[int, int]):
 def _pair_product(sig: Signature, a: dict, b: dict) -> dict:
     """The product of two term dicts of any coefficient type, one blade pair at a time, zero sums dropped.
 
-    Each pair takes one :func:`blade_product` and adds ``sign * ca * cb``
-    to its output blade, the left factor the outer loop.  A single blade
-    times a multivector (one row, as in omega conjugation) relabels the
-    other factor's terms: the row's sign mask (:func:`_sign_masks`, the
-    mirror rule when the row is the right factor) gives each pair's sign
-    as one AND and one parity, and each output blade takes its one term as
-    ``0 + sign * ca * cb``, in the other factor's order, as in the pair
-    loop, whose sums start from the int 0 (0 + (-0.0+1j) is 1j).
+    Each pair takes one :func:`blade_product` call, read from the module
+    once per product (so a wrapper set there sees every pair), and adds
+    ``sign * ca * cb`` to its output blade, the left factor the outer
+    loop.  A single blade times a multivector (one row, as in omega
+    conjugation) relabels the other factor's terms: the row's sign mask
+    (:func:`_sign_masks`, the mirror rule when the row is the right
+    factor) gives each pair's sign as one AND and one parity, and each
+    output blade takes its one term as ``0 + sign * ca * cb``, in the
+    other factor's order, as in the pair loop, whose sums start from the
+    int 0 (0 + (-0.0+1j) is 1j).
     """
     if len(a) == 1:
         ((ma, ca),) = a.items()
@@ -329,10 +338,11 @@ def _pair_product(sig: Signature, a: dict, b: dict) -> dict:
         terms = {ma ^ mb: 0 + _SIGNS[(ma & rule).bit_count() & 1] * ca * cb for ma, ca in a.items()}
     else:
         terms = {}
+        product, get, row = blade_product, terms.get, b.items()
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                sign, mask = blade_product(ma, mb, sig)
-                terms[mask] = terms.get(mask, 0) + sign * ca * cb
+            for mb, cb in row:
+                sign, mask = product(ma, mb, sig)
+                terms[mask] = get(mask, 0) + sign * ca * cb
     return {m: c for m, c in terms.items() if c != 0}
 
 

@@ -76,6 +76,21 @@ def slow_blade_product(a_mask, b_mask, sig):
     return sign, mask
 
 
+def crossing_blade_product(a_mask, b_mask, sig):
+    """Reference product: one transposition per crossing needed to sort the
+    concatenated index lists (each generator of b crosses the generators of
+    a above it), then one metric factor per repeated generator above p."""
+    p, q = sig
+    swaps = 0
+    t = b_mask
+    while t:
+        low = t & -t
+        swaps += (a_mask >> low.bit_length()).bit_count()
+        t ^= low
+    swaps += ((a_mask & b_mask) >> p).bit_count()
+    return -1 if swaps & 1 else 1, a_mask ^ b_mask
+
+
 signatures_small = [
     Signature(p, n - p) for n in range(0, 6) for p in range(n + 1)
 ]
@@ -210,9 +225,11 @@ class TestBladeProduct:
 
     @pytest.mark.parametrize("sig", signatures_small)
     def test_matches_reference_product(self, sig):
+        """Both references, the bubble sort and the crossing count, agree with the closed form."""
         for a in all_blades(sig):
             for b in all_blades(sig):
-                assert blade_product(a, b, sig) == slow_blade_product(a, b, sig)
+                want = slow_blade_product(a, b, sig)
+                assert blade_product(a, b, sig) == want and crossing_blade_product(a, b, sig) == want
 
     @pytest.mark.parametrize("sig", [Signature(2, 2), Signature(0, 4), Signature(3, 1)])
     def test_generator_anticommutation(self, sig):
@@ -228,6 +245,82 @@ class TestBladeProduct:
         with pytest.raises(ValueError):
             blade_product(0b100, 0b1, (1, 1))
 
+    @pytest.mark.parametrize(
+        "a,b,sig,want",
+        [
+            # masks outside 0..2^n-1: the least if one is negative, else the greatest
+            (-1, 0, (1, 1), "blade -0x1 invalid for Cl(1,1)"),
+            (0, -1, (1, 1), "blade -0x1 invalid for Cl(1,1)"),
+            (-3, -1, (1, 1), "blade -0x3 invalid for Cl(1,1)"),
+            (-1, 4, (1, 1), "blade -0x1 invalid for Cl(1,1)"),
+            (4, -2, (1, 1), "blade -0x2 invalid for Cl(1,1)"),
+            (4, 0, (1, 1), "blade 0x4 invalid for Cl(1,1)"),
+            (0, 4, (1, 1), "blade 0x4 invalid for Cl(1,1)"),
+            (3, 8, (1, 1), "blade 0x8 invalid for Cl(1,1)"),
+            (1 << 16, 0, (8, 8), "blade 0x10000 invalid for Cl(8,8)"),
+            (0, 1 << 16, (16, 0), "blade 0x10000 invalid for Cl(16,0)"),
+            (1 << 70, 1, (2, 1), "blade 0x400000000000000000 invalid for Cl(2,1)"),
+            # non-integer masks: the first one is named
+            (1.0, 0, (1, 1), "blade mask must be an integer, got 1.0"),
+            (0, 1.5, (1, 1), "blade mask must be an integer, got 1.5"),
+            (1.0, 1.5, (1, 1), "blade mask must be an integer, got 1.0"),
+            (-1, 1.0, (1, 1), "blade mask must be an integer, got 1.0"),
+            (1.0, -1, (1, 1), "blade mask must be an integer, got 1.0"),
+            (np.float64(1), 0, (1, 1), f"blade mask must be an integer, got {np.float64(1)!r}"),
+            ("1", 0, (1, 1), "blade mask must be an integer, got '1'"),
+            (0, "1", (1, 1), "blade mask must be an integer, got '1'"),
+            (None, 0, (1, 1), "blade mask must be an integer, got None"),
+            (0, None, (1, 1), "blade mask must be an integer, got None"),
+            (None, None, (1, 1), "blade mask must be an integer, got None"),
+            # bools and numpy integers are integer masks, read as ints
+            (True, True, (1, 1), (1, 0)),
+            (True, 2, (1, 1), (1, 3)),
+            (2, True, (0, 2), (-1, 3)),
+            (False, 3, (2, 0), (1, 3)),
+            (True, 4, (1, 1), "blade 0x4 invalid for Cl(1,1)"),
+            (np.int64(3), np.int64(3), (2, 0), (-1, 0)),
+            (np.uint16(1), 2, (0, 2), (1, 3)),
+            (2, np.int8(1), (1, 1), (-1, 3)),
+            (np.uint8(255), np.uint8(255), (4, 4), (1, 0)),
+            (np.int64(-1), 0, (1, 1), "blade -0x1 invalid for Cl(1,1)"),
+            (np.int64(4), 0, (1, 1), "blade 0x4 invalid for Cl(1,1)"),
+            # signatures: any (p, q) pair, the signature checked before the masks
+            (3, 1, (1, 1), (-1, 2)),
+            (3, 1, [1, 1], (-1, 2)),
+            (3, 1, Signature(1, 1), (-1, 2)),
+            (3, 1, (np.int64(1), 1), (-1, 2)),
+            (8, 0, [1, 1], "blade 0x8 invalid for Cl(1,1)"),
+            (3, 1, (1,), "a signature must be a (p, q) pair, got (1,)"),
+            (3, 1, (1, 2, 3), "a signature must be a (p, q) pair, got (1, 2, 3)"),
+            (3, 1, None, "a signature must be a (p, q) pair, got None"),
+            (3, 1, 5, "a signature must be a (p, q) pair, got 5"),
+            (3, 1, (1.5, 1), "generator counts must be integers, got 1.5, 1"),
+            (-1, 1.0, (1.5, 1), "generator counts must be integers, got 1.5, 1"),
+            (3, 1, (-1, 2), "generator counts must be non-negative"),
+            (3, 1, (9, 8), "at most 16 generators are supported"),
+            # the top of the 16-generator range
+            (0xFFFF, 0xFFFF, (8, 8), (1, 0)),
+            (0xFFFF, 0xFFFF, (16, 0), (1, 0)),
+            (0xFFFF, 0xFFFF, (0, 16), (1, 0)),
+            (0xFFFF, 1, (16, 0), (-1, 0xFFFE)),
+            (1, 0xFFFF, (16, 0), (1, 0xFFFE)),
+            (0x8000, 0x7FFF, (5, 11), (-1, 0xFFFF)),
+            (0x7FFF, 0x8000, (5, 11), (1, 0xFFFF)),
+            (0xAAAA, 0x5555, (3, 13), (1, 0xFFFF)),
+            (0, 0, (0, 0), (1, 0)),
+        ],
+        ids=repr,
+    )
+    def test_input_handling(self, a, b, sig, want):
+        """Every input kind gives the int pair or the ValueError text of the one rule for its kind."""
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                blade_product(a, b, sig)
+            assert str(err.value) == want
+        else:
+            got = blade_product(a, b, sig)
+            assert got == want and type(got) is tuple and all(type(v) is int for v in got)
+
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
     def test_numpy_integer_masks_give_the_int_result(self, dtype):
         sig = Signature(2, 1)
@@ -241,25 +334,31 @@ signatures_grid = [Signature(p, n - p) for n in range(0, 9) for p in range(n + 1
 
 
 class TestSignRule:
+    """Both closed forms, ``blade_product`` on ints and ``blade_signs`` on arrays, against the crossing count."""
+
     @pytest.mark.parametrize("sig", signatures_grid)
     def test_signs_match_blade_product_exhaustively(self, sig):
         blades = all_blades(sig)
         masks = np.arange(1 << sig.n)
-        ref = [blade_product(a, b, sig)[0] for a in blades for b in blades]
-        assert blade_signs(masks[:, None], masks[None, :], sig).ravel().tolist() == ref
+        ref = [crossing_blade_product(a, b, sig) for a in blades for b in blades]
+        assert [blade_product(a, b, sig) for a in blades for b in blades] == ref
+        assert blade_signs(masks[:, None], masks[None, :], sig).ravel().tolist() == [sign for sign, _ in ref]
 
     @pytest.mark.parametrize("n", range(9, 17))
     def test_full_rows_and_columns_at_large_n(self, n):
         # every p with 3 rows and 3 columns up to n = 12; from n = 13, where a
-        # full row costs 2^13+ blade_product calls, p in {0, one drawn, n} with one each
+        # full row costs 2^13+ products, p in {0, one drawn, n} with one each
         rng = random.Random(n)
         masks = np.arange(1 << n)
         ps, lines = (range(n + 1), 3) if n <= 12 else (sorted({0, rng.randint(1, n - 1), n}), 1)
         for p in ps:
             sig = Signature(p, n - p)
             for a, b in zip(rng.sample(range(1 << n), lines), rng.sample(range(1 << n), lines)):
-                assert blade_signs(a, masks, sig).tolist() == [blade_product(a, m, sig)[0] for m in masks.tolist()]
-                assert blade_signs(masks, b, sig).tolist() == [blade_product(m, b, sig)[0] for m in masks.tolist()]
+                row, column = [(a, m) for m in range(1 << n)], [(m, b) for m in range(1 << n)]
+                for pairs, signs in ((row, blade_signs(a, masks, sig)), (column, blade_signs(masks, b, sig))):
+                    ref = [crossing_blade_product(x, y, sig) for x, y in pairs]
+                    assert [blade_product(x, y, sig) for x, y in pairs] == ref
+                    assert signs.tolist() == [sign for sign, _ in ref]
 
     @pytest.mark.parametrize("n", range(0, 17))
     def test_signs_match_blade_product_on_random_masks(self, n):
@@ -268,9 +367,11 @@ class TestSignRule:
         sig = Signature(p, n - p)
         a = [rng.randrange(1 << n) for _ in range(2000)]
         b = [rng.randrange(1 << n) for _ in range(2000)]
+        ref = [crossing_blade_product(x, y, sig) for x, y in zip(a, b)]
+        assert [blade_product(x, y, sig) for x, y in zip(a, b)] == ref
         got = blade_signs(np.array(a), np.array(b), sig)
         assert got.dtype == np.int8
-        assert got.tolist() == [blade_product(x, y, sig)[0] for x, y in zip(a, b)]
+        assert got.tolist() == [sign for sign, _ in ref]
 
     def test_signs_broadcast(self):
         sig = Signature(2, 3)
