@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import chain
-from numbers import Integral, Number
+from numbers import Number
 from typing import Iterable, Mapping
 
 # the input rules, all of them bound here too, so cliffrep.algebra.Signature is cliffrep._rules.Signature
@@ -189,11 +189,12 @@ def blade_signs(a, b, sig):
     sig = as_signature(sig)
     a, b = np.asarray(a), np.asarray(b)
     for masks in (a, b):
+        if masks.dtype == object:  # every value by the rule, first to last: a numpy bool among ints would compare as one
+            for m in masks.flat:
+                as_count(m, "blade mask")
         if masks.size:  # the least and greatest mask as Python scalars, so a float is named as the constructor names it,
-            try:  # but numpy bools stay numpy bools, which the rule rejects (a Python bool is an integer)
-                ends = np.array((masks.min(), masks.max()))
-            except TypeError:  # an object array of values that do not compare: name the first non-integer
-                ends = np.array((next(m for m in masks.flat if not isinstance(m, Integral)),) * 2)
+            # but numpy bools stay numpy bools, which the rule rejects (a Python bool is an integer)
+            ends = np.array((masks.min(), masks.max()))
             _require_blades(sig, *(ends if ends.dtype == bool else ends.tolist()))
     a, b = a.astype(np.int64), b.astype(np.int64)
     return (1 - 2 * _parity(b & _sign_masks(a, sig.p))).astype(np.int8)

@@ -5,16 +5,15 @@ generator count of the algebra sweeps and ``dim_max`` the operator size
 of the representation sweeps; a check reads the budget it needs and
 ignores the other.  It returns a :class:`CheckResult` whose ``covered``
 counts the signatures, signature pairs, labels or table entries the
-check sweeps.  The floating-point tolerances are :mod:`cliffrep.lorentz`'s,
-beside the residuals they bound, and are defined nowhere else; everything
-else is exact.
+check sweeps.  The rotation/boost and basis-conversion checks hold float
+residuals to :mod:`cliffrep.lorentz`'s tolerances, defined there beside
+the residuals and nowhere else; every other check, the su(2) one
+included, is exact.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -233,53 +232,17 @@ def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
     return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(labels), len(labels))
 
 
-def _is_block_kron_identity(op4: np.ndarray, block: np.ndarray) -> bool:
-    """Complex ``op4`` is the complex ``block`` (x) I_n read as (m, n, m, n), exactly: its
-    diagonal blocks op4[:, r, :, r], one ``diagonal`` view of shape (m, m, n), equal ``block``,
-    and its float64 view (real and imaginary parts) has n times the block's nonzeros, so
-    nothing off those blocks is nonzero.  For a finite block this is
-    np.array_equal(op, np.kron(block, I_n)): +-0 compare equal and count as zero, and a NaN,
-    in an imaginary part alone too, fails."""
-    if not (op4.diagonal(axis1=1, axis2=3) == block[:, :, None]).all():
-        return False
-    # ravel("K") reads the entries in memory order: a view, not a copy, of a transposed reshape
-    count = np.count_nonzero(op4.ravel("K").view(np.float64))
-    return count == op4.shape[1] * np.count_nonzero(block.ravel("K").view(np.float64))
-
-
-def _not_kronecker(l: Fraction, ld: Fraction, xs: tuple[np.ndarray, ...]) -> str | None:
-    """Failure text unless the built (l, ldot) operators are exactly x (x) I and I (x) y of the
-    spin-l ladders ``xs`` and the spin-ldot ladders; I (x) y is y (x) I with both axis pairs swapped.
-    Each operator is read through reshaped and transposed views, with no copy (see
-    ``_is_block_kron_identity``)."""
-    ys = lorentz.su2_ladder(ld)
-    m, n = len(xs[0]), len(ys[0])
-    built = list(lorentz.build_vdw_operators(l, ld).operators().values())
-    exact = (
-        all(op.shape == (m * n, m * n) for op in built)
-        and all(_is_block_kron_identity(op.reshape(m, n, m, n), x) for op, x in zip(built[:3], xs))
-        and all(_is_block_kron_identity(op.reshape(m, n, m, n).transpose(1, 0, 3, 2), y) for op, y in zip(built[3:], ys))
-    )
-    return None if exact else f"({l}, {ld}) is not x (x) I, I (x) y"
-
-
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
-    """X = x (x) I and Y = I (x) y give [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I and [Xi, Yj] = 0,
-    so every label satisfies the relations once each spin's ladders do (one su(2) residual per
-    spin) and each label's operators are exactly those Kronecker products.  The label set is
-    symmetric, so the spins are the l values: one l-major pass builds each x ladder once, takes
-    its residual and checks the labels (l, ldot) against it.  No sweep holds more than one l's ladders;
-    ``su2_ladder`` keeps only each spin's O(n) entries and writes them into fresh arrays, and the
-    Kronecker test compares views of each operator, with one nonzero count on its float64 view."""
+    """``build_vdw_operators`` sets X = x (x) I and Y = I (x) y, one ``_kron`` each, so by the
+    mixed-product rule [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I and [Xi, Yj] = 0: every label
+    satisfies the relations once each spin's ladder does.  The label set is symmetric, so the
+    spins are the l values, and each is proved exactly by ``lorentz.su2_ladder_failure``, on
+    every call; no label's operators are built.  ``covered`` counts the labels."""
     labels = vdw_labels(dim_max)
-    name, residuals = "paired su(2) commutators", []
-    for l, group in itertools.groupby(labels, key=operator.itemgetter(0)):
-        xs = lorentz.su2_ladder(l)
-        residuals.append(lorentz.su2_residual(lorentz.cartesian(*xs)))
-        failure = next((text for _, ld in group if (text := _not_kronecker(l, ld, xs)) is not None), None)
-        if failure is not None:
-            return CheckResult(name, False, failure, len(labels))
-    return _worst_residual(name, residuals, VDW_COM_TOL, dim_max, len(labels))
+    spins = [l for l, ld in labels if ld == 0]  # each l once: (2l+1)(2ldot+1) grows with ldot
+    passed_detail = f"dim <= {dim_max}, {len(spins)} spins, exact"
+    result = _sweep("paired su(2) commutators", spins, lorentz.su2_ladder_failure, passed_detail)
+    return replace(result, covered=len(labels))
 
 
 def _x3_spectrum(ops, v) -> bool:

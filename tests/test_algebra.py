@@ -419,6 +419,15 @@ class TestSignRule:
                 blade_signs(np.array(a), np.array(b), (1, 1))
             assert str(err.value) == f"blade mask must be an integer, got {bad!r}"
 
+    @pytest.mark.parametrize("masks", [[np.True_, 2], [2, np.False_], [0, 1, np.True_]], ids=str)
+    def test_signs_reject_numpy_bools_among_ints(self, masks):
+        """In an object array a numpy bool compares with ints as 0 or 1, so each value is read by the rule."""
+        bad = next(m for m in masks if isinstance(m, np.bool_))
+        for a, b in ((masks, [1]), ([1], masks)):
+            with pytest.raises(ValueError) as err:
+                blade_signs(np.array(a, dtype=object), np.array(b, dtype=object), (1, 1))
+            assert str(err.value) == f"blade mask must be an integer, got {bad!r}"
+
     @pytest.mark.parametrize("masks", [[None, 1], [1, None], [0, "1", 1]], ids=str)
     def test_signs_reject_mixed_object_arrays(self, masks):
         """Values that do not compare with ints: the first non-integer is named."""

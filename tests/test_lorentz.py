@@ -1,6 +1,7 @@
 """Spin+(1,3) operators: ladder coefficients, commutators, conversions."""
 
 import hashlib
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -284,6 +285,79 @@ class TestGNOperators:
         assert com1_residual(perturbed) > 1e-4
 
 
+def _ladder_mutant(edit):
+    """su2_ladder with edit(j3, j+, j-) applied in place to the triple of every spin past 0."""
+    def ladder(j):
+        t = su2_ladder(j)
+        if j:
+            edit(*t)
+        return t
+    return ladder
+
+
+def _set_root(jp, jm, value):  # the first root, shared by j+ and j-
+    jp[1, 0] = jm[0, 1] = value
+
+
+def _move_entry(m, source, target):
+    m[target], m[source] = m[source], 0
+
+
+#: ladders that vdw-com2 must fail, each changed on every spin past 0 (spin 0 has no root),
+#: and the failure each gives at spin 1/2
+_NOT_ONE_ROOT = "j+ is not one positive root at each (i+1, i)"
+LADDER_MUTANTS = {
+    "doubled-root": (
+        _ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, 2 * jp[1, 0])),
+        "root 0 of j+ is not within 1 ulp of sqrt(1)",
+    ),
+    "root-moved-2-ulps": (
+        _ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.nextafter(np.nextafter(jp[1, 0].real, np.inf), np.inf))),
+        "root 0 of j+ is not within 1 ulp of sqrt(1)",
+    ),
+    "flipped-j3-entry": (
+        _ladder_mutant(lambda j3, jp, jm: j3.__setitem__((0, 0), -j3[0, 0])),
+        "j3 is not [j+, j-]/2 = diag(-j .. j)",
+    ),
+    "nan-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.nan)), _NOT_ONE_ROOT),
+    "negative-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, -jp[1, 0])), _NOT_ONE_ROOT),
+    "infinite-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.inf)), _NOT_ONE_ROOT),
+    "imaginary-root-part": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, jp[1, 0] + 1j)), _NOT_ONE_ROOT),
+    "j+-entry-one-place-off": (_ladder_mutant(lambda j3, jp, jm: _move_entry(jp, (1, 0), (1, 1))), _NOT_ONE_ROOT),
+    "imaginary-entry-off-j+": (_ladder_mutant(lambda j3, jp, jm: jp.__setitem__((0, 1), 5e-324j)), _NOT_ONE_ROOT),
+    "single-precision": (
+        lambda j: tuple(m.astype(np.complex64) if j else m for m in su2_ladder(j)),
+        "not three 2 x 2 complex arrays",
+    ),
+    "j--root-1-ulp-apart": (
+        _ladder_mutant(lambda j3, jp, jm: jm.__setitem__((0, 1), np.nextafter(jm[0, 1].real, 0))),
+        "j- is not the transpose of j+",
+    ),
+}
+DOUBLED_ROOT = LADDER_MUTANTS["doubled-root"][0]
+
+
+def bracketing_ulps(f: float, x: int) -> int:
+    """Fewest k such that f stepped k ulps down and k ulps up brackets sqrt(x), compared exactly."""
+    k, low, high = 0, f, f
+    while not F(low) ** 2 <= x <= F(high) ** 2:
+        k, low, high = k + 1, math.nextafter(low, 0), math.nextafter(high, math.inf)
+    return k
+
+
+def kron_mismatch(dim_max: int):
+    """The first label of dim <= dim_max whose six built operators are not np.kron(x, I) and
+    np.kron(I, y) of its spins' ladders, in shape, dtype and bytes, signed zeros included; else None."""
+    for l, ld in vdw_labels(dim_max):
+        xs, ys = su2_ladder(l), su2_ladder(ld)
+        left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
+        want = [np.kron(x, right) for x in xs] + [np.kron(left, y) for y in ys]
+        got = lorentz.build_vdw_operators(l, ld).operators().values()
+        if any((g.shape, g.dtype, g.tobytes()) != (w.shape, w.dtype, w.tobytes()) for g, w in zip(got, want)):
+            return l, ld
+    return None
+
+
 class TestVdWOperators:
     def test_fundamental_ladder(self):
         ops = build_vdw_operators(F(1, 2), F(0))
@@ -383,44 +457,110 @@ class TestVdWOperators:
             deviations += [lorentz._comm(xi, yi) for xi in xs for yi in ys]
             assert com2_residual(ops) == max(np.abs(d).max() for d in deviations) > 0
 
-    def test_nan_residual_fails_the_check(self):
-        # the check takes one su(2) residual per spin; spin 1's triple is the only 3 x 3 one
-        honest = lorentz.su2_residual
-        with mock.patch.object(lorentz, "su2_residual", lambda t: np.nan if len(t[2]) == 3 else honest(t)):
-            r = checks.check_vdw_com2(0, 64)
-            assert np.isnan(com2_residual(build_vdw_operators(0, 1)))  # the dense fold shares the helper
-        assert (r.passed, r.detail) == (False, "dim <= 64, residual nan")
+    def test_nan_anywhere_fails_the_check(self):
+        """A NaN in any part of spin 1's triple, real or imaginary, on the support or off it, fails
+        the exact proof and the check at spin 1, as it makes the dense com2_residual NaN."""
+        honest = lorentz.su2_ladder
+        spots = [(0, (0, 0)), (0, (2, 0)), (1, (1, 0)), (1, (0, 0)), (2, (0, 1)), (2, (2, 2))]
+        for which, spot in spots:
+            for nan in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+                def ladder(j):
+                    t = honest(j)
+                    if j == 1:
+                        t[which][spot] = nan
+                    return t
+                with mock.patch.object(lorentz, "su2_ladder", ladder):
+                    r = checks.check_vdw_com2(0, 64)
+                    assert np.isnan(com2_residual(build_vdw_operators(1, 0)))
+                assert not r.passed and r.detail.startswith("spin 1: "), (which, spot, nan, r.detail)
 
     @pytest.mark.parametrize("dim_max", [1, 16, 36])
     def test_check_matches_the_dense_residuals(self, dim_max):
-        """Per-spin residuals and exact Kronecker assembly give what dense com2_residual gives on every label."""
-        residuals = [com2_residual(build_vdw_operators(l, ld)) for l, ld in vdw_labels(dim_max)]
-        worst = float(np.max(residuals))
-        r = checks.check_vdw_com2(0, dim_max)
-        assert (r.passed, r.detail, r.covered) == (worst <= VDW_COM_TOL, f"dim <= {dim_max}, residual {worst:.2e}", len(residuals))
+        """The exact per-spin proof gives the verdict of dense com2_residual over every label, on the
+        shipped ladders and on a doubled root; ``covered`` counts the labels, the detail the spins."""
+        labels = vdw_labels(dim_max)
+        for ladder in (su2_ladder, DOUBLED_ROOT):
+            with mock.patch.object(lorentz, "su2_ladder", ladder):
+                worst = max(com2_residual(build_vdw_operators(l, ld)) for l, ld in labels)
+                r = checks.check_vdw_com2(0, dim_max)
+            assert (r.passed, r.covered) == (worst <= VDW_COM_TOL, len(labels))
+        assert checks.check_vdw_com2(0, dim_max).detail == f"dim <= {dim_max}, {len({l for l, _ in labels})} spins, exact"
+
+    @pytest.mark.parametrize("mutant", LADDER_MUTANTS)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # verify's GN checks meet the infinite root too
+    def test_mutant_fails_the_check(self, mutant, capsys):
+        """Each ladder mutant fails vdw-com2 at spin 1/2, the first with a root, and ``verify`` exits 1."""
+        ladder, detail = LADDER_MUTANTS[mutant]
+        honest = checks.check_vdw_com2(0, 16)
+        with mock.patch.object(lorentz, "su2_ladder", ladder):
+            r = checks.check_vdw_com2(0, 16)
+            code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
+        assert (r.passed, r.detail, r.covered) == (False, f"spin 1/2: {detail}", honest.covered)
+        assert code == 1 and f"FAIL  paired su(2) commutators  [{r.detail}]" in out.splitlines()
+        assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
+
+    def test_next_spins_ladder_fails_the_check(self):
+        """A triple of the wrong size fails on its shape; the GN builders could not place it, so verify is not run."""
+        with mock.patch.object(lorentz, "su2_ladder", lambda j: su2_ladder(j + F(1, 2) if j else j)):
+            r = checks.check_vdw_com2(0, 16)
+        assert (r.passed, r.detail) == (False, "spin 1/2: not three 2 x 2 complex arrays")
+
+    def test_verdict_is_not_cached(self):
+        """A mutant of the largest spin alone, patched in after a passing call at the same budget,
+        fails the next call, and removing it passes again: every call proves every spin."""
+        honest = lorentz.su2_ladder
+
+        def ladder(j):
+            t = honest(j)
+            if j == F(63, 2):
+                t[1][-1, -2] = t[2][-2, -1] = np.nextafter(t[1][-1, -2].real, np.inf)
+            return t
+
+        first = checks.check_vdw_com2(0, 64)
+        assert first.passed
+        with mock.patch.object(lorentz, "su2_ladder", ladder):
+            r = checks.check_vdw_com2(0, 64)
+        assert not r.passed and r.detail.startswith("spin 63/2: root 62 of j+")
+        assert checks.check_vdw_com2(0, 64) == first
+
+    def test_dim_400_passes_exactly(self):
+        r = checks.check_vdw_com2(0, 400)
+        assert (r.passed, r.detail, r.covered) == (True, "dim <= 400, 400 spins, exact", 2468)
+
+    def test_root_ulps_bound_is_the_measured_maximum(self):
+        """Over every root of 2j < 400 the fewest ulps that bracket sqrt(x) peak at SU2_ROOT_ULPS;
+        perfect squares have exact roots, and a bound of 0 ulps fails the proof."""
+        roots = {}
+        for n in range(400):
+            i = np.arange(n)
+            roots.update(zip(((n - i) * (i + 1)).tolist(), lorentz._ladder_entries(n)[1].tolist()))
+        ulps = {x: bracketing_ulps(f, x) for x, f in roots.items()}
+        assert len(ulps) == 17010 and max(ulps.values()) == lorentz.SU2_ROOT_ULPS == 1
+        assert all(ulps[x] == 0 for x in ulps if math.isqrt(x) ** 2 == x)
+        with mock.patch.object(lorentz, "SU2_ROOT_ULPS", 0):
+            assert lorentz.su2_ladder_failure(F(1, 2)) is None  # sqrt(1) = 1.0
+            assert lorentz.su2_ladder_failure(1) == "spin 1: root 0 of j+ is not within 0 ulp of sqrt(2)"
+
+    def test_operators_are_np_kron_bit_for_bit(self):
+        """The assembly behind the mixed-product rule: on every label of dim <= 160 the six built
+        operators are np.kron(x, I) and np.kron(I, y) of the spins' ladders, byte for byte."""
+        assert kron_mismatch(160) is None
 
     @pytest.mark.parametrize(
-        "mutant,detail",
+        "mutant,label",
         [
-            ("doubled-root", r"dim <= 16, residual [1-9]\.\d\de[+-]\d\d"),
-            ("identity-first", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
-            ("kron-axes-swapped", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
-            ("off-diagonal-entry", re.escape("(0, 1/2) is not x (x) I, I (x) y")),
-            ("off-diagonal-nan", re.escape("(1/2, 0) is not x (x) I, I (x) y")),
-            ("transposed-block", re.escape("(1/2, 1/2) is not x (x) I, I (x) y")),
-            ("imaginary-nan-off-block", re.escape("(1/2, 0) is not x (x) I, I (x) y")),
-            ("imaginary-diagonal-entry", re.escape("(1/2, 0) is not x (x) I, I (x) y")),
-            ("signed-zero-flip", None),  # np.array_equal holds, so the check passes
+            ("identity-first", (F(1, 2), F(1, 2))),
+            ("kron-axes-swapped", (F(1, 2), F(1, 2))),
+            ("off-diagonal-entry", (F(0), F(1, 2))),
+            ("off-diagonal-nan", (F(1, 2), F(0))),
+            ("transposed-block", (F(1, 2), F(1, 2))),
+            ("imaginary-nan-off-block", (F(1, 2), F(0))),
+            ("imaginary-diagonal-entry", (F(1, 2), F(0))),
+            ("signed-zero-flip", (F(0), F(0))),
         ],
     )
-    def test_mutant_fails_the_check(self, mutant, detail, capsys):
-        honest_ladder, honest_build = lorentz.su2_ladder, lorentz.build_vdw_operators
-
-        def doubled_root(j):  # the first root of j+ and j-, which share it; spin 0 has none
-            j3, jp, jm = honest_ladder(j)
-            jp[1:2, 0] *= 2
-            jm[0, 1:2] *= 2
-            return j3, jp, jm
+    def test_assembly_mutant_breaks_the_kron_bytes(self, mutant, label):
+        honest_build = lorentz.build_vdw_operators
 
         def identity_first(l, ldot):
             xs, ys = su2_ladder(l), su2_ladder(ldot)
@@ -460,13 +600,12 @@ class TestVdWOperators:
             if m > 1:
                 ops.xminus[0, n] += 1j
 
-        def signed_zero_flip(ops, m, n):  # every zero part of X+ and Y3, on and off the diagonal blocks, to -0.0
+        def signed_zero_flip(ops, m, n):  # every zero part of X+ and Y3 to -0.0: np.array_equal still holds
             for op in (ops.xplus, ops.y3):
                 parts = op.view(np.float64)
                 parts[parts == 0] = -0.0
 
         patch = {
-            "doubled-root": ("su2_ladder", doubled_root),
             "identity-first": ("build_vdw_operators", identity_first),
             "kron-axes-swapped": ("_kron", kron_axes_swapped),
             "off-diagonal-entry": ("build_vdw_operators", edited(off_diagonal_entry)),
@@ -476,35 +615,9 @@ class TestVdWOperators:
             "imaginary-diagonal-entry": ("build_vdw_operators", edited(imaginary_diagonal_entry)),
             "signed-zero-flip": ("build_vdw_operators", edited(signed_zero_flip)),
         }[mutant]
-        honest = checks.check_vdw_com2(0, 16)
         with mock.patch.object(lorentz, *patch):
-            r = checks.check_vdw_com2(0, 16)
-            code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
-        if detail is None:
-            assert r == honest and code == 0 and f"PASS  paired su(2) commutators  [{r.detail}]" in out.splitlines()
-        else:
-            assert not r.passed and re.fullmatch(detail, r.detail), r.detail
-            assert code == 1 and f"FAIL  paired su(2) commutators  [{r.detail}]" in out.splitlines()
-        assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
-
-
-    def test_assembly_test_agrees_with_np_kron(self):
-        """On every label of dim <= 160 the structural test gives np.array_equal against np.kron,
-        on each built operator and on a copy with one entry (in any block) moved by 1."""
-        rng = np.random.default_rng(14)
-        for l, ld in vdw_labels(160):
-            xs, ys = su2_ladder(l), su2_ladder(ld)
-            m, n = len(xs[0]), len(ys[0])
-            assert checks._not_kronecker(l, ld, xs) is None
-            built = build_vdw_operators(l, ld).operators().values()
-            for op, block, identity_first in zip(built, xs + ys, 3 * [False] + 3 * [True]):
-                want = np.kron(np.eye(m), block) if identity_first else np.kron(block, np.eye(n))
-                moved = op.copy()
-                moved[tuple(rng.integers(m * n, size=2))] += 1
-                for got in (op, moved):
-                    op4 = got.reshape(m, n, m, n)
-                    op4 = op4.transpose(1, 0, 3, 2) if identity_first else op4
-                    assert checks._is_block_kron_identity(op4, block) == np.array_equal(got, want) == (got is op)
+            assert kron_mismatch(16) == label
+        assert kron_mismatch(16) is None
 
     def test_labels_match_the_fraction_loop(self):
         def fraction_loop(dim_max):  # vdw_labels before it read the labels off integers
