@@ -483,6 +483,9 @@ class Multivector:
         return degs.pop() if degs else 0
 
     def coefficient(self, mask: int):
+        """The coefficient of blade ``mask``, 0 if absent; a mask the constructor rejects raises its message."""
+        if type(mask) is not int or mask >> self.sig.n:  # a negative int shifts to -1
+            mask = _require_blades(self.sig, mask, mask)[0]
         return self.terms.get(mask, 0)
 
     # -- fundamental (anti)automorphisms --------------------------------

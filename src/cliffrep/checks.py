@@ -6,8 +6,8 @@ of the representation sweeps; a check reads the budget it needs and
 ignores the other.  It returns a :class:`CheckResult` whose ``covered``
 counts the signatures, signature pairs, labels or table entries the
 check sweeps.  The rotation/boost and basis-conversion checks hold float
-residuals to :mod:`cliffrep.lorentz`'s tolerances, defined there beside
-the residuals and nowhere else; every other check, the su(2) one
+residuals, each one ``lorentz._worst`` fold, to the tolerances defined
+beside them in :mod:`cliffrep.lorentz`; every other check, the su(2) one
 included, is exact.
 """
 
@@ -222,7 +222,7 @@ def _largest_dim(labels: list[lorentz.GNLabel]) -> int:
 
 def _worst_residual(name: str, residuals: list[float], tol: float, dim: int, covered: int) -> CheckResult:
     """``dim`` is the largest operator dimension swept and ``covered`` the number of labels."""
-    worst = float(np.max(residuals, initial=0.0))  # a NaN residual stays NaN and fails
+    worst = lorentz._worst(residuals)  # a NaN residual stays NaN and fails
     return CheckResult(name, worst <= tol, f"dim <= {dim}, residual {worst:.2e}", covered)
 
 
@@ -246,17 +246,17 @@ def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
 
 
 def _x3_spectrum(ops, v) -> bool:
-    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times."""
-    expected = sorted(float(-v.l + j) for j in range(int(2 * v.l) + 1) for _ in range(int(2 * v.ldot) + 1))
-    got = sorted(np.linalg.eigvals(v.x3).real)
-    return len(got) == len(expected) and max(abs(a - b) for a, b in zip(expected, got)) <= SPECTRUM_TOL
+    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times; ``np.sort`` and the fold keep a NaN, which fails."""
+    expected = np.repeat(np.arange(int(2 * v.l) + 1) - float(v.l), int(2 * v.ldot) + 1)
+    got = np.sort(np.linalg.eigvals(v.x3).real)
+    return len(got) == len(expected) and lorentz._worst([got - expected]) <= SPECTRUM_TOL
 
 
 def _reconstruction(ops, v) -> bool:
     """The converted triples equal X = i(A + iB)/2, Y = i(A - iB)/2 built from the GN operators."""
     got = lorentz.cartesian(v.x3, v.xplus, v.xminus) + lorentz.cartesian(v.y3, v.yplus, v.yminus)
     ref = lorentz.sl25_operators(lorentz.reconstruct_AB(ops))
-    return all(abs(g - r).max() <= SL25_TOL for g, r in zip(got, ref))
+    return lorentz._worst(g - r for g, r in zip(got, ref)) <= SL25_TOL
 
 
 #: per-label properties of the GN -> VdW conversion, called as ``fn(gn_ops, vdw_ops)``
@@ -353,4 +353,11 @@ ALL_CHECKS: list[tuple[str, Callable[[int, int], CheckResult]]] = [
 
 
 def run_all(nmax: int = 8, dim_max: int = 64) -> list[CheckResult]:
-    return [fn(nmax, dim_max) for _name, fn in ALL_CHECKS]
+    """Every registry check in order; one that raises is a FAIL under its registry name, and the rest still run."""
+    results = []
+    for name, check in ALL_CHECKS:
+        try:
+            results.append(check(nmax, dim_max))
+        except Exception as exc:
+            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", 0))
+    return results

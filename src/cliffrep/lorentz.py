@@ -26,12 +26,14 @@ Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
 
 All matrices are dense complex numpy arrays over fixed lexicographic
-basis orders, so outputs are deterministic.  Each spin's su(2) ladder is
-proved exactly (``su2_ladder_failure``): its relations are integer
-identities on the squares of its entries, and each shipped root is bound
-to its exact value within ``SU2_ROOT_ULPS``.  The ``*_TOL`` constants
-bound the float residuals of whole operator sets (the GN relations, the
-GN -> VdW conversion and ``com2_residual``) and are defined nowhere else.
+basis orders and every root of an integer is a correctly rounded
+``np.sqrt`` (``_roots``), so outputs are deterministic.  Each spin's
+su(2) ladder is proved exactly (``su2_ladder_failure``): its relations
+are integer identities on the squares of its entries, and each shipped
+root is bound to its exact value within ``SU2_ROOT_ULPS``.  The
+``*_TOL`` constants bound the float residuals of whole operator sets
+(the GN relations, the GN -> VdW conversion and ``com2_residual``), each
+one NaN-keeping fold (``_worst``), and are defined nowhere else.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -62,9 +64,7 @@ SPECTRUM_TOL = 1e-8
 #: ulps within which each shipped ladder root f of an integer x brackets sqrt(x):
 #: f stepped down and up by as many ulps, f- and f+, give f-^2 <= x <= f+^2.  Over every
 #: root of 2j < 400 (17 010 distinct x) the maximum is 1: a correctly rounded root of a
-#: non-square is already 1 ulp from sqrt(x) on one side, and glibc's float(x) ** 0.5,
-#: 1 ulp off the correctly rounded root on 135 integers <= 160 000 (2921 the first,
-#: 13 of them among these x), stays within it too
+#: non-square is 1 ulp from sqrt(x) on one side, and a perfect square's is exact
 SU2_ROOT_ULPS = 1
 
 
@@ -152,8 +152,8 @@ class GNOperators:
 
 
 def _roots(products: np.ndarray) -> np.ndarray:
-    """float(x) ** 0.5 of each integer: CPython's pow rounding, which np.sqrt need not share."""
-    return np.array([float(x) ** 0.5 for x in products.tolist()])
+    """Correctly rounded square roots of integers below 2^53: IEEE 754 fixes sqrt's bits on every libm."""
+    return np.sqrt(products)
 
 
 def _gn_row(two_l0: int, two_k: int, two_nu: int) -> int:
@@ -225,8 +225,9 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _worst(deviations) -> float:
-    """Largest entry magnitude; NaN if any entry is NaN (numpy's max keeps it, Python's drops it)."""
-    return float(np.max([np.abs(d).max() for d in deviations]))
+    """Largest entry magnitude over arrays or numbers, 0.0 over none; NaN if any entry is NaN
+    (numpy's max keeps it, Python's drops it).  Every max-deviation verdict folds through here."""
+    return float(np.max([np.abs(d).max() for d in deviations], initial=0.0))
 
 
 def com1_residual(ab: ABOperators) -> float:
@@ -279,29 +280,19 @@ def _twice_spin(j) -> int:
     return n
 
 
-@cache
-def _ladder_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The O(n) entries of spin n/2's ladders, read-only: j3's diagonal m = -j .. j and
-    the roots of (n-i)(i+1), i = 0 .. n-1.  No (n+1) x (n+1) array is kept."""
-    i = np.arange(n)
-    diagonal, roots = np.arange(-n, n + 1, 2) / 2, _roots((n - i) * (i + 1))
-    diagonal.flags.writeable = roots.flags.writeable = False
-    return diagonal, roots
-
-
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j3, j+, j-) on the basis m = -j .. j, ascending; with n = 2j and m = -j + i,
     (j-m)(j+m+1) = (n-i)(i+1) is the square of j+ below the diagonal and of j- above it.
 
-    The cached entries (``_ladder_entries``) are written by strided slices into
-    one fresh zeroed complex block, so every call returns three new writable arrays."""
+    Each call computes the O(n) entries, j3's diagonal and the ``_roots`` of (n-i)(i+1), and
+    writes them by strided slices into one fresh zeroed complex block, so every call returns
+    three new writable arrays."""
     n = _twice_spin(j)
-    diagonal, roots = _ladder_entries(n)
+    i = np.arange(n)
     block = np.zeros((3, n + 1, n + 1), dtype=complex)
     flat = block.reshape(3, -1)  # row r, column c at r(n+1) + c: the diagonal steps by n+2
-    flat[0, :: n + 2] = diagonal
-    flat[1, n + 1 :: n + 2] = roots  # j+[i+1, i]
-    flat[2, 1 :: n + 2] = roots  # j-[i, i+1]
+    flat[0, :: n + 2] = np.arange(-n, n + 1, 2) / 2
+    flat[1, n + 1 :: n + 2] = flat[2, 1 :: n + 2] = _roots((n - i) * (i + 1))  # j+[i+1, i] and j-[i, i+1]
     return tuple(block)
 
 
@@ -364,17 +355,13 @@ def build_vdw_operators(l, ldot) -> VdWOperators:
     return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), note)
 
 
-def su2_residual(t: tuple[np.ndarray, ...]) -> float:
-    """Largest deviation of a cartesian triple from [J1,J2] = iJ3 and its cyclic shifts."""
-    return _worst([_comm(t[i], t[j]) - 1j * t[k] for i, j, k in _CYCLIC])
-
-
 def com2_residual(ops: VdWOperators) -> float:
-    """Deviation from two commuting su(2) triples ([X1,X2] = iX3 etc.)."""
+    """Largest entrywise deviation over the 15 relations of two commuting su(2) triples:
+    [J1,J2] = iJ3 and its cyclic shifts for J = X and J = Y, and [Xa, Yb] = 0."""
     xs = cartesian(ops.x3, ops.xplus, ops.xminus)
     ys = cartesian(ops.y3, ops.yplus, ops.yminus)
-    cross = _worst([_comm(xi, yi) for xi in xs for yi in ys])
-    return float(np.max([su2_residual(xs), su2_residual(ys), cross]))  # a NaN anywhere stays NaN
+    su2 = (_comm(t[i], t[j]) - 1j * t[k] for t in (xs, ys) for i, j, k in _CYCLIC)
+    return _worst(chain(su2, (_comm(xi, yi) for xi in xs for yi in ys)))
 
 
 def gn_to_vdw(ops: GNOperators) -> VdWOperators:

@@ -970,12 +970,13 @@ class TestMultivectorProduct:
         ],
     )
     def test_every_mask_check_raises_the_constructor_message(self, mask, message):
-        """One blade-mask rule: the constructor, both sign forms and the tensor maps, on Cl(1,1)."""
+        """One blade-mask rule: the constructor, ``coefficient``, both sign forms and the tensor maps, on Cl(1,1)."""
         sig = Signature(1, 1)
         pairs = [(sig, (0, 0)), ((0, 0), sig), ((1, 0), (0, 1))]  # A, B and combined algebra Cl(1,1)
         a_side, b_side, both = (tensor.GradedTensorProduct(*pair) for pair in pairs)
         builds = [
             lambda: Multivector(sig, {mask: 1, 1: 1}),
+            lambda: Multivector(sig, {1: 2}).coefficient(mask),
             lambda: blade_product(mask, 1, sig),
             lambda: blade_product(1, mask, sig),
             lambda: blade_signs(np.array([mask]), np.array([0, 1]), sig),
@@ -994,6 +995,7 @@ class TestMultivectorProduct:
         x = Multivector((2, 0), {mask: 2})
         assert x.terms == {int(mask): 2} and all(type(m) is int for m in x.terms)
         assert repr(x) == ("2*e12" if mask == 3 else "2*e1")
+        assert x.coefficient(mask) == 2 and x.coefficient(0) == 0
         assert (x * x).terms == reference_product(x, x) and repr(x * x)
 
     @pytest.mark.parametrize("mask", [3.0, 1.5, "3", None])

@@ -251,6 +251,20 @@ class TestVerifyCommand:
         assert len(lines) == len(ALL_CHECKS) and all(l.startswith("PASS") for l in lines)
         assert out.splitlines()[-1] == f"{len(ALL_CHECKS)}/{len(ALL_CHECKS)} checks passed"
 
+    def test_a_raising_check_is_its_fail(self, capsys, monkeypatch):
+        """A check that raises is a FAIL under its registry name, with covered 0; the rest still run and verify exits 1."""
+        def broken(nmax, dim_max):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", [ALL_CHECKS[0], ("broken", broken), ALL_CHECKS[-1]])
+        results = checks.run_all(0, 1)
+        assert results[1] == checks.CheckResult("broken", False, "raised ZeroDivisionError: division by zero", 0)
+        assert results[0].passed and results[2].passed
+        code, out, err = run(["verify", "--nmax", "0", "--dim-max", "1"], capsys)
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 4) and lines[-1] == "2/3 checks passed"
+        assert lines[1] == "FAIL  broken  [raised ZeroDivisionError: division by zero]"
+
     def test_largest_nmax_caps_periodicity_base(self):
         # Cl(p+8, q) must fit in MAX_GENERATORS, so the base stops at n = 8
         r = check_periodicity(MAX_GENERATORS, 1)

@@ -33,9 +33,9 @@ from cliffrep.lorentz import (
 # in label and operator order: `rep` emits these bits, signed zeros included
 GN_OPERATOR_DIGEST = "779c407fbcd101c0592aa6c11743f62e41b50207e5ed4f996f205c0ae5af3ce0"
 VDW_OPERATOR_DIGEST = "cfb450ddabee316b4d50479713ab1b24993b0fa847c8aecf7927feee7f081673"
-# sha256 of the raw bytes of su2_ladder's (j3, j+, j-) for 2j = 0..199, read off the dense
-# np.diag / fancy-index builder that the cached per-spin entries replaced
-SU2_LADDER_DIGEST = "fca3b900dc81d6f6a9d2181899a9286ac96248ae6ff10e9086e717bf69b4430c"
+# sha256 of the raw bytes of su2_ladder's (j3, j+, j-) for 2j = 0..199, every root a
+# correctly rounded np.sqrt
+SU2_LADDER_DIGEST = "6f8bd30db6b329a5770d8bd55e73d287207069fdbf78080b5ad60b6ea44a9505"
 
 
 def _digest(all_ops) -> str:
@@ -86,23 +86,23 @@ def test_operator_bits_unchanged():
             "437a27906c681dbfc777b32d5a9dfacccc21f7ad12a5a46dd9434c5e81cbc59b",
             id="vdw-dim400",
         ),
-        # the first labels with a root of 2921, the smallest integer x where float(x) ** 0.5 and
-        # np.sqrt differ in the last bit (glibc pow, x86-64): a C_75 entry of (74, 76), a j+ entry of spin 149/2
+        # the first labels with a root of 2921, the smallest integer whose correctly rounded root a
+        # libm pow (x ** 0.5) can miss by an ulp: a C_75 entry of (74, 76), a j+ entry of spin 149/2
         pytest.param(
             lambda: [build_gn_operators(GNLabel(74, 76))],
-            "c2df6381b7a02de1960bbedf8ac710c3a5b149a9a4f464c612b2c17174bbf253",
-            id="gn-pow-root",
+            "f6c882006e4fea27d92489f76b33f0c6acc73742492ee4fdbcd4e5a65c7b1b6a",
+            id="gn-root-2921",
         ),
         pytest.param(
             lambda: [build_vdw_operators(F(149, 2), 0)],
-            "55a55dfc9f691c659fb9737ec56589937d9b47d5950d9917490f9a3c5a0d9bc1",
-            id="vdw-pow-root",
+            "1cfc5809126d399d655e68fb9b08ece05f615a2ad4721e7c6c74087564ce5f08",
+            id="vdw-root-2921",
         ),
     ],
 )
 def test_operator_bits_unchanged_up_to_dim_400(build, digest):
     """The same digest over all 246 GN and 482 VdW labels of dim <= 100, one dim-400 label of
-    each, and the first labels whose roots tell CPython's pow rounding from np.sqrt's."""
+    each, and the first labels with a root of 2921, which pins the correctly rounded root."""
     assert _digest(build()) == digest
 
 
@@ -386,9 +386,9 @@ class TestVdWOperators:
                 m = -j + col
                 ref[0][col, col] = float(m)
                 if col < two_j:
-                    ref[1][col + 1, col] = float((j - m) * (j + m + 1)) ** 0.5
+                    ref[1][col + 1, col] = math.sqrt((j - m) * (j + m + 1))
                 if col > 0:
-                    ref[2][col - 1, col] = float((j + m) * (j - m + 1)) ** 0.5
+                    ref[2][col - 1, col] = math.sqrt((j + m) * (j - m + 1))
             for got, want in zip(su2_ladder(j), ref):
                 assert got.tobytes() == want.tobytes()
 
@@ -401,8 +401,8 @@ class TestVdWOperators:
         assert h.hexdigest() == SU2_LADDER_DIGEST
 
     def test_ladders_are_fresh_writable_arrays(self):
-        """Every call writes three new arrays that share no memory with each other, with an
-        earlier call's or with the cached entries; an edit to one reaches no later call."""
+        """Every call writes three new arrays that share no memory with each other or with an
+        earlier call's; an edit to one reaches no later call."""
         first, second = su2_ladder(F(5, 2)), su2_ladder(F(5, 2))
         assert all(m.flags.writeable for m in first + second)
         assert not any(np.shares_memory(a, b) for a in first for b in second)
@@ -411,19 +411,6 @@ class TestVdWOperators:
         first[1][1, 0] *= 2
         first[2][0, 1] = np.nan
         assert all(np.array_equal(a, b) for a, b in zip(su2_ladder(F(5, 2)), second))
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 199])
-    def test_cached_entries_are_compact_and_read_only(self, n):
-        """The cache keeps j3's diagonal and the roots of (n-i)(i+1): n + 1 and n floats, no (n+1)^2 array."""
-        ladders = su2_ladder(F(n, 2))
-        diagonal, roots = lorentz._ladder_entries(n)
-        assert (diagonal.shape, roots.shape, diagonal.dtype, roots.dtype) == ((n + 1,), (n,), np.float64, np.float64)
-        assert not diagonal.flags.writeable and not roots.flags.writeable
-        with pytest.raises(ValueError):
-            diagonal[...] = 0
-        assert not any(np.shares_memory(m, e) for m in ladders for e in (diagonal, roots))
-        assert np.array_equal(np.diagonal(ladders[0]), diagonal)
-        assert np.array_equal(np.diagonal(ladders[1], -1), roots) and np.array_equal(np.diagonal(ladders[2], 1), roots)
 
     def test_cartesian_inverts_ladder(self):
         j3, jp, jm = su2_ladder(F(3, 2))
@@ -445,8 +432,8 @@ class TestVdWOperators:
         ops.yminus[...] = np.nan  # its deviations come after the finite X ones
         assert np.isnan(com2_residual(ops))
 
-    def test_com2_residual_folds_the_su2_residuals(self):
-        # the 15 deviations folded inline, against com2_residual's fold through su2_residual
+    def test_com2_residual_folds_the_15_deviations(self):
+        # the 15 deviations folded inline by Python's max, against com2_residual's one _worst fold
         rng = np.random.default_rng(5)
         for l, ld in [(F(1, 2), F(1, 2)), (1, F(3, 2)), (F(5, 2), 0)]:
             ops = build_vdw_operators(l, ld)
@@ -499,11 +486,19 @@ class TestVdWOperators:
         assert code == 1 and f"FAIL  paired su(2) commutators  [{r.detail}]" in out.splitlines()
         assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
 
-    def test_next_spins_ladder_fails_the_check(self):
-        """A triple of the wrong size fails on its shape; the GN builders could not place it, so verify is not run."""
+    def test_next_spins_ladder_fails_the_check(self, capsys):
+        """A triple of the wrong size fails vdw-com2 on its shape; the GN builders cannot place it and
+        raise, and ``verify`` reports each as its check's FAIL, runs the rest and exits 1, not 2."""
         with mock.patch.object(lorentz, "su2_ladder", lambda j: su2_ladder(j + F(1, 2) if j else j)):
             r = checks.check_vdw_com2(0, 16)
+            code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
         assert (r.passed, r.detail) == (False, "spin 1/2: not three 2 x 2 complex arrays")
+        lines, total = out.splitlines(), len(checks.ALL_CHECKS)
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 3}/{total} checks passed"
+        assert failed[1] == f"FAIL  paired su(2) commutators  [{r.detail}]"
+        assert [line.split("  [")[0] for line in failed] == ["FAIL  gn-com1", "FAIL  paired su(2) commutators", "FAIL  gn-vdw"]
+        assert all(failed[k].startswith(f"FAIL  {name}  [raised ValueError: could not broadcast") for k, name in ((0, "gn-com1"), (2, "gn-vdw")))
 
     def test_verdict_is_not_cached(self):
         """A mutant of the largest spin alone, patched in after a passing call at the same budget,
@@ -533,13 +528,19 @@ class TestVdWOperators:
         roots = {}
         for n in range(400):
             i = np.arange(n)
-            roots.update(zip(((n - i) * (i + 1)).tolist(), lorentz._ladder_entries(n)[1].tolist()))
+            roots.update(zip(((n - i) * (i + 1)).tolist(), np.diagonal(su2_ladder(F(n, 2))[1], -1).real.tolist()))
         ulps = {x: bracketing_ulps(f, x) for x, f in roots.items()}
         assert len(ulps) == 17010 and max(ulps.values()) == lorentz.SU2_ROOT_ULPS == 1
         assert all(ulps[x] == 0 for x in ulps if math.isqrt(x) ** 2 == x)
         with mock.patch.object(lorentz, "SU2_ROOT_ULPS", 0):
             assert lorentz.su2_ladder_failure(F(1, 2)) is None  # sqrt(1) = 1.0
             assert lorentz.su2_ladder_failure(1) == "spin 1: root 0 of j+ is not within 0 ulp of sqrt(2)"
+
+    def test_roots_are_correctly_rounded(self):
+        """``_roots`` equals math.sqrt, IEEE 754's correctly rounded root, on every integer to 160 000,
+        which covers every radicand of a label of dim <= 400."""
+        x = np.arange(160_001)
+        assert lorentz._roots(x).tolist() == [math.sqrt(v) for v in x.tolist()]
 
     def test_operators_are_np_kron_bit_for_bit(self):
         """The assembly behind the mixed-product rule: on every label of dim <= 160 the six built
@@ -667,12 +668,30 @@ class TestConversion:
             ("spin l", lambda v: replace(v, l=v.l + 1)),
             ("X3 spectrum", lambda v: replace(v, x3=v.y3)),
             ("operator reconstruction", lambda v: replace(v, xplus=v.xplus + 1e-9)),
+            ("operator reconstruction", lambda v: replace(v, yminus=np.full_like(v.yminus, np.nan))),
         ],
     )
     def test_gn_vdw_property_mutation_detected(self, prop, mutate):
         ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
         assert GN_VDW_PROPERTIES[prop](ops, v)
         assert not GN_VDW_PROPERTIES[prop](ops, mutate(v))
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nan_eigenvalue_fails_the_check(self, where):
+        """A NaN among X3's eigenvalues, first or last, fails gn-vdw at the first label of dim > 1:
+        ``np.sort`` orders it last and the fold keeps it, where Python's sorted and max could drop it."""
+        honest = np.linalg.eigvals
+
+        def eigvals(a):
+            w = honest(a).astype(complex)
+            if len(w) > 1:
+                w[where] = np.nan
+            return w
+
+        with mock.patch.object(np.linalg, "eigvals", eigvals):
+            r = checks.check_gn_vdw(0, 64)
+        assert (r.passed, r.detail) == (False, "(0, 2) X3 spectrum")
+        assert checks.check_gn_vdw(0, 64).passed
 
     def test_doubled_root_fails_the_check(self):
         # build_gn_operators assembles each level from su2_ladder; the failing label is named by (l0, l1)
@@ -693,6 +712,28 @@ class TestConversion:
         for lab in gn_labels(64):
             v = gn_to_vdw(build_gn_operators(lab))
             assert lab.dim == (2 * v.l + 1) * (2 * v.ldot + 1)
+
+
+class TestWorst:
+    """``_worst``, the one max-deviation fold of every float verdict."""
+
+    def test_empty_sweep_folds_to_zero(self):
+        assert lorentz._worst([]) == 0.0 and type(lorentz._worst([])) is float
+        assert checks._worst_residual("r", [], VDW_COM_TOL, 0, 0).passed
+
+    @pytest.mark.parametrize(
+        "deviations", [[np.nan, 2.0], [2.0, np.nan], [np.zeros(2), np.array([1.0, np.nan]), np.ones(3)]], ids=str
+    )
+    def test_nan_anywhere_stays_nan(self, deviations):
+        assert np.isnan(lorentz._worst(deviations))
+
+    @pytest.mark.parametrize("residuals", [[np.nan, 1e-13], [1e-13, np.nan]], ids=str)
+    def test_nan_residual_fails(self, residuals):
+        r = checks._worst_residual("r", residuals, GN_COM_TOL, 1, 2)
+        assert (r.passed, r.detail) == (False, "dim <= 1, residual nan")
+
+    def test_largest_magnitude_of_arrays_and_numbers(self):
+        assert lorentz._worst(iter([np.array([[-3.0, 1j]]), 2.0, np.array([2 + 2j])])) == 3.0
 
 
 class TestSpintensor:
