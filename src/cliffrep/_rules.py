@@ -13,7 +13,9 @@ code.  Each input kind fails one way:
 * a blade mask: ``algebra._require_blades``, "blade 0x4 invalid for
   Cl(1,1)" or "blade mask must be an integer, got 1.5";
 * a spin of Spin+(1,3): :func:`as_half_integer`, an int or ``Fraction``
-  whose double is an integer.
+  whose double is an integer;
+* a multivector coefficient: :func:`as_rational`, "a coefficient must be
+  an int or Fraction, got 0.5".
 
 Each raises ``ValueError`` naming the value.
 """
@@ -108,6 +110,17 @@ def as_half_integer(x) -> Fraction:
     if x.denominator > 2:
         raise ValueError(f"{x} is not a half-integer")
     return x
+
+
+def as_rational(x) -> tuple[int, int]:
+    """A coefficient ``x`` as its numerator and positive denominator, two ints: any
+    ``numbers.Rational`` (an int, a bool, a numpy integer, a ``Fraction`` or a subclass).  Anything
+    else is a ValueError naming it: a float, a numpy float, a complex, a str, None."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Rational):
+        raise ValueError(f"a coefficient must be an int or Fraction, got {x!r}")
+    return int(x.numerator), int(x.denominator)  # a numpy integer's parts are numpy integers
 
 
 def metric_sign(sig, i: int) -> int:

@@ -8,11 +8,18 @@ in ascending index order.  Conventions:
 * e_i e_j = -e_j e_i for i != j,
 * the empty mask is the unit e_0.
 
-Coefficients may be any Python scalars (int, Fraction, float, complex).
-All structural operations are bit-exact when ints or Fractions are used.
-A product takes one of two routes, chosen in ``_int_route``:
+Coefficients are rationals, read by ``_rules.as_rational`` (an int, bool,
+numpy integer or ``Fraction``; a float or complex is a ``ValueError``).
+An element holds one int numerator per nonzero blade over one positive
+int denominator, with gcd(den, every numerator) = 1, so the form is
+canonical.  Sums, scalar multiples, the involutions and products (which
+multiply the denominators and reduce once) run on the ints; a ``Fraction``
+is built only when read, one by ``coefficient``, all at once by the
+cached, read-only ``.terms``.  An element of integers (den = 1) reads
+ints; one with any ``Fraction`` input reads a ``Fraction`` on every
+blade.  A product takes one of two routes, chosen in ``_int_route``:
 
-* Pauli, for int factors of at least two terms each with at least
+* Pauli, for factors of at least two terms each with at least
   max(d^3/64, d^2/2, 2^6) blade pairs, d = 2^m, m = ceil(n/2) (the measured
   crossover, see ``_PAULI_MIN_PAIRS``), and 2^m·Σ|a|·Σ|b| < 2^63.  Each
   factor goes to its Jordan-Wigner image, a d x d Gaussian-integer matrix
@@ -22,16 +29,8 @@ A product takes one of two routes, chosen in ``_int_route``:
   (distinct blades have distinct Pauli strings; Lounesto, *Clifford
   Algebras and Spinors*, ch. 16-17), so the division is exact, and a
   remainder raises.
-* the pair loop on :func:`blade_product` otherwise, for every coefficient
-  type.  A single blade times a multivector (omega conjugation) is one
-  row: it reads one sign mask and relabels the other factor's terms, with
-  the values and types of the loop.
-
-A product whose coefficients are all ``Fraction`` runs on ints: each
-factor is scaled by the lcm of its own denominators, the int product
-(by the same routes) runs on the numerators, and each nonzero output
-blade is divided once by the two scales.  ``Fraction`` is canonical, so
-values and types match the per-pair ``Fraction`` loop.
+* the pair loop on :func:`blade_product` otherwise; a single blade times
+  a multivector (omega conjugation) reads one sign mask per product.
 
 Blade signs have one rule, the closed-form bitmap-blade reordering sign
 (Dorst, Fontijne & Mann, *Geometric Algebra for Computer Science*,
@@ -56,12 +55,12 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import chain
-from numbers import Number
+from numbers import Integral, Rational
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 # the input rules, all of them bound here too, so cliffrep.algebra.Signature is cliffrep._rules.Signature
-from ._rules import MAX_GENERATORS, Signature, as_count, as_half_integer, as_signature, metric_sign
+from ._rules import MAX_GENERATORS, Signature, as_count, as_half_integer, as_rational, as_signature, metric_sign
 
 # The pair loop takes one blade_product per blade pair; the Pauli route's
 # int64 matmuls cost about d^3/64 of those for d = 2^ceil(n/2), its
@@ -300,7 +299,7 @@ def _pauli_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict
 
 
 def _int_route(sig: Signature, a: dict[int, int], b: dict[int, int]):
-    """The exact product of int factors to run: Pauli when it is worth it (the
+    """The exact product of numerator dicts to run: Pauli when it is worth it (the
     floor at ``_PAULI_MIN_PAIRS``) and exact in int64, else None for the pair loop.
 
     An image entry's real and imaginary parts are at most Σ|a| together,
@@ -315,28 +314,22 @@ def _int_route(sig: Signature, a: dict[int, int], b: dict[int, int]):
     return _pauli_product
 
 
-def _pair_product(sig: Signature, a: dict, b: dict) -> dict:
-    """The product of two term dicts of any coefficient type, one blade pair at a time, zero sums dropped.
+def _pair_product(sig: Signature, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two numerator dicts, one blade pair at a time, zero sums dropped.
 
-    Each pair takes one :func:`blade_product` call, read from the module
-    once per product (so a wrapper set there sees every pair), and adds
-    ``sign * ca * cb`` to its output blade, the left factor the outer
-    loop.  A single blade times a multivector (one row, as in omega
-    conjugation) relabels the other factor's terms: the row's sign mask
-    (:func:`_sign_masks`, the mirror rule when the row is the right
-    factor) gives each pair's sign as one AND and one parity, and each
-    output blade takes its one term as ``0 + sign * ca * cb``, in the
-    other factor's order, as in the pair loop, whose sums start from the
-    int 0 (0 + (-0.0+1j) is 1j).
+    Each pair takes one :func:`blade_product` call, read from the module once per product (so a wrapper set
+    there sees every pair).  A single blade times a multivector (one row, as in omega conjugation) relabels
+    the other factor's terms: the row's sign mask (:func:`_sign_masks`, the mirror rule when the row is the
+    right factor) gives each pair's sign as one AND and one parity.
     """
     if len(a) == 1:
         ((ma, ca),) = a.items()
         rule = _sign_masks(ma, sig.p)
-        terms = {ma ^ mb: 0 + _SIGNS[(mb & rule).bit_count() & 1] * ca * cb for mb, cb in b.items()}
+        terms = {ma ^ mb: _SIGNS[(mb & rule).bit_count() & 1] * ca * cb for mb, cb in b.items()}
     elif len(b) == 1:
         ((mb, cb),) = b.items()
         rule = _sign_masks(mb, sig.p, operator.lshift)
-        terms = {ma ^ mb: 0 + _SIGNS[(ma & rule).bit_count() & 1] * ca * cb for ma, ca in a.items()}
+        terms = {ma ^ mb: _SIGNS[(ma & rule).bit_count() & 1] * ca * cb for ma, ca in a.items()}
     else:
         terms = {}
         product, get, row = blade_product, terms.get, b.items()
@@ -345,12 +338,6 @@ def _pair_product(sig: Signature, a: dict, b: dict) -> dict:
                 sign, mask = product(ma, mb, sig)
                 terms[mask] = get(mask, 0) + sign * ca * cb
     return {m: c for m, c in terms.items() if c != 0}
-
-
-def _integer_form(terms: dict) -> tuple[dict[int, int], int]:
-    """``terms`` times the lcm of its ``Fraction`` denominators, as ints, and that lcm."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def blade_name(mask: int) -> str:
@@ -364,25 +351,46 @@ def blade_name(mask: int) -> str:
 
 
 class Multivector:
-    """Sparse element of Cl(p,q): a finite sum of ``coeff * blade``."""
+    """Sparse element of Cl(p,q): a finite sum of ``coeff * blade``, held as int numerators over one denominator."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "_nums", "_den", "_fraction", "_terms")
+    __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__, so the coefficient rule sees it as it is
 
-    def __init__(self, sig, terms: Mapping[int, Number] | None = None):
-        self.sig = as_signature(sig)
-        terms = terms or {}
+    def __init__(self, sig, terms: Mapping[int, Rational] | None = None):
+        self.sig, terms = as_signature(sig), {} if terms is None else terms
+        if not isinstance(terms, Mapping):
+            raise ValueError(f"terms must be a mapping from blade masks to coefficients, got {terms!r}")
         if not set(map(type, terms)) <= {int}:
             terms = {as_count(m, "blade mask"): c for m, c in terms.items()}
         _require_blades(self.sig, min(terms, default=0), max(terms, default=0))
-        self.terms: dict[int, Number] = {m: c for m, c in terms.items() if c != 0}
+        kinds = set(map(type, terms.values()))
+        self._fraction, self._terms, self._den = not all(issubclass(k, Integral) for k in kinds), None, 1
+        if kinds <= {int}:
+            self._nums = {m: c for m, c in terms.items() if c}
+            return
+        # an int or Fraction gives its own ratio, every other coefficient is read by the rule; each ratio is in lowest
+        # terms, so no prime of their lcm divides every numerator scaled to it, and the form is reduced as it stands
+        values = terms.values()
+        ratios = [c.as_integer_ratio() for c in values] if kinds <= {int, Fraction} else list(map(as_rational, values))
+        den = self._den = math.lcm(*[d for _, d in ratios])
+        self._nums = {m: v * (den // d) for m, (v, d) in zip(terms, ratios) if v}
 
     @classmethod
-    def _valid(cls, sig: Signature, terms: dict[int, Number]) -> "Multivector":
-        """An element whose int masks lie in ``sig`` and whose coefficients are nonzero, unchecked:
-        the result of an operation on valid elements (the masks were checked when its inputs were built)."""
+    def _valid(cls, sig: Signature, nums: dict[int, int], den: int, fraction: bool) -> "Multivector":
+        """An unchecked element (its masks were checked in its operands), reduced here by gcd(den, every numerator)."""
+        g = math.gcd(den, *nums.values()) if den > 1 else 1
         x = object.__new__(cls)
-        x.sig, x.terms = sig, terms
+        x.sig, x._den, x._fraction, x._terms = sig, den // g, fraction, None
+        x._nums = {m: v // g for m, v in nums.items()} if g > 1 else nums
         return x
+
+    @property
+    def terms(self) -> Mapping[int, int | Fraction]:
+        """Read-only map of each nonzero blade to its coefficient, built once: int numerators or ``Fraction`` objects."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType({m: Fraction(v, den) for m, v in self._nums.items()} if self._fraction else self._nums)
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -429,10 +437,11 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._require_same_sig(other)
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            terms[mask] = terms.get(mask, 0) + coeff
-        return Multivector(self.sig, terms)
+        den = math.lcm(self._den, other._den)
+        nums = {m: v * (den // self._den) for m, v in self._nums.items()}
+        for m, v in other._nums.items():
+            nums[m] = nums.get(m, 0) + v * (den // other._den)
+        return Multivector._valid(self.sig, {m: v for m, v in nums.items() if v}, den, self._fraction or other._fraction)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -440,36 +449,26 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        return Multivector._valid(self.sig, {m: -c for m, c in self.terms.items()})
+        return Multivector._valid(self.sig, {m: -v for m, v in self._nums.items()}, self._den, self._fraction)
 
     def __mul__(self, other):
-        if isinstance(other, Multivector):
-            self._require_same_sig(other)
-            a, b = self.terms, other.terms
-            types = set(map(type, chain(a.values(), b.values())))
-            # all-Fraction factors run on ints: one denominator per factor, one Fraction per output blade
-            scaled = types == {Fraction}
-            if scaled:
-                (a, den_a), (b, den_b) = _integer_form(a), _integer_form(b)
-            route = _int_route(self.sig, a, b) if scaled or types == {int} else None
-            terms = (route or _pair_product)(self.sig, a, b)
-            if scaled:
-                den = den_a * den_b
-                terms = {m: Fraction(v, den) for m, v in terms.items()}
-            return Multivector._valid(self.sig, terms)
-        if isinstance(other, Number):
-            return Multivector(self.sig, {m: c * other for m, c in self.terms.items()})
-        return NotImplemented
+        if not isinstance(other, Multivector):
+            return self.__rmul__(other)  # a coefficient commutes with every element
+        self._require_same_sig(other)
+        a, b = self._nums, other._nums
+        nums = (_int_route(self.sig, a, b) or _pair_product)(self.sig, a, b)
+        return Multivector._valid(self.sig, nums, self._den * other._den, self._fraction or other._fraction)
 
-    def __rmul__(self, other):
-        if isinstance(other, Number):
-            return Multivector(self.sig, {m: other * c for m, c in self.terms.items()})
-        return NotImplemented
+    def __rmul__(self, value):
+        """The element times a coefficient, which the ``as_rational`` rule reads."""
+        num, den = as_rational(value)
+        nums = {m: v * num for m, v in self._nums.items()} if num else {}
+        return Multivector._valid(self.sig, nums, self._den * den, self._fraction or not isinstance(value, Integral))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
+        return self.sig == other.sig and self._den == other._den and self._nums == other._nums
 
     __hash__ = None  # mutable-by-convention container
 
@@ -477,22 +476,22 @@ class Multivector:
 
     def z2_degree(self) -> int | None:
         """0 for even, 1 for odd, None if mixed.  The zero element is even."""
-        degs = {grade(m) & 1 for m in self.terms}
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else 0
+        degs = {grade(m) & 1 for m in self._nums}
+        return None if len(degs) > 1 else degs.pop() if degs else 0
 
     def coefficient(self, mask: int):
-        """The coefficient of blade ``mask``, 0 if absent; a mask the constructor rejects raises its message."""
+        """The coefficient of blade ``mask`` as ``.terms`` reads it, else the int 0; a bad mask raises the constructor's message."""
         if type(mask) is not int or mask >> self.sig.n:  # a negative int shifts to -1
             mask = _require_blades(self.sig, mask, mask)[0]
-        return self.terms.get(mask, 0)
+        v = self._nums.get(mask, 0)
+        return Fraction(v, self._den) if self._fraction and v else v
 
     # -- fundamental (anti)automorphisms --------------------------------
 
     def _negate_grades(self, flips: tuple[int, int, int, int]) -> "Multivector":
         """Negate each grade-k part for which ``flips[k % 4]`` is set."""
-        return Multivector._valid(self.sig, {m: -c if flips[grade(m) & 3] else c for m, c in self.terms.items()})
+        nums = {m: -v if flips[grade(m) & 3] else v for m, v in self._nums.items()}
+        return Multivector._valid(self.sig, nums, self._den, self._fraction)
 
     def grade_involution(self) -> "Multivector":
         """Sign (-1)^k on each grade-k part."""

@@ -246,7 +246,10 @@ def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
 
 
 def _x3_spectrum(ops, v) -> bool:
-    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times; ``np.sort`` and the fold keep a NaN, which fails."""
+    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times; a NaN or inf entry, which ``eigvals`` would raise on,
+    fails, and ``np.sort`` and the fold keep a NaN eigenvalue, which fails."""
+    if not np.isfinite(v.x3).all():
+        return False
     expected = np.repeat(np.arange(int(2 * v.l) + 1) - float(v.l), int(2 * v.ldot) + 1)
     got = np.sort(np.linalg.eigvals(v.x3).real)
     return len(got) == len(expected) and lorentz._worst([got - expected]) <= SPECTRUM_TOL

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -470,7 +471,7 @@ def reference_product(x, y):
 
 
 def assert_same_product(x, y):
-    """``x * y`` equals the reference in value, type and repr: float and complex bits, signed zeros included."""
+    """``x * y`` equals the reference in value, type and repr: an int or a ``Fraction`` on each blade."""
     got = (x * y).terms
     want = reference_product(x, y)
     assert got == want
@@ -563,7 +564,7 @@ PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 
 class HalfStep(Fraction):
-    """A ``Fraction`` subclass: the product keeps it on the per-pair loop."""
+    """A ``Fraction`` subclass: the coefficient rule reads it as two ints, as it reads a ``Fraction``."""
 
 
 @st.composite
@@ -670,31 +671,30 @@ class TestProductRoutes:
 
     @pytest.mark.parametrize("kind", ["float", "complex"])
     @pytest.mark.parametrize("n", [0, 3, 6, 8])
-    def test_float_and_complex_products_match_reference(self, kind, n):
-        """Floats and complexes keep the reference's arithmetic and summation
-        order, one row and several, left and right of a dense factor, bit for
-        bit: a complex part that cancels to zero comes out +0.0."""
+    def test_float_and_complex_factors_are_rejected(self, kind, n):
+        """Floats and complexes, signed zeros among them, are no coefficients: building a dense
+        factor, one row or several raises the rule's message naming the first one, and so does
+        scaling an int element by one, so no product ever sees them."""
         rng = random.Random(f"{kind}/{n}")
         sig = Signature(n // 2, n - n // 2)
         draw = (lambda: rng.uniform(-3, 3)) if kind == "float" else (lambda: signed_zero_complex(rng))
-        dense = Multivector(sig, {m: draw() for m in range(1 << n)})
-        one = Multivector(sig, {rng.randrange(1 << n): draw()})
-        rows = Multivector(sig, {m: draw() for m in rng.sample(range(1 << n), min(1 << n, 5))})
-        with spy_routes() as routes:
-            for x, y in ((one, dense), (dense, one), (rows, dense), (dense, rows), (dense, dense)):
-                assert_same_product(x, y)
-        assert routes == ["loop"] * 5
+        dense = {m: draw() for m in range(1 << n)}
+        for terms in (dense, {rng.randrange(1 << n): draw()}, {m: dense[m] for m in rng.sample(range(1 << n), min(1 << n, 5))}):
+            with pytest.raises(ValueError) as err:
+                Multivector(sig, terms)
+            assert str(err.value) == f"a coefficient must be an int or Fraction, got {next(iter(terms.values()))!r}"
+        value = draw()
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(value))}$"):
+            Multivector(sig, {m: m + 1 for m in range(1 << n)}) * value
 
-    def test_complex_products_keep_the_int_sign_factor(self):
-        """The sign multiplies as an int, as in the reference: -1 * complex(inf, 1)
-        is (-inf+nanj) where negation gives (-inf-1j), and a zero part comes
-        out +0.0, since each sum starts from the int 0; one row or several."""
+    def test_complex_sign_cases_are_rejected(self):
+        """The values whose int sign factor and signed zeros the pair loop once had to keep
+        (-1 * complex(inf, 1) is (-inf+nanj), 0 + (-0.0+1j) is 1j) are rejected, one row or several."""
         sig = Signature(0, 2)
-        x = Multivector(sig, {0b01: complex(math.inf, 1), 0b10: complex(-0.0, 2)})
-        y = Multivector(sig, {0b01: complex(1, -0.0), 0b10: complex(0.0, -1)})
-        x1, y1 = Multivector(sig, {0b01: x.terms[0b01]}), Multivector(sig, {0b01: y.terms[0b01]})
-        for a, b in ((x, y), (y, x), (x1, y), (x, y1)):
-            assert repr(sorted((a * b).terms.items())) == repr(sorted(reference_product(a, b).items()))
+        for value in (complex(math.inf, 1), complex(-0.0, 2), complex(1, -0.0), complex(0.0, -1), -0.0, math.inf, math.nan):
+            for terms in ({0b01: value}, {0b01: 1, 0b10: value}):
+                with pytest.raises(ValueError, match="a coefficient must be an int or Fraction, got"):
+                    Multivector(sig, terms)
 
     @pytest.mark.parametrize(
         "sig,a,b,route",
@@ -728,10 +728,10 @@ class TestProductRoutes:
             ((2, 1), {m: Fraction(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "pauli"),
             # 1/p over 8 distinct primes: each scaled numerator is the product of the other 7, about 2^70
             ((2, 1), {m: Fraction(1, p) for m, p in enumerate(PRIMES)}, {m: Fraction(m - 4, p) for m, p in enumerate(PRIMES)}, "loop"),
-            ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "loop"),
-            ((2, 1), {m: m / 3 for m in range(8)}, {m: 1.5 - m for m in range(8)}, "loop"),
-            ((2, 1), {m: complex(m, 1) for m in range(8)}, {m: 1j * m - 2 for m in range(8)}, "loop"),
-            ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, "loop"),
+            # every rational coefficient is read as two ints, so a Fraction subclass and bools take the int routes
+            ((2, 1), {m: HalfStep(m + 1, 3) for m in range(8)}, {m: Fraction(-1, m + 2) for m in range(8)}, "pauli"),
+            ((2, 1), {m: HalfStep(1, p) for m, p in enumerate(PRIMES)}, {m: HalfStep(m - 4, p) for m, p in enumerate(PRIMES)}, "loop"),
+            ((2, 1), {m: True for m in range(8)}, {m: True for m in range(8)}, "pauli"),
             ((2, 1), {m: np.int64(m + 1) for m in range(8)}, {m: np.int64(2 - m) for m in range(8)}, "loop"),
             ((2, 1), {0: 1, 1: Fraction(1, 2), 2: 3, 3: -1}, {m: m + 1 for m in range(8)}, "loop"),
             ((6, 6), {m: 1 for m in range(1 << 12)}, {3: 5}, "loop"),  # one row never takes the Pauli route
@@ -769,7 +769,7 @@ class TestProductRoutes:
         ids=[
             "int64-bound", "int64-overflow", "ge-2^31", "ge-2^62", "cancels-to-zero", "n2-cancels-to-zero",
             "n6-pauli-cancels-to-zero", "n8-pauli-cancels-to-zero", "n0", "n3-8-pairs", "n4-16-pairs",
-            "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "float", "complex",
+            "n4-32-pairs", "n5-32-pairs", "fraction", "fraction-scaled-overflow", "fraction-subclass", "fraction-subclass-scaled-overflow",
             "bool", "np-int64", "mixed-int-fraction", "n12", "n16-density-1/128", "n16-sparser",
             "n16-density-1/256", "n16-below-pair-floor", "n15-density-1/180", "n15-below-pair-floor",
             "n6-pauli-crossover", "n6-below-pauli-crossover", "n5-every-blade", "n4-every-blade", "n2-every-blade",
@@ -1004,7 +1004,7 @@ class TestMultivectorProduct:
             Multivector((2, 0), {mask: 2, 1: 1})
 
     def test_construction_drops_zero_coefficients(self):
-        x = Multivector((1, 1), {0: 0, 1: Fraction(0), 2: 0.0, 3: Fraction(1, 2)})
+        x = Multivector((1, 1), {0: 0, 1: Fraction(0), 2: np.int64(0), 3: Fraction(1, 2)})
         assert x.terms == {3: Fraction(1, 2)} and Multivector((1, 1)).terms == {}
 
     def test_scalar_multiplication(self):
@@ -1029,6 +1029,127 @@ class TestMultivectorProduct:
         x = data.draw(mv_strategy(sig))
         y = data.draw(mv_strategy(sig))
         assert (x * y).reversion() == y.reversion() * x.reversion()
+
+
+def crossing_product(a, b, sig):
+    """The product of two term dicts on :func:`crossing_blade_product`, zero sums dropped."""
+    terms = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign, mask = crossing_blade_product(ma, mb, sig)
+            terms[mask] = terms.get(mask, 0) + sign * ca * cb
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def assert_reduced(x):
+    """The stored form: nonzero int numerators over a positive denominator, gcd(den, every numerator) = 1."""
+    assert all(type(v) is int and v for v in x._nums.values()) and type(x._den) is int and x._den > 0
+    assert math.gcd(x._den, *x._nums.values()) == 1
+
+
+class TestCoefficientForm:
+    """Int numerators over one denominator: the coefficient rule, the reduced form and the reads."""
+
+    @pytest.mark.parametrize("terms", [[(0, 1)], 5, "01", {0, 1}], ids=["pairs", "int", "str", "set"])
+    def test_construction_rejects_what_is_no_mapping(self, terms):
+        with pytest.raises(ValueError) as err:
+            Multivector((1, 1), terms)
+        assert str(err.value) == f"terms must be a mapping from blade masks to coefficients, got {terms!r}"
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1", None, np.float64(0.5), np.float64(2), 0.5, 2.0, -0.0, 1j, complex(2, 0), np.True_],
+        ids=["str", "none", "np-float-half", "np-float-two", "float-half", "float-two", "negative-zero", "imaginary", "complex", "np-bool"],
+    )
+    def test_rejects_every_coefficient_that_is_not_rational(self, value):
+        """One message naming the value, alone or beside valid terms, and through scalar multiplication on
+        either side (a numpy scalar on the left defers to the element, so it is named as it is)."""
+        x = Multivector((1, 1), {0: 1, 3: Fraction(1, 2)})
+        builds = [lambda: Multivector((1, 1), {0: value}), lambda: Multivector((1, 1), {1: 2, 0: value}), lambda: x * value, lambda: value * x]
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"a coefficient must be an int or Fraction, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "value,want",
+        [(3, 3), (True, 1), (np.int64(-3), -3), (np.uint8(7), 7), (Fraction(3, 6), Fraction(1, 2)), (Fraction(4, 2), Fraction(2)), (HalfStep(1, 2), Fraction(1, 2))],
+        ids=["int", "bool", "np-int64", "np-uint8", "fraction", "whole-fraction", "fraction-subclass"],
+    )
+    def test_reads_every_rational_as_two_ints(self, value, want):
+        """An integer reads as an ``int``, any other rational as a ``Fraction``, stored, scaled by and scaling."""
+        x = Multivector((1, 1), {3: value})
+        assert x.terms == {3: want} and type(x.terms[3]) is type(x.coefficient(3)) is type(want)
+        ints = Multivector((1, 1), {0: 2, 1: -1})
+        scaled = {m: c * want for m, c in ints.terms.items()}
+        for y, terms in ((ints * value, scaled), (value * ints, scaled), (ints * x, crossing_product(ints.terms, {3: want}, (1, 1)))):
+            assert y.terms == terms and all(type(c) is type(want) for c in y.terms.values())
+            assert_reduced(y)
+
+    def test_one_fraction_input_makes_every_coefficient_a_fraction(self):
+        """The intended change from per-term types: {0: 1, 1: Fraction(1, 2)} reads Fraction(1) on e0, and so does
+        every element an operation makes from it; an element of integers reads ints throughout."""
+        sig = Signature(1, 1)
+        x = Multivector(sig, {0: 1, 1: Fraction(1, 2)})
+        ints = Multivector(sig, {0: 2, 2: 3})
+        assert x.terms == {0: Fraction(1), 1: Fraction(1, 2)} and x == Multivector(sig, {0: Fraction(1), 1: Fraction(1, 2)})
+        odd = Multivector(sig, {1: Fraction(1, 2), 2: 1})
+        fractions = [x, x * ints, ints * x, x + ints, ints - x, -x, x.reversion(), 2 * x, ints * Fraction(3), graded_bracket(odd, odd).value]
+        for y in [*fractions, x * Fraction(2), Multivector(sig, {0: Fraction(2)})]:
+            assert all(type(c) is Fraction for c in y.terms.values()) and all(type(y.coefficient(m)) is Fraction for m in y.terms)
+        for y in (ints, ints * ints, ints + ints, 3 * ints, ints * np.int64(2), ints.conjugation(), Multivector(sig, {1: True})):
+            assert y.terms and all(type(c) is int for c in y.terms.values()) and y._den == 1
+        assert Multivector(sig, {0: 1}) == Multivector(sig, {0: Fraction(1)}) and ints * Fraction(3) == 3 * ints
+        assert x.coefficient(2) == 0 and type(x.coefficient(2)) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_operation_keeps_the_reduced_form(self, data):
+        """Every operation returns the reduced form, which is canonical: the element rebuilt from its own reads equals
+        it, numerator for numerator; an element of integers is over 1."""
+        sig = data.draw(st.sampled_from(signatures_prop))
+        x, y = data.draw(mv_strategy(sig)), data.draw(mv_strategy(sig))
+        k = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+        ints = Multivector(sig, {m: c.numerator for m, c in x.terms.items()})
+        results = [x, y, x * y, x + y, x - y, -x, x * k, k * y, x.conjugation(), ints, ints * ints, ints + ints, 5 * ints]
+        if x.z2_degree() is not None and y.z2_degree() is not None:
+            results.append(graded_bracket(x, y).value)
+        for z in results:
+            assert_reduced(z)
+            rebuilt = Multivector(sig, dict(z.terms))
+            assert rebuilt == z and (rebuilt._nums, rebuilt._den) == (z._nums, z._den)
+        assert ints._den == (ints * ints)._den == (ints + ints)._den == 1
+        half = Multivector(sig, {0: Fraction(1, 2), 1: Fraction(-3, 2)})
+        assert ((half + half)._nums, (half + half)._den) == ({0: 1, 1: -3}, 1) and ((half - half)._nums, (half - half)._den) == ({}, 1)
+        assert ((half * 4)._nums, (half * 4)._den) == ({0: 2, 1: -6}, 1)
+
+    def test_terms_are_cached_and_read_only(self):
+        for x in (Multivector((2, 1), {0: Fraction(1, 3), 5: 2}), Multivector((2, 1), {0: 1, 5: -2})):
+            terms = x.terms
+            assert x.terms is terms and dict(terms) == {0: x.coefficient(0), 5: x.coefficient(5)}
+            with pytest.raises(TypeError):
+                terms[0] = 1
+            with pytest.raises(TypeError):
+                del terms[5]
+            with pytest.raises(AttributeError):
+                x.terms = {}
+            assert x.terms is terms and len(terms) == 2
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_mv_sparse_shape_on_every_blade(self, n):
+        """Seeded products of two 2n-term ``Fraction`` elements of grades 1-3, the mv-sparse shape, both orders:
+        ``coefficient`` on all 2^n blades, then ``.terms``, equal the crossing-count reference in value and type."""
+        rng = random.Random(n)
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        low_grade = [m for m in range(1 << n) if 1 <= grade(m) <= 3]
+        a, b = ({m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for m in rng.sample(low_grade, 2 * n)} for _ in range(2))
+        for u, v in ((a, b), (b, a)):
+            want = crossing_product(u, v, sig)
+            got = Multivector(sig, u) * Multivector(sig, v)
+            assert [(type(c), c) for c in map(got.coefficient, range(1 << n))] == [(type(c), c) for c in (want.get(m, 0) for m in range(1 << n))]
+            assert got.terms == want and all(type(c) is Fraction for c in got.terms.values())
+            assert_reduced(got)
 
 
 class TestAutomorphisms:
@@ -1169,7 +1290,7 @@ class TestAutomorphismChecks:
         honest = Multivector.reversion
 
         def reversion(x):  # e1 and e2 trade places; the grade signs stay right
-            terms = honest(x).terms
+            terms = dict(honest(x).terms)  # .terms is read-only
             if 0b10 in terms:
                 terms[0b01], terms[0b10] = terms[0b10], terms[0b01]
             return Multivector(x.sig, terms)
@@ -1182,7 +1303,7 @@ class TestAutomorphismChecks:
         honest = Multivector.grade_involution
 
         def grade_involution(x):  # e12 lands on e2 = e12 ^ e1, keeping its sign
-            terms = honest(x).terms
+            terms = dict(honest(x).terms)  # .terms is read-only
             if 0b11 in terms:
                 terms[0b10] = terms.pop(0b11)
             return Multivector(x.sig, terms)

@@ -676,6 +676,14 @@ class TestConversion:
         assert GN_VDW_PROPERTIES[prop](ops, v)
         assert not GN_VDW_PROPERTIES[prop](ops, mutate(v))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x3_entry_fails_the_spectrum(self, bad):
+        """A NaN or inf in X3, which ``np.linalg.eigvals`` raises on, makes the property False."""
+        ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
+        x3 = v.x3.copy()
+        x3[0, 0] = bad
+        assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
+
     @pytest.mark.parametrize("where", [0, -1])
     def test_nan_eigenvalue_fails_the_check(self, where):
         """A NaN among X3's eigenvalues, first or last, fails gn-vdw at the first label of dim > 1:
