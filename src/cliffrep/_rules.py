@@ -118,6 +118,8 @@ def as_rational(x) -> tuple[int, int]:
     else is a ValueError naming it: a float, a numpy float, a complex, a str, None."""
     if type(x) is int:
         return x, 1
+    if type(x) is Fraction:  # the exact type skips the numbers.Rational check, which costs more than the read
+        return x.as_integer_ratio()
     if not isinstance(x, Rational):
         raise ValueError(f"a coefficient must be an int or Fraction, got {x!r}")
     return int(x.numerator), int(x.denominator)  # a numpy integer's parts are numpy integers

@@ -368,10 +368,8 @@ class Multivector:
         if kinds <= {int}:
             self._nums = {m: c for m, c in terms.items() if c}
             return
-        # an int or Fraction gives its own ratio, every other coefficient is read by the rule; each ratio is in lowest
-        # terms, so no prime of their lcm divides every numerator scaled to it, and the form is reduced as it stands
-        values = terms.values()
-        ratios = [c.as_integer_ratio() for c in values] if kinds <= {int, Fraction} else list(map(as_rational, values))
+        # ratios in lowest terms: no prime of their lcm divides every scaled numerator, so the form is reduced as it stands
+        ratios = list(map(as_rational, terms.values()))
         den = self._den = math.lcm(*[d for _, d in ratios])
         self._nums = {m: v * (den // d) for m, (v, d) in zip(terms, ratios) if v}
 
@@ -386,11 +384,13 @@ class Multivector:
 
     @property
     def terms(self) -> Mapping[int, int | Fraction]:
-        """Read-only map of each nonzero blade to its coefficient, built once: int numerators or ``Fraction`` objects."""
+        """Read-only view of each nonzero blade's coefficient: the int numerators, or ``Fraction`` objects built once."""
+        if not self._fraction:
+            return MappingProxyType(self._nums)
         if self._terms is None:
             den = self._den
-            self._terms = MappingProxyType({m: Fraction(v, den) for m, v in self._nums.items()} if self._fraction else self._nums)
-        return self._terms
+            self._terms = {m: Fraction(v, den) for m, v in self._nums.items()}
+        return MappingProxyType(self._terms)  # the cache is a plain dict, so an element pickles and deep-copies
 
     # -- constructors -------------------------------------------------
 

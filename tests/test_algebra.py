@@ -2,10 +2,13 @@
 
 import ast
 import contextlib
+import copy
+import dataclasses
 import inspect
 import math
 import operator
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -1126,14 +1129,31 @@ class TestCoefficientForm:
     def test_terms_are_cached_and_read_only(self):
         for x in (Multivector((2, 1), {0: Fraction(1, 3), 5: 2}), Multivector((2, 1), {0: 1, 5: -2})):
             terms = x.terms
-            assert x.terms is terms and dict(terms) == {0: x.coefficient(0), 5: x.coefficient(5)}
+            assert x.terms == terms and dict(terms) == {0: x.coefficient(0), 5: x.coefficient(5)}
+            assert all(x.terms[m] is c for m, c in terms.items())  # each Fraction is built once
             with pytest.raises(TypeError):
                 terms[0] = 1
             with pytest.raises(TypeError):
                 del terms[5]
             with pytest.raises(AttributeError):
                 x.terms = {}
-            assert x.terms is terms and len(terms) == 2
+            assert x.terms == terms and len(terms) == 2
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_elements_pickle_and_deep_copy(self, read):
+        """Before and after ``.terms`` is read, an element survives pickle, copy and deepcopy, and so does a
+        bracket result through ``dataclasses.asdict``."""
+        x = Multivector((2, 1), {1: Fraction(1, 3), 2: 2})
+        for z in (x, Multivector((2, 1), {1: 1, 2: -2})):
+            if read:
+                assert len(z.terms) == 2
+            for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+                assert twin == z and dict(twin.terms) == dict(z.terms) and twin.terms.keys() == z.terms.keys()
+                assert [type(c) for c in twin.terms.values()] == [type(c) for c in z.terms.values()]
+        bracket = graded_bracket(x, x)
+        if read:
+            assert bracket.value.terms is not None
+        assert dataclasses.asdict(bracket)["value"] == bracket.value
 
     @pytest.mark.parametrize("n", range(12, 17))
     def test_mv_sparse_shape_on_every_blade(self, n):
