@@ -14,7 +14,7 @@ from cliffrep import (
     omega_square_mod8,
     verify_anticommutation,
 )
-from cliffrep.gamma import omega_image
+from cliffrep.gamma import omega_image, omega_image_square_sign
 
 np.set_printoptions(precision=0, suppress=True, linewidth=100)
 
@@ -27,7 +27,8 @@ print("anticommutation relations hold:", verify_anticommutation(gen))
 print("faithful: rank of blade-image span =", faithfulness_rank(gen), "= 2^4")
 
 om = omega_image(gen)
-print("volume image squares to", int((om @ om)[0, 0].real), "* I;",
+print("volume image =\n", om)
+print("volume image squares to", omega_image_square_sign(gen), "* I;",
       "mod-8 law predicts", omega_square_mod8((1, 3)))
 
 # the double-number algebra splits into two 1x1 blocks

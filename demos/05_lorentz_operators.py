@@ -15,6 +15,7 @@ from cliffrep import (
     Spintensor,
     build_gn_operators,
     build_vdw_operators,
+    gn_coefficients,
     gn_to_vdw,
     reconstruct_AB,
     spintensor_transform,
@@ -42,6 +43,12 @@ print(f"\nlabel (0,2): dim {ops2.dim}, com1 residual {com1_residual(reconstruct_
 v2 = gn_to_vdw(ops2)
 print(f"converted to (l, ldot) = ({v2.l}, {v2.ldot}); X3 spectrum:",
       sorted(np.round(np.linalg.eigvals(v2.x3).real, 6)))
+
+# A_k ties each level's boosts to its rotations, C_k links level k to k-1
+label3 = GNLabel(F(1, 2), F(5, 2))
+for k in label3.levels():
+    a_k, c_k = gn_coefficients(label3, k)
+    print(f"label (1/2,5/2), level k = {k}: A_k = {a_k:.4f}, C_k = {c_k:.4f}")
 
 # direct su(2) x su(2) ladders
 w = build_vdw_operators(F(1, 2), F(1, 2))

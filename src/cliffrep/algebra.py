@@ -353,16 +353,16 @@ def blade_name(mask: int) -> str:
 class Multivector:
     """Sparse element of Cl(p,q): a finite sum of ``coeff * blade``, held as int numerators over one denominator."""
 
-    __slots__ = ("sig", "_nums", "_den", "_fraction", "_terms")
+    __slots__ = ("_sig", "_nums", "_den", "_fraction", "_terms")
     __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__, so the coefficient rule sees it as it is
 
     def __init__(self, sig, terms: Mapping[int, Rational] | None = None):
-        self.sig, terms = as_signature(sig), {} if terms is None else terms
+        self._sig, terms = as_signature(sig), {} if terms is None else terms
         if not isinstance(terms, Mapping):
             raise ValueError(f"terms must be a mapping from blade masks to coefficients, got {terms!r}")
         if not set(map(type, terms)) <= {int}:
             terms = {as_count(m, "blade mask"): c for m, c in terms.items()}
-        _require_blades(self.sig, min(terms, default=0), max(terms, default=0))
+        _require_blades(self._sig, min(terms, default=0), max(terms, default=0))
         kinds = set(map(type, terms.values()))
         self._fraction, self._terms, self._den = not all(issubclass(k, Integral) for k in kinds), None, 1
         if kinds <= {int}:
@@ -378,9 +378,14 @@ class Multivector:
         """An unchecked element (its masks were checked in its operands), reduced here by gcd(den, every numerator)."""
         g = math.gcd(den, *nums.values()) if den > 1 else 1
         x = object.__new__(cls)
-        x.sig, x._den, x._fraction, x._terms = sig, den // g, fraction, None
+        x._sig, x._den, x._fraction, x._terms = sig, den // g, fraction, None
         x._nums = {m: v // g for m, v in nums.items()} if g > 1 else nums
         return x
+
+    @property
+    def sig(self) -> Signature:
+        """The element's signature, read-only: every operation takes it on trust, its masks were checked against it."""
+        return self._sig
 
     @property
     def terms(self) -> Mapping[int, int | Fraction]:
@@ -430,8 +435,8 @@ class Multivector:
     # -- ring operations ----------------------------------------------
 
     def _require_same_sig(self, other: "Multivector") -> None:
-        if self.sig != other.sig:
-            raise ValueError(f"signature mismatch: {self.sig} vs {other.sig}")
+        if self._sig != other._sig:
+            raise ValueError(f"signature mismatch: {self._sig} vs {other._sig}")
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
@@ -441,7 +446,7 @@ class Multivector:
         nums = {m: v * (den // self._den) for m, v in self._nums.items()}
         for m, v in other._nums.items():
             nums[m] = nums.get(m, 0) + v * (den // other._den)
-        return Multivector._valid(self.sig, {m: v for m, v in nums.items() if v}, den, self._fraction or other._fraction)
+        return Multivector._valid(self._sig, {m: v for m, v in nums.items() if v}, den, self._fraction or other._fraction)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -449,26 +454,26 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        return Multivector._valid(self.sig, {m: -v for m, v in self._nums.items()}, self._den, self._fraction)
+        return Multivector._valid(self._sig, {m: -v for m, v in self._nums.items()}, self._den, self._fraction)
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
             return self.__rmul__(other)  # a coefficient commutes with every element
         self._require_same_sig(other)
         a, b = self._nums, other._nums
-        nums = (_int_route(self.sig, a, b) or _pair_product)(self.sig, a, b)
-        return Multivector._valid(self.sig, nums, self._den * other._den, self._fraction or other._fraction)
+        nums = (_int_route(self._sig, a, b) or _pair_product)(self._sig, a, b)
+        return Multivector._valid(self._sig, nums, self._den * other._den, self._fraction or other._fraction)
 
     def __rmul__(self, value):
         """The element times a coefficient, which the ``as_rational`` rule reads."""
         num, den = as_rational(value)
         nums = {m: v * num for m, v in self._nums.items()} if num else {}
-        return Multivector._valid(self.sig, nums, self._den * den, self._fraction or not isinstance(value, Integral))
+        return Multivector._valid(self._sig, nums, self._den * den, self._fraction or not isinstance(value, Integral))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig == other.sig and self._den == other._den and self._nums == other._nums
+        return self._sig == other._sig and self._den == other._den and self._nums == other._nums
 
     __hash__ = None  # mutable-by-convention container
 
@@ -481,8 +486,8 @@ class Multivector:
 
     def coefficient(self, mask: int):
         """The coefficient of blade ``mask`` as ``.terms`` reads it, else the int 0; a bad mask raises the constructor's message."""
-        if type(mask) is not int or mask >> self.sig.n:  # a negative int shifts to -1
-            mask = _require_blades(self.sig, mask, mask)[0]
+        if type(mask) is not int or mask >> self._sig.n:  # a negative int shifts to -1
+            mask = _require_blades(self._sig, mask, mask)[0]
         v = self._nums.get(mask, 0)
         return Fraction(v, self._den) if self._fraction and v else v
 
@@ -491,7 +496,7 @@ class Multivector:
     def _negate_grades(self, flips: tuple[int, int, int, int]) -> "Multivector":
         """Negate each grade-k part for which ``flips[k % 4]`` is set."""
         nums = {m: -v if flips[grade(m) & 3] else v for m, v in self._nums.items()}
-        return Multivector._valid(self.sig, nums, self._den, self._fraction)
+        return Multivector._valid(self._sig, nums, self._den, self._fraction)
 
     def grade_involution(self) -> "Multivector":
         """Sign (-1)^k on each grade-k part."""

@@ -189,18 +189,21 @@ def check_even_subalgebra(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_gamma(nmax: int, dim_max: int) -> CheckResult:
-    def failure(s: Signature) -> str | None:
-        gen = gamma.build_generators(s)
-        try:
-            rank = gamma.faithfulness_rank(gen)
-        except ValueError:  # the defining relations fail
-            return str(s)
-        if rank != 1 << s.n:
-            return f"rank {s}"
-        omega_holds = s.n == 0 or gamma.omega_image_square_sign(gen) == omega_square_mod8(s)
-        return None if omega_holds else f"omega {s}"
+    """The verdicts come from one stacked pass per generator count (``gamma.gamma_verdicts``), whose
+    generator sets are freed before the next count is built; the first failing signature is reported in sweep order."""
     reach = min(nmax, gamma.MAX_SYNTHESIS_GENERATORS)
-    return _sweep("gamma anticommutation", _signatures(reach), failure, f"n <= {reach}, faithful")
+    verdicts: list[tuple[Signature, gamma.GammaVerdict]] = []
+    for n in range(reach + 1):
+        sigs = [Signature(p, n - p) for p in range(n + 1)]
+        verdicts += zip(sigs, gamma.gamma_verdicts([gamma.build_generators(s) for s in sigs]))
+    def failure(item: tuple[Signature, gamma.GammaVerdict]) -> str | None:
+        s, verdict = item
+        if not verdict.relations:
+            return str(s)
+        if verdict.rank != 1 << s.n:
+            return f"rank {s}"
+        return None if s.n == 0 or verdict.omega_sign == omega_square_mod8(s) else f"omega {s}"
+    return _sweep("gamma anticommutation", verdicts, failure, f"n <= {reach}, faithful")
 
 
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:

@@ -12,14 +12,21 @@ diagonal; the last generator is +/- (scaled volume element of the rest)
 in the two blocks, which keeps the representation faithful at twice the
 even-truncated dimension.
 
-All seed entries lie in {0, +/-1, +/-i}, so every check below is exact.
-Every Kronecker product is ``_kronecker._kron``, as in :mod:`cliffrep.lorentz`.
+All seed entries lie in {0, +/-1, +/-i}, so every shipped gamma is
+monomial: each row holds one entry, a Z4 phase i^k.  The checks read the
+dense bits once into that form, one column and one phase per row, and
+prove the defining relations, the volume image and its square by integer
+gathers and mod-4 phase sums (:func:`gamma_verdicts`), with no float
+product; sets of one generator count stack into one pass.  A set that is
+not monomial fails closed.  Every Kronecker product is
+``_kronecker._kron``, as in :mod:`cliffrep.lorentz`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +57,13 @@ class GeneratorSet:
     gammas: tuple[np.ndarray, ...]
     reducible: bool
     basis_note: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "sig", as_signature(self.sig))
+        object.__setattr__(self, "gammas", tuple(map(np.asarray, self.gammas)))  # an array is kept as it is
+        shapes = [g.shape for g in self.gammas]
+        if len(shapes) != self.sig.n or len(set(shapes)) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
+            raise ValueError(f"{self.sig} needs {self.sig.n} square gamma matrices of one dimension, got shapes {shapes}")
 
     @property
     def dim(self) -> int:
@@ -105,25 +119,105 @@ def build_generators(sig) -> GeneratorSet:
     eye2 = np.eye(2, dtype=complex)
     gammas = [_kron(eye2, g) for g in base.gammas]
     omega = omega_image(base)
-    scale = 1 if _square_sign(omega) == last_metric else 1j
+    columns, phases, _ = _monomial_forms(omega[None, None])
+    scale = 1 if _square_signs(columns[:, 0], phases[:, 0])[0] == last_metric else 1j
     last = _kron(_Z, scale * omega)
     gammas.append(last)
     note = f"two blocks of the {trunc} module, last generator = +/- scaled volume element"
     return GeneratorSet(sig, tuple(gammas), reducible=True, basis_note=note)
 
 
+class GammaVerdict(NamedTuple):
+    """What :func:`gamma_verdicts` proves of one generator set."""
+
+    monomial: bool  #: every row of every gamma holds one entry, of {1, i, -1, -i}
+    relations: bool  #: monomial, and g_i g_j + g_j g_i = 2 eta_ij I
+    rank: int  #: the faithfulness rank, read when the relations hold
+    omega_sign: int  #: +-1 with omega_image^2 = sign * I on the monomial form, else 0
+
+
+#: the Z4 phases i^0 .. i^3, in phase order
+_PHASES = np.array([1, 1j, -1, -1j])
+_NOT_MONOMIAL = ": a gamma matrix is not monomial over {1, i, -1, -i}"
+
+
+def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(columns, phases, monomial)`` of gammas stacked (S, n, d, d): when ``monomial[s]``, row r
+    of gamma a of set s holds i^phases[s, a, r] at column columns[s, a, r] and zeros elsewhere."""
+    nonzero = stack != 0
+    columns = nonzero.argmax(axis=-1)
+    match = np.take_along_axis(stack, columns[..., None], axis=-1) == _PHASES
+    monomial = (nonzero.sum(axis=-1) == 1) & match.any(axis=-1)
+    return columns, match.argmax(axis=-1), monomial.all(axis=(1, 2))
+
+
+def _relations(columns: np.ndarray, phases: np.ndarray, metric: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(relations, omega_scalar, omega_sign)`` per set of the (S, n, d) monomial forms, with
+    ``metric`` (S, n): integer gathers and mod-4 phase sums, exact.
+
+    Row r of g_a g_b sits at column columns[b][columns[a][r]] with phase
+    phases[a][r] + phases[b][columns[a][r]].  Both products are monomial, so
+    their sum vanishes iff their columns agree and their phases differ by 2
+    (mod 4), and g_a^2 = eta_a I iff its columns are the identity and its
+    phases all 1 - eta_a.  omega = g_1 ... g_n is folded left to right;
+    ``omega_scalar`` says omega = +-I, and ``omega_sign`` is +-1 where
+    omega^2 = +-I, else 0.
+    """
+    sets, n, dim = columns.shape
+    rows, s = np.arange(dim), np.arange(sets)[:, None]
+    # indices [s, a, b, r]: row r of g_a reads row columns[s, a, r] of g_b
+    g_b = (s[..., None, None], np.arange(n)[:, None], columns[:, :, None, :])
+    product_columns, product_phases = columns[g_b], phases[:, :, None, :] + phases[g_b]
+    anticommute = (product_columns == product_columns.swapaxes(1, 2)) & (
+        (product_phases - product_phases.swapaxes(1, 2)) % 4 == 2
+    )
+    square = (product_columns == rows) & (product_phases % 4 == (1 - metric)[:, :, None, None])
+    relations = np.where(np.eye(n, dtype=bool)[:, :, None], square, anticommute).all(axis=(1, 2, 3))
+
+    omega_columns, omega_phases = np.broadcast_to(rows, (sets, dim)), np.zeros((sets, dim), dtype=int)
+    for a in range(n):
+        omega_phases = omega_phases + phases[s, a, omega_columns]
+        omega_columns = columns[s, a, omega_columns]
+    omega_phases %= 4
+    omega_scalar = (omega_columns == rows).all(axis=1) & ((omega_phases == 0).all(axis=1) | (omega_phases == 2).all(axis=1))
+    return relations, omega_scalar, _square_signs(omega_columns, omega_phases)
+
+
+def _square_signs(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per row of (S, d) monomial forms, +-1 where the matrix squares to +-I, else 0."""
+    s, rows = np.arange(len(columns))[:, None], np.arange(columns.shape[1])
+    identity = (columns[s, columns] == rows).all(axis=1)
+    square = (phases + phases[s, columns]) % 4
+    return (identity & (square == 0).all(axis=1)).astype(int) - (identity & (square == 2).all(axis=1))
+
+
+def gamma_verdicts(gens: Sequence[GeneratorSet]) -> list[GammaVerdict]:
+    """For each generator set, in order, its :class:`GammaVerdict`.
+
+    Sets of one generator count and dimension stack along a leading axis:
+    their dense gammas are read once into (column, Z4 phase) form and proved
+    in one pass of :func:`_relations`.  A set that is not monomial fails
+    closed: its relations do not hold and it has no omega sign.
+    """
+    verdicts: list[GammaVerdict | None] = [None] * len(gens)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, gen in enumerate(gens):
+        groups.setdefault((gen.sig.n, gen.dim), []).append(i)
+    for (n, dim), chunk in groups.items():
+        stack = np.array([gens[i].gammas for i in chunk]) if n else np.zeros((len(chunk), 0, dim, dim))
+        columns, phases, monomial = _monomial_forms(stack)
+        metric = np.array([gens[i].metric for i in chunk], dtype=int).reshape(len(chunk), n)
+        relations, omega_scalar, omega_sign = _relations(columns, phases, metric)
+        ranks = np.where(omega_scalar & (n % 2 == 1), 1 << n >> 1, 1 << n)
+        for i, mono, holds, rank, sign in zip(chunk, monomial.tolist(), relations.tolist(), ranks.tolist(), omega_sign.tolist()):
+            verdicts[i] = GammaVerdict(mono, mono and holds, rank, sign if mono else 0)
+    return verdicts
+
+
 def verify_anticommutation(gen: GeneratorSet) -> bool:
-    """Exact check of g_i g_j + g_j g_i = 2 eta_ij I."""
-    eye = np.eye(gen.dim, dtype=complex)
-    metric = gen.metric
-    for i, gi in enumerate(gen.gammas):
-        for j in range(i, len(gen.gammas)):
-            gj = gen.gammas[j]
-            anti = gi @ gj + gj @ gi
-            expected = 2 * metric[i] * eye if i == j else np.zeros_like(eye)
-            if not np.array_equal(anti, expected):
-                return False
-    return True
+    """Exact check of g_i g_j + g_j g_i = 2 eta_ij I on the monomial form; False for a set
+    that is not monomial.  The one-set case of :func:`gamma_verdicts`."""
+    return gamma_verdicts([gen])[0].relations
 
 
 def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
@@ -138,18 +232,19 @@ def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
 def faithfulness_rank(gen: GeneratorSet) -> int:
     """Dimension of the real linear span of all blade images, exactly.
 
-    The defining relations are checked first (``ValueError`` if they fail).
-    Trace argument (Lounesto, *Clifford Algebras and Spinors*, ss. 16-17):
-    each blade but 1 and the odd-n volume element anticommutes with some
-    generator, so the images are orthogonal under tr(x^-1 y); for odd n the
-    span halves exactly when the central volume image is +-I.
+    The defining relations are checked first (``ValueError`` if they fail,
+    or if the set is not monomial).  Trace argument (Lounesto, *Clifford
+    Algebras and Spinors*, ss. 16-17): each blade but 1 and the odd-n volume
+    element anticommutes with some generator, so the images are orthogonal
+    under tr(x^-1 y); for odd n the span halves exactly when the central
+    volume image is +-I.  The one-set case of :func:`gamma_verdicts`.
     """
-    if not verify_anticommutation(gen):
-        raise ValueError(f"gamma matrices of {gen.sig} violate the defining relations")
-    omega, eye = omega_image(gen), np.eye(gen.dim)
-    if gen.sig.n % 2 and (np.array_equal(omega, eye) or np.array_equal(omega, -eye)):
-        return 1 << (gen.sig.n - 1)
-    return 1 << gen.sig.n
+    verdict = gamma_verdicts([gen])[0]
+    if not verdict.relations:
+        raise ValueError(
+            f"gamma matrices of {gen.sig} violate the defining relations" + ("" if verdict.monomial else _NOT_MONOMIAL)
+        )
+    return verdict.rank
 
 
 def omega_image(gen: GeneratorSet) -> np.ndarray:
@@ -158,15 +253,10 @@ def omega_image(gen: GeneratorSet) -> np.ndarray:
 
 
 def omega_image_square_sign(gen: GeneratorSet) -> int:
-    """+/-1 with omega_image^2 = sign * I; must match the mod-8 law."""
-    return _square_sign(omega_image(gen))
-
-
-def _square_sign(m: np.ndarray) -> int:
-    sq = m @ m
-    eye = np.eye(m.shape[0])
-    if np.array_equal(sq, eye):
-        return 1
-    if np.array_equal(sq, -eye):
-        return -1
-    raise ValueError("volume element image does not square to +/- identity")
+    """+/-1 with omega_image^2 = sign * I; must match the mod-8 law.  The one-set case of
+    :func:`gamma_verdicts`: a set that is not monomial raises ``ValueError``, as one whose
+    volume image does not square to +/- I does."""
+    verdict = gamma_verdicts([gen])[0]
+    if not verdict.omega_sign:
+        raise ValueError("volume element image does not square to +/- identity" + ("" if verdict.monomial else _NOT_MONOMIAL))
+    return verdict.omega_sign

@@ -38,7 +38,6 @@ one NaN-keeping fold (``_worst``), and are defined nowhere else.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -103,7 +102,7 @@ class GNLabel:
 
 
 def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
-    """(A_k, C_k) for k = l0, l0 + 1, ..., l1.
+    """(A_k, C_k) for k = l0, l0 + 1, ..., l1, from ``_gn_a`` and ``_gn_c`` as the builder reads them.
 
     C at the bottom level multiplies the nonexistent k-1 level and is
     defined as 0 (this also covers the 0/0 at k = 1/2);  C at k = l1
@@ -113,16 +112,26 @@ def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
     l0, l1 = label.l0, label.l1
     if not l0 <= k <= l1 or (k - l0).denominator != 1:
         raise ValueError(f"k = {k} is not a level of (l0, l1) = ({l0}, {l1}): k - l0 must be one of 0..{l1 - l0}")
-    if l0 == 0:
-        a = 0j
-    else:
-        a = 1j * float(l0 * l1) / float(k * (k + 1))
-    if k == l0:
-        c = 0j
-    else:
-        radicand = float((k * k - l0 * l0) * (k * k - l1 * l1)) / float(4 * k * k - 1)
-        c = (1j / float(k)) * cmath.sqrt(radicand)
-    return a, c
+    two_l0, two_l1, n = _twice_spin(l0), _twice_spin(l1), _twice_spin(k)
+    a = complex(0.0, _gn_a(two_l0, two_l1, n))
+    return a, 0j if k == l0 else complex(0.0 - _gn_c(two_l0, two_l1, n), 0.0)
+
+
+def _gn_a(two_l0: int, two_l1: int, n):
+    """Im A_k = l0 l1 / (k (k+1)) at 2k = n, an int or an int array: the one correctly rounded
+    quotient 2l0 2l1 / (n (n+2)) of two integers, which is what dividing the exact floats of
+    l0 l1 and k (k+1), each a quarter of an integer, gives.  0 when l0 = 0, k = 0 included."""
+    return two_l0 * two_l1 / np.maximum(n * (n + 2), 1)
+
+
+def _gn_c(two_l0: int, two_l1: int, n):
+    """-C_k = (1/k) sqrt(R) at 2k = n > 2l0, an int or an int array, with
+    R = -(k^2 - l0^2)(k^2 - l1^2) / (4k^2 - 1) >= 0, so C_k is real.  R is the integer
+    (n^2 - 4l0^2)(4l1^2 - n^2) divided by 16 and then by n^2 - 1, and (1/k) sqrt(R) is
+    2/n times its ``_roots``: the float operations, in order, of (i/k) sqrt(-R) on the exact
+    Fractions, whose real part is this product negated and whose imaginary part is 0."""
+    radicand = (n * n - two_l0 * two_l0) * (two_l1 * two_l1 - n * n) / 16 / (n * n - 1)
+    return 2 / n * _roots(radicand)
 
 
 @dataclass(frozen=True)
@@ -162,34 +171,49 @@ def _gn_row(two_l0: int, two_k: int, two_nu: int) -> int:
 
 
 def build_gn_operators(label: GNLabel) -> GNOperators:
-    """Ladder matrices over the lexicographic (k, nu) basis.
+    """Ladder matrices over the lexicographic (k, nu) basis, all levels in one pass.
 
     On level k, H3/H+/H- are the spin-k su(2) triple and the same-level
     part of F3/F+/F- is -A_k times it; the C_k entries link levels k-1 and k.
+    Every entry comes from the twice-spin integers: the triples' diagonals and
+    roots from ``_su2_entries``, as ``su2_ladder`` reads them, and A_k and C_k
+    from ``_gn_a`` and ``_gn_c``, as ``gn_coefficients`` reads them.  A_k is
+    imaginary and C_k real, so each band of each operator is one index write
+    into the real or imaginary part of a zeroed array, with the bits, signed
+    zeros included, of the complex products -A_k j and +-C_k root.
     """
-    dim, two_l0 = label.dim, int(2 * label.l0)
+    two_l0, two_l1 = _twice_spin(label.l0), _twice_spin(label.l1)
+    two_ks = np.arange(two_l0, two_l1 + 1, 2)
+    starts = _gn_row(two_l0, two_ks, -two_ks)  # each level's first row; the last is dim
+    dim, sizes = starts[-1], np.diff(starts)
     h3, hp, hm, f3, fp, fm = (np.zeros((dim, dim), dtype=complex) for _ in range(6))
 
-    for k in label.levels():
-        a_k, c_k = gn_coefficients(label, k)
-        n = int(2 * k)
-        lo, m = _gn_row(two_l0, n, -n), np.arange(n + 1)
-        block = slice(lo, lo + n + 1)
-        # where j3, j+, j- may be nonzero; j3's whole diagonal, nu = 0 included
-        bands = ((m, m), (m[1:], m[:-1]), (m[:-1], m[1:]))
-        for h, f, j, (rows, cols) in zip((h3, hp, hm), (f3, fp, fm), su2_ladder(k), bands):
-            h[block, block] = j
-            f[lo + rows, lo + cols] = -a_k * j[rows, cols]
-        if k == label.l0:
-            continue
-        # a = nu + k - 1 on level k-1, whose block starts at row `below`; level k's starts at `lo`
-        a, below = np.arange(n - 1), lo - n + 1
-        r3, rp, rm = _roots((n - a - 1) * (a + 1)), _roots((a + 1) * (a + 2)), _roots((n - a - 1) * (n - a))
-        f3[lo + a + 1, below + a], f3[below + a, lo + a + 1] = -c_k * r3, c_k * r3
-        fp[lo + a + 2, below + a], fp[below + a, lo + a] = c_k * rp, c_k * rm
-        fm[lo + a, below + a], fm[below + a, lo + a + 2] = -c_k * rm, -c_k * rp
+    # per basis vector: its level's 2k and its index i = nu + k within the level
+    row = np.arange(dim)
+    two_k = np.repeat(two_ks[:-1], sizes)
+    i = row - np.repeat(starts[:-1], sizes)
+    m, roots = _su2_entries(two_k, i)
+    a = _gn_a(two_l0, two_l1, two_k)
+    h3.real[row, row], f3.imag[row, row] = m, -a * m  # j3's whole diagonal, nu = 0 included
+    up = i < two_k  # j+ at (i+1, i) and j- at (i, i+1)
+    r, root, a = row[up], roots[up], a[up]
+    hp.real[r + 1, r] = hm.real[r, r + 1] = root
+    fp.imag[r + 1, r] = fm.imag[r, r + 1] = -a * root
 
-    note = f"xi_(k,nu), k = {label.l0}..{label.l1 - 1}, nu = -k..k, lexicographic"
+    # per link between levels k-1 and k: j = nu + k - 1 on level k-1, whose row is `below`; its
+    # partner on level k is `above`, the same offset j into level k
+    links = sizes[:-1]  # one per vector of level k-1, for each level k above the first
+    n = np.repeat(two_ks[1:-1], links)
+    j = np.arange(len(n)) - np.repeat(np.cumsum(links) - links, links)
+    below, above = np.repeat(starts[:-2], links) + j, np.repeat(starts[1:-1], links) + j
+    c = _gn_c(two_l0, two_l1, n)
+    c3, cp, cm = (c * _roots(x) for x in ((n - j - 1) * (j + 1), (j + 1) * (j + 2), (n - j - 1) * (n - j)))
+    f3.real[above + 1, below], f3.real[below, above + 1] = c3, -c3
+    fp.real[above + 2, below], fp.real[below, above] = -cp, -cm
+    fm.real[above, below], fm.real[below, above + 2] = cm, cp
+
+    top = two_l1 - 2  # 2k of the last level, printed as its Fraction prints
+    note = f"xi_(k,nu), k = {label.l0}..{top // 2 if top % 2 == 0 else f'{top}/2'}, nu = -k..k, lexicographic"
     return GNOperators(label, h3, hp, hm, f3, fp, fm, note)
 
 
@@ -280,19 +304,24 @@ def _twice_spin(j) -> int:
     return n
 
 
-def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j3, j+, j-) on the basis m = -j .. j, ascending; with n = 2j and m = -j + i,
-    (j-m)(j+m+1) = (n-i)(i+1) is the square of j+ below the diagonal and of j- above it.
+def _su2_entries(n, i):
+    """``(m, root)`` at index i of the spin n/2 basis, m = -j + i ascending, for ints or int arrays
+    that broadcast together: j3's diagonal entry m = (2i - n)/2 and the ``_roots`` of (j-m)(j+m+1)
+    = (n-i)(i+1), the square of j+[i+1, i] and of j-[i, i+1] (0 at the top, i = n)."""
+    return (2 * i - n) / 2, _roots((n - i) * (i + 1))
 
-    Each call computes the O(n) entries, j3's diagonal and the ``_roots`` of (n-i)(i+1), and
-    writes them by strided slices into one fresh zeroed complex block, so every call returns
-    three new writable arrays."""
+
+def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j3, j+, j-) on the basis m = -j .. j, ascending, from ``_su2_entries``.
+
+    Each call computes the O(n) entries, n = 2j, and writes them by strided slices into one
+    fresh zeroed complex block, so every call returns three new writable arrays."""
     n = _twice_spin(j)
-    i = np.arange(n)
+    m, roots = _su2_entries(n, np.arange(n + 1))
     block = np.zeros((3, n + 1, n + 1), dtype=complex)
     flat = block.reshape(3, -1)  # row r, column c at r(n+1) + c: the diagonal steps by n+2
-    flat[0, :: n + 2] = np.arange(-n, n + 1, 2) / 2
-    flat[1, n + 1 :: n + 2] = flat[2, 1 :: n + 2] = _roots((n - i) * (i + 1))  # j+[i+1, i] and j-[i, i+1]
+    flat[0, :: n + 2] = m
+    flat[1, n + 1 :: n + 2] = flat[2, 1 :: n + 2] = roots[:-1]  # j+[i+1, i] and j-[i, i+1]
     return tuple(block)
 
 

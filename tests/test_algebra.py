@@ -1139,6 +1139,18 @@ class TestCoefficientForm:
                 x.terms = {}
             assert x.terms == terms and len(terms) == 2
 
+    def test_signature_is_read_only(self):
+        """An element's masks were checked against its signature, so it cannot be reassigned: a sum or
+        product after an attempt still reads the signature the element was built in."""
+        x, y = Multivector((1, 1), {1: 1, 3: 1}), Multivector((1, 1), {1: 1})
+        for sig in ((0, 1), Signature(1, 1), Signature(0, 2)):
+            with pytest.raises(AttributeError):
+                x.sig = sig
+        assert x.sig == Signature(1, 1) and type(x.sig) is Signature
+        assert x + y == Multivector((1, 1), {1: 2, 3: 1}) and x * y == Multivector((1, 1), {0: 1, 2: -1})
+        with pytest.raises(ValueError, match="signature mismatch"):
+            x + Multivector((0, 1), {1: 1})
+
     @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
     def test_elements_pickle_and_deep_copy(self, read):
         """Before and after ``.terms`` is read, an element survives pickle, copy and deepcopy, and so does a

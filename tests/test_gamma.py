@@ -11,18 +11,69 @@ from cliffrep import checks
 from cliffrep.algebra import Multivector, Signature, all_blades, omega_square_mod8
 from cliffrep.factorize import karoubi_factorize
 from cliffrep.gamma import (
+    GammaVerdict,
     GeneratorSet,
     blade_images,
     build_generators,
     faithfulness_rank,
+    gamma_verdicts,
     omega_image,
     omega_image_square_sign,
     verify_anticommutation,
 )
 
 all_signatures = [Signature(p, n - p) for n in range(0, 8) for p in range(n + 1)]
+#: every signature build_generators synthesises, in check_gamma's sweep order: n, then p, ascending
+synthesised = [Signature(p, n - p) for n in range(13) for p in range(n + 1)]
 _X = np.array([[0, 1], [1, 0]])
 _Z = np.array([[1, 0], [0, -1]])
+
+
+def _turn_phase(g):
+    """The first nonzero entry times i: +-1 becomes +-i, or +-i becomes -+1."""
+    row, col = np.argwhere(g)[0]
+    g[row, col] *= 1j
+
+
+def _swap_columns(g):
+    """Rows 0 and 1 trade the columns of their entries, each keeping its phase: a permutation mutant."""
+    (c0,), (c1,) = np.flatnonzero(g[0]), np.flatnonzero(g[1])
+    g[0, c1], g[1, c0], g[0, c0], g[1, c1] = g[0, c0], g[1, c1], 0, 0
+
+
+def _fill_zero(g):
+    """A nonzero written into a zero entry of row 0: the set is no longer monomial."""
+    g[0, np.flatnonzero(g[0] == 0)[0]] = 1
+
+
+def _flip_entry(g):
+    """The first nonzero entry negated."""
+    row, col = np.argwhere(g)[0]
+    g[row, col] = -g[row, col]
+
+
+GAMMA_MUTANTS = {"turned-phase": _turn_phase, "swapped-columns": _swap_columns, "filled-zero": _fill_zero, "flipped-entry": _flip_entry}
+
+
+def mutated(gen: GeneratorSet, mutant) -> GeneratorSet:
+    """``gen`` with ``mutant`` applied to a copy of its last gamma."""
+    last = gen.gammas[-1].copy()
+    mutant(last)
+    return GeneratorSet(gen.sig, gen.gammas[:-1] + (last,), gen.reducible, gen.basis_note)
+
+
+def dense_verdict(gen: GeneratorSet) -> tuple[bool, int]:
+    """(relations, omega sign or 0) by dense products: every g_i g_j + g_j g_i against 2 eta_ij I, and
+    omega^2 against +-I, all entries exact."""
+    eye = np.eye(gen.dim)
+    relations = all(
+        np.array_equal(gi @ gj + gj @ gi, 2 * gen.metric[i] * eye if i == j else 0 * eye)
+        for i, gi in enumerate(gen.gammas)
+        for j, gj in enumerate(gen.gammas)
+    )
+    omega = omega_image(gen)
+    square = omega @ omega
+    return relations, next((sign for sign in (1, -1) if np.array_equal(square, sign * eye)), 0)
 
 
 class TestBuildGenerators:
@@ -67,6 +118,35 @@ class TestBuildGenerators:
                 for g in build_generators((p, n - p)).gammas:
                     h.update(g.tobytes())
         assert h.hexdigest() == "46819fb8dd2ee37f67cc81cdad8832cfd4299a210cabf29c4013c5161b46ead4"
+
+
+class TestGeneratorSetShape:
+    def test_one_generator_short(self):
+        with pytest.raises(ValueError, match=r"^Cl\(2,0\) needs 2 square gamma matrices of one dimension, got shapes \[\(2, 2\)\]$"):
+            GeneratorSet(Signature(2, 0), (_X,), False, "by hand")
+
+    def test_two_dimensions(self):
+        with pytest.raises(ValueError, match=r"^Cl\(2,0\) needs 2 square gamma matrices of one dimension, got shapes \[\(2, 2\), \(3, 3\)\]$"):
+            GeneratorSet(Signature(2, 0), (_X, np.eye(3)), False, "by hand")
+
+    @pytest.mark.parametrize(
+        "sig,gammas",
+        [
+            (Signature(1, 0), [_X, _Z]),  # one generator too many
+            (Signature(0, 0), [[[1]]]),
+            (Signature(1, 0), [np.ones((2, 3))]),  # not square
+            (Signature(1, 0), [np.ones(2)]),  # not a matrix
+            (Signature(1, 1), [np.eye(2), np.eye(2)[None]]),
+        ],
+    )
+    def test_rejects_a_count_or_shape_off_the_signature(self, sig, gammas):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sig))} needs {sig.n} square gamma matrices of one dimension"):
+            GeneratorSet(sig, tuple(np.array(g) for g in gammas), reducible=False, basis_note="by hand")
+
+    def test_signature_and_nested_lists_are_coerced(self):
+        gen = GeneratorSet((1, 1), (_X, [[0, 1], [-1, 0]]), False, "by hand")
+        assert gen.sig == Signature(1, 1) and type(gen.sig) is Signature and gen.gammas[0] is _X
+        assert gen.dim == 2 and faithfulness_rank(gen) == 4 and np.array_equal(gen.gammas[1], [[0, 1], [-1, 0]])
 
 
 class TestAnticommutation:
@@ -164,6 +244,58 @@ class TestGammaCheck:
         with mock.patch.object(checks.gamma, "build_generators", build):
             r = checks.check_gamma(12, 0)
         assert (r.passed, r.detail) == (False, "Cl(6,6)")
+
+    @pytest.mark.parametrize("mutant", GAMMA_MUTANTS)
+    @pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 2), Signature(4, 4), Signature(6, 6)], ids=str)
+    def test_mutant_fails(self, mutant, sig):
+        """Each mutant of one set's last gamma fails the check, which names that set, and fails the one-set
+        functions; the dense products agree that the relations break."""
+        honest = build_generators
+        with mock.patch.object(checks.gamma, "build_generators", lambda s: mutated(honest(s), GAMMA_MUTANTS[mutant]) if s == sig else honest(s)):
+            r = checks.check_gamma(12, 0)
+        assert (r.passed, r.detail, r.covered) == (False, str(sig), 91)
+        gen = mutated(honest(sig), GAMMA_MUTANTS[mutant])
+        assert not verify_anticommutation(gen) and not dense_verdict(gen)[0]
+        with pytest.raises(ValueError, match=f"gamma matrices of {re.escape(str(sig))} violate the defining relations"):
+            faithfulness_rank(gen)
+        assert gamma_verdicts([gen])[0].monomial == (mutant != "filled-zero")
+
+    def test_first_mutant_in_sweep_order_is_named(self):
+        """With mutants at Cl(6,6), Cl(2,5) and Cl(5,2), the check names Cl(2,5), first in the sweep's
+        order of n, then p, ascending."""
+        honest, targets = build_generators, dict(zip(map(Signature, (6, 2, 5), (6, 5, 2)), GAMMA_MUTANTS.values()))
+        with mock.patch.object(checks.gamma, "build_generators", lambda s: mutated(honest(s), targets[s]) if s in targets else honest(s)):
+            r = checks.check_gamma(12, 0)
+        assert (r.passed, r.detail) == (False, "Cl(2,5)")
+
+    def test_grouped_verdicts_match_the_one_set_functions(self):
+        """All 91 sets of p+q <= 12 in one call, with a mutant of each kind among them, give each set the
+        verdict the one-set functions give it: a failing set in a stack leaves the others' verdicts alone."""
+        gens = [build_generators(s) for s in synthesised]
+        gens += [mutated(build_generators(s), m) for s, m in zip(map(Signature, (2, 4, 3, 6), (2, 3, 5, 6)), GAMMA_MUTANTS.values())]
+        verdicts = gamma_verdicts(gens)
+        assert len(verdicts) == 95 and all(type(v) is GammaVerdict for v in verdicts)
+        for gen, v in zip(gens, verdicts):
+            assert v == gamma_verdicts([gen])[0]
+            assert v.relations == verify_anticommutation(gen)
+            if v.relations:
+                assert (v.monomial, v.rank, v.omega_sign) == (True, faithfulness_rank(gen), omega_image_square_sign(gen))
+                assert v.rank == 1 << gen.sig.n and v.omega_sign == (omega_square_mod8(gen.sig) if gen.sig.n else 1)
+        assert [v.relations for v in verdicts] == [True] * 91 + [False] * 4
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_monomial_verdicts_match_the_dense_products(self, n):
+        """On every shipped set of n generators and on each mutant of it, the (column, phase) verdicts equal
+        what dense products give: the relations, and the sign of omega^2 (0 if neither +-I).  A set that is
+        not monomial fails closed, even where the dense products hold, as the filled-zero mutant
+        [[i, 1], [0, -i]] of Cl(0,1) squares to -I."""
+        for p in range(n + 1):
+            gen = build_generators((p, n - p))
+            for g in [gen] + ([mutated(gen, m) for m in GAMMA_MUTANTS.values()] if n >= 1 else []):
+                v = gamma_verdicts([g])[0]
+                relations, sign = dense_verdict(g)
+                assert v.relations == (relations and v.monomial), g.sig
+                assert v.omega_sign == (sign if v.monomial else 0), g.sig
 
 
 class TestVolumeImage:

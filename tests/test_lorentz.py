@@ -106,6 +106,36 @@ def test_operator_bits_unchanged_up_to_dim_400(build, digest):
     assert _digest(build()) == digest
 
 
+def per_level_gn_operators(label: GNLabel) -> list[np.ndarray]:
+    """The six GN operators level by level, as complex products of ``gn_coefficients`` and ``su2_ladder``
+    written block by block: the reference the one-pass builder is held to, bit for bit."""
+    dim, two_l0 = label.dim, int(2 * label.l0)
+    h3, hp, hm, f3, fp, fm = ops = [np.zeros((dim, dim), dtype=complex) for _ in range(6)]
+    for k in label.levels():
+        a_k, c_k = gn_coefficients(label, k)
+        n = int(2 * k)
+        lo, m = lorentz._gn_row(two_l0, n, -n), np.arange(n + 1)
+        bands = ((m, m), (m[1:], m[:-1]), (m[:-1], m[1:]))
+        for h, f, j, (rows, cols) in zip((h3, hp, hm), (f3, fp, fm), su2_ladder(k), bands):
+            h[lo : lo + n + 1, lo : lo + n + 1] = j
+            f[lo + rows, lo + cols] = -a_k * j[rows, cols]
+        if k > label.l0:
+            a, below = np.arange(n - 1), lo - n + 1
+            r3, rp, rm = (np.sqrt(x.astype(float)) for x in ((n - a - 1) * (a + 1), (a + 1) * (a + 2), (n - a - 1) * (n - a)))
+            f3[lo + a + 1, below + a], f3[below + a, lo + a + 1] = -c_k * r3, c_k * r3
+            fp[lo + a + 2, below + a], fp[below + a, lo + a] = c_k * rp, c_k * rm
+            fm[lo + a, below + a], fm[below + a, lo + a + 2] = -c_k * rm, -c_k * rp
+    return ops
+
+
+def test_one_pass_build_matches_the_per_level_products():
+    """On every label of dim <= 100 and the first with a root of 2921, each operator's bytes, signed zeros
+    included, equal the per-level products of the coefficients and ladders that gn_coefficients and su2_ladder give."""
+    for lab in all_gn_labels(100) + [GNLabel(74, 76)]:
+        got = build_gn_operators(lab).operators().values()
+        assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [(m.dtype, m.shape, m.tobytes()) for m in per_level_gn_operators(lab)], lab
+
+
 def test_gn_row_closed_form():
     for lab in all_gn_labels(400):
         two_l0 = int(2 * lab.l0)
@@ -487,18 +517,30 @@ class TestVdWOperators:
         assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
 
     def test_next_spins_ladder_fails_the_check(self, capsys):
-        """A triple of the wrong size fails vdw-com2 on its shape; the GN builders cannot place it and
-        raise, and ``verify`` reports each as its check's FAIL, runs the rest and exits 1, not 2."""
+        """A triple of the wrong size fails vdw-com2 on its shape; the GN builders read the su(2) entries
+        from ``_su2_entries``, not from su2_ladder, so theirs pass, and ``verify`` exits 1, not 2."""
         with mock.patch.object(lorentz, "su2_ladder", lambda j: su2_ladder(j + F(1, 2) if j else j)):
             r = checks.check_vdw_com2(0, 16)
             code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
         assert (r.passed, r.detail) == (False, "spin 1/2: not three 2 x 2 complex arrays")
         lines, total = out.splitlines(), len(checks.ALL_CHECKS)
         failed = [line for line in lines if line.startswith("FAIL")]
+        assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 1}/{total} checks passed"
+        assert failed == [f"FAIL  paired su(2) commutators  [{r.detail}]"]
+
+    def test_next_spins_entries_fail_every_ladder_check(self, capsys):
+        """The next spin's entries in ``_su2_entries``, which su2_ladder and build_gn_operators both read,
+        fail vdw-com2 and both GN checks, and ``verify`` reports each FAIL, runs the rest and exits 1."""
+        honest = lorentz._su2_entries
+        with mock.patch.object(lorentz, "_su2_entries", lambda n, i: honest(n + 1, i)):
+            r = checks.check_vdw_com2(0, 16)
+            code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
+        assert (r.passed, r.detail) == (False, "spin 0: j3 is not [j+, j-]/2 = diag(-j .. j)")
+        lines, total = out.splitlines(), len(checks.ALL_CHECKS)
+        failed = [line.split("  [")[0] for line in lines if line.startswith("FAIL")]
         assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 3}/{total} checks passed"
-        assert failed[1] == f"FAIL  paired su(2) commutators  [{r.detail}]"
-        assert [line.split("  [")[0] for line in failed] == ["FAIL  gn-com1", "FAIL  paired su(2) commutators", "FAIL  gn-vdw"]
-        assert all(failed[k].startswith(f"FAIL  {name}  [raised ValueError: could not broadcast") for k, name in ((0, "gn-com1"), (2, "gn-vdw")))
+        assert failed == ["FAIL  rotation/boost commutators", "FAIL  paired su(2) commutators", "FAIL  basis conversion"]
+        assert f"FAIL  paired su(2) commutators  [{r.detail}]" in lines and "FAIL  basis conversion  [(0, 1) su(2) relations]" in lines
 
     def test_verdict_is_not_cached(self):
         """A mutant of the largest spin alone, patched in after a passing call at the same budget,
@@ -702,16 +744,14 @@ class TestConversion:
         assert checks.check_gn_vdw(0, 64).passed
 
     def test_doubled_root_fails_the_check(self):
-        # build_gn_operators assembles each level from su2_ladder; the failing label is named by (l0, l1)
-        honest = lorentz.su2_ladder
+        # build_gn_operators reads each level's ladder from _su2_entries; the failing label is named by (l0, l1)
+        honest = lorentz._su2_entries
 
-        def doubled_root(j):
-            j3, jp, jm = honest(j)
-            jp[1:2, 0] *= 2
-            jm[0, 1:2] *= 2
-            return j3, jp, jm
+        def doubled_root(n, i):
+            m, roots = honest(n, i)
+            return m, np.where(i == 0, 2 * roots, roots)
 
-        with mock.patch.object(lorentz, "su2_ladder", doubled_root):
+        with mock.patch.object(lorentz, "_su2_entries", doubled_root):
             r = checks.check_gn_vdw(0, 64)
         assert (r.passed, r.detail, r.covered) == (False, "(0, 2) su(2) relations", 28)
         assert checks.check_gn_vdw(0, 64).passed
