@@ -9,6 +9,14 @@ check sweeps.  The rotation/boost and basis-conversion checks hold float
 residuals, each one ``lorentz._worst`` fold, to the tolerances defined
 beside them in :mod:`cliffrep.lorentz`; every other check, the su(2) one
 included, is exact.
+
+Shared work is done once per call and kept by nothing after it.
+:func:`run_all` builds each GN label's operators once and hands the same
+objects to both GN checks as the keyword ``gn_ops``; a GN check called on
+its own builds its own.  The automorphism and omega-conjugation sweeps
+build the every-blade element's terms, and the automorphism check its
+expected images, once per generator count, shared by the count's
+signatures.
 """
 
 from __future__ import annotations
@@ -66,13 +74,19 @@ def _sweep(name: str, items: Sequence, failure: Callable[[Any], str | None], pas
     return CheckResult(name, detail is None, passed_detail if detail is None else detail, len(items))
 
 
+def _count_signatures(n: int) -> list[Signature]:
+    """The n + 1 signatures of n generators, p ascending."""
+    return [Signature(p, n - p) for p in range(n + 1)]
+
+
 def _signatures(nmax: int, parity: int | None = None) -> list[Signature]:
-    return [
-        Signature(p, n - p)
-        for n in range(nmax + 1)
-        if parity is None or n % 2 == parity
-        for p in range(n + 1)
-    ]
+    return [s for n in range(nmax + 1) if parity is None or n % 2 == parity for s in _count_signatures(n)]
+
+
+def _sweep_counts(name: str, counts: range, failure: Callable[[int], str | None], passed_detail: str) -> CheckResult:
+    """``_sweep`` over generator counts, whose ``failure(n)`` judges the n + 1 signatures of count n in
+    order; ``covered`` counts the signatures."""
+    return replace(_sweep(name, counts, failure, passed_detail), covered=sum(n + 1 for n in counts))
 
 
 def brute_force_commutant(sig) -> frozenset[int]:
@@ -99,33 +113,49 @@ def check_center(nmax: int, dim_max: int) -> CheckResult:
     return CheckResult("center vs brute-force commutant", not bad, f"{nmax=} mismatches={bad}", len(sigs))
 
 
-def _every_blade(sig: Signature) -> Multivector:
-    """Sum of (m + 1) e_m over all blades m.  The coefficients are distinct, so
-    one image of this element pins down a blade-wise +-1 map on every blade."""
-    return Multivector(sig, {m: m + 1 for m in all_blades(sig)})
+def _every_blade_terms(sig: Signature) -> dict[int, int]:
+    """The terms of sum (m + 1) e_m over every blade of ``sig``, the same in each signature of its
+    generator count.  The coefficients are distinct, so one image of this element pins down a
+    blade-wise +-1 map on every blade."""
+    return {m: m + 1 for m in all_blades(sig)}
+
+
+#: each involution's sign on a grade-k blade, the automorphism check's own rule
+SIGN_OF_GRADE: dict[str, Callable[[int], int]] = {
+    "grade_involution": lambda k: (-1) ** k,
+    "reversion": lambda k: (-1) ** (k * (k - 1) // 2),
+    "conjugation": lambda k: (-1) ** (k * (k + 1) // 2),
+}
 
 
 def check_automorphism_signs(nmax: int, dim_max: int) -> CheckResult:
-    sign_of_grade = {
-        "grade_involution": lambda k: (-1) ** k,
-        "reversion": lambda k: (-1) ** (k * (k - 1) // 2),
-        "conjugation": lambda k: (-1) ** (k * (k + 1) // 2),
-    }
-    def failure(s: Signature) -> str | None:
-        x = _every_blade(s)
-        for method, sign in sign_of_grade.items():
-            by_grade = [sign(k) for k in range(s.n + 1)]
-            if getattr(x, method)().terms != {m: by_grade[grade(m)] * c for m, c in x.terms.items()}:
-                return f"{s} {method}"
+    """Each involution of sum (m + 1) e_m must equal its image by ``SIGN_OF_GRADE``.  The terms and the
+    three expected images are built once per generator count, and each of its signatures is compared."""
+    def failure(n: int) -> str | None:
+        sigs = _count_signatures(n)
+        terms = _every_blade_terms(sigs[0])
+        grades = list(map(grade, terms))
+        images = {}
+        for method, sign in SIGN_OF_GRADE.items():
+            by_grade = [sign(k) for k in range(n + 1)]
+            images[method] = {m: by_grade[k] * c for (m, c), k in zip(terms.items(), grades)}
+        for s in sigs:
+            x = Multivector(s, terms)
+            bad = next((method for method, image in images.items() if getattr(x, method)().terms != image), None)
+            if bad is not None:
+                return f"{s} {bad}"
         return None
-    return _sweep("automorphism signs", _signatures(nmax), failure, f"{nmax=}")
+    return _sweep_counts("automorphism signs", range(nmax + 1), failure, f"{nmax=}")
 
 
 def check_omega_conjugation(nmax: int, dim_max: int) -> CheckResult:
-    def failure(s: Signature) -> str | None:
-        x = _every_blade(s)
-        return None if involution_via_omega(x) == x.grade_involution() else str(s)
-    return _sweep("omega conjugation = grade involution", _signatures(nmax, parity=0), failure, f"even n <= {nmax}")
+    """sum (m + 1) e_m's terms are built once per even generator count and shared by its signatures."""
+    def failure(n: int) -> str | None:
+        sigs = _count_signatures(n)
+        terms = _every_blade_terms(sigs[0])
+        xs = (Multivector(s, terms) for s in sigs)
+        return next((str(x.sig) for x in xs if involution_via_omega(x) != x.grade_involution()), None)
+    return _sweep_counts("omega conjugation = grade involution", range(0, nmax + 1, 2), failure, f"even n <= {nmax}")
 
 
 def check_theta_psi(nmax: int, dim_max: int) -> CheckResult:
@@ -194,7 +224,7 @@ def check_gamma(nmax: int, dim_max: int) -> CheckResult:
     reach = min(nmax, gamma.MAX_SYNTHESIS_GENERATORS)
     verdicts: list[tuple[Signature, gamma.GammaVerdict]] = []
     for n in range(reach + 1):
-        sigs = [Signature(p, n - p) for p in range(n + 1)]
+        sigs = _count_signatures(n)
         verdicts += zip(sigs, gamma.gamma_verdicts([gamma.build_generators(s) for s in sigs]))
     def failure(item: tuple[Signature, gamma.GammaVerdict]) -> str | None:
         s, verdict = item
@@ -219,8 +249,8 @@ def vdw_labels(dim_max: int) -> list[tuple[Fraction, Fraction]]:
     return [(halves[a], halves[b]) for a in range(len(halves)) for b in range(dim_max // (a + 1))]
 
 
-def _largest_dim(labels: list[lorentz.GNLabel]) -> int:
-    return max((lab.dim for lab in labels), default=0)
+def _largest_dim(gn_ops: Sequence[lorentz.GNOperators]) -> int:
+    return max((ops.label.dim for ops in gn_ops), default=0)
 
 
 def _worst_residual(name: str, residuals: list[float], tol: float, dim: int, covered: int) -> CheckResult:
@@ -229,10 +259,16 @@ def _worst_residual(name: str, residuals: list[float], tol: float, dim: int, cov
     return CheckResult(name, worst <= tol, f"dim <= {dim}, residual {worst:.2e}", covered)
 
 
-def check_gn_com1(nmax: int, dim_max: int) -> CheckResult:
-    labels = gn_labels(dim_max)
-    residuals = [lorentz.com1_residual(lorentz.reconstruct_AB(lorentz.build_gn_operators(lab))) for lab in labels]
-    return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(labels), len(labels))
+def _gn_operators(dim_max: int) -> list[lorentz.GNOperators]:
+    """The operators of every label of ``gn_labels(dim_max)``, in order, the input of both GN checks."""
+    return [lorentz.build_gn_operators(lab) for lab in gn_labels(dim_max)]
+
+
+def check_gn_com1(nmax: int, dim_max: int, gn_ops: Sequence[lorentz.GNOperators] | None = None) -> CheckResult:
+    """``gn_ops`` are ``_gn_operators(dim_max)``, built here when None."""
+    gn_ops = _gn_operators(dim_max) if gn_ops is None else gn_ops
+    residuals = [lorentz.com1_residual(lorentz.reconstruct_AB(ops)) for ops in gn_ops]
+    return _worst_residual("rotation/boost commutators", residuals, GN_COM_TOL, _largest_dim(gn_ops), len(gn_ops))
 
 
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
@@ -249,12 +285,14 @@ def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
 
 
 def _x3_spectrum(ops, v) -> bool:
-    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times; a NaN or inf entry, which ``eigvals`` would raise on,
-    fails, and ``np.sort`` and the fold keep a NaN eigenvalue, which fails."""
-    if not np.isfinite(v.x3).all():
+    """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times.  X3 must be finite and equal its conjugate
+    transpose entry for entry, so a NaN fails, before ``eigvalsh`` reads its lower triangle; the fold keeps
+    a NaN eigenvalue, which fails."""
+    x3 = v.x3
+    if not (np.isfinite(x3).all() and np.array_equal(x3, x3.conj().T)):
         return False
     expected = np.repeat(np.arange(int(2 * v.l) + 1) - float(v.l), int(2 * v.ldot) + 1)
-    got = np.sort(np.linalg.eigvals(v.x3).real)
+    got = np.linalg.eigvalsh(x3)
     return len(got) == len(expected) and lorentz._worst([got - expected]) <= SPECTRUM_TOL
 
 
@@ -265,8 +303,8 @@ def _reconstruction(ops, v) -> bool:
     return lorentz._worst(g - r for g, r in zip(got, ref)) <= SL25_TOL
 
 
-#: per-label properties of the GN -> VdW conversion, called as ``fn(gn_ops, vdw_ops)``
-#: (see ``gn_vdw_case``); a key is ``check_gn_vdw``'s failure text
+#: per-label properties of the GN -> VdW conversion, called as ``fn(gn_ops, lorentz.gn_to_vdw(gn_ops))``;
+#: a key is ``check_gn_vdw``'s failure text
 GN_VDW_PROPERTIES: dict[str, Callable[..., bool]] = {
     "su(2) relations": lambda ops, v: lorentz.com2_residual(v) <= VDW_COM_TOL,
     "spin l": lambda ops, v: v.l == (ops.label.l0 + ops.label.l1 - 1) / 2,
@@ -275,17 +313,13 @@ GN_VDW_PROPERTIES: dict[str, Callable[..., bool]] = {
 }
 
 
-def gn_vdw_case(lab: lorentz.GNLabel) -> tuple[lorentz.GNOperators, lorentz.VdWOperators]:
-    ops = lorentz.build_gn_operators(lab)
-    return ops, lorentz.gn_to_vdw(ops)
-
-
-def check_gn_vdw(nmax: int, dim_max: int) -> CheckResult:
-    def failure(lab: lorentz.GNLabel) -> str | None:
-        case = gn_vdw_case(lab)
-        return next((f"({lab.l0}, {lab.l1}) {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(*case)), None)
-    labels = gn_labels(dim_max)
-    return _sweep("basis conversion", labels, failure, f"dim <= {_largest_dim(labels)}")
+def check_gn_vdw(nmax: int, dim_max: int, gn_ops: Sequence[lorentz.GNOperators] | None = None) -> CheckResult:
+    """``gn_ops`` are ``_gn_operators(dim_max)``, built here when None; each label is converted in turn."""
+    def failure(ops: lorentz.GNOperators) -> str | None:
+        lab, v = ops.label, lorentz.gn_to_vdw(ops)
+        return next((f"({lab.l0}, {lab.l1}) {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(ops, v)), None)
+    gn_ops = _gn_operators(dim_max) if gn_ops is None else gn_ops
+    return _sweep("basis conversion", gn_ops, failure, f"dim <= {_largest_dim(gn_ops)}")
 
 
 def check_complex_cycle(nmax: int, dim_max: int) -> CheckResult:
@@ -359,11 +393,20 @@ ALL_CHECKS: list[tuple[str, Callable[[int, int], CheckResult]]] = [
 
 
 def run_all(nmax: int = 8, dim_max: int = 64) -> list[CheckResult]:
-    """Every registry check in order; one that raises is a FAIL under its registry name, and the rest still run."""
+    """Every registry check in order; one that raises is a FAIL under its registry name, and the rest still run.
+
+    The GN labels' operators are built once here and handed to both GN checks as ``gn_ops``; nothing
+    outlives the call.  If that build raises, each GN check builds its own and raises as its own FAIL.
+    """
+    try:
+        gn_ops = _gn_operators(dim_max)
+    except Exception:
+        gn_ops = None
+    shared = {"gn-com1": {"gn_ops": gn_ops}, "gn-vdw": {"gn_ops": gn_ops}}
     results = []
     for name, check in ALL_CHECKS:
         try:
-            results.append(check(nmax, dim_max))
+            results.append(check(nmax, dim_max, **shared.get(name, {})))
         except Exception as exc:
             results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", 0))
     return results

@@ -844,7 +844,7 @@ class TestProductRoutes:
         masks = [0xFFFF, 1 << 15, rng.randrange(1 << 15, 1 << 16), rng.randrange(1 << 15)]
         masks += rng.sample(range(1 << 16), 4)
         rows = Multivector(sig, {m: rng.choice([-1, 1]) * rng.randint(1, 9) for m in masks[:rows]})
-        x = checks._every_blade(sig)
+        x = Multivector(sig, checks._every_blade_terms(sig))
         with spy_routes() as routes:
             assert_same_product(*((rows, x) if left else (x, rows)))
         assert routes == [route]
@@ -1292,7 +1292,7 @@ class TestOmegaConjugation:
     def test_every_blade_takes_one_row_loops(self, sig):
         """omega * omega^-1, omega * x and (omega x) * omega^-1 each take one sign
         mask; omega_square makes the only blade_product call."""
-        x = checks._every_blade(sig)
+        x = Multivector(sig, checks._every_blade_terms(sig))
         with spy_routes() as routes, mock.patch.object(algebra, "_sign_masks", wraps=algebra._sign_masks) as masks:
             with mock.patch.object(algebra, "blade_product", wraps=algebra.blade_product) as pairs:
                 image = involution_via_omega(x)
@@ -1306,9 +1306,75 @@ class TestOmegaConjugation:
             assert involution_via_omega(x) == x.grade_involution()
 
 
+def per_signature_automorphisms(nmax: int) -> checks.CheckResult:
+    """The automorphism check in per-signature form, the reference for its per-count tables:
+    the element and the expected images built anew for every signature."""
+    def failure(s):
+        x = Multivector(s, {m: m + 1 for m in all_blades(s)})
+        for method, sign in checks.SIGN_OF_GRADE.items():
+            by_grade = [sign(k) for k in range(s.n + 1)]
+            if getattr(x, method)().terms != {m: by_grade[grade(m)] * c for m, c in x.terms.items()}:
+                return f"{s} {method}"
+        return None
+    return checks._sweep("automorphism signs", checks._signatures(nmax), failure, f"{nmax=}")
+
+
+def per_signature_omega_conjugation(nmax: int) -> checks.CheckResult:
+    def failure(s):
+        x = Multivector(s, {m: m + 1 for m in all_blades(s)})
+        return None if involution_via_omega(x) == x.grade_involution() else str(s)
+    return checks._sweep("omega conjugation = grade involution", checks._signatures(nmax, parity=0), failure, f"even n <= {nmax}")
+
+
+def _flipped_grade(k: int):
+    """``_negate_grades`` that also negates every grade-k blade, in each involution."""
+    honest = Multivector._negate_grades
+
+    def negate(x, flips):
+        image = honest(x, flips)
+        return Multivector(x.sig, {m: -c if grade(m) == k else c for m, c in image.terms.items()})
+    return negate
+
+
+def _one_signature_altered(sig: Signature, method: str):
+    """``method`` with the top blade's image negated in ``sig`` only; every other signature's image is honest."""
+    honest = getattr(Multivector, method)
+
+    def involution(x):
+        image = honest(x)
+        if x.sig != sig:
+            return image
+        top = (1 << sig.n) - 1
+        return image - Multivector.from_mask(sig, top, 2 * image.coefficient(top))
+    return involution
+
+
+#: mutants of the involutions: (attribute of Multivector, replacement, the check's failure text)
+AUTOMORPHISM_MUTANTS = {
+    "reversion-wrong-flip-tuple": ("reversion", lambda x: x._negate_grades((0, 1, 1, 0)), "Cl(0,1) reversion"),
+    "grade-4-sign-flipped": ("_negate_grades", _flipped_grade(4), "Cl(0,4) grade_involution"),
+    "one-signature-altered": ("conjugation", _one_signature_altered(Signature(2, 3), "conjugation"), "Cl(2,3) conjugation"),
+}
+
+
 class TestAutomorphismChecks:
     """The registry checks apply each map once per signature, to an element
     holding every blade; each mutant below must still turn its check to FAIL."""
+
+    @pytest.mark.parametrize("mutant", AUTOMORPHISM_MUTANTS)
+    def test_mutant_fails_the_check(self, mutant):
+        """Each mutant fails the check at its first signature in sweep order, as the per-signature
+        check did; in the last, the other five signatures of n = 5 keep honest images."""
+        attr, replacement, detail = AUTOMORPHISM_MUTANTS[mutant]
+        with mock.patch.object(Multivector, attr, replacement):
+            r = checks.check_automorphism_signs(6, 0)
+            assert r == per_signature_automorphisms(6)
+        assert (r.passed, r.detail, r.covered) == (False, detail, 28)
+
+    @pytest.mark.parametrize("nmax", range(-1, 11))
+    def test_per_count_tables_give_the_per_signature_results(self, nmax):
+        assert checks.check_automorphism_signs(nmax, 0) == per_signature_automorphisms(nmax)
+        assert checks.check_omega_conjugation(nmax, 0) == per_signature_omega_conjugation(nmax)
 
     def test_reversion_sign_wrong_at_one_grade(self):
         def reversion(x):  # +1 at grade 3, where the sign is -1

@@ -12,7 +12,7 @@ import pytest
 
 from cliffrep import algebra, checks, lorentz
 from cliffrep.cli import main
-from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, gn_vdw_case, vdw_labels
+from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, vdw_labels
 from cliffrep.lorentz import (
     GNLabel,
     Spintensor,
@@ -44,6 +44,12 @@ def _digest(all_ops) -> str:
         for m in ops.operators().values():
             h.update(m.tobytes())
     return h.hexdigest()
+
+
+def gn_vdw_case(lab: GNLabel):
+    """The arguments ``check_gn_vdw`` hands each of ``GN_VDW_PROPERTIES`` for label ``lab``."""
+    ops = build_gn_operators(lab)
+    return ops, gn_to_vdw(ops)
 
 
 def all_gn_labels(dim_max: int) -> list[GNLabel]:
@@ -718,27 +724,39 @@ class TestConversion:
         assert GN_VDW_PROPERTIES[prop](ops, v)
         assert not GN_VDW_PROPERTIES[prop](ops, mutate(v))
 
+    def test_non_hermitian_x3_fails_the_spectrum(self):
+        """Two non-Hermitian X3 mutants, 0.25i on every diagonal entry and 0.5 at the top-right corner,
+        keep the sorted real parts of their eigenvalues within SPECTRUM_TOL of m = -l .. l; the
+        Hermitian test turns both down."""
+        ops, v = gn_vdw_case(GNLabel(F(1), F(4)))
+        n = len(v.x3)
+        expected = np.repeat(np.arange(int(2 * v.l) + 1) - float(v.l), int(2 * v.ldot) + 1)
+        for x3 in (v.x3 + 0.25j * np.eye(n), v.x3 + np.eye(n, k=n - 1) / 2):
+            assert np.abs(np.sort(np.linalg.eigvals(x3).real) - expected).max() <= lorentz.SPECTRUM_TOL
+            assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x3_entry_fails_the_spectrum(self, bad):
-        """A NaN or inf in X3, which ``np.linalg.eigvals`` raises on, makes the property False."""
+        """A NaN or inf in X3 makes the property False before ``np.linalg.eigvalsh`` runs."""
         ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
         x3 = v.x3.copy()
         x3[0, 0] = bad
-        assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh ran")):
+            assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
 
     @pytest.mark.parametrize("where", [0, -1])
     def test_nan_eigenvalue_fails_the_check(self, where):
         """A NaN among X3's eigenvalues, first or last, fails gn-vdw at the first label of dim > 1:
-        ``np.sort`` orders it last and the fold keeps it, where Python's sorted and max could drop it."""
-        honest = np.linalg.eigvals
+        the fold keeps it, where Python's max could drop it."""
+        honest = np.linalg.eigvalsh
 
-        def eigvals(a):
-            w = honest(a).astype(complex)
+        def eigvalsh(a):
+            w = honest(a)
             if len(w) > 1:
                 w[where] = np.nan
             return w
 
-        with mock.patch.object(np.linalg, "eigvals", eigvals):
+        with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
             r = checks.check_gn_vdw(0, 64)
         assert (r.passed, r.detail) == (False, "(0, 2) X3 spectrum")
         assert checks.check_gn_vdw(0, 64).passed
@@ -760,6 +778,69 @@ class TestConversion:
         for lab in gn_labels(64):
             v = gn_to_vdw(build_gn_operators(lab))
             assert lab.dim == (2 * v.l + 1) * (2 * v.ldot + 1)
+
+
+GN_CHECKS = {"gn-com1": "rotation/boost commutators", "gn-vdw": "basis conversion"}
+
+
+class TestSharedGNBuild:
+    """``run_all`` builds each GN label once and hands the operators to both GN checks; a GN check
+    called on its own builds its own, and nothing is kept from one call to the next."""
+
+    def test_run_all_builds_each_label_once(self):
+        with mock.patch.object(lorentz, "build_gn_operators", wraps=build_gn_operators) as build:
+            results = checks.run_all(8, 64)
+        assert all(r.passed for r in results)
+        assert [c.args for c in build.call_args_list] == [(lab,) for lab in gn_labels(64)] and build.call_count == 28
+
+    @pytest.mark.parametrize("check", [checks.check_gn_com1, checks.check_gn_vdw])
+    def test_check_alone_builds_every_label(self, check):
+        with mock.patch.object(lorentz, "build_gn_operators", wraps=build_gn_operators) as build:
+            r = check(8, 64)
+        assert (r.passed, r.covered) == (True, 28)
+        assert [c.args for c in build.call_args_list] == [(lab,) for lab in gn_labels(64)]
+
+    def test_registry_wrappers_forward_the_operators(self, monkeypatch):
+        """A registry entry replaced by a wrapper that forwards keyword arguments still gets the
+        shared operators: the sharing goes by registry name, not by the function's identity."""
+        def forwarding(fn):
+            return lambda *args, **kwargs: fn(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", [(name, forwarding(fn)) for name, fn in checks.ALL_CHECKS])
+        with mock.patch.object(lorentz, "build_gn_operators", wraps=build_gn_operators) as build:
+            assert all(r.passed for r in checks.run_all(0, 64))
+        assert build.call_count == 28
+
+    def test_verdict_is_not_cached(self):
+        """A GN mutant, F3 doubled on the largest label, patched in after a passing run_all fails both
+        GN checks of the next run_all, and removing it passes again."""
+        def doubled_f3(lab):
+            ops = build_gn_operators(lab)
+            return replace(ops, f3=2 * ops.f3) if lab == GNLabel(3, 7) else ops
+
+        first = checks.run_all(0, 64)
+        assert all(r.passed for r in first)
+        with mock.patch.object(lorentz, "build_gn_operators", doubled_f3):
+            results = {r.name: r for r in checks.run_all(0, 64)}
+        failed = [name for name, r in results.items() if not r.passed]
+        assert failed == list(GN_CHECKS.values())
+        assert results["basis conversion"].detail == "(3, 7) su(2) relations"
+        assert checks.run_all(0, 64) == first
+
+    def test_build_that_raises_fails_each_gn_check(self, capsys):
+        def broken(lab):
+            if lab == GNLabel(1, 3):
+                raise ValueError("no operators")
+            return build_gn_operators(lab)
+
+        with mock.patch.object(lorentz, "build_gn_operators", broken):
+            results = checks.run_all(0, 64)
+            code, out = main(["verify", "--nmax", "0", "--dim-max", "64"]), capsys.readouterr().out
+        failed = [(r.name, r.detail) for r in results if not r.passed]
+        assert failed == [(name, "raised ValueError: no operators") for name in GN_CHECKS]
+        assert code == 1 and [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL  {name}  [raised ValueError: no operators]" for name in GN_CHECKS
+        ]
 
 
 class TestWorst:
