@@ -83,5 +83,5 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    # the private submodules are bound here by their imports, but are not names of the package
-    return sorted(set(globals()) - {"_kronecker", "_rules"} | set(_LAZY))
+    # the private submodule is bound here by its import, but is not a name of the package
+    return sorted(set(globals()) - {"_rules"} | set(_LAZY))

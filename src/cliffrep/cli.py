@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 verification failure (or a closed output pipe),
 A label command (classify, table, clock, factorize, chain) loads only
 the input rules, :mod:`cliffrep.classify`, :mod:`cliffrep.factorize` and
 :mod:`cliffrep.table_data`, and ``chain`` adds :mod:`cliffrep.repsys`;
-numpy and every other module are imported inside the commands that use them.
+every other module is imported inside the commands that use it.  Of the
+matrix commands only ``rep --gn`` and ``verify`` load numpy: ``matrep``
+writes its rows from the gammas' (column, phase) forms, and ``rep --vdw``
+from its spins' entries on Python ints.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING
 
-from ._rules import MAX_GENERATORS, as_signature
+from ._rules import MAX_GENERATORS, as_half_integer, as_signature
 from .classify import classify, clock_hour
 from .factorize import factorize, verify_factorization
 from .table_data import format_entry, reference_diff
@@ -50,7 +54,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def _matrix_payload(m: np.ndarray, basis: str) -> dict:
+class _Parts:
+    """A dim x dim matrix built without numpy, for :func:`_json_chunks`: ``parts()`` returns its
+    row-major real and imaginary parts as two float lists, and is called when the matrix is written."""
+
+    __slots__ = ("shape", "parts")
+
+    def __init__(self, dim: int, parts):
+        self.shape, self.parts = (dim, dim), parts
+
+
+def _matrix_payload(m: np.ndarray | _Parts, basis: str) -> dict:
     """``matrix_to_json(m, basis)`` with the entries left to :func:`_json_chunks`."""
     return {"dim": int(m.shape[0]), "entries": m, "basis": basis}
 
@@ -67,26 +81,31 @@ def _float_texts(values: list[float]) -> list[str]:
 
 
 def _json_chunks(obj):
-    """``json.dumps(obj, indent=2)`` in pieces, one per array in ``obj``: ``json`` writes the
-    layout around a placeholder for each array, and the array's ``[[re, im], ...]`` entries,
-    joined in bulk, are spliced in there (``json`` would encode them one float at a time)."""
-    import numpy as np
-
+    """``json.dumps(obj, indent=2)`` in pieces, one per matrix in ``obj``, a numpy array or a
+    :class:`_Parts`: ``json`` writes the layout around a placeholder for each matrix, and the
+    matrix's ``[[re, im], ...]`` entries, joined in bulk, are spliced in there (``json`` would
+    encode them one float at a time).  An array can only be there once numpy is loaded, so this
+    imports none."""
     arrays = []
 
     def hold(o):
-        if not isinstance(o, np.ndarray):
+        np = sys.modules.get("numpy")
+        if isinstance(o, _Parts):
+            arrays.append(o.parts)
+        elif np is not None and isinstance(o, np.ndarray):
+            m = o.astype(complex, copy=False)
+            arrays.append(lambda: (m.real.ravel().tolist(), m.imag.ravel().tolist()))
+        else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        arrays.append(o.astype(complex, copy=False))
         return "\0"  # the placeholder: no payload string is a lone NUL
 
     *pieces, last = json.dumps(obj, indent=2, default=hold).split(json.dumps("\0"))
-    for piece, m in zip(pieces, arrays):
+    for piece, parts in zip(pieces, arrays):
         yield piece
         line = piece[piece.rfind("\n") + 1 :]
         pad = " " * (len(line) - len(line.lstrip(" ")))
         inner, leaf = pad + "  ", pad + "    "
-        re, im = _float_texts(m.real.ravel().tolist()), _float_texts(m.imag.ravel().tolist())
+        re, im = map(_float_texts, parts())
         pairs = map(f",\n{leaf}".join, zip(re, im))
         yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(pairs) + f"\n{inner}]\n{pad}]"
     yield last
@@ -185,23 +204,25 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_matrep(args) -> int:
-    from .gamma import build_generators, verify_anticommutation
+    from .gamma import form_parts, forms_anticommute, generator_forms
 
     sig = as_signature((args.p, args.q))
-    gen = build_generators(sig)
-    ok = verify_anticommutation(gen)
+    forms, reducible, note = generator_forms(sig)
+    metric = [1] * sig.p + [-1] * sig.q
+    ok = forms_anticommute(forms, metric)
+    dim = len(forms[0][0]) if forms else 1
     payload = {
         "p": sig.p,
         "q": sig.q,
-        "dim": gen.dim,
-        "reducible": gen.reducible,
-        "metric": list(gen.metric),
+        "dim": dim,
+        "reducible": reducible,
+        "metric": metric,
         "anticommutation_ok": ok,
-        "gammas": [_matrix_payload(g, gen.basis_note) for g in gen.gammas],
+        "gammas": [_matrix_payload(_Parts(dim, partial(form_parts, f)), note) for f in forms],
     }
     _emit(payload, args.out)
     if args.out:
-        print(f"wrote {len(gen.gammas)} generators of dim {gen.dim} to {args.out}")
+        print(f"wrote {len(forms)} generators of dim {dim} to {args.out}")
     return 0 if ok else 1
 
 
@@ -252,46 +273,54 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 
 def cmd_rep(args) -> int:
+    """``rep --gn`` judges the dense GN operators.  ``rep --vdw`` passes when ``lorentz.vdw_proof``
+    brackets every root of both spins and its residual is at most ``--tol``; its rows come from
+    ``lorentz.vdw_parts``, and it loads no numpy."""
     from .lorentz import (
         GN_COM_TOL,
         GNLabel,
         build_gn_operators,
-        build_vdw_operators,
         com1_residual,
         com2_residual,
         gn_to_vdw,
         reconstruct_AB,
         vdw_dim,
+        vdw_parts,
+        vdw_proof,
     )
 
     tol = GN_COM_TOL if args.tol is None else args.tol
-    tail = {}
+    tail, failure = {}, None
     if args.gn is not None:
         label = GNLabel(*args.gn)
         _require_operator_dim(label.dim)
         ops = build_gn_operators(label)
         residual = com1_residual(reconstruct_AB(ops))
-        basis, labels = "gn", {"l0": label.l0, "l1": label.l1}
+        basis, labels, dim, operators, note = "gn", {"l0": label.l0, "l1": label.l1}, ops.dim, ops.operators(), ops.basis_note
         c = gn_to_vdw(ops)
         tail = {"converted": {"l": str(c.l), "ldot": str(c.ldot), "commutator_residual": com2_residual(c)}}
     else:
-        _require_operator_dim(vdw_dim(*args.vdw))
-        ops = build_vdw_operators(*args.vdw)
-        residual = com2_residual(ops)
-        basis, labels = "vdw", {"l": ops.l, "ldot": ops.ldot}
-    ok = residual <= tol
+        dim = vdw_dim(*args.vdw)
+        _require_operator_dim(dim)
+        l, ldot = map(as_half_integer, args.vdw)
+        failure, residual = vdw_proof(l, ldot)
+        parts, note = vdw_parts(l, ldot)
+        basis, labels, operators = "vdw", {"l": l, "ldot": ldot}, {k: _Parts(dim, v) for k, v in parts.items()}
+    ok = failure is None and residual <= tol
     payload = {
         "basis": basis,
         **{k: str(v) for k, v in labels.items()},
-        "dim": ops.dim,
-        "operators": {k: _matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
+        "dim": dim,
+        "operators": {k: _matrix_payload(v, note) for k, v in operators.items()},
         "commutator_residual": residual,
         **tail,
         "tolerance": tol,
         "pass": ok,
     }
     _emit(payload, args.out)
-    report = f"({','.join(labels)}) = ({','.join(map(str, labels.values()))}), dim {ops.dim}"
+    if failure:
+        print(failure, file=sys.stderr)
+    report = f"({','.join(labels)}) = ({','.join(map(str, labels.values()))}), dim {dim}"
     print(f"{report}, commutator residual {residual:.3e} {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     return 0 if ok else 1
 

@@ -12,32 +12,40 @@ diagonal; the last generator is +/- (scaled volume element of the rest)
 in the two blocks, which keeps the representation faithful at twice the
 even-truncated dimension.
 
-All seed entries lie in {0, +/-1, +/-i}, so every shipped gamma is
-monomial: each row holds one entry, a Z4 phase i^k.  The checks read the
-dense bits once into that form, one column and one phase per row, and
-prove the defining relations, the volume image and its square by integer
-gathers and mod-4 phase sums (:func:`gamma_verdicts`), with no float
-product; sets of one generator count stack into one pass.  A set that is
-not monomial fails closed.  Every Kronecker product is
-``_kronecker._kron``, as in :mod:`cliffrep.lorentz`.
+All seed entries lie in {0, +/-1, +/-i}, so every gamma is monomial: each
+row holds one entry, a Z4 phase i^k.  The synthesis works on that form
+alone, one column and one phase per row (:func:`generator_forms`), in pure
+Python: a Kronecker product is index arithmetic and a matrix product a
+gather with a mod-4 phase sum.  :func:`build_generators` writes the forms
+into dense complex arrays, every zero part +0.0; ``matrep`` writes its rows
+from the forms and proves the relations on them (:func:`forms_anticommute`).
+The checks read a set's dense bits back into that form and prove the
+relations, the volume image and its square by integer gathers and mod-4
+phase sums (:func:`gamma_verdicts`), with no float product; sets of one
+generator count stack into one pass.  A set that is not monomial fails
+closed.  numpy is imported inside the functions that make or read dense
+arrays, so the synthesis and ``matrep`` load none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
-from ._kronecker import _kron
 from ._rules import Signature, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_J = np.array([[0, 1], [-1, 0]], dtype=complex)
-_IX = np.array([[0, 1j], [1j, 0]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
+
+#: a monomial matrix as (columns, phases): row r holds i^phases[r] at column columns[r], zeros elsewhere
+Form = tuple[tuple[int, ...], tuple[int, ...]]
+
+_X: Form = ((1, 0), (0, 0))
+_Z: Form = ((0, 1), (0, 2))
+_J: Form = ((1, 0), (0, 2))
+_IX: Form = ((1, 0), (1, 1))
 
 #: seed pairs (squares match the factor metric)
 SEEDS = {
@@ -46,7 +54,10 @@ SEEDS = {
     FACTOR_NEG: (_IX, _J),
 }
 
-MAX_SYNTHESIS_GENERATORS = 12  #: most generators :func:`build_generators` synthesises (dim 64)
+#: the (real, imaginary) parts of the Z4 phases i^0 .. i^3, every zero +0.0
+_PHASE_PARTS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+MAX_SYNTHESIS_GENERATORS = 12  #: most generators :func:`generator_forms` synthesises (dim 64)
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,8 @@ class GeneratorSet:
     basis_note: str
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "sig", as_signature(self.sig))
         object.__setattr__(self, "gammas", tuple(map(np.asarray, self.gammas)))  # an array is kept as it is
         shapes = [g.shape for g in self.gammas]
@@ -74,57 +87,105 @@ class GeneratorSet:
         return (1,) * self.sig.p + (-1,) * self.sig.q
 
 
-def _even_generator_lists(fact: Factorization) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(positive-square, negative-square) matrices for even p+q."""
-    pos: list[np.ndarray] = []
-    neg: list[np.ndarray] = []
-    left = np.eye(1, dtype=complex)  # product of volume elements peeled so far
-    left_sq = 1
+def _identity(dim: int) -> Form:
+    return tuple(range(dim)), (0,) * dim
+
+
+def _tensor(a: Form, b: Form) -> Form:
+    """The form of kron(a, b): row (r, s) holds the product of row r's entry of a and row s's of b."""
+    (ca, pa), (cb, pb) = a, b
+    d = len(cb)
+    return tuple([c * d + e for c in ca for e in cb]), tuple([(u + v) % 4 for u in pa for v in pb])
+
+
+def _product(a: Form, b: Form) -> Form:
+    """The form of a @ b: row r of a picks row columns[r] of b."""
+    (ca, pa), (cb, pb) = a, b
+    return tuple([cb[c] for c in ca]), tuple([(u + pb[c]) % 4 for u, c in zip(pa, ca)])
+
+
+def _even_forms(fact: Factorization) -> tuple[list[Form], list[Form]]:
+    """(positive-square, negative-square) forms for even p+q."""
+    pos: list[Form] = []
+    neg: list[Form] = []
+    left, left_sq = _identity(1), 1  # product of volume elements peeled so far, and its square
     remaining = sum(f.n for f in fact.factors)
     for i, f in enumerate(fact.factors):
         remaining -= f.n
-        pad = np.eye(1 << (remaining // 2), dtype=complex)
+        pad = _identity(1 << (remaining // 2))
         a, b = SEEDS[f]
         for seed, seed_sq in ((a, 1 if f.p >= 1 else -1), (b, -1 if f.q >= 1 else 1)):
-            g = _kron(_kron(left, seed), pad)
-            (pos if left_sq * seed_sq > 0 else neg).append(g)
-        omega = a @ b
-        left = _kron(left, omega)
+            (pos if left_sq * seed_sq > 0 else neg).append(_tensor(_tensor(left, seed), pad))
+        left = _tensor(left, _product(a, b))
         if i in fact.flip_steps:  # a definite factor: its volume squares to -1
             left_sq = -left_sq
     return pos, neg
 
 
-def build_generators(sig) -> GeneratorSet:
-    """Anticommuting matrices g_i with g_i^2 = +1 (i <= p) or -1 (i > p)."""
+def generator_forms(sig) -> tuple[tuple[Form, ...], bool, str]:
+    """``(forms, reducible, basis_note)``: the (column, phase) form of each gamma of
+    :func:`build_generators`, in its order, all in pure Python."""
     sig = as_signature(sig)
     if sig.n > MAX_SYNTHESIS_GENERATORS:
         raise ValueError(f"generator synthesis supported up to {MAX_SYNTHESIS_GENERATORS} generators")
     if sig.n == 0:
-        return GeneratorSet(sig, (), reducible=False, basis_note="trivial 1-dim module")
+        return (), False, "trivial 1-dim module"
     if sig.n % 2 == 0:
         fact = karoubi_factorize(sig)
-        pos, neg = _even_generator_lists(fact)
-        note = "Kronecker chain over factors " + " , ".join(str(f) for f in fact.factors)
-        return GeneratorSet(sig, tuple(pos + neg), reducible=False, basis_note=note)
+        pos, neg = _even_forms(fact)
+        return tuple(pos + neg), False, "Kronecker chain over factors " + " , ".join(str(f) for f in fact.factors)
 
     # odd: block-double the even-truncated algebra
-    if sig.q >= 1:
-        trunc = Signature(sig.p, sig.q - 1)
-        last_metric = -1
-    else:
-        trunc = Signature(sig.p - 1, 0)
-        last_metric = 1
-    base = build_generators(trunc)
-    eye2 = np.eye(2, dtype=complex)
-    gammas = [_kron(eye2, g) for g in base.gammas]
-    omega = omega_image(base)
-    columns, phases, _ = _monomial_forms(omega[None, None])
-    scale = 1 if _square_signs(columns[:, 0], phases[:, 0])[0] == last_metric else 1j
-    last = _kron(_Z, scale * omega)
-    gammas.append(last)
+    trunc, last_metric = (Signature(sig.p, sig.q - 1), -1) if sig.q >= 1 else (Signature(sig.p - 1, 0), 1)
+    base = generator_forms(trunc)[0]
+    columns, phases = reduce(_product, base, _identity(1 << (trunc.n // 2)))  # the volume image; it squares to +-I
+    square_sign = 1 if _product((columns, phases), (columns, phases))[1][0] == 0 else -1
+    scale = 0 if square_sign == last_metric else 1  # i^scale times it squares to last_metric
+    last = _tensor(_Z, (columns, tuple((k + scale) % 4 for k in phases)))
     note = f"two blocks of the {trunc} module, last generator = +/- scaled volume element"
-    return GeneratorSet(sig, tuple(gammas), reducible=True, basis_note=note)
+    return tuple(_tensor(_identity(2), g) for g in base) + (last,), True, note
+
+
+def forms_anticommute(forms: Sequence[Form], metric: Sequence[int]) -> bool:
+    """g_a g_b + g_b g_a = 2 eta_ab I on (column, phase) forms with phases in 0..3, in pure Python: the
+    rule of :func:`_relations` one pair at a time.  g_a^2 = eta_a I iff its square's columns are the
+    identity and its phases all 1 - eta_a (mod 4); g_a g_b and g_b g_a are monomial, so their sum
+    vanishes iff their columns agree and their phases differ by 2 (mod 4)."""
+    for a, g in enumerate(forms):
+        dim = len(g[0])
+        if _product(g, g) != (tuple(range(dim)), ((1 - metric[a]) % 4,) * dim):
+            return False
+        for h in forms[a + 1 :]:
+            (gh_columns, gh_phases), (hg_columns, hg_phases) = _product(g, h), _product(h, g)
+            if gh_columns != hg_columns or any((u - v) % 4 != 2 for u, v in zip(gh_phases, hg_phases)):
+                return False
+    return True
+
+
+def form_parts(form: Form) -> tuple[list[float], list[float]]:
+    """The row-major real and imaginary parts of a form's dense matrix, as float lists, every zero +0.0:
+    what :func:`build_generators` writes into its arrays, without numpy."""
+    columns, phases = form
+    dim = len(columns)
+    re, im = [0.0] * (dim * dim), [0.0] * (dim * dim)
+    for r, (c, k) in enumerate(zip(columns, phases)):
+        re[r * dim + c], im[r * dim + c] = _PHASE_PARTS[k]
+    return re, im
+
+
+def build_generators(sig) -> GeneratorSet:
+    """Anticommuting matrices g_i with g_i^2 = +1 (i <= p) or -1 (i > p): the forms of
+    :func:`generator_forms`, written into one zeroed complex stack by one index write."""
+    import numpy as np
+
+    sig = as_signature(sig)
+    forms, reducible, note = generator_forms(sig)
+    dim = len(forms[0][0]) if forms else 1
+    stack = np.zeros((len(forms), dim, dim), dtype=complex)
+    columns, phases = (np.array([f[k] for f in forms], dtype=int).reshape(len(forms), dim) for k in (0, 1))
+    values = np.array([complex(*z) for z in _PHASE_PARTS])[phases]
+    np.put_along_axis(stack, columns[..., None], values[..., None], axis=-1)
+    return GeneratorSet(sig, tuple(stack), reducible=reducible, basis_note=note)
 
 
 class GammaVerdict(NamedTuple):
@@ -136,17 +197,17 @@ class GammaVerdict(NamedTuple):
     omega_sign: int  #: +-1 with omega_image^2 = sign * I on the monomial form, else 0
 
 
-#: the Z4 phases i^0 .. i^3, in phase order
-_PHASES = np.array([1, 1j, -1, -1j])
 _NOT_MONOMIAL = ": a gamma matrix is not monomial over {1, i, -1, -i}"
 
 
 def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(columns, phases, monomial)`` of gammas stacked (S, n, d, d): when ``monomial[s]``, row r
     of gamma a of set s holds i^phases[s, a, r] at column columns[s, a, r] and zeros elsewhere."""
+    import numpy as np
+
     nonzero = stack != 0
     columns = nonzero.argmax(axis=-1)
-    match = np.take_along_axis(stack, columns[..., None], axis=-1) == _PHASES
+    match = np.take_along_axis(stack, columns[..., None], axis=-1) == np.array([complex(*z) for z in _PHASE_PARTS])
     monomial = (nonzero.sum(axis=-1) == 1) & match.any(axis=-1)
     return columns, match.argmax(axis=-1), monomial.all(axis=(1, 2))
 
@@ -163,6 +224,8 @@ def _relations(columns: np.ndarray, phases: np.ndarray, metric: np.ndarray) -> t
     ``omega_scalar`` says omega = +-I, and ``omega_sign`` is +-1 where
     omega^2 = +-I, else 0.
     """
+    import numpy as np
+
     sets, n, dim = columns.shape
     rows, s = np.arange(dim), np.arange(sets)[:, None]
     # indices [s, a, b, r]: row r of g_a reads row columns[s, a, r] of g_b
@@ -185,6 +248,8 @@ def _relations(columns: np.ndarray, phases: np.ndarray, metric: np.ndarray) -> t
 
 def _square_signs(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Per row of (S, d) monomial forms, +-1 where the matrix squares to +-I, else 0."""
+    import numpy as np
+
     s, rows = np.arange(len(columns))[:, None], np.arange(columns.shape[1])
     identity = (columns[s, columns] == rows).all(axis=1)
     square = (phases + phases[s, columns]) % 4
@@ -199,6 +264,8 @@ def gamma_verdicts(gens: Sequence[GeneratorSet]) -> list[GammaVerdict]:
     in one pass of :func:`_relations`.  A set that is not monomial fails
     closed: its relations do not hold and it has no omega sign.
     """
+    import numpy as np
+
     verdicts: list[GammaVerdict | None] = [None] * len(gens)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, gen in enumerate(gens):
@@ -222,6 +289,8 @@ def verify_anticommutation(gen: GeneratorSet) -> bool:
 
 def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
     """Matrix image of every blade, as ascending ordered products."""
+    import numpy as np
+
     images = {0: np.eye(gen.dim, dtype=complex)}
     for mask in range(1, 1 << gen.sig.n):
         low = mask & -mask
@@ -249,6 +318,8 @@ def faithfulness_rank(gen: GeneratorSet) -> int:
 
 def omega_image(gen: GeneratorSet) -> np.ndarray:
     """Image of the volume element."""
+    import numpy as np
+
     return reduce(np.matmul, gen.gammas, np.eye(gen.dim, dtype=complex))
 
 

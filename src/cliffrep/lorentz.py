@@ -20,33 +20,41 @@ which is the unique scaling under which both triples close into su(2)
 
 Both bases are assembled from one su(2) triple (``su2_ladder``), and every
 ladder triple is read in cartesian form through one map (``cartesian``).
-Every tensor product is ``_kronecker._kron``, as for the gamma matrices.
+Every numpy tensor product is ``_kron``.
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
 
-All matrices are dense complex numpy arrays over fixed lexicographic
-basis orders and every root of an integer is a correctly rounded
-``np.sqrt`` (``_roots``), so outputs are deterministic.  Each spin's
-su(2) ladder is proved exactly (``su2_ladder_failure``): its relations
-are integer identities on the squares of its entries, and each shipped
-root is bound to its exact value within ``SU2_ROOT_ULPS``.  The
-``*_TOL`` constants bound the float residuals of whole operator sets
+The builders return dense complex numpy arrays over fixed lexicographic
+basis orders, and every root of an integer is correctly rounded
+(``_roots``: ``math.sqrt`` on an int, ``np.sqrt`` on an int array, the
+same IEEE 754 bits), so outputs are deterministic.  Each spin's su(2)
+ladder is proved exactly (``su2_ladder_failure``): its relations are
+integer identities on the squares of its entries, and each shipped root
+is bound to its exact value within ``SU2_ROOT_ULPS`` (``_root_failure``).
+The ``*_TOL`` constants bound the float residuals of whole operator sets
 (the GN relations, the GN -> VdW conversion and ``com2_residual``), each
 one NaN-keeping fold (``_worst``), and are defined nowhere else.
+
+``rep --vdw`` needs no numpy: ``vdw_parts`` gives the six operators'
+entries from the same su(2) entries on Python ints, one Python complex
+product each, and ``vdw_proof`` its verdict.  numpy is imported inside
+the functions that make or read arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from ._kronecker import _kron
 from ._rules import as_count, as_half_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
 #: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).
@@ -121,6 +129,8 @@ def _gn_a(two_l0: int, two_l1: int, n):
     """Im A_k = l0 l1 / (k (k+1)) at 2k = n, an int or an int array: the one correctly rounded
     quotient 2l0 2l1 / (n (n+2)) of two integers, which is what dividing the exact floats of
     l0 l1 and k (k+1), each a quarter of an integer, gives.  0 when l0 = 0, k = 0 included."""
+    import numpy as np
+
     return two_l0 * two_l1 / np.maximum(n * (n + 2), 1)
 
 
@@ -160,8 +170,19 @@ class GNOperators:
         }
 
 
-def _roots(products: np.ndarray) -> np.ndarray:
-    """Correctly rounded square roots of integers below 2^53: IEEE 754 fixes sqrt's bits on every libm."""
+def _kron(a, b):
+    """np.kron of two square numpy matrices as one broadcast product, bit for bit."""
+    size = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+
+
+def _roots(products):
+    """Correctly rounded square roots of integers below 2^53, of a Python number or an array: IEEE 754
+    fixes sqrt's bits on every libm, so ``math.sqrt`` and ``np.sqrt`` agree bit for bit."""
+    if isinstance(products, (int, float)):
+        return math.sqrt(products)
+    import numpy as np
+
     return np.sqrt(products)
 
 
@@ -182,6 +203,8 @@ def build_gn_operators(label: GNLabel) -> GNOperators:
     into the real or imaginary part of a zeroed array, with the bits, signed
     zeros included, of the complex products -A_k j and +-C_k root.
     """
+    import numpy as np
+
     two_l0, two_l1 = _twice_spin(label.l0), _twice_spin(label.l1)
     two_ks = np.arange(two_l0, two_l1 + 1, 2)
     starts = _gn_row(two_l0, two_ks, -two_ks)  # each level's first row; the last is dim
@@ -249,9 +272,15 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _worst(deviations) -> float:
-    """Largest entry magnitude over arrays or numbers, 0.0 over none; NaN if any entry is NaN
-    (numpy's max keeps it, Python's drops it).  Every max-deviation verdict folds through here."""
-    return float(np.max([np.abs(d).max() for d in deviations], initial=0.0))
+    """Largest entry magnitude over arrays or numbers, 0.0 over none; NaN if any entry is NaN, which
+    ends the fold (Python's max would drop it).  Every max-deviation verdict folds through here."""
+    worst = 0.0
+    for d in deviations:
+        size = float(abs(d).max()) if hasattr(d, "max") else abs(d)
+        if size != size:
+            return math.nan
+        worst = max(worst, size)
+    return worst
 
 
 def com1_residual(ab: ABOperators) -> float:
@@ -267,6 +296,9 @@ def com1_residual(ab: ABOperators) -> float:
             _comm(a[j], b[i]) + b[k],
         ]
     return _worst(deviations)
+
+
+_VDW_NAMES = ("X3", "X+", "X-", "Y3", "Y+", "Y-")
 
 
 @dataclass(frozen=True)
@@ -286,14 +318,7 @@ class VdWOperators:
         return self.x3.shape[0]
 
     def operators(self) -> dict[str, np.ndarray]:
-        return {
-            "X3": self.x3,
-            "X+": self.xplus,
-            "X-": self.xminus,
-            "Y3": self.y3,
-            "Y+": self.yplus,
-            "Y-": self.yminus,
-        }
+        return dict(zip(_VDW_NAMES, (self.x3, self.xplus, self.xminus, self.y3, self.yplus, self.yminus)))
 
 
 def _twice_spin(j) -> int:
@@ -316,6 +341,8 @@ def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Each call computes the O(n) entries, n = 2j, and writes them by strided slices into one
     fresh zeroed complex block, so every call returns three new writable arrays."""
+    import numpy as np
+
     n = _twice_spin(j)
     m, roots = _su2_entries(n, np.arange(n + 1))
     block = np.zeros((3, n + 1, n + 1), dtype=complex)
@@ -334,13 +361,15 @@ def su2_ladder_failure(j) -> str | None:
     * j+ is nonzero only at (i+1, i) and j- only at (i, i+1), with the same real root f_i,
       so j- = j+^T;
     * each f_i is finite and > 0, and ``SU2_ROOT_ULPS`` ulps below and above it bracket
-      sqrt(x_i), compared exactly on the Python ints of ``as_integer_ratio``;
+      sqrt(x_i) (``_root_failure``);
     * [j+, j-] = 2 j3 for f_i = sqrt(x_i): j3 is diagonal and 2 j3[i, i] equals
       f_(i-1)^2 - f_i^2 = x_(i-1) - x_i = 2i - n, with x_(-1) = x_n = 0, so j3's diagonal
       holds the exact m_i, and [j3, j+-] = +-j+- follows from m_(i+1) - m_i = 1.
 
     No tolerance enters, and a NaN anywhere fails.  Nothing is cached: every call reads
     what ``su2_ladder`` returns then."""
+    import numpy as np
+
     n = _twice_spin(j)
     ladder = su2_ladder(j)
     if any(m.shape != (n + 1, n + 1) or m.dtype != complex for m in ladder):
@@ -353,16 +382,11 @@ def su2_ladder_failure(j) -> str | None:
         return f"spin {j}: j+ is not one positive root at each (i+1, i)"
     if not (np.array_equal(np.diagonal(jm, 1), roots) and counts[2] == n):
         return f"spin {j}: j- is not the transpose of j+"
+    if failure := _root_failure(j, f.tolist()):
+        return failure
     i = np.arange(n)
     x = np.zeros(n + 2, dtype=np.int64)
     x[1:-1] = (n - i) * (i + 1)
-    low = high = f
-    for _ in range(SU2_ROOT_ULPS):
-        low, high = np.nextafter(low, 0), np.nextafter(high, np.inf)
-    for k, (a, b, square) in enumerate(zip(low.tolist(), high.tolist(), x[1:-1].tolist())):
-        (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
-        if p * p > square * q * q or r * r < square * s * s:
-            return f"spin {j}: root {k} of j+ is not within {SU2_ROOT_ULPS} ulp of sqrt({square})"
     two_m = x[:-1] - x[1:]
     if not (np.array_equal(2 * np.diagonal(j3), two_m) and counts[0] == np.count_nonzero(two_m)):
         return f"spin {j}: j3 is not [j+, j-]/2 = diag(-j .. j)"
@@ -374,14 +398,120 @@ def vdw_dim(l, ldot) -> int:
     return (_twice_spin(l) + 1) * (_twice_spin(ldot) + 1)
 
 
+def _vdw_note(l: Fraction, ldot: Fraction) -> str:
+    return f"|l,m;ldot,mdot>, l = {l}, ldot = {ldot}, (m, mdot) lexicographic"
+
+
 def build_vdw_operators(l, ldot) -> VdWOperators:
     """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic."""
+    import numpy as np
+
     l = as_half_integer(l)
     ldot = as_half_integer(ldot)
     xs, ys = su2_ladder(l), su2_ladder(ldot)
     left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
-    note = f"|l,m;ldot,mdot>, l = {l}, ldot = {ldot}, (m, mdot) lexicographic"
-    return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), note)
+    return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), _vdw_note(l, ldot))
+
+
+def _su2_band(n: int) -> tuple[list[float], list[float]]:
+    """(m, roots) of spin n/2 in pure Python: ``_su2_entries`` at each index i = 0..n on Python ints, j3's
+    diagonal and the n roots of j+'s subdiagonal (j-'s superdiagonal), the floats ``su2_ladder`` writes."""
+    m, roots = zip(*(_su2_entries(n, i) for i in range(n + 1)))
+    return list(m), list(roots[:-1])
+
+
+def _su2_rows(n: int) -> tuple[list[list[complex]], ...]:
+    """(j3, j+, j-) of ``su2_ladder(n/2)`` as rows of Python complex numbers, from ``_su2_band``."""
+    m, roots = _su2_band(n)
+    zero = complex(0.0, 0.0)
+    j3, jp, jm = ([[zero] * (n + 1) for _ in range(n + 1)] for _ in range(3))
+    for i, v in enumerate(m):
+        j3[i][i] = complex(v, 0.0)
+    for i, f in enumerate(roots):
+        jp[i + 1][i] = jm[i][i + 1] = complex(f, 0.0)
+    return j3, jp, jm
+
+
+def _identity_rows(size: int) -> list[list[complex]]:
+    return [[complex(float(r == c), 0.0) for c in range(size)] for r in range(size)]
+
+
+def _kron_parts(a: list[list[complex]], b: list[list[complex]]) -> tuple[list[float], list[float]]:
+    """Row-major real and imaginary parts of kron(a, b) for rows of Python complex numbers: each entry
+    is one Python complex product, whose formula is numpy's, so these are ``_kron``'s bits, signed
+    zeros included."""
+    entries = [u * v for ra in a for rb in b for u in ra for v in rb]
+    return [z.real for z in entries], [z.imag for z in entries]
+
+
+def vdw_parts(l, ldot) -> tuple[dict[str, Callable[[], tuple[list[float], list[float]]]], str]:
+    """``(parts, basis_note)`` of ``build_vdw_operators(l, ldot)`` without numpy: for each name of its
+    ``operators()``, a function returning that operator's row-major real and imaginary parts as
+    float lists, x (x) I and I (x) y of ``_su2_rows``' triples by ``_kron_parts``."""
+    l, ldot = as_half_integer(l), as_half_integer(ldot)
+    xs, ys = _su2_rows(_twice_spin(l)), _su2_rows(_twice_spin(ldot))
+    left, right = _identity_rows(len(xs[0])), _identity_rows(len(ys[0]))
+    factors = [(x, right) for x in xs] + [(left, y) for y in ys]
+    return {name: partial(_kron_parts, a, b) for name, (a, b) in zip(_VDW_NAMES, factors)}, _vdw_note(l, ldot)
+
+
+def _root_failure(j, roots: list[float]) -> str | None:
+    """Failure text unless each root f_i of spin j's j+, i = 0 .. 2j - 1, is finite and > 0 and,
+    stepped ``SU2_ROOT_ULPS`` ulps down and up to f- and f+, gives f-^2 <= x_i <= f+^2 for
+    x_i = (2j - i)(i + 1), compared exactly on the Python ints of ``as_integer_ratio``; else None."""
+    n = len(roots)
+    for i, f in enumerate(roots):
+        if not 0 < f < math.inf:
+            return f"spin {j}: j+ is not one positive root at each (i+1, i)"
+        low = high = f
+        for _ in range(SU2_ROOT_ULPS):
+            low, high = math.nextafter(low, 0), math.nextafter(high, math.inf)
+        (p, q), (r, s), square = low.as_integer_ratio(), high.as_integer_ratio(), (n - i) * (i + 1)
+        if p * p > square * q * q or r * r < square * s * s:
+            return f"spin {j}: root {i} of j+ is not within {SU2_ROOT_ULPS} ulp of sqrt({square})"
+    return None
+
+
+def _sparse_product(a: dict, b: dict) -> dict:
+    """a @ b for matrices given as {(row, column): entry} dicts of their nonzero bands."""
+    rows: dict[int, list] = {}
+    for (k, c), v in b.items():
+        rows.setdefault(k, []).append((c, v))
+    out: dict = {}
+    for (r, k), u in a.items():
+        for c, v in rows.get(k, ()):
+            out[r, c] = out.get((r, c), 0j) + u * v
+    return out
+
+
+def vdw_proof(l, ldot) -> tuple[str | None, float]:
+    """``(failure, residual)`` of the (l, ldot) operators from their two spins' ``_su2_band`` entries,
+    without numpy.
+
+    ``failure`` is ``_root_failure``'s text for the first spin with a root outside ``SU2_ROOT_ULPS``
+    ulps of its exact value, or None.  ``residual`` is the largest entry deviation over the six
+    relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples, each taken on the
+    triple's bands: under the Kronecker assembly each su(2) relation of X and Y is that of its spin
+    times I, and the nine [Xa, Yb] vanish entry by entry, so these are all of ``com2_residual``'s
+    relations that contribute.
+    """
+    failure, deviations = None, []
+    for j in (as_half_integer(l), as_half_integer(ldot)):
+        m, roots = _su2_band(_twice_spin(j))
+        failure = failure or _root_failure(j, roots)
+        plus = {(i + 1, i): complex(f, 0.0) for i, f in enumerate(roots)}
+        minus = {(i, i + 1): complex(f, 0.0) for i, f in enumerate(roots)}
+        zero = complex(0.0, 0.0)
+        t = (  # cartesian(j3, j+, j-), entry by entry
+            {k: (plus.get(k, zero) + minus.get(k, zero)) / 2 for k in plus.keys() | minus.keys()},
+            {k: (plus.get(k, zero) - minus.get(k, zero)) / 2j for k in plus.keys() | minus.keys()},
+            {(i, i): complex(v, 0.0) for i, v in enumerate(m)},
+        )
+        for a, b, c in _CYCLIC:
+            ab, ba = _sparse_product(t[a], t[b]), _sparse_product(t[b], t[a])
+            entries = ab.keys() | ba.keys() | t[c].keys()
+            deviations += [ab.get(k, zero) - ba.get(k, zero) - 1j * t[c].get(k, zero) for k in entries]
+    return failure, _worst(deviations)
 
 
 def com2_residual(ops: VdWOperators) -> float:
@@ -436,6 +566,8 @@ class Spintensor:
         k, r = as_count(self.k, "rank k"), as_count(self.r, "rank r")
         if k < 0 or r < 0:
             raise ValueError(f"rank ({k!r}, {r!r}) must be two non-negative integers")
+        import numpy as np
+
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "r", r)
         arr = np.asarray(self.components, dtype=complex)
@@ -452,6 +584,8 @@ class Spintensor:
 
 def spintensor_transform(g: np.ndarray, t: Spintensor) -> Spintensor:
     """Apply g on every undotted slot and conj(g) on every dotted slot."""
+    import numpy as np
+
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("transformation must be a 2x2 matrix")

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -12,6 +13,7 @@ import resource
 import subprocess
 import sys
 import tokenize
+from array import array
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -175,20 +177,33 @@ class TestRepCommand:
         assert payload["commutator_residual"] <= VDW_COM_TOL
         assert payload["tolerance"] == GN_COM_TOL  # the default --tol
 
+    @staticmethod
+    def first_root_of_spin_1(monkeypatch, edit):
+        """``lorentz._su2_entries``, the entries ``rep --vdw`` writes and proves, with ``edit`` applied
+        to spin 1's first root, sqrt(2), where it is read on Python ints."""
+        honest = lorentz._su2_entries
+
+        def entries(n, i):
+            m, root = honest(n, i)
+            return m, edit(root) if (n, i) == (2, 0) else root
+
+        monkeypatch.setattr(lorentz, "_su2_entries", entries)
+
     def test_nan_residual_fails(self, capsys, monkeypatch):
-        from cliffrep import lorentz
+        """A NaN root of spin 1 reaches the rows, the root proof and the residual: exit 1, pass false."""
+        self.first_root_of_spin_1(monkeypatch, lambda root: math.nan)
+        code, out, err = run(["rep", "--vdw", "1", "0"], capsys)
+        assert code == 1 and json.loads(out)["pass"] is False and math.isnan(json.loads(out)["operators"]["X+"]["entries"][3][0])
+        assert err.splitlines() == ["spin 1: j+ is not one positive root at each (i+1, i)", "(l,ldot) = (1,0), dim 3, commutator residual nan FAIL"]
 
-        honest = lorentz.build_vdw_operators
-
-        def with_nan(l, ldot):
-            ops = honest(l, ldot)
-            ops.yminus[...] = np.nan
-            return ops
-
-        monkeypatch.setattr(lorentz, "build_vdw_operators", with_nan)
-        code, _, err = run(["rep", "--vdw", "1", "0"], capsys)
-        assert code == 1
-        assert err.splitlines()[-1] == "(l,ldot) = (1,0), dim 3, commutator residual nan FAIL"
+    def test_root_two_ulps_off_fails(self, capsys, monkeypatch):
+        """sqrt(2) moved up 2 ulps leaves the residual far below the tolerance, but the exact bracket of
+        SU2_ROOT_ULPS = 1 ulp fails: exit 1, pass false."""
+        self.first_root_of_spin_1(monkeypatch, lambda root: math.nextafter(math.nextafter(root, math.inf), math.inf))
+        code, out, err = run(["rep", "--vdw", "1", "1/2"], capsys)
+        payload = json.loads(out)
+        assert code == 1 and payload["pass"] is False and payload["commutator_residual"] <= 1e-15
+        assert err.splitlines()[0] == "spin 1: root 0 of j+ is not within 1 ulp of sqrt(2)" and err.endswith(" FAIL\n")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -312,7 +327,8 @@ class TestInputErrors:
         # every row fails its input check: one that got past it to a builder or the
         # registry fails here instead of building (dim 10^4 takes about 9.6 GB)
         unreachable = mock.Mock(side_effect=AssertionError("past the input check"))
-        with mock.patch.multiple(lorentz, build_gn_operators=unreachable, build_vdw_operators=unreachable):
+        builders = ("build_gn_operators", "build_vdw_operators", "vdw_parts", "vdw_proof")
+        with mock.patch.multiple(lorentz, **dict.fromkeys(builders, unreachable)):
             with mock.patch.object(checks, "run_all", unreachable):
                 code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
@@ -465,8 +481,9 @@ class TestLazyImports:
     def test_label_commands_import_no_numpy(self):
         """The label commands load no numpy and no matrix module; classify, table, clock and
         factorize load no multivector, graded-tensor or label-system code and no ``dataclasses``
-        either, and chain adds ``repsys`` (so ``dataclasses``) and nothing more.  A module the
-        interpreter had loaded before cliffrep does not count."""
+        either, and chain adds ``repsys`` (so ``dataclasses``) and nothing more.  Reading a lazy name
+        of the package imports its module, and gamma and lorentz import no numpy until a dense
+        array is made.  A module the interpreter had loaded before cliffrep does not count."""
         code = f"""
 import contextlib, io, sys
 before = set(sys.modules)
@@ -486,7 +503,7 @@ print("numpy" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]", "[] True", "True"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "[] True", "False"]
 
     def test_submodule_import_keeps_the_functions(self):
         """``classify`` and ``factorize`` name both a submodule and a function: the function wins,
@@ -510,8 +527,8 @@ print(cliffrep.classify((1, 3)), cliffrep.factorize((2, 0)).factors)
         "argv,unimported",
         [
             (["rep", "--gn", "0", "1"], ["cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
-            (["rep", "--vdw", "1/2", "0"], ["cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
-            (["matrep", "-p", "1", "-q", "3"], ["cliffrep.lorentz", "cliffrep.checks", "cliffrep.algebra", "cliffrep.tensor"]),
+            (["rep", "--vdw", "1/2", "0"], ["numpy", "cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
+            (["matrep", "-p", "1", "-q", "3"], ["numpy", "cliffrep.lorentz", "cliffrep.checks", "cliffrep.algebra", "cliffrep.tensor"]),
         ],
     )
     def test_matrix_commands_import_what_they_run(self, argv, unimported):
@@ -525,6 +542,20 @@ print([m for m in {unimported!r} if m in sys.modules])
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
+
+    def test_gn_rep_loads_numpy(self):
+        """The boundary of the numpy-free matrix commands: ``rep --gn`` still builds dense arrays."""
+        code = """
+import contextlib, io, sys
+import cliffrep.cli
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cliffrep.cli.main(["rep", "--gn", "0", "1"]) == 0
+print("numpy" in sys.modules)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["True"]
 
     @pytest.mark.parametrize("module", sorted(m for m in API if m))
     def test_old_exports_are_the_submodule_objects(self, module):
@@ -705,18 +736,62 @@ def test_label_command_text_unchanged(capsys):
     assert h.hexdigest() == LABEL_TEXT_DIGEST
 
 
-# sha256 over (argv, exit code, stdout, stderr) of ``matrep`` for all 91 p+q <= 12: every
-# entry lies in {0, +-1, +-i}, so these bytes, signed zeros included, depend on no libm or BLAS
-MATREP_JSON_DIGEST = "1b92591f2cdfa50ab4ca244eef9c18faf83a02d6ce2e59de54c673bd166652fa"
+# sha256 over (argv, exit code, stdout, stderr) of ``matrep`` for all 91 p+q <= 12: every entry
+# lies in {0, +-1, +-i} and is written from its gamma's (column, Z4 phase) form, every zero as 0.0,
+# with no float arithmetic, so these bytes depend on no libm or BLAS.  They are the bytes of the
+# dense Kronecker chain with each -0.0 written 0.0 (test_gamma.py holds that chain as a reference)
+MATREP_JSON_DIGEST = "7cd060f70ad2d7d78ae5702c18155db1c93a7ad80d25e578631b411a2f1c447e"
+
+MATREP_RUNS = [["matrep", "-p", str(p), "-q", str(n - p)] for n in range(13) for p in range(n + 1)]
 
 
 def test_matrep_json_unchanged(capsys):
+    """The digest, and for each of the 91 runs: ``matrep``'s text, written from the (column, phase)
+    forms without numpy, is the payload of ``build_generators``' dense arrays as the array writer,
+    held to ``json.dumps`` of ``matrix_to_json`` above, writes it."""
     h = hashlib.sha256()
-    for n in range(13):
-        for p in range(n + 1):
-            argv = ["matrep", "-p", str(p), "-q", str(n - p)]
-            h.update(json.dumps([argv, *run(argv, capsys)]).encode())
+    for argv in MATREP_RUNS:
+        code, out, err = run(argv, capsys)
+        h.update(json.dumps([argv, code, out, err]).encode())
+        gen = cliffrep.build_generators((int(argv[2]), int(argv[4])))
+        payload = {
+            "p": gen.sig.p, "q": gen.sig.q, "dim": gen.dim, "reducible": gen.reducible, "metric": list(gen.metric),
+            "anticommutation_ok": True, "gammas": [cli._matrix_payload(g, gen.basis_note) for g in gen.gammas],
+        }
+        assert (code, out, err) == (0, "".join(cli._json_chunks(payload)) + "\n", ""), argv
     assert h.hexdigest() == MATREP_JSON_DIGEST
+
+
+#: every VdW label of dim <= 100, the range of the benchmark's requests, and the dim-200 corners
+VDW_LABELS = checks.vdw_labels(100) + [(Fraction(199, 2), Fraction(0)), (Fraction(0), Fraction(199, 2))]
+
+
+def test_vdw_parts_are_build_vdw_operators_bits():
+    """On every label of VDW_LABELS, the parts ``rep --vdw`` writes, computed without numpy, are the
+    real and imaginary parts of ``build_vdw_operators``' arrays bit for bit, signed zeros included,
+    under the same basis note."""
+    for l, ld in VDW_LABELS:
+        ops, (parts, note) = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_parts(l, ld)
+        assert note == ops.basis_note and list(parts) == list(ops.operators())
+        for name, m in ops.operators().items():
+            re, im = parts[name]()
+            assert (array("d", re).tobytes(), array("d", im).tobytes()) == (m.real.tobytes(), m.imag.tobytes()), (l, ld, name)
+
+
+@pytest.mark.parametrize("label", VDW_LABELS[::16] + VDW_LABELS[-2:], ids=lambda label: "%s,%s" % label)
+def test_vdw_rep_is_build_vdw_operators_layout(label, capsys):
+    """``rep --vdw``'s text, the parts above through the writer, is the payload of ``build_vdw_operators``'
+    arrays as the array writer, held to ``json.dumps`` of ``matrix_to_json`` above, writes it, with
+    ``vdw_proof``'s residual; sampled, since the parts decide the entries' text."""
+    code, out, err = run(["rep", "--vdw", *map(str, label)], capsys)
+    ops = cliffrep.build_vdw_operators(*label)
+    residual = lorentz.vdw_proof(*label)[1]
+    payload = {
+        "basis": "vdw", "l": str(ops.l), "ldot": str(ops.ldot), "dim": ops.dim,
+        "operators": {k: cli._matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
+        "commutator_residual": residual, "tolerance": GN_COM_TOL, "pass": True,
+    }
+    assert (code, out) == (0, "".join(cli._json_chunks(payload)) + "\n") and err.endswith(f"residual {residual:.3e} PASS\n")
 
 
 # sha256 of ``verify`` stdout per budget, each float residual's digits masked as "#":

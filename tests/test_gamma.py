@@ -2,21 +2,25 @@
 
 import hashlib
 import re
+from functools import reduce
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cliffrep import checks
+from cliffrep import checks, cli
 from cliffrep.algebra import Multivector, Signature, all_blades, omega_square_mod8
-from cliffrep.factorize import karoubi_factorize
+from cliffrep.factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, karoubi_factorize
 from cliffrep.gamma import (
     GammaVerdict,
     GeneratorSet,
+    _monomial_forms,
     blade_images,
     build_generators,
     faithfulness_rank,
+    forms_anticommute,
     gamma_verdicts,
+    generator_forms,
     omega_image,
     omega_image_square_sign,
     verify_anticommutation,
@@ -76,6 +80,38 @@ def dense_verdict(gen: GeneratorSet) -> tuple[bool, int]:
     return relations, next((sign for sign in (1, -1) if np.array_equal(square, sign * eye)), 0)
 
 
+def kronecker_chain(sig: Signature) -> list[np.ndarray]:
+    """The dense synthesis the (column, phase) forms replaced, kept as their reference: np.kron chains
+    of the complex seed matrices over ``karoubi_factorize``, each later factor's pair left-padded with
+    the earlier factors' volume elements, and for odd n the truncation's gammas twice on the block
+    diagonal with Z (x) (scaled volume image, a numpy matmul fold) last.  Its bits, signed zeros
+    included, are pinned by KRONECKER_CHAIN_DIGEST."""
+    x, z, j, ix = (np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]))
+    if sig.n % 2:
+        trunc, last_metric = (Signature(sig.p, sig.q - 1), -1) if sig.q else (Signature(sig.p - 1, 0), 1)
+        base = kronecker_chain(trunc)
+        eye = np.eye(1 << (trunc.n // 2), dtype=complex)
+        omega = reduce(np.matmul, base, eye)
+        scale = 1 if np.array_equal(omega @ omega, last_metric * eye) else 1j
+        return [np.kron(np.eye(2, dtype=complex), g) for g in base] + [np.kron(z, scale * omega)]
+    pos, neg, left, left_sq = [], [], np.eye(1, dtype=complex), 1
+    fact = karoubi_factorize(sig)
+    remaining = sig.n
+    for i, f in enumerate(fact.factors):
+        remaining -= f.n
+        a, b = {FACTOR_HYPERBOLIC: (x, j), FACTOR_POS: (x, z), FACTOR_NEG: (ix, j)}[f]
+        for seed, seed_sq in ((a, 1 if f.p >= 1 else -1), (b, -1 if f.q >= 1 else 1)):
+            (pos if left_sq * seed_sq > 0 else neg).append(np.kron(np.kron(left, seed), np.eye(1 << (remaining // 2), dtype=complex)))
+        left = np.kron(left, a @ b)
+        left_sq = -left_sq if i in fact.flip_steps else left_sq
+    return pos + neg
+
+
+# sha256 of the raw bytes of kronecker_chain's gammas for all 91 p+q <= 12, n then p ascending: the
+# bits build_generators returned while it built these chains, whose -0.0 parts came from the products
+KRONECKER_CHAIN_DIGEST = "46819fb8dd2ee37f67cc81cdad8832cfd4299a210cabf29c4013c5161b46ead4"
+
+
 class TestBuildGenerators:
     def test_hyperbolic_plane(self):
         g = build_generators((1, 1))
@@ -111,13 +147,32 @@ class TestBuildGenerators:
 
     def test_matrix_bits_unchanged(self):
         """sha256 of the raw bytes of every gamma matrix for all 91 p+q <= 12, n then p
-        ascending: ``matrep`` emits these bits, signed zeros included."""
+        ascending: ``matrep`` emits these values, every zero part +0.0."""
         h = hashlib.sha256()
-        for n in range(13):
-            for p in range(n + 1):
-                for g in build_generators((p, n - p)).gammas:
-                    h.update(g.tobytes())
-        assert h.hexdigest() == "46819fb8dd2ee37f67cc81cdad8832cfd4299a210cabf29c4013c5161b46ead4"
+        for sig in synthesised:
+            for g in build_generators(sig).gammas:
+                h.update(g.tobytes())
+        assert h.hexdigest() == "a5d26653d49edfc54813303cdd671000dc677d12e515ed986a38d8a40b03507d"
+
+    def test_forms_are_the_kronecker_chain_without_signed_zeros(self, capsys):
+        """On all 91 p+q <= 12 the gammas equal the dense Kronecker chain's, whose bits the digest pins,
+        with each -0.0 part written +0.0, and no part is -0.0; ``matrep``'s text is the chain's, as the
+        array writer writes it, with each of its 487 674 "-0.0" tokens written "0.0"."""
+        h, signed_zeros = hashlib.sha256(), 0
+        for sig in synthesised:
+            chain, gen = kronecker_chain(sig), build_generators(sig)
+            h.update(b"".join(g.tobytes() for g in chain))
+            assert [g.tobytes() for g in gen.gammas] == [(g + 0.0).tobytes() for g in chain], sig
+            parts = np.concatenate([g.view(np.float64) for g in gen.gammas]) if gen.gammas else np.zeros(0)
+            assert not np.signbit(parts[parts == 0]).any(), sig
+            payload = {
+                "p": sig.p, "q": sig.q, "dim": gen.dim, "reducible": gen.reducible, "metric": list(gen.metric),
+                "anticommutation_ok": True, "gammas": [cli._matrix_payload(g, gen.basis_note) for g in chain],
+            }
+            text = "".join(cli._json_chunks(payload)) + "\n"
+            signed_zeros += text.count("-0.0")
+            assert (cli.main(["matrep", "-p", str(sig.p), "-q", str(sig.q)]), capsys.readouterr().out) == (0, text.replace("-0.0", "0.0"))
+        assert (h.hexdigest(), signed_zeros) == (KRONECKER_CHAIN_DIGEST, 487_674)
 
 
 class TestGeneratorSetShape:
@@ -296,6 +351,35 @@ class TestGammaCheck:
                 relations, sign = dense_verdict(g)
                 assert v.relations == (relations and v.monomial), g.sig
                 assert v.omega_sign == (sign if v.monomial else 0), g.sig
+
+
+class TestFormRelations:
+    def test_agrees_with_the_dense_verdicts(self):
+        """On every synthesised set, the dense bits read back through ``_monomial_forms`` are
+        ``generator_forms``' forms, and ``forms_anticommute`` holds as ``gamma_verdicts`` does; on each
+        GAMMA_MUTANTS mutant of it, read back the same way, the dense verdict is ``forms_anticommute``'s
+        where the mutant is monomial, and fails where it is not."""
+        def read(gen):
+            columns, phases, monomial = _monomial_forms(np.array([gen.gammas]).reshape(1, gen.sig.n, gen.dim, gen.dim))
+            return list(zip(map(tuple, columns[0].tolist()), map(tuple, phases[0].tolist()))), bool(monomial[0])
+
+        for sig in synthesised:
+            forms, gen = generator_forms(sig)[0], build_generators(sig)
+            assert read(gen) == (list(forms), True)
+            assert forms_anticommute(forms, gen.metric) and gamma_verdicts([gen])[0].relations
+            for mutant in GAMMA_MUTANTS.values() if sig.n else ():
+                bad = mutated(gen, mutant)
+                bad_forms, monomial = read(bad)
+                assert gamma_verdicts([bad])[0].relations == (monomial and forms_anticommute(bad_forms, bad.metric)), sig
+
+    def test_each_broken_relation_fails(self):
+        """A square, an anticommutator and the metric each fail the form proof on their own."""
+        forms = list(generator_forms((1, 3))[0])
+        assert forms_anticommute(forms, (1, -1, -1, -1))
+        assert not forms_anticommute(forms, (1, 1, -1, -1))  # g_2^2 = -I, not +I
+        assert not forms_anticommute(forms[:2] + [forms[1]] + forms[3:], (1, -1, -1, -1))  # g_2 g_2 + g_2 g_2 = -2I, not 0
+        columns, phases = forms[3]
+        assert not forms_anticommute(forms[:3] + [(columns, tuple((k + 2) % 4 if r == 0 else k for r, k in enumerate(phases)))], (1, -1, -1, -1))
 
 
 class TestVolumeImage:

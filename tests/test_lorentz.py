@@ -584,6 +584,48 @@ class TestVdWOperators:
             assert lorentz.su2_ladder_failure(F(1, 2)) is None  # sqrt(1) = 1.0
             assert lorentz.su2_ladder_failure(1) == "spin 1: root 0 of j+ is not within 0 ulp of sqrt(2)"
 
+    def test_proof_residual_tracks_the_dense_residual(self):
+        """``vdw_proof``'s residual, taken on the two spins' bands, is the dense ``com2_residual`` within
+        2e-13 on every label of dim <= 64 (1.0e-13 is the largest gap at dim <= 100, and 1.6e-12 at
+        dim <= 400, where both stay below 7.3e-12), and every root is bracketed."""
+        for l, ld in vdw_labels(64):
+            failure, residual = lorentz.vdw_proof(l, ld)
+            assert failure is None and abs(residual - com2_residual(build_vdw_operators(l, ld))) <= 2e-13, (l, ld)
+
+    @staticmethod
+    def entries_of_spin_1(edit):
+        """``_su2_entries`` with ``edit(m, root)`` applied to spin 1's entries at index 0, read on an int or
+        on an index array, as ``vdw_proof`` and ``su2_ladder`` read them."""
+        honest = lorentz._su2_entries
+
+        def entries(n, i):
+            m, root = honest(n, i)
+            if n != 2:
+                return m, root
+            if isinstance(i, int):
+                return edit(m, root) if i == 0 else (m, root)
+            m, root = m.copy(), root.copy()
+            m[0], root[0] = edit(m[0], root[0])
+            return m, root
+
+        return mock.patch.object(lorentz, "_su2_entries", entries)
+
+    def test_proof_shares_the_root_bracket(self):
+        """sqrt(2) moved up 2 ulps fails ``vdw_proof`` and ``su2_ladder_failure`` with one text, from the
+        one integer bracket both run, while the residual stays far below any tolerance."""
+        with self.entries_of_spin_1(lambda m, f: (m, math.nextafter(math.nextafter(f, math.inf), math.inf))):
+            failure, residual = lorentz.vdw_proof(1, F(1, 2))
+            assert failure == lorentz.su2_ladder_failure(1) == "spin 1: root 0 of j+ is not within 1 ulp of sqrt(2)"
+            assert residual < 1e-15 and lorentz.vdw_proof(F(1, 2), F(1, 2)) == (None, 0.0)
+
+    def test_proof_residual_catches_a_diagonal_entry(self):
+        """m = -1 of spin 1 written as -1/2: every root is bracketed, and the residual shows the broken
+        relations, as ``su2_ladder_failure`` does on the diagonal."""
+        with self.entries_of_spin_1(lambda m, f: (m / 2, f)):
+            failure, residual = lorentz.vdw_proof(F(1, 2), 1)
+            assert failure is None and residual > 0.49
+            assert lorentz.su2_ladder_failure(1) == "spin 1: j3 is not [j+, j-]/2 = diag(-j .. j)"
+
     def test_roots_are_correctly_rounded(self):
         """``_roots`` equals math.sqrt, IEEE 754's correctly rounded root, on every integer to 160 000,
         which covers every radicand of a label of dim <= 400."""
