@@ -64,6 +64,11 @@ class Signature(_Counts):
     def n(self) -> int:
         return self.p + self.q
 
+    @property
+    def metric(self) -> tuple[int, ...]:
+        """Each generator's square, positives first."""
+        return (1,) * self.p + (-1,) * self.q
+
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
 

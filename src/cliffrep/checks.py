@@ -7,8 +7,11 @@ ignores the other.  It returns a :class:`CheckResult` whose ``covered``
 counts the signatures, signature pairs, labels or table entries the
 check sweeps.  The rotation/boost and basis-conversion checks hold float
 residuals, each one ``lorentz._worst`` fold, to the tolerances defined
-beside them in :mod:`cliffrep.lorentz`; every other check, the su(2) one
-included, is exact.
+beside them in :mod:`cliffrep.lorentz`; the basis conversion judges each
+label by its two ``GN_VDW_PROPERTIES``, the converted su(2) relations and
+the X3 spectrum.  Every other check, the su(2) one included, is exact:
+the gamma check hands each signature's (column, phase) forms to
+``gamma.form_verdict``, the one judge of the Clifford relations.
 
 Shared work is done once per call and kept by nothing after it.
 :func:`run_all` builds each GN label's operators once and hands the same
@@ -44,7 +47,7 @@ from .algebra import (
 )
 from .classify import MatrixShape, RingType, classify, classify_complex, even_subalgebra, tensor_compose
 from .factorize import factorize, replay_flips, verify_factorization
-from .lorentz import GN_COM_TOL, SL25_TOL, SPECTRUM_TOL, VDW_COM_TOL
+from .lorentz import GN_COM_TOL, SPECTRUM_TOL, VDW_COM_TOL
 from .repsys import ComplexRepLabel, RealRepClass, RealRepLabel
 from .table_data import reference_diff, reference_table
 from .tensor import theta_psi_checks
@@ -219,21 +222,17 @@ def check_even_subalgebra(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_gamma(nmax: int, dim_max: int) -> CheckResult:
-    """The verdicts come from one stacked pass per generator count (``gamma.gamma_verdicts``), whose
-    generator sets are freed before the next count is built; the first failing signature is reported in sweep order."""
+    """Each signature's ``gamma.generator_forms`` go to ``gamma.form_verdict`` as they are, in pure Python:
+    no dense array is built or read back; the first failing signature is reported in sweep order."""
     reach = min(nmax, gamma.MAX_SYNTHESIS_GENERATORS)
-    verdicts: list[tuple[Signature, gamma.GammaVerdict]] = []
-    for n in range(reach + 1):
-        sigs = _count_signatures(n)
-        verdicts += zip(sigs, gamma.gamma_verdicts([gamma.build_generators(s) for s in sigs]))
-    def failure(item: tuple[Signature, gamma.GammaVerdict]) -> str | None:
-        s, verdict = item
+    def failure(s: Signature) -> str | None:
+        verdict = gamma.form_verdict(gamma.generator_forms(s)[0], s.metric)
         if not verdict.relations:
             return str(s)
         if verdict.rank != 1 << s.n:
             return f"rank {s}"
         return None if s.n == 0 or verdict.omega_sign == omega_square_mod8(s) else f"omega {s}"
-    return _sweep("gamma anticommutation", verdicts, failure, f"n <= {reach}, faithful")
+    return _sweep("gamma anticommutation", _signatures(reach), failure, f"n <= {reach}, faithful")
 
 
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
@@ -284,7 +283,7 @@ def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
     return replace(result, covered=len(labels))
 
 
-def _x3_spectrum(ops, v) -> bool:
+def _x3_spectrum(v) -> bool:
     """X3 has eigenvalues m = -l .. l, each 2 ldot + 1 times.  X3 must be finite and equal its conjugate
     transpose entry for entry, so a NaN fails, before ``eigvalsh`` reads its lower triangle; the fold keeps
     a NaN eigenvalue, which fails."""
@@ -296,20 +295,11 @@ def _x3_spectrum(ops, v) -> bool:
     return len(got) == len(expected) and lorentz._worst([got - expected]) <= SPECTRUM_TOL
 
 
-def _reconstruction(ops, v) -> bool:
-    """The converted triples equal X = i(A + iB)/2, Y = i(A - iB)/2 built from the GN operators."""
-    got = lorentz.cartesian(v.x3, v.xplus, v.xminus) + lorentz.cartesian(v.y3, v.yplus, v.yminus)
-    ref = lorentz.sl25_operators(lorentz.reconstruct_AB(ops))
-    return lorentz._worst(g - r for g, r in zip(got, ref)) <= SL25_TOL
-
-
-#: per-label properties of the GN -> VdW conversion, called as ``fn(gn_ops, lorentz.gn_to_vdw(gn_ops))``;
+#: per-label properties of the GN -> VdW conversion, called as ``fn(lorentz.gn_to_vdw(gn_ops))``;
 #: a key is ``check_gn_vdw``'s failure text
-GN_VDW_PROPERTIES: dict[str, Callable[..., bool]] = {
-    "su(2) relations": lambda ops, v: lorentz.com2_residual(v) <= VDW_COM_TOL,
-    "spin l": lambda ops, v: v.l == (ops.label.l0 + ops.label.l1 - 1) / 2,
+GN_VDW_PROPERTIES: dict[str, Callable[[lorentz.VdWOperators], bool]] = {
+    "su(2) relations": lambda v: lorentz.com2_residual(v) <= VDW_COM_TOL,
     "X3 spectrum": _x3_spectrum,
-    "operator reconstruction": _reconstruction,
 }
 
 
@@ -317,7 +307,7 @@ def check_gn_vdw(nmax: int, dim_max: int, gn_ops: Sequence[lorentz.GNOperators] 
     """``gn_ops`` are ``_gn_operators(dim_max)``, built here when None; each label is converted in turn."""
     def failure(ops: lorentz.GNOperators) -> str | None:
         lab, v = ops.label, lorentz.gn_to_vdw(ops)
-        return next((f"({lab.l0}, {lab.l1}) {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(ops, v)), None)
+        return next((f"({lab.l0}, {lab.l1}) {name}" for name, holds in GN_VDW_PROPERTIES.items() if not holds(v)), None)
     gn_ops = _gn_operators(dim_max) if gn_ops is None else gn_ops
     return _sweep("basis conversion", gn_ops, failure, f"dim <= {_largest_dim(gn_ops)}")
 

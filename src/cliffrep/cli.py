@@ -204,12 +204,12 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_matrep(args) -> int:
-    from .gamma import form_parts, forms_anticommute, generator_forms
+    from .gamma import form_parts, form_verdict, generator_forms
 
     sig = as_signature((args.p, args.q))
     forms, reducible, note = generator_forms(sig)
-    metric = [1] * sig.p + [-1] * sig.q
-    ok = forms_anticommute(forms, metric)
+    metric = list(sig.metric)
+    ok = form_verdict(forms, metric).relations
     dim = len(forms[0][0]) if forms else 1
     payload = {
         "p": sig.p,

@@ -13,25 +13,33 @@ in the two blocks, which keeps the representation faithful at twice the
 even-truncated dimension.
 
 All seed entries lie in {0, +/-1, +/-i}, so every gamma is monomial: each
-row holds one entry, a Z4 phase i^k.  The synthesis works on that form
-alone, one column and one phase per row (:func:`generator_forms`), in pure
-Python: a Kronecker product is index arithmetic and a matrix product a
-gather with a mod-4 phase sum.  :func:`build_generators` writes the forms
-into dense complex arrays, every zero part +0.0; ``matrep`` writes its rows
-from the forms and proves the relations on them (:func:`forms_anticommute`).
-The checks read a set's dense bits back into that form and prove the
-relations, the volume image and its square by integer gathers and mod-4
-phase sums (:func:`gamma_verdicts`), with no float product; sets of one
-generator count stack into one pass.  A set that is not monomial fails
-closed.  numpy is imported inside the functions that make or read dense
-arrays, so the synthesis and ``matrep`` load none.
+row holds one entry, a Z4 phase i^k (Lounesto, *Clifford Algebras and
+Spinors*, ch. 16-17).  The synthesis works on that form alone, one column
+and one phase per row (:func:`generator_forms`), in pure Python: a
+Kronecker product is index arithmetic and a matrix product a gather with a
+mod-4 phase sum.  :func:`build_generators` writes the forms into dense
+complex arrays, every zero part +0.0; ``matrep`` writes its rows from the
+forms.
+
+One rule, :func:`form_verdict`, decides on such forms the defining
+relations, omega = +-I and omega^2 = +-I, by integer gathers and mod-4
+phase sums with no float product.  The gamma check and ``matrep`` hand it
+the synthesised forms, the odd synthesis its volume image, and
+:func:`verify_anticommutation`, :func:`faithfulness_rank` and
+:func:`omega_image_square_sign` a set's dense gammas read back by
+:func:`_monomial_forms`; a set that is not monomial fails closed.  The rule
+lives here, in pure Python, and not in a numpy exact layer, because
+``matrep`` must stay numpy-free.  numpy is imported inside the functions
+that make or read dense arrays, so the synthesis, the rule and ``matrep``
+load none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from ._rules import Signature, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
@@ -77,6 +85,8 @@ class GeneratorSet:
         shapes = [g.shape for g in self.gammas]
         if len(shapes) != self.sig.n or len(set(shapes)) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
             raise ValueError(f"{self.sig} needs {self.sig.n} square gamma matrices of one dimension, got shapes {shapes}")
+        if shapes and shapes[0][0] == 0:
+            raise ValueError(f"{self.sig} needs gamma matrices of dimension at least 1, got shapes {shapes}")
 
     @property
     def dim(self) -> int:
@@ -84,7 +94,7 @@ class GeneratorSet:
 
     @property
     def metric(self) -> tuple[int, ...]:
-        return (1,) * self.sig.p + (-1,) * self.sig.q
+        return self.sig.metric
 
 
 def _identity(dim: int) -> Form:
@@ -138,28 +148,12 @@ def generator_forms(sig) -> tuple[tuple[Form, ...], bool, str]:
     # odd: block-double the even-truncated algebra
     trunc, last_metric = (Signature(sig.p, sig.q - 1), -1) if sig.q >= 1 else (Signature(sig.p - 1, 0), 1)
     base = generator_forms(trunc)[0]
-    columns, phases = reduce(_product, base, _identity(1 << (trunc.n // 2)))  # the volume image; it squares to +-I
-    square_sign = 1 if _product((columns, phases), (columns, phases))[1][0] == 0 else -1
-    scale = 0 if square_sign == last_metric else 1  # i^scale times it squares to last_metric
+    columns, phases = reduce(_product, base, _identity(1 << (trunc.n // 2)))  # the volume image
+    # judged as a set of one, it is its own omega: i^scale times it squares to last_metric
+    scale = 0 if form_verdict(((columns, phases),), (last_metric,)).omega_sign == last_metric else 1
     last = _tensor(_Z, (columns, tuple((k + scale) % 4 for k in phases)))
     note = f"two blocks of the {trunc} module, last generator = +/- scaled volume element"
     return tuple(_tensor(_identity(2), g) for g in base) + (last,), True, note
-
-
-def forms_anticommute(forms: Sequence[Form], metric: Sequence[int]) -> bool:
-    """g_a g_b + g_b g_a = 2 eta_ab I on (column, phase) forms with phases in 0..3, in pure Python: the
-    rule of :func:`_relations` one pair at a time.  g_a^2 = eta_a I iff its square's columns are the
-    identity and its phases all 1 - eta_a (mod 4); g_a g_b and g_b g_a are monomial, so their sum
-    vanishes iff their columns agree and their phases differ by 2 (mod 4)."""
-    for a, g in enumerate(forms):
-        dim = len(g[0])
-        if _product(g, g) != (tuple(range(dim)), ((1 - metric[a]) % 4,) * dim):
-            return False
-        for h in forms[a + 1 :]:
-            (gh_columns, gh_phases), (hg_columns, hg_phases) = _product(g, h), _product(h, g)
-            if gh_columns != hg_columns or any((u - v) % 4 != 2 for u, v in zip(gh_phases, hg_phases)):
-                return False
-    return True
 
 
 def form_parts(form: Form) -> tuple[list[float], list[float]]:
@@ -189,102 +183,79 @@ def build_generators(sig) -> GeneratorSet:
 
 
 class GammaVerdict(NamedTuple):
-    """What :func:`gamma_verdicts` proves of one generator set."""
+    """What :func:`form_verdict` proves of one set of (column, phase) forms."""
 
-    monomial: bool  #: every row of every gamma holds one entry, of {1, i, -1, -i}
-    relations: bool  #: monomial, and g_i g_j + g_j g_i = 2 eta_ij I
+    relations: bool  #: g_i g_j + g_j g_i = 2 eta_ij I
     rank: int  #: the faithfulness rank, read when the relations hold
-    omega_sign: int  #: +-1 with omega_image^2 = sign * I on the monomial form, else 0
+    omega_sign: int  #: +-1 with omega_image^2 = sign * I, else 0
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """a @ b on packed rows ``column << 4 | phase``: row r of a picks row a[r] >> 4 of b, phases added mod 4."""
+    return [(e & -16) | ((x + e) & 3) for x in a for e in [b[x >> 4]]]
+
+
+def form_verdict(forms: Sequence[Form], metric: Sequence[int]) -> GammaVerdict:
+    """The :class:`GammaVerdict` of gammas given as (column, phase) forms with phases in 0..3, in pure
+    Python: the one rule that decides g_a g_b + g_b g_a = 2 eta_ab I, omega = +-I and omega^2 = +-I.
+
+    Each row is packed into one int ``column << 4 | phase``.  Row r of g_a g_b is g_b's packed row
+    columns_a[r] plus phases_a[r], whose phase sum (at most 6) stays below bit 4; two such rows differ
+    by 16 (column difference) + (phase difference), so g_a g_b + g_b g_a = 0 iff every row's difference
+    is one of +-2, +-6: the columns agree and the phases differ by 2 (mod 4).  g_a^2 = eta_a I iff
+    each row of it is the identity's with phase 1 - eta_a (mod 4).  omega = g_1 ... g_n is folded left
+    to right; for odd n the rank halves exactly when omega = +-I.
+    """
+    n, dim = len(forms), len(forms[0][0]) if forms else 1
+    packed = [[c << 4 | k for c, k in zip(*form)] for form in forms]
+    identity = [r << 4 for r in range(dim)]
+
+    def product(a: int, b: int) -> Iterator[int]:
+        """g_a g_b's packed rows, phases not reduced."""
+        columns, phases = forms[a]
+        return map(add, map(packed[b].__getitem__, columns), phases)
+
+    relations = all(
+        set(map(sub, product(a, a), identity)) <= {(1 - eta) % 4, (1 - eta) % 4 + 4}
+        and all(set(map(sub, product(a, b), product(b, a))) <= {-6, -2, 2, 6} for b in range(a + 1, n))
+        for a, eta in enumerate(metric)
+    )
+    minus = [x | 2 for x in identity]
+    omega = reduce(_times, packed, identity)
+    square = _times(omega, omega)
+    rank = 1 << n >> 1 if n % 2 and omega in (identity, minus) else 1 << n
+    return GammaVerdict(relations, rank, 1 if square == identity else -1 if square == minus else 0)
 
 
 _NOT_MONOMIAL = ": a gamma matrix is not monomial over {1, i, -1, -i}"
 
 
-def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(columns, phases, monomial)`` of gammas stacked (S, n, d, d): when ``monomial[s]``, row r
-    of gamma a of set s holds i^phases[s, a, r] at column columns[s, a, r] and zeros elsewhere."""
+def _monomial_forms(gen: GeneratorSet) -> tuple[Form, ...] | None:
+    """The (column, phase) form of each of ``gen``'s dense gammas, or None if one is not monomial:
+    a row with other than one nonzero entry, or an entry outside {1, i, -1, -i}."""
     import numpy as np
 
+    stack = np.array(gen.gammas).reshape(gen.sig.n, gen.dim, gen.dim)
     nonzero = stack != 0
     columns = nonzero.argmax(axis=-1)
     match = np.take_along_axis(stack, columns[..., None], axis=-1) == np.array([complex(*z) for z in _PHASE_PARTS])
-    monomial = (nonzero.sum(axis=-1) == 1) & match.any(axis=-1)
-    return columns, match.argmax(axis=-1), monomial.all(axis=(1, 2))
+    if not ((nonzero.sum(axis=-1) == 1) & match.any(axis=-1)).all():
+        return None
+    return tuple(zip(map(tuple, columns.tolist()), map(tuple, match.argmax(axis=-1).tolist())))
 
 
-def _relations(columns: np.ndarray, phases: np.ndarray, metric: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(relations, omega_scalar, omega_sign)`` per set of the (S, n, d) monomial forms, with
-    ``metric`` (S, n): integer gathers and mod-4 phase sums, exact.
-
-    Row r of g_a g_b sits at column columns[b][columns[a][r]] with phase
-    phases[a][r] + phases[b][columns[a][r]].  Both products are monomial, so
-    their sum vanishes iff their columns agree and their phases differ by 2
-    (mod 4), and g_a^2 = eta_a I iff its columns are the identity and its
-    phases all 1 - eta_a.  omega = g_1 ... g_n is folded left to right;
-    ``omega_scalar`` says omega = +-I, and ``omega_sign`` is +-1 where
-    omega^2 = +-I, else 0.
-    """
-    import numpy as np
-
-    sets, n, dim = columns.shape
-    rows, s = np.arange(dim), np.arange(sets)[:, None]
-    # indices [s, a, b, r]: row r of g_a reads row columns[s, a, r] of g_b
-    g_b = (s[..., None, None], np.arange(n)[:, None], columns[:, :, None, :])
-    product_columns, product_phases = columns[g_b], phases[:, :, None, :] + phases[g_b]
-    anticommute = (product_columns == product_columns.swapaxes(1, 2)) & (
-        (product_phases - product_phases.swapaxes(1, 2)) % 4 == 2
-    )
-    square = (product_columns == rows) & (product_phases % 4 == (1 - metric)[:, :, None, None])
-    relations = np.where(np.eye(n, dtype=bool)[:, :, None], square, anticommute).all(axis=(1, 2, 3))
-
-    omega_columns, omega_phases = np.broadcast_to(rows, (sets, dim)), np.zeros((sets, dim), dtype=int)
-    for a in range(n):
-        omega_phases = omega_phases + phases[s, a, omega_columns]
-        omega_columns = columns[s, a, omega_columns]
-    omega_phases %= 4
-    omega_scalar = (omega_columns == rows).all(axis=1) & ((omega_phases == 0).all(axis=1) | (omega_phases == 2).all(axis=1))
-    return relations, omega_scalar, _square_signs(omega_columns, omega_phases)
-
-
-def _square_signs(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Per row of (S, d) monomial forms, +-1 where the matrix squares to +-I, else 0."""
-    import numpy as np
-
-    s, rows = np.arange(len(columns))[:, None], np.arange(columns.shape[1])
-    identity = (columns[s, columns] == rows).all(axis=1)
-    square = (phases + phases[s, columns]) % 4
-    return (identity & (square == 0).all(axis=1)).astype(int) - (identity & (square == 2).all(axis=1))
-
-
-def gamma_verdicts(gens: Sequence[GeneratorSet]) -> list[GammaVerdict]:
-    """For each generator set, in order, its :class:`GammaVerdict`.
-
-    Sets of one generator count and dimension stack along a leading axis:
-    their dense gammas are read once into (column, Z4 phase) form and proved
-    in one pass of :func:`_relations`.  A set that is not monomial fails
-    closed: its relations do not hold and it has no omega sign.
-    """
-    import numpy as np
-
-    verdicts: list[GammaVerdict | None] = [None] * len(gens)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, gen in enumerate(gens):
-        groups.setdefault((gen.sig.n, gen.dim), []).append(i)
-    for (n, dim), chunk in groups.items():
-        stack = np.array([gens[i].gammas for i in chunk]) if n else np.zeros((len(chunk), 0, dim, dim))
-        columns, phases, monomial = _monomial_forms(stack)
-        metric = np.array([gens[i].metric for i in chunk], dtype=int).reshape(len(chunk), n)
-        relations, omega_scalar, omega_sign = _relations(columns, phases, metric)
-        ranks = np.where(omega_scalar & (n % 2 == 1), 1 << n >> 1, 1 << n)
-        for i, mono, holds, rank, sign in zip(chunk, monomial.tolist(), relations.tolist(), ranks.tolist(), omega_sign.tolist()):
-            verdicts[i] = GammaVerdict(mono, mono and holds, rank, sign if mono else 0)
-    return verdicts
+def _set_verdict(gen: GeneratorSet) -> GammaVerdict | None:
+    """:func:`form_verdict` of ``gen``'s gammas read by :func:`_monomial_forms`; None for a set that is
+    not monomial, which fails closed."""
+    forms = _monomial_forms(gen)
+    return None if forms is None else form_verdict(forms, gen.metric)
 
 
 def verify_anticommutation(gen: GeneratorSet) -> bool:
     """Exact check of g_i g_j + g_j g_i = 2 eta_ij I on the monomial form; False for a set
-    that is not monomial.  The one-set case of :func:`gamma_verdicts`."""
-    return gamma_verdicts([gen])[0].relations
+    that is not monomial."""
+    verdict = _set_verdict(gen)
+    return verdict is not None and verdict.relations
 
 
 def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
@@ -306,13 +277,11 @@ def faithfulness_rank(gen: GeneratorSet) -> int:
     Algebras and Spinors*, ss. 16-17): each blade but 1 and the odd-n volume
     element anticommutes with some generator, so the images are orthogonal
     under tr(x^-1 y); for odd n the span halves exactly when the central
-    volume image is +-I.  The one-set case of :func:`gamma_verdicts`.
+    volume image is +-I: :func:`form_verdict` on the monomial form.
     """
-    verdict = gamma_verdicts([gen])[0]
-    if not verdict.relations:
-        raise ValueError(
-            f"gamma matrices of {gen.sig} violate the defining relations" + ("" if verdict.monomial else _NOT_MONOMIAL)
-        )
+    verdict = _set_verdict(gen)
+    if verdict is None or not verdict.relations:
+        raise ValueError(f"gamma matrices of {gen.sig} violate the defining relations" + ("" if verdict else _NOT_MONOMIAL))
     return verdict.rank
 
 
@@ -324,10 +293,10 @@ def omega_image(gen: GeneratorSet) -> np.ndarray:
 
 
 def omega_image_square_sign(gen: GeneratorSet) -> int:
-    """+/-1 with omega_image^2 = sign * I; must match the mod-8 law.  The one-set case of
-    :func:`gamma_verdicts`: a set that is not monomial raises ``ValueError``, as one whose
-    volume image does not square to +/- I does."""
-    verdict = gamma_verdicts([gen])[0]
-    if not verdict.omega_sign:
-        raise ValueError("volume element image does not square to +/- identity" + ("" if verdict.monomial else _NOT_MONOMIAL))
+    """+/-1 with omega_image^2 = sign * I; must match the mod-8 law.  :func:`form_verdict` on the
+    monomial form: a set that is not monomial raises ``ValueError``, as one whose volume image does
+    not square to +/- I does."""
+    verdict = _set_verdict(gen)
+    if verdict is None or not verdict.omega_sign:
+        raise ValueError("volume element image does not square to +/- identity" + ("" if verdict else _NOT_MONOMIAL))
     return verdict.omega_sign

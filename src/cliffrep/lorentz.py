@@ -32,9 +32,11 @@ same IEEE 754 bits), so outputs are deterministic.  Each spin's su(2)
 ladder is proved exactly (``su2_ladder_failure``): its relations are
 integer identities on the squares of its entries, and each shipped root
 is bound to its exact value within ``SU2_ROOT_ULPS`` (``_root_failure``).
-The ``*_TOL`` constants bound the float residuals of whole operator sets
-(the GN relations, the GN -> VdW conversion and ``com2_residual``), each
-one NaN-keeping fold (``_worst``), and are defined nowhere else.
+The ``*_TOL`` constants bound the float residuals of whole operator sets,
+each one NaN-keeping fold (``_worst``), and are defined nowhere else:
+``GN_COM_TOL`` the GN relations (``com1_residual``), ``VDW_COM_TOL`` the
+converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
+eigenvalues.
 
 ``rep --vdw`` needs no numpy: ``vdw_parts`` gives the six operators'
 entries from the same su(2) entries on Python ints, one Python complex
@@ -64,8 +66,6 @@ MAX_OPERATOR_DIM = 400
 GN_COM_TOL = 1e-10
 #: paired su(2) commutator residual bound (VdW basis)
 VDW_COM_TOL = 1e-12
-#: GN -> VdW operator reconstruction bound against the sl(2,C) basis
-SL25_TOL = 1e-12
 #: absolute bound on the X3 eigenvalues against their exact half-integers
 SPECTRUM_TOL = 1e-8
 #: ulps within which each shipped ladder root f of an integer x brackets sqrt(x):
@@ -545,13 +545,6 @@ def gn_to_vdw(ops: GNOperators) -> VdWOperators:
         (ops.hminus - 1j * ops.fminus) / 2,
         note,
     )
-
-
-def sl25_operators(ab: ABOperators) -> tuple[np.ndarray, ...]:
-    """X_l = i(A_l + iB_l)/2 and Y_l = i(A_l - iB_l)/2, l = 1, 2, 3."""
-    xs = tuple(0.5j * (a + 1j * b) for a, b in zip(ab[:3], ab[3:]))
-    ys = tuple(0.5j * (a - 1j * b) for a, b in zip(ab[:3], ab[3:]))
-    return xs + ys
 
 
 @dataclass(frozen=True)

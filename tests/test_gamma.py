@@ -18,8 +18,7 @@ from cliffrep.gamma import (
     blade_images,
     build_generators,
     faithfulness_rank,
-    forms_anticommute,
-    gamma_verdicts,
+    form_verdict,
     generator_forms,
     omega_image,
     omega_image_square_sign,
@@ -57,6 +56,30 @@ def _flip_entry(g):
 
 
 GAMMA_MUTANTS = {"turned-phase": _turn_phase, "swapped-columns": _swap_columns, "filled-zero": _fill_zero, "flipped-entry": _flip_entry}
+
+
+def _phase_added(columns, phases, k):
+    """Row 0's phase plus k (mod 4)."""
+    return columns, ((phases[0] + k) % 4,) + phases[1:]
+
+
+#: the monomial GAMMA_MUTANTS on a (column, phase) form: row 0 times i, rows 0 and 1 trading
+#: columns, and row 0 negated
+FORM_MUTANTS = {
+    "turned-phase": lambda columns, phases: _phase_added(columns, phases, 1),
+    "swapped-columns": lambda columns, phases: ((columns[1], columns[0]) + columns[2:], phases),
+    "flipped-entry": lambda columns, phases: _phase_added(columns, phases, 2),
+}
+
+
+#: where the mutant tests put their mutant: n = 2, 5, 8 and 12, the synthesis limit
+MUTATED_SIGNATURES = [Signature(1, 1), Signature(3, 2), Signature(4, 4), Signature(6, 6)]
+
+
+def form_mutated(sig, mutant):
+    """``generator_forms(sig)`` with ``mutant`` applied to its last form."""
+    forms, reducible, note = generator_forms(sig)
+    return forms[:-1] + (mutant(*forms[-1]),), reducible, note
 
 
 def mutated(gen: GeneratorSet, mutant) -> GeneratorSet:
@@ -198,6 +221,12 @@ class TestGeneratorSetShape:
         with pytest.raises(ValueError, match=f"^{re.escape(str(sig))} needs {sig.n} square gamma matrices of one dimension"):
             GeneratorSet(sig, tuple(np.array(g) for g in gammas), reducible=False, basis_note="by hand")
 
+    @pytest.mark.parametrize("sig", [Signature(1, 0), Signature(2, 0)], ids=str)
+    def test_rejects_zero_dimension(self, sig):
+        """A 0 x 0 gamma has no row to judge: the set is refused, not passed vacuously."""
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sig))} needs gamma matrices of dimension at least 1, got shapes \\[\\(0, 0\\)"):
+            GeneratorSet(sig, (np.zeros((0, 0)),) * sig.n, False, "x")
+
     def test_signature_and_nested_lists_are_coerced(self):
         gen = GeneratorSet((1, 1), (_X, [[0, 1], [-1, 0]]), False, "by hand")
         assert gen.sig == Signature(1, 1) and type(gen.sig) is Signature and gen.gammas[0] is _X
@@ -284,102 +313,115 @@ class TestGammaCheck:
         r = checks.check_gamma(16, 0)
         assert (r.passed, r.detail, r.covered) == (True, "n <= 12, faithful", 91)
 
+    @pytest.mark.parametrize("nmax", range(-1, 17))
+    def test_budget(self, nmax):
+        """Every count up to min(nmax, 12) is swept, each of its n + 1 signatures covered."""
+        reach = min(nmax, 12)
+        r = checks.check_gamma(nmax, 1)
+        assert (r.passed, r.detail, r.covered) == (True, f"n <= {reach}, faithful", sum(n + 1 for n in range(reach + 1)))
+
+    def test_builds_and_reads_no_dense_array(self):
+        """The check judges the synthesised forms as they are: with the dense writer and reader made to
+        raise, it still passes the full budget."""
+        with mock.patch.object(checks.gamma, "build_generators", side_effect=AssertionError("built")), mock.patch.object(
+            checks.gamma, "_monomial_forms", side_effect=AssertionError("read")
+        ):
+            r = checks.check_gamma(12, 1)
+        assert (r.passed, r.detail, r.covered) == (True, "n <= 12, faithful", 91)
+
     def test_one_flipped_entry_at_twelve_generators_fails(self):
-        honest = build_generators
-
-        def build(sig):
-            gen = honest(sig)
-            if sig != Signature(6, 6):
-                return gen
-            last = gen.gammas[-1].copy()
-            row, col = np.argwhere(last)[0]
-            last[row, col] = -last[row, col]
-            return GeneratorSet(gen.sig, gen.gammas[:-1] + (last,), gen.reducible, gen.basis_note)
-
-        with mock.patch.object(checks.gamma, "build_generators", build):
+        honest = generator_forms
+        with mock.patch.object(checks.gamma, "generator_forms", lambda s: form_mutated(s, FORM_MUTANTS["flipped-entry"]) if s == Signature(6, 6) else honest(s)):
             r = checks.check_gamma(12, 0)
         assert (r.passed, r.detail) == (False, "Cl(6,6)")
 
-    @pytest.mark.parametrize("mutant", GAMMA_MUTANTS)
-    @pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 2), Signature(4, 4), Signature(6, 6)], ids=str)
+    @pytest.mark.parametrize("mutant", FORM_MUTANTS)
+    @pytest.mark.parametrize("sig", MUTATED_SIGNATURES, ids=str)
     def test_mutant_fails(self, mutant, sig):
-        """Each mutant of one set's last gamma fails the check, which names that set, and fails the one-set
-        functions; the dense products agree that the relations break."""
-        honest = build_generators
-        with mock.patch.object(checks.gamma, "build_generators", lambda s: mutated(honest(s), GAMMA_MUTANTS[mutant]) if s == sig else honest(s)):
+        """Each form mutant of one set's last gamma fails the check, which names that set; written dense, it
+        is the dense mutant of the same name."""
+        honest = generator_forms
+        with mock.patch.object(checks.gamma, "generator_forms", lambda s: form_mutated(s, FORM_MUTANTS[mutant]) if s == sig else honest(s)):
             r = checks.check_gamma(12, 0)
         assert (r.passed, r.detail, r.covered) == (False, str(sig), 91)
-        gen = mutated(honest(sig), GAMMA_MUTANTS[mutant])
+        assert _monomial_forms(mutated(build_generators(sig), GAMMA_MUTANTS[mutant])) == form_mutated(sig, FORM_MUTANTS[mutant])[0]
+
+    @pytest.mark.parametrize("mutant", GAMMA_MUTANTS)
+    @pytest.mark.parametrize("sig", MUTATED_SIGNATURES, ids=str)
+    def test_dense_mutant_fails_the_one_set_functions(self, mutant, sig):
+        """Each dense mutant of one set's last gamma breaks the relations by dense products and fails the
+        one-set functions; the filled-zero mutant is not monomial, which the error names."""
+        gen = mutated(build_generators(sig), GAMMA_MUTANTS[mutant])
         assert not verify_anticommutation(gen) and not dense_verdict(gen)[0]
-        with pytest.raises(ValueError, match=f"gamma matrices of {re.escape(str(sig))} violate the defining relations"):
+        with pytest.raises(ValueError, match=f"gamma matrices of {re.escape(str(sig))} violate the defining relations") as raised:
             faithfulness_rank(gen)
-        assert gamma_verdicts([gen])[0].monomial == (mutant != "filled-zero")
+        assert ("not monomial" in str(raised.value)) == (mutant == "filled-zero")
 
     def test_first_mutant_in_sweep_order_is_named(self):
-        """With mutants at Cl(6,6), Cl(2,5) and Cl(5,2), the check names Cl(2,5), first in the sweep's
+        """With form mutants at Cl(6,6), Cl(2,5) and Cl(5,2), the check names Cl(2,5), first in the sweep's
         order of n, then p, ascending."""
-        honest, targets = build_generators, dict(zip(map(Signature, (6, 2, 5), (6, 5, 2)), GAMMA_MUTANTS.values()))
-        with mock.patch.object(checks.gamma, "build_generators", lambda s: mutated(honest(s), targets[s]) if s in targets else honest(s)):
+        honest, targets = generator_forms, dict(zip(map(Signature, (6, 2, 5), (6, 5, 2)), FORM_MUTANTS.values()))
+        with mock.patch.object(checks.gamma, "generator_forms", lambda s: form_mutated(s, targets[s]) if s in targets else honest(s)):
             r = checks.check_gamma(12, 0)
         assert (r.passed, r.detail) == (False, "Cl(2,5)")
 
-    def test_grouped_verdicts_match_the_one_set_functions(self):
-        """All 91 sets of p+q <= 12 in one call, with a mutant of each kind among them, give each set the
-        verdict the one-set functions give it: a failing set in a stack leaves the others' verdicts alone."""
-        gens = [build_generators(s) for s in synthesised]
-        gens += [mutated(build_generators(s), m) for s, m in zip(map(Signature, (2, 4, 3, 6), (2, 3, 5, 6)), GAMMA_MUTANTS.values())]
-        verdicts = gamma_verdicts(gens)
-        assert len(verdicts) == 95 and all(type(v) is GammaVerdict for v in verdicts)
-        for gen, v in zip(gens, verdicts):
-            assert v == gamma_verdicts([gen])[0]
-            assert v.relations == verify_anticommutation(gen)
-            if v.relations:
-                assert (v.monomial, v.rank, v.omega_sign) == (True, faithfulness_rank(gen), omega_image_square_sign(gen))
-                assert v.rank == 1 << gen.sig.n and v.omega_sign == (omega_square_mod8(gen.sig) if gen.sig.n else 1)
-        assert [v.relations for v in verdicts] == [True] * 91 + [False] * 4
+    def test_dense_read_is_the_forms(self):
+        """On all 91 p+q <= 12 the dense gammas read back are ``generator_forms``' forms, so the one-set
+        functions give each set the check's verdict: the relations, rank 2^n and the mod-8 omega sign."""
+        for sig in synthesised:
+            forms, gen = generator_forms(sig)[0], build_generators(sig)
+            assert _monomial_forms(gen) == forms, sig
+            v = form_verdict(forms, sig.metric)
+            assert type(v) is GammaVerdict and v == (True, 1 << sig.n, omega_square_mod8(sig) if sig.n else 1), sig
+            assert (verify_anticommutation(gen), faithfulness_rank(gen), omega_image_square_sign(gen)) == v, sig
 
     @pytest.mark.parametrize("n", range(11))
     def test_monomial_verdicts_match_the_dense_products(self, n):
-        """On every shipped set of n generators and on each mutant of it, the (column, phase) verdicts equal
-        what dense products give: the relations, and the sign of omega^2 (0 if neither +-I).  A set that is
-        not monomial fails closed, even where the dense products hold, as the filled-zero mutant
+        """On every shipped set of n generators and on each mutant of it, the one-set functions give what
+        dense products give: the relations, and the sign of omega^2 (0 if neither +-I).  A set that is not
+        monomial fails closed, even where the dense products hold, as the filled-zero mutant
         [[i, 1], [0, -i]] of Cl(0,1) squares to -I."""
         for p in range(n + 1):
             gen = build_generators((p, n - p))
             for g in [gen] + ([mutated(gen, m) for m in GAMMA_MUTANTS.values()] if n >= 1 else []):
-                v = gamma_verdicts([g])[0]
+                monomial = _monomial_forms(g) is not None
                 relations, sign = dense_verdict(g)
-                assert v.relations == (relations and v.monomial), g.sig
-                assert v.omega_sign == (sign if v.monomial else 0), g.sig
+                assert verify_anticommutation(g) == (relations and monomial), g.sig
+                try:
+                    got = omega_image_square_sign(g)
+                except ValueError:
+                    got = 0
+                assert got == (sign if monomial else 0), g.sig
 
 
-class TestFormRelations:
-    def test_agrees_with_the_dense_verdicts(self):
-        """On every synthesised set, the dense bits read back through ``_monomial_forms`` are
-        ``generator_forms``' forms, and ``forms_anticommute`` holds as ``gamma_verdicts`` does; on each
-        GAMMA_MUTANTS mutant of it, read back the same way, the dense verdict is ``forms_anticommute``'s
-        where the mutant is monomial, and fails where it is not."""
-        def read(gen):
-            columns, phases, monomial = _monomial_forms(np.array([gen.gammas]).reshape(1, gen.sig.n, gen.dim, gen.dim))
-            return list(zip(map(tuple, columns[0].tolist()), map(tuple, phases[0].tolist()))), bool(monomial[0])
-
-        for sig in synthesised:
-            forms, gen = generator_forms(sig)[0], build_generators(sig)
-            assert read(gen) == (list(forms), True)
-            assert forms_anticommute(forms, gen.metric) and gamma_verdicts([gen])[0].relations
-            for mutant in GAMMA_MUTANTS.values() if sig.n else ():
-                bad = mutated(gen, mutant)
-                bad_forms, monomial = read(bad)
-                assert gamma_verdicts([bad])[0].relations == (monomial and forms_anticommute(bad_forms, bad.metric)), sig
-
+class TestFormVerdict:
     def test_each_broken_relation_fails(self):
         """A square, an anticommutator and the metric each fail the form proof on their own."""
         forms = list(generator_forms((1, 3))[0])
-        assert forms_anticommute(forms, (1, -1, -1, -1))
-        assert not forms_anticommute(forms, (1, 1, -1, -1))  # g_2^2 = -I, not +I
-        assert not forms_anticommute(forms[:2] + [forms[1]] + forms[3:], (1, -1, -1, -1))  # g_2 g_2 + g_2 g_2 = -2I, not 0
-        columns, phases = forms[3]
-        assert not forms_anticommute(forms[:3] + [(columns, tuple((k + 2) % 4 if r == 0 else k for r, k in enumerate(phases)))], (1, -1, -1, -1))
+        assert form_verdict(forms, (1, -1, -1, -1)).relations
+        assert not form_verdict(forms, (1, 1, -1, -1)).relations  # g_2^2 = -I, not +I
+        assert not form_verdict(forms[:2] + [forms[1]] + forms[3:], (1, -1, -1, -1)).relations  # g_2 g_2 + g_2 g_2 = -2I, not 0
+        assert not form_verdict(forms[:3] + [_phase_added(*forms[3], 2)], (1, -1, -1, -1)).relations
+
+    @pytest.mark.parametrize(
+        "forms,metric,verdict",
+        [
+            ((), (), (True, 1, 1)),  # the trivial module: omega = I
+            ((((0,), (0,)),), (1,), (True, 1, 1)),  # Cl(1,0) on [[1]]: omega = I, the span halves
+            ((((0,), (1,)),), (-1,), (True, 2, -1)),  # Cl(0,1) on [[i]]: omega = iI
+            ((((0,), (1,)),), (1,), (False, 2, -1)),  # [[i]] squares to -1, not +1
+            ((((1, 0), (0, 0)), ((1, 0), (0, 0))), (1, 1), (False, 4, 1)),  # X twice: omega = X^2 = I
+            ((((1, 0), (0, 2)),), (-1,), (True, 2, -1)),  # J of Cl(0,1): a permutation with phases
+        ],
+    )
+    def test_hand_written_forms(self, forms, metric, verdict):
+        assert form_verdict(forms, metric) == verdict
+
+    def test_agrees_with_the_generator_sets(self):
+        """On hand-built dense sets, ``form_verdict`` of the forms read back gives what the one-set
+        functions report."""
+        gen = GeneratorSet(Signature(2, 1), (_X, _Z, _X @ _Z), reducible=False, basis_note="by hand")
+        assert form_verdict(_monomial_forms(gen), gen.metric) == (True, 4, 1) == (verify_anticommutation(gen), faithfulness_rank(gen), omega_image_square_sign(gen))
 
 
 class TestVolumeImage:

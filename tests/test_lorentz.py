@@ -47,9 +47,8 @@ def _digest(all_ops) -> str:
 
 
 def gn_vdw_case(lab: GNLabel):
-    """The arguments ``check_gn_vdw`` hands each of ``GN_VDW_PROPERTIES`` for label ``lab``."""
-    ops = build_gn_operators(lab)
-    return ops, gn_to_vdw(ops)
+    """The argument ``check_gn_vdw`` hands each of ``GN_VDW_PROPERTIES`` for label ``lab``."""
+    return gn_to_vdw(build_gn_operators(lab))
 
 
 def all_gn_labels(dim_max: int) -> list[GNLabel]:
@@ -749,42 +748,53 @@ class TestConversion:
     @pytest.mark.parametrize("prop", GN_VDW_PROPERTIES)
     @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
     def test_gn_vdw_property(self, lab, prop):
-        assert GN_VDW_PROPERTIES[prop](*gn_vdw_case(lab))
+        assert GN_VDW_PROPERTIES[prop](gn_vdw_case(lab))
+
+    @pytest.mark.parametrize("lab", gn_labels(64), ids=str)
+    def test_gn_to_vdw_matches_the_reference_formula(self, lab):
+        """The converted spins are l = (l0 + l1 - 1)/2 and ldot = (l1 - l0 - 1)/2, and the converted
+        triples, in cartesian form, are X = i(A + iB)/2 and Y = i(A - iB)/2 of the GN operators' A, B."""
+        ops = build_gn_operators(lab)
+        v, ab = gn_to_vdw(ops), reconstruct_AB(ops)
+        assert (v.l, v.ldot) == ((lab.l0 + lab.l1 - 1) / 2, (lab.l1 - lab.l0 - 1) / 2)
+        got = cartesian(v.x3, v.xplus, v.xminus) + cartesian(v.y3, v.yplus, v.yminus)
+        ref = [0.5j * (a + 1j * b) for a, b in zip(ab[:3], ab[3:])] + [0.5j * (a - 1j * b) for a, b in zip(ab[:3], ab[3:])]
+        assert lorentz._worst(g - r for g, r in zip(got, ref)) <= 1e-12
 
     @pytest.mark.parametrize(
         "prop,mutate",
         [
             ("su(2) relations", lambda v: replace(v, x3=2 * v.x3)),
-            ("spin l", lambda v: replace(v, l=v.l + 1)),
+            ("X3 spectrum", lambda v: replace(v, l=v.l + 1)),
             ("X3 spectrum", lambda v: replace(v, x3=v.y3)),
-            ("operator reconstruction", lambda v: replace(v, xplus=v.xplus + 1e-9)),
-            ("operator reconstruction", lambda v: replace(v, yminus=np.full_like(v.yminus, np.nan))),
+            ("su(2) relations", lambda v: replace(v, xplus=v.xplus + 1e-9)),
+            ("su(2) relations", lambda v: replace(v, yminus=np.full_like(v.yminus, np.nan))),
         ],
     )
     def test_gn_vdw_property_mutation_detected(self, prop, mutate):
-        ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
-        assert GN_VDW_PROPERTIES[prop](ops, v)
-        assert not GN_VDW_PROPERTIES[prop](ops, mutate(v))
+        v = gn_vdw_case(GNLabel(F(1), F(3)))
+        assert GN_VDW_PROPERTIES[prop](v)
+        assert not GN_VDW_PROPERTIES[prop](mutate(v))
 
     def test_non_hermitian_x3_fails_the_spectrum(self):
         """Two non-Hermitian X3 mutants, 0.25i on every diagonal entry and 0.5 at the top-right corner,
         keep the sorted real parts of their eigenvalues within SPECTRUM_TOL of m = -l .. l; the
         Hermitian test turns both down."""
-        ops, v = gn_vdw_case(GNLabel(F(1), F(4)))
+        v = gn_vdw_case(GNLabel(F(1), F(4)))
         n = len(v.x3)
         expected = np.repeat(np.arange(int(2 * v.l) + 1) - float(v.l), int(2 * v.ldot) + 1)
         for x3 in (v.x3 + 0.25j * np.eye(n), v.x3 + np.eye(n, k=n - 1) / 2):
             assert np.abs(np.sort(np.linalg.eigvals(x3).real) - expected).max() <= lorentz.SPECTRUM_TOL
-            assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
+            assert GN_VDW_PROPERTIES["X3 spectrum"](replace(v, x3=x3)) is False
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x3_entry_fails_the_spectrum(self, bad):
         """A NaN or inf in X3 makes the property False before ``np.linalg.eigvalsh`` runs."""
-        ops, v = gn_vdw_case(GNLabel(F(1), F(3)))
+        v = gn_vdw_case(GNLabel(F(1), F(3)))
         x3 = v.x3.copy()
         x3[0, 0] = bad
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh ran")):
-            assert GN_VDW_PROPERTIES["X3 spectrum"](ops, replace(v, x3=x3)) is False
+            assert GN_VDW_PROPERTIES["X3 spectrum"](replace(v, x3=x3)) is False
 
     @pytest.mark.parametrize("where", [0, -1])
     def test_nan_eigenvalue_fails_the_check(self, where):
