@@ -495,7 +495,7 @@ class Multivector:
 
     def _negate_grades(self, flips: tuple[int, int, int, int]) -> "Multivector":
         """Negate each grade-k part for which ``flips[k % 4]`` is set."""
-        nums = {m: -v if flips[grade(m) & 3] else v for m, v in self._nums.items()}
+        nums = {m: -v if flips[m.bit_count() & 3] else v for m, v in self._nums.items()}
         return Multivector._valid(self._sig, nums, self._den, self._fraction)
 
     def grade_involution(self) -> "Multivector":

@@ -274,8 +274,9 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 def cmd_rep(args) -> int:
     """``rep --gn`` judges the dense GN operators.  ``rep --vdw`` passes when ``lorentz.vdw_proof``
-    brackets every root of both spins and its residual is at most ``--tol``; its rows come from
-    ``lorentz.vdw_parts``, and it loads no numpy."""
+    proves both spins' bands exactly, every root bracketed and j3's diagonal -j .. j, as ``verify``'s
+    ``vdw-com2`` does, and its residual is at most ``--tol``; its rows come from ``lorentz.vdw_parts``,
+    and it loads no numpy."""
     from .lorentz import (
         GN_COM_TOL,
         GNLabel,

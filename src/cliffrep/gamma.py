@@ -205,8 +205,24 @@ def form_verdict(forms: Sequence[Form], metric: Sequence[int]) -> GammaVerdict:
     is one of +-2, +-6: the columns agree and the phases differ by 2 (mod 4).  g_a^2 = eta_a I iff
     each row of it is the identity's with phase 1 - eta_a (mod 4).  omega = g_1 ... g_n is folded left
     to right; for odd n the rank halves exactly when omega = +-I.
+
+    Input it cannot judge is one ``ValueError`` naming the mismatch: each form needs one metric entry,
+    +1 or -1, and is a pair (columns, phases) of int sequences of one common length dim >= 1, its
+    columns in 0..dim-1 and its phases in 0..3.
     """
     n, dim = len(forms), len(forms[0][0]) if forms else 1
+    if len(metric) != n or not set(metric) <= {1, -1}:
+        raise ValueError(f"{n} forms need {n} metric entries, each +1 or -1, got {list(metric)}")
+    if dim < 1:
+        raise ValueError("forms need dim >= 1 rows")
+    for a, (columns, phases) in enumerate(forms):
+        if not (
+            len(columns) == len(phases) == dim
+            and {*map(type, columns), *map(type, phases)} <= {int}
+            and set(columns) <= set(range(dim))
+            and set(phases) <= {0, 1, 2, 3}
+        ):
+            raise ValueError(f"form {a} is not {dim} int columns in 0..{dim - 1} and {dim} int phases in 0..3")
     packed = [[c << 4 | k for c, k in zip(*form)] for form in forms]
     identity = [r << 4 for r in range(dim)]
 

@@ -29,19 +29,22 @@ The builders return dense complex numpy arrays over fixed lexicographic
 basis orders, and every root of an integer is correctly rounded
 (``_roots``: ``math.sqrt`` on an int, ``np.sqrt`` on an int array, the
 same IEEE 754 bits), so outputs are deterministic.  Each spin's su(2)
-ladder is proved exactly (``su2_ladder_failure``): its relations are
-integer identities on the squares of its entries, and each shipped root
-is bound to its exact value within ``SU2_ROOT_ULPS`` (``_root_failure``).
-The ``*_TOL`` constants bound the float residuals of whole operator sets,
-each one NaN-keeping fold (``_worst``), and are defined nowhere else:
+ladder is proved exactly by one pure-Python judge (``_band_failure``) on
+its O(n) band (``_su2_band``), which ``su2_ladder_failure`` and
+``vdw_proof`` both run: its relations are integer identities on the
+squares of its entries, j3's diagonal is compared exactly with -j .. j,
+and each shipped root is bound to its exact value within
+``SU2_ROOT_ULPS``; no dense ladder is read back.  The ``*_TOL``
+constants bound the float residuals of whole operator sets, each one
+NaN-keeping fold (``_worst``), and are defined nowhere else:
 ``GN_COM_TOL`` the GN relations (``com1_residual``), ``VDW_COM_TOL`` the
 converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
 ``rep --vdw`` needs no numpy: ``vdw_parts`` gives the six operators'
 entries from the same su(2) entries on Python ints, one Python complex
-product each, and ``vdw_proof`` its verdict.  numpy is imported inside
-the functions that make or read arrays.
+product each, and ``vdw_proof`` its verdict from the same bands.  numpy
+is imported inside the functions that make or read arrays.
 """
 
 from __future__ import annotations
@@ -353,44 +356,10 @@ def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def su2_ladder_failure(j) -> str | None:
-    """Failure text unless ``su2_ladder(j)`` is exactly the spin-j su(2) triple, else None.
-
-    With n = 2j, m_i = -j + i and x_i = (n-i)(i+1), it reads the three diagonals and one
-    nonzero count per array on its float64 view (real and imaginary parts), and proves:
-
-    * j+ is nonzero only at (i+1, i) and j- only at (i, i+1), with the same real root f_i,
-      so j- = j+^T;
-    * each f_i is finite and > 0, and ``SU2_ROOT_ULPS`` ulps below and above it bracket
-      sqrt(x_i) (``_root_failure``);
-    * [j+, j-] = 2 j3 for f_i = sqrt(x_i): j3 is diagonal and 2 j3[i, i] equals
-      f_(i-1)^2 - f_i^2 = x_(i-1) - x_i = 2i - n, with x_(-1) = x_n = 0, so j3's diagonal
-      holds the exact m_i, and [j3, j+-] = +-j+- follows from m_(i+1) - m_i = 1.
-
-    No tolerance enters, and a NaN anywhere fails.  Nothing is cached: every call reads
-    what ``su2_ladder`` returns then."""
-    import numpy as np
-
-    n = _twice_spin(j)
-    ladder = su2_ladder(j)
-    if any(m.shape != (n + 1, n + 1) or m.dtype != complex for m in ladder):
-        return f"spin {j}: not three {n + 1} x {n + 1} complex arrays"
-    j3, jp, jm = ladder
-    counts = [np.count_nonzero(m.ravel("K").view(np.float64)) for m in ladder]
-    roots = np.diagonal(jp, -1)
-    f = roots.real
-    if not (((0 < f) & (f < np.inf)).all() and counts[1] == n):  # so each root's imaginary part is 0
-        return f"spin {j}: j+ is not one positive root at each (i+1, i)"
-    if not (np.array_equal(np.diagonal(jm, 1), roots) and counts[2] == n):
-        return f"spin {j}: j- is not the transpose of j+"
-    if failure := _root_failure(j, f.tolist()):
-        return failure
-    i = np.arange(n)
-    x = np.zeros(n + 2, dtype=np.int64)
-    x[1:-1] = (n - i) * (i + 1)
-    two_m = x[:-1] - x[1:]
-    if not (np.array_equal(2 * np.diagonal(j3), two_m) and counts[0] == np.count_nonzero(two_m)):
-        return f"spin {j}: j3 is not [j+, j-]/2 = diag(-j .. j)"
-    return None
+    """Failure text unless spin j's su(2) entries, as ``_su2_band`` gives them and ``su2_ladder`` writes
+    them, are exactly the spin-j triple, else None: ``_band_failure`` on ``_su2_band(2j)``, in pure Python.
+    Nothing is cached: every call reads what ``_su2_entries`` gives then."""
+    return _band_failure(j, *_su2_band(_twice_spin(j)))
 
 
 def vdw_dim(l, ldot) -> int:
@@ -455,11 +424,22 @@ def vdw_parts(l, ldot) -> tuple[dict[str, Callable[[], tuple[list[float], list[f
     return {name: partial(_kron_parts, a, b) for name, (a, b) in zip(_VDW_NAMES, factors)}, _vdw_note(l, ldot)
 
 
-def _root_failure(j, roots: list[float]) -> str | None:
-    """Failure text unless each root f_i of spin j's j+, i = 0 .. 2j - 1, is finite and > 0 and,
-    stepped ``SU2_ROOT_ULPS`` ulps down and up to f- and f+, gives f-^2 <= x_i <= f+^2 for
-    x_i = (2j - i)(i + 1), compared exactly on the Python ints of ``as_integer_ratio``; else None."""
-    n = len(roots)
+def _band_failure(j, m: list[float], roots: list[float]) -> str | None:
+    """Failure text unless the band (m, roots) is exactly spin j's su(2) triple, else None: the one
+    proof of a spin's su(2) relations, in pure Python on the n + 1 entries m of j3's diagonal and the n
+    roots f of j+'s subdiagonal (j-'s superdiagonal), n = 2j.  With x_i = (n - i)(i + 1) it proves:
+
+    * the band lengths are n + 1 and n;
+    * each f_i is finite and > 0 and, stepped ``SU2_ROOT_ULPS`` ulps down and up to f- and f+, gives
+      f-^2 <= x_i <= f+^2, compared exactly on the Python ints of ``as_integer_ratio``;
+    * [j+, j-] = 2 j3 for f_i = sqrt(x_i): 2 m_i equals f_(i-1)^2 - f_i^2 = x_(i-1) - x_i = 2i - n,
+      with x_(-1) = x_n = 0, compared exactly with the Python int, so m_i = -j + i, and
+      [j3, j+-] = +-j+- follows from m_(i+1) - m_i = 1.
+
+    No tolerance enters, and a NaN anywhere fails."""
+    n = _twice_spin(j)
+    if len(m) != n + 1 or len(roots) != n:
+        return f"spin {j}: band lengths (j3, j+) are not ({n + 1}, {n})"
     for i, f in enumerate(roots):
         if not 0 < f < math.inf:
             return f"spin {j}: j+ is not one positive root at each (i+1, i)"
@@ -469,6 +449,8 @@ def _root_failure(j, roots: list[float]) -> str | None:
         (p, q), (r, s), square = low.as_integer_ratio(), high.as_integer_ratio(), (n - i) * (i + 1)
         if p * p > square * q * q or r * r < square * s * s:
             return f"spin {j}: root {i} of j+ is not within {SU2_ROOT_ULPS} ulp of sqrt({square})"
+    if any(2 * v != 2 * i - n for i, v in enumerate(m)):
+        return f"spin {j}: j3 is not [j+, j-]/2 = diag(-j .. j)"
     return None
 
 
@@ -488,17 +470,17 @@ def vdw_proof(l, ldot) -> tuple[str | None, float]:
     """``(failure, residual)`` of the (l, ldot) operators from their two spins' ``_su2_band`` entries,
     without numpy.
 
-    ``failure`` is ``_root_failure``'s text for the first spin with a root outside ``SU2_ROOT_ULPS``
-    ulps of its exact value, or None.  ``residual`` is the largest entry deviation over the six
-    relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples, each taken on the
-    triple's bands: under the Kronecker assembly each su(2) relation of X and Y is that of its spin
-    times I, and the nine [Xa, Yb] vanish entry by entry, so these are all of ``com2_residual``'s
-    relations that contribute.
+    ``failure`` is ``_band_failure``'s text for the first spin whose band is not exactly its su(2)
+    triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is the largest entry
+    deviation over the six relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples,
+    each taken on the triple's bands: under the Kronecker assembly each su(2) relation of X and Y is
+    that of its spin times I, and the nine [Xa, Yb] vanish entry by entry, so these are all of
+    ``com2_residual``'s relations that contribute.
     """
     failure, deviations = None, []
     for j in (as_half_integer(l), as_half_integer(ldot)):
         m, roots = _su2_band(_twice_spin(j))
-        failure = failure or _root_failure(j, roots)
+        failure = failure or _band_failure(j, m, roots)
         plus = {(i + 1, i): complex(f, 0.0) for i, f in enumerate(roots)}
         minus = {(i, i + 1): complex(f, 0.0) for i, f in enumerate(roots)}
         zero = complex(0.0, 0.0)

@@ -178,20 +178,20 @@ class TestRepCommand:
         assert payload["tolerance"] == GN_COM_TOL  # the default --tol
 
     @staticmethod
-    def first_root_of_spin_1(monkeypatch, edit):
-        """``lorentz._su2_entries``, the entries ``rep --vdw`` writes and proves, with ``edit`` applied
-        to spin 1's first root, sqrt(2), where it is read on Python ints."""
+    def first_entries_of_spin_1(monkeypatch, edit):
+        """``lorentz._su2_entries``, the entries ``rep --vdw`` writes and proves, with ``edit(m, root)``
+        applied to spin 1's first entries, m = -1 and root sqrt(2), where they are read on Python ints."""
         honest = lorentz._su2_entries
 
         def entries(n, i):
             m, root = honest(n, i)
-            return m, edit(root) if (n, i) == (2, 0) else root
+            return edit(m, root) if (n, i) == (2, 0) else (m, root)
 
         monkeypatch.setattr(lorentz, "_su2_entries", entries)
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         """A NaN root of spin 1 reaches the rows, the root proof and the residual: exit 1, pass false."""
-        self.first_root_of_spin_1(monkeypatch, lambda root: math.nan)
+        self.first_entries_of_spin_1(monkeypatch, lambda m, root: (m, math.nan))
         code, out, err = run(["rep", "--vdw", "1", "0"], capsys)
         assert code == 1 and json.loads(out)["pass"] is False and math.isnan(json.loads(out)["operators"]["X+"]["entries"][3][0])
         assert err.splitlines() == ["spin 1: j+ is not one positive root at each (i+1, i)", "(l,ldot) = (1,0), dim 3, commutator residual nan FAIL"]
@@ -199,11 +199,20 @@ class TestRepCommand:
     def test_root_two_ulps_off_fails(self, capsys, monkeypatch):
         """sqrt(2) moved up 2 ulps leaves the residual far below the tolerance, but the exact bracket of
         SU2_ROOT_ULPS = 1 ulp fails: exit 1, pass false."""
-        self.first_root_of_spin_1(monkeypatch, lambda root: math.nextafter(math.nextafter(root, math.inf), math.inf))
+        self.first_entries_of_spin_1(monkeypatch, lambda m, root: (m, math.nextafter(math.nextafter(root, math.inf), math.inf)))
         code, out, err = run(["rep", "--vdw", "1", "1/2"], capsys)
         payload = json.loads(out)
         assert code == 1 and payload["pass"] is False and payload["commutator_residual"] <= 1e-15
         assert err.splitlines()[0] == "spin 1: root 0 of j+ is not within 1 ulp of sqrt(2)" and err.endswith(" FAIL\n")
+
+    def test_halved_diagonal_entry_fails_at_any_tol(self, capsys, monkeypatch):
+        """m = -1 of spin 1 written as -1/2 leaves a residual of 0.5, below --tol 1, but the exact diagonal
+        of the su(2) judge fails: exit 1, pass false, and the spin named on stderr."""
+        self.first_entries_of_spin_1(monkeypatch, lambda m, root: (m / 2, root))
+        code, out, err = run(["rep", "--vdw", "1", "1/2", "--tol", "1"], capsys)
+        payload = json.loads(out)
+        assert code == 1 and payload["pass"] is False and 0.49 < payload["commutator_residual"] < 1
+        assert err.splitlines() == ["spin 1: j3 is not [j+, j-]/2 = diag(-j .. j)", "(l,ldot) = (1,1/2), dim 6, commutator residual 5.000e-01 FAIL"]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -542,6 +551,19 @@ print([m for m in {unimported!r} if m in sys.modules])
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
+
+    def test_su2_judge_loads_no_numpy(self):
+        """``lorentz.su2_ladder_failure``, the proof behind vdw-com2, passes every spin of 2j < 400 in pure
+        Python: it builds and reads no dense ladder, so numpy stays unloaded."""
+        code = """
+import sys
+from fractions import Fraction
+from cliffrep import lorentz
+print([n for n in range(400) if lorentz.su2_ladder_failure(Fraction(n, 2)) is not None], "numpy" in sys.modules)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[] False"]
 
     def test_gn_rep_loads_numpy(self):
         """The boundary of the numpy-free matrix commands: ``rep --gn`` still builds dense arrays."""

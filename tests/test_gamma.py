@@ -58,6 +58,10 @@ def _flip_entry(g):
 GAMMA_MUTANTS = {"turned-phase": _turn_phase, "swapped-columns": _swap_columns, "filled-zero": _fill_zero, "flipped-entry": _flip_entry}
 
 
+#: the forms of X and Z
+_FORM_X, _FORM_Z = ((1, 0), (0, 0)), ((0, 1), (0, 2))
+
+
 def _phase_added(columns, phases, k):
     """Row 0's phase plus k (mod 4)."""
     return columns, ((phases[0] + k) % 4,) + phases[1:]
@@ -416,6 +420,27 @@ class TestFormVerdict:
     )
     def test_hand_written_forms(self, forms, metric, verdict):
         assert form_verdict(forms, metric) == verdict
+
+    @pytest.mark.parametrize(
+        "forms,metric,message",
+        [
+            # Z twice would be judged only up to the metric's length, which skips their failing pair
+            pytest.param((_FORM_X, _FORM_Z, _FORM_Z), (1,), "3 forms need 3 metric entries, each +1 or -1, got [1]", id="short-metric"),
+            pytest.param((_FORM_X,), (1, 1), "1 forms need 1 metric entries, each +1 or -1, got [1, 1]", id="long-metric"),
+            pytest.param((_FORM_X,), (0,), "1 forms need 1 metric entries, each +1 or -1, got [0]", id="zero-metric"),
+            pytest.param((((-1, 0), (0, 0)),), (1,), "form 0 is not 2 int columns in 0..1 and 2 int phases in 0..3", id="column-minus-1"),
+            pytest.param((((1, 0), (6, 0)),), (1,), "form 0 is not 2 int columns in 0..1 and 2 int phases in 0..3", id="phase-6"),
+            pytest.param((_FORM_X, ((0,), (0,))), (1, 1), "form 1 is not 2 int columns in 0..1 and 2 int phases in 0..3", id="two-dims"),
+            pytest.param((((1.0, 0), (0, 0)),), (1,), "form 0 is not 2 int columns in 0..1 and 2 int phases in 0..3", id="float-column"),
+            pytest.param((((1, 0), (0,)),), (1,), "form 0 is not 2 int columns in 0..1 and 2 int phases in 0..3", id="short-phases"),
+            pytest.param((((), ()),), (1,), "forms need dim >= 1 rows", id="dim-0"),
+        ],
+    )
+    def test_malformed_input_is_rejected(self, forms, metric, message):
+        """Input the rule cannot judge is one ``ValueError`` naming the mismatch, not a verdict."""
+        with pytest.raises(ValueError) as exc:
+            form_verdict(forms, metric)
+        assert str(exc.value) == message
 
     def test_agrees_with_the_generator_sets(self):
         """On hand-built dense sets, ``form_verdict`` of the forms read back gives what the one-set

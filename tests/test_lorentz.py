@@ -320,6 +320,39 @@ class TestGNOperators:
         assert com1_residual(perturbed) > 1e-4
 
 
+_HONEST_BAND = lorentz._su2_band
+
+
+def _band_mutant(edit):
+    """``_su2_band`` with edit(m, roots) applied in place to the band of every spin past 0."""
+    def band(n):
+        m, roots = _HONEST_BAND(n)
+        if n:
+            edit(m, roots)
+        return m, roots
+    return band
+
+
+def _set_first(values, value):
+    values[0] = value
+
+
+#: bands that vdw-com2 must fail, each changed on every spin past 0 (spin 0 has no root),
+#: and the failure each gives at spin 1/2
+_NOT_ONE_ROOT = "j+ is not one positive root at each (i+1, i)"
+BAND_MUTANTS = {
+    "doubled-root": (_band_mutant(lambda m, roots: _set_first(roots, 2 * roots[0])), "root 0 of j+ is not within 1 ulp of sqrt(1)"),
+    "root-moved-2-ulps": (
+        _band_mutant(lambda m, roots: _set_first(roots, math.nextafter(math.nextafter(roots[0], math.inf), math.inf))),
+        "root 0 of j+ is not within 1 ulp of sqrt(1)",
+    ),
+    "flipped-j3-entry": (_band_mutant(lambda m, roots: _set_first(m, -m[0])), "j3 is not [j+, j-]/2 = diag(-j .. j)"),
+    "nan-root": (_band_mutant(lambda m, roots: _set_first(roots, math.nan)), _NOT_ONE_ROOT),
+    "negative-root": (_band_mutant(lambda m, roots: _set_first(roots, -roots[0])), _NOT_ONE_ROOT),
+    "infinite-root": (_band_mutant(lambda m, roots: _set_first(roots, math.inf)), _NOT_ONE_ROOT),
+}
+
+
 def _ladder_mutant(edit):
     """su2_ladder with edit(j3, j+, j-) applied in place to the triple of every spin past 0."""
     def ladder(j):
@@ -338,38 +371,42 @@ def _move_entry(m, source, target):
     m[target], m[source] = m[source], 0
 
 
-#: ladders that vdw-com2 must fail, each changed on every spin past 0 (spin 0 has no root),
-#: and the failure each gives at spin 1/2
-_NOT_ONE_ROOT = "j+ is not one positive root at each (i+1, i)"
-LADDER_MUTANTS = {
-    "doubled-root": (
-        _ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, 2 * jp[1, 0])),
-        "root 0 of j+ is not within 1 ulp of sqrt(1)",
-    ),
-    "root-moved-2-ulps": (
-        _ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.nextafter(np.nextafter(jp[1, 0].real, np.inf), np.inf))),
-        "root 0 of j+ is not within 1 ulp of sqrt(1)",
-    ),
-    "flipped-j3-entry": (
-        _ladder_mutant(lambda j3, jp, jm: j3.__setitem__((0, 0), -j3[0, 0])),
-        "j3 is not [j+, j-]/2 = diag(-j .. j)",
-    ),
-    "nan-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.nan)), _NOT_ONE_ROOT),
-    "negative-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, -jp[1, 0])), _NOT_ONE_ROOT),
-    "infinite-root": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, np.inf)), _NOT_ONE_ROOT),
-    "imaginary-root-part": (_ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, jp[1, 0] + 1j)), _NOT_ONE_ROOT),
-    "j+-entry-one-place-off": (_ladder_mutant(lambda j3, jp, jm: _move_entry(jp, (1, 0), (1, 1))), _NOT_ONE_ROOT),
-    "imaginary-entry-off-j+": (_ladder_mutant(lambda j3, jp, jm: jp.__setitem__((0, 1), 5e-324j)), _NOT_ONE_ROOT),
-    "single-precision": (
-        lambda j: tuple(m.astype(np.complex64) if j else m for m in su2_ladder(j)),
-        "not three 2 x 2 complex arrays",
-    ),
-    "j--root-1-ulp-apart": (
-        _ladder_mutant(lambda j3, jp, jm: jm.__setitem__((0, 1), np.nextafter(jm[0, 1].real, 0))),
-        "j- is not the transpose of j+",
-    ),
+#: dense ladders that write the band where it does not belong, or in other bits: the band the su(2)
+#: judge proves is unchanged, and the ladder digest is what fails each
+LAYOUT_MUTANTS = {
+    "imaginary-root-part": _ladder_mutant(lambda j3, jp, jm: _set_root(jp, jm, jp[1, 0] + 1j)),
+    "j+-entry-one-place-off": _ladder_mutant(lambda j3, jp, jm: _move_entry(jp, (1, 0), (1, 1))),
+    "imaginary-entry-off-j+": _ladder_mutant(lambda j3, jp, jm: jp.__setitem__((0, 1), 5e-324j)),
+    "single-precision": lambda j: tuple(m.astype(np.complex64) if j else m for m in su2_ladder(j)),
+    "j--root-1-ulp-apart": _ladder_mutant(lambda j3, jp, jm: jm.__setitem__((0, 1), np.nextafter(jm[0, 1].real, 0))),
 }
-DOUBLED_ROOT = LADDER_MUTANTS["doubled-root"][0]
+
+
+def ladder_digest(ladder) -> str:
+    """sha256 of the raw bytes of ladder(j)'s (j3, j+, j-) for 2j = 0..199, what SU2_LADDER_DIGEST pins."""
+    h = hashlib.sha256()
+    for n in range(200):
+        for m in ladder(F(n, 2)):
+            h.update(m.tobytes())
+    return h.hexdigest()
+
+
+def entries_of_spin_1(edit, index=0):
+    """``_su2_entries`` with ``edit(m, root)`` applied to spin 1's entries at ``index``, read on an int or
+    on an index array, as ``_su2_band`` and ``su2_ladder`` read them."""
+    honest = lorentz._su2_entries
+
+    def entries(n, i):
+        m, root = honest(n, i)
+        if n != 2:
+            return m, root
+        if isinstance(i, int):
+            return edit(m, root) if i == index else (m, root)
+        m, root = m.copy(), root.copy()
+        m[index], root[index] = edit(m[index], root[index])
+        return m, root
+
+    return mock.patch.object(lorentz, "_su2_entries", entries)
 
 
 def bracketing_ulps(f: float, x: int) -> int:
@@ -428,12 +465,15 @@ class TestVdWOperators:
                 assert got.tobytes() == want.tobytes()
 
     def test_ladder_bits_unchanged(self):
-        h = hashlib.sha256()
         for n in range(200):
-            for m in su2_ladder(F(n, 2)):
-                assert m.shape == (n + 1, n + 1) and m.dtype == complex
-                h.update(m.tobytes())
-        assert h.hexdigest() == SU2_LADDER_DIGEST
+            assert all(m.shape == (n + 1, n + 1) and m.dtype == complex for m in su2_ladder(F(n, 2)))
+        assert ladder_digest(su2_ladder) == SU2_LADDER_DIGEST
+
+    @pytest.mark.parametrize("mutant", LAYOUT_MUTANTS)
+    def test_layout_mutant_fails_the_ladder_digest(self, mutant):
+        """Each layout mutant leaves the band that vdw-com2 proves as it is, and changes su2_ladder's
+        bytes, so the digest that pins where ``_kron`` finds the band fails."""
+        assert ladder_digest(LAYOUT_MUTANTS[mutant]) != SU2_LADDER_DIGEST
 
     def test_ladders_are_fresh_writable_arrays(self):
         """Every call writes three new arrays that share no memory with each other or with an
@@ -480,41 +520,34 @@ class TestVdWOperators:
             assert com2_residual(ops) == max(np.abs(d).max() for d in deviations) > 0
 
     def test_nan_anywhere_fails_the_check(self):
-        """A NaN in any part of spin 1's triple, real or imaginary, on the support or off it, fails
-        the exact proof and the check at spin 1, as it makes the dense com2_residual NaN."""
-        honest = lorentz.su2_ladder
-        spots = [(0, (0, 0)), (0, (2, 0)), (1, (1, 0)), (1, (0, 0)), (2, (0, 1)), (2, (2, 2))]
-        for which, spot in spots:
-            for nan in (complex(np.nan, 0.0), complex(0.0, np.nan)):
-                def ladder(j):
-                    t = honest(j)
-                    if j == 1:
-                        t[which][spot] = nan
-                    return t
-                with mock.patch.object(lorentz, "su2_ladder", ladder):
+        """A NaN at any entry of spin 1's band, on j3's diagonal or a root, fails the exact proof and the
+        check at spin 1, as it makes the dense com2_residual NaN."""
+        for index in range(3):  # spin 1's top root, at index 2, is the 0 past the band
+            for edit in [lambda m, f: (math.nan, f)] + ([lambda m, f: (m, math.nan)] if index < 2 else []):
+                with entries_of_spin_1(edit, index):
                     r = checks.check_vdw_com2(0, 64)
                     assert np.isnan(com2_residual(build_vdw_operators(1, 0)))
-                assert not r.passed and r.detail.startswith("spin 1: "), (which, spot, nan, r.detail)
+                assert not r.passed and r.detail.startswith("spin 1: "), (index, r.detail)
 
     @pytest.mark.parametrize("dim_max", [1, 16, 36])
     def test_check_matches_the_dense_residuals(self, dim_max):
         """The exact per-spin proof gives the verdict of dense com2_residual over every label, on the
-        shipped ladders and on a doubled root; ``covered`` counts the labels, the detail the spins."""
-        labels = vdw_labels(dim_max)
-        for ladder in (su2_ladder, DOUBLED_ROOT):
-            with mock.patch.object(lorentz, "su2_ladder", ladder):
+        shipped entries and on doubled roots, which both read from ``_su2_entries``; ``covered`` counts
+        the labels, the detail the spins."""
+        labels, honest = vdw_labels(dim_max), lorentz._su2_entries
+        for entries in (honest, lambda n, i: (honest(n, i)[0], 2 * honest(n, i)[1])):
+            with mock.patch.object(lorentz, "_su2_entries", entries):
                 worst = max(com2_residual(build_vdw_operators(l, ld)) for l, ld in labels)
                 r = checks.check_vdw_com2(0, dim_max)
             assert (r.passed, r.covered) == (worst <= VDW_COM_TOL, len(labels))
         assert checks.check_vdw_com2(0, dim_max).detail == f"dim <= {dim_max}, {len({l for l, _ in labels})} spins, exact"
 
-    @pytest.mark.parametrize("mutant", LADDER_MUTANTS)
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # verify's GN checks meet the infinite root too
+    @pytest.mark.parametrize("mutant", BAND_MUTANTS)
     def test_mutant_fails_the_check(self, mutant, capsys):
-        """Each ladder mutant fails vdw-com2 at spin 1/2, the first with a root, and ``verify`` exits 1."""
-        ladder, detail = LADDER_MUTANTS[mutant]
+        """Each band mutant fails vdw-com2 at spin 1/2, the first with a root, and ``verify`` exits 1."""
+        band, detail = BAND_MUTANTS[mutant]
         honest = checks.check_vdw_com2(0, 16)
-        with mock.patch.object(lorentz, "su2_ladder", ladder):
+        with mock.patch.object(lorentz, "_su2_band", band):
             r = checks.check_vdw_com2(0, 16)
             code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
         assert (r.passed, r.detail, r.covered) == (False, f"spin 1/2: {detail}", honest.covered)
@@ -522,20 +555,20 @@ class TestVdWOperators:
         assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
 
     def test_next_spins_ladder_fails_the_check(self, capsys):
-        """A triple of the wrong size fails vdw-com2 on its shape; the GN builders read the su(2) entries
-        from ``_su2_entries``, not from su2_ladder, so theirs pass, and ``verify`` exits 1, not 2."""
-        with mock.patch.object(lorentz, "su2_ladder", lambda j: su2_ladder(j + F(1, 2) if j else j)):
+        """The next spin's band fails vdw-com2 on its length; the GN builders read the su(2) entries
+        from ``_su2_entries``, not from the band, so theirs pass, and ``verify`` exits 1, not 2."""
+        with mock.patch.object(lorentz, "_su2_band", lambda n: _HONEST_BAND(n + 1 if n else n)):
             r = checks.check_vdw_com2(0, 16)
             code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
-        assert (r.passed, r.detail) == (False, "spin 1/2: not three 2 x 2 complex arrays")
+        assert (r.passed, r.detail) == (False, "spin 1/2: band lengths (j3, j+) are not (2, 1)")
         lines, total = out.splitlines(), len(checks.ALL_CHECKS)
         failed = [line for line in lines if line.startswith("FAIL")]
         assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 1}/{total} checks passed"
         assert failed == [f"FAIL  paired su(2) commutators  [{r.detail}]"]
 
     def test_next_spins_entries_fail_every_ladder_check(self, capsys):
-        """The next spin's entries in ``_su2_entries``, which su2_ladder and build_gn_operators both read,
-        fail vdw-com2 and both GN checks, and ``verify`` reports each FAIL, runs the rest and exits 1."""
+        """The next spin's entries in ``_su2_entries``, which the band, su2_ladder and build_gn_operators
+        all read, fail vdw-com2 and both GN checks, and ``verify`` reports each FAIL, runs the rest and exits 1."""
         honest = lorentz._su2_entries
         with mock.patch.object(lorentz, "_su2_entries", lambda n, i: honest(n + 1, i)):
             r = checks.check_vdw_com2(0, 16)
@@ -550,24 +583,43 @@ class TestVdWOperators:
     def test_verdict_is_not_cached(self):
         """A mutant of the largest spin alone, patched in after a passing call at the same budget,
         fails the next call, and removing it passes again: every call proves every spin."""
-        honest = lorentz.su2_ladder
 
-        def ladder(j):
-            t = honest(j)
-            if j == F(63, 2):
-                t[1][-1, -2] = t[2][-2, -1] = np.nextafter(t[1][-1, -2].real, np.inf)
-            return t
+        def band(n):
+            m, roots = _HONEST_BAND(n)
+            if n == 63:
+                roots[-1] = math.nextafter(roots[-1], math.inf)
+            return m, roots
 
         first = checks.check_vdw_com2(0, 64)
         assert first.passed
-        with mock.patch.object(lorentz, "su2_ladder", ladder):
+        with mock.patch.object(lorentz, "_su2_band", band):
             r = checks.check_vdw_com2(0, 64)
         assert not r.passed and r.detail.startswith("spin 63/2: root 62 of j+")
         assert checks.check_vdw_com2(0, 64) == first
 
     def test_dim_400_passes_exactly(self):
-        r = checks.check_vdw_com2(0, 400)
+        """All 400 spins are proved on their bands: no dense ladder is built or read."""
+        with mock.patch.object(lorentz, "su2_ladder", mock.Mock(side_effect=AssertionError("a dense ladder was built"))):
+            r = checks.check_vdw_com2(0, 400)
         assert (r.passed, r.detail, r.covered) == (True, "dim <= 400, 400 spins, exact", 2468)
+
+    def test_judge_passes_every_band_and_fails_each_edit(self):
+        """The one su(2) judge passes the shipped band of every 2j < 400.  On a sample of spins and
+        indices, one root moved 2 ulps either way fails and names that root, one m_i written as
+        m_i + 1/2 fails on j3, and spin j + 1/2's band handed over as spin j fails on its length."""
+        bands = [lorentz._su2_band(n) for n in range(401)]
+        assert all(lorentz._band_failure(F(n, 2), *bands[n]) is None for n in range(400))
+        for n in [*range(1, 400, 57), 399]:
+            j, (m, roots) = F(n, 2), bands[n]
+            for i in sorted({0, n // 2, n - 1}):
+                square = (n - i) * (i + 1)
+                for way in (0, math.inf):
+                    moved = roots[:i] + [math.nextafter(math.nextafter(roots[i], way), way)] + roots[i + 1 :]
+                    assert lorentz._band_failure(j, m, moved) == f"spin {j}: root {i} of j+ is not within 1 ulp of sqrt({square})"
+            for i in sorted({0, n // 2, n}):
+                edited = m[:i] + [m[i] + 0.5] + m[i + 1 :]
+                assert lorentz._band_failure(j, edited, roots) == f"spin {j}: j3 is not [j+, j-]/2 = diag(-j .. j)"
+            assert lorentz._band_failure(j, *bands[n + 1]) == f"spin {j}: band lengths (j3, j+) are not ({n + 1}, {n})"
 
     def test_root_ulps_bound_is_the_measured_maximum(self):
         """Over every root of 2j < 400 the fewest ulps that bracket sqrt(x) peak at SU2_ROOT_ULPS;
@@ -591,39 +643,21 @@ class TestVdWOperators:
             failure, residual = lorentz.vdw_proof(l, ld)
             assert failure is None and abs(residual - com2_residual(build_vdw_operators(l, ld))) <= 2e-13, (l, ld)
 
-    @staticmethod
-    def entries_of_spin_1(edit):
-        """``_su2_entries`` with ``edit(m, root)`` applied to spin 1's entries at index 0, read on an int or
-        on an index array, as ``vdw_proof`` and ``su2_ladder`` read them."""
-        honest = lorentz._su2_entries
-
-        def entries(n, i):
-            m, root = honest(n, i)
-            if n != 2:
-                return m, root
-            if isinstance(i, int):
-                return edit(m, root) if i == 0 else (m, root)
-            m, root = m.copy(), root.copy()
-            m[0], root[0] = edit(m[0], root[0])
-            return m, root
-
-        return mock.patch.object(lorentz, "_su2_entries", entries)
-
     def test_proof_shares_the_root_bracket(self):
         """sqrt(2) moved up 2 ulps fails ``vdw_proof`` and ``su2_ladder_failure`` with one text, from the
         one integer bracket both run, while the residual stays far below any tolerance."""
-        with self.entries_of_spin_1(lambda m, f: (m, math.nextafter(math.nextafter(f, math.inf), math.inf))):
+        with entries_of_spin_1(lambda m, f: (m, math.nextafter(math.nextafter(f, math.inf), math.inf))):
             failure, residual = lorentz.vdw_proof(1, F(1, 2))
             assert failure == lorentz.su2_ladder_failure(1) == "spin 1: root 0 of j+ is not within 1 ulp of sqrt(2)"
             assert residual < 1e-15 and lorentz.vdw_proof(F(1, 2), F(1, 2)) == (None, 0.0)
 
-    def test_proof_residual_catches_a_diagonal_entry(self):
-        """m = -1 of spin 1 written as -1/2: every root is bracketed, and the residual shows the broken
-        relations, as ``su2_ladder_failure`` does on the diagonal."""
-        with self.entries_of_spin_1(lambda m, f: (m / 2, f)):
+    def test_proof_fails_a_diagonal_entry_exactly(self):
+        """m = -1 of spin 1 written as -1/2: every root is bracketed, and ``vdw_proof`` fails j3 with the
+        text of ``su2_ladder_failure``, the one judge both run; the residual shows the broken relations."""
+        with entries_of_spin_1(lambda m, f: (m / 2, f)):
             failure, residual = lorentz.vdw_proof(F(1, 2), 1)
-            assert failure is None and residual > 0.49
-            assert lorentz.su2_ladder_failure(1) == "spin 1: j3 is not [j+, j-]/2 = diag(-j .. j)"
+            assert failure == lorentz.su2_ladder_failure(1) == "spin 1: j3 is not [j+, j-]/2 = diag(-j .. j)"
+            assert residual > 0.49
 
     def test_roots_are_correctly_rounded(self):
         """``_roots`` equals math.sqrt, IEEE 754's correctly rounded root, on every integer to 160 000,
