@@ -271,14 +271,14 @@ def check_gn_com1(nmax: int, dim_max: int, gn_ops: Sequence[lorentz.GNOperators]
 
 
 def check_vdw_com2(nmax: int, dim_max: int) -> CheckResult:
-    """``build_vdw_operators`` sets X = x (x) I and Y = I (x) y, one ``_kron`` each, so by the
-    mixed-product rule [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I and [Xi, Yj] = 0: every label
-    satisfies the relations once each spin's ladder does.  The label set is symmetric, so the
-    spins are the l values, and each spin's band, the entries ``su2_ladder`` writes, is proved
-    exactly by ``lorentz.su2_ladder_failure`` in pure Python, on every call; no ladder or label
-    operator is built.  That ``_kron`` writes the band where this rule reads it is pinned byte
-    for byte in the tests (the ladder and operator digests and the np.kron comparison).
-    ``covered`` counts the labels."""
+    """``build_vdw_operators`` sets X = x (x) I and Y = I (x) y, each spin's entries copied to
+    their Kronecker positions, so by the mixed-product rule [Xa, Xb] - iXc = ([xa, xb] - i xc) (x) I
+    and [Xi, Yj] = 0: every label satisfies the relations once each spin's ladder does.  The label
+    set is symmetric, so the spins are the l values, and each spin's band, the entries
+    ``su2_ladder`` writes, is proved exactly by ``lorentz.su2_ladder_failure`` in pure Python, on
+    every call; no ladder or label operator is built.  That the builder places the band where this
+    rule reads it is pinned byte for byte in the tests (the ladder and operator digests and the
+    np.kron comparison).  ``covered`` counts the labels."""
     labels = vdw_labels(dim_max)
     spins = [l for l, ld in labels if ld == 0]  # each l once: (2l+1)(2ldot+1) grows with ldot
     passed_detail = f"dim <= {dim_max}, {len(spins)} spins, exact"

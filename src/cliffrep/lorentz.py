@@ -20,7 +20,9 @@ which is the unique scaling under which both triples close into su(2)
 
 Both bases are assembled from one su(2) triple (``su2_ladder``), and every
 ladder triple is read in cartesian form through one map (``cartesian``).
-Every numpy tensor product is ``_kron``.
+The VdW operators X = x (x) I and Y = I (x) y are placed, not multiplied:
+each spin's entries are copied to their Kronecker positions in zeroed
+arrays, so no product is formed and every zero is +0.0.
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
@@ -41,10 +43,10 @@ NaN-keeping fold (``_worst``), and are defined nowhere else:
 converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
-``rep --vdw`` needs no numpy: ``vdw_parts`` gives the six operators'
-entries from the same su(2) entries on Python ints, one Python complex
-product each, and ``vdw_proof`` its verdict from the same bands.  numpy
-is imported inside the functions that make or read arrays.
+``rep --vdw`` needs no numpy: ``vdw_parts`` places the same su(2)
+entries, read on Python ints, into zeroed float lists, and ``vdw_proof``
+gives its verdict from the same bands.  numpy is imported inside the
+functions that make or read arrays.
 """
 
 from __future__ import annotations
@@ -131,10 +133,9 @@ def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
 def _gn_a(two_l0: int, two_l1: int, n):
     """Im A_k = l0 l1 / (k (k+1)) at 2k = n, an int or an int array: the one correctly rounded
     quotient 2l0 2l1 / (n (n+2)) of two integers, which is what dividing the exact floats of
-    l0 l1 and k (k+1), each a quarter of an integer, gives.  0 when l0 = 0, k = 0 included."""
-    import numpy as np
-
-    return two_l0 * two_l1 / np.maximum(n * (n + 2), 1)
+    l0 l1 and k (k+1), each a quarter of an integer, gives.  0 when l0 = 0, k = 0 included, where the
+    divisor is 1; Python's and numpy's true divisions both round correctly, so neither needs the other."""
+    return two_l0 * two_l1 / (n * (n + 2) + (n == 0))
 
 
 def _gn_c(two_l0: int, two_l1: int, n):
@@ -171,12 +172,6 @@ class GNOperators:
             "F+": self.fplus,
             "F-": self.fminus,
         }
-
-
-def _kron(a, b):
-    """np.kron of two square numpy matrices as one broadcast product, bit for bit."""
-    size = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def _roots(products):
@@ -372,14 +367,22 @@ def _vdw_note(l: Fraction, ldot: Fraction) -> str:
 
 
 def build_vdw_operators(l, ldot) -> VdWOperators:
-    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic."""
+    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic: X = x (x) I and
+    Y = I (x) y of the spins' ``su2_ladder`` triples, placed, not multiplied.
+
+    Basis vector (a, s) is row a d2 + s, d2 = 2 ldot + 1, so x's entry (a, b) is copied to
+    (a d2 + s, b d2 + s) for every s and y's entry (s, t) to (a d2 + s, a d2 + t) for every a, in
+    one zeroed block: the values of np.kron(x, I) and np.kron(I, y), with every zero +0.0."""
     import numpy as np
 
-    l = as_half_integer(l)
-    ldot = as_half_integer(ldot)
+    l, ldot = as_half_integer(l), as_half_integer(ldot)
     xs, ys = su2_ladder(l), su2_ladder(ldot)
-    left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
-    return VdWOperators(l, ldot, *(_kron(x, right) for x in xs), *(_kron(left, y) for y in ys), _vdw_note(l, ldot))
+    d1, d2 = len(xs[0]), len(ys[0])
+    block = np.zeros((6, d1, d2, d1, d2), dtype=complex)  # operator, row (a, s), column (b, t)
+    s, a = np.arange(d2), np.arange(d1)
+    block[:3, :, s, :, s] = xs
+    block[3:, a, :, a, :] = ys
+    return VdWOperators(l, ldot, *block.reshape(6, d1 * d2, d1 * d2), _vdw_note(l, ldot))
 
 
 def _su2_band(n: int) -> tuple[list[float], list[float]]:
@@ -389,39 +392,35 @@ def _su2_band(n: int) -> tuple[list[float], list[float]]:
     return list(m), list(roots[:-1])
 
 
-def _su2_rows(n: int) -> tuple[list[list[complex]], ...]:
-    """(j3, j+, j-) of ``su2_ladder(n/2)`` as rows of Python complex numbers, from ``_su2_band``."""
-    m, roots = _su2_band(n)
-    zero = complex(0.0, 0.0)
-    j3, jp, jm = ([[zero] * (n + 1) for _ in range(n + 1)] for _ in range(3))
-    for i, v in enumerate(m):
-        j3[i][i] = complex(v, 0.0)
-    for i, f in enumerate(roots):
-        jp[i + 1][i] = jm[i][i + 1] = complex(f, 0.0)
-    return j3, jp, jm
-
-
-def _identity_rows(size: int) -> list[list[complex]]:
-    return [[complex(float(r == c), 0.0) for c in range(size)] for r in range(size)]
-
-
-def _kron_parts(a: list[list[complex]], b: list[list[complex]]) -> tuple[list[float], list[float]]:
-    """Row-major real and imaginary parts of kron(a, b) for rows of Python complex numbers: each entry
-    is one Python complex product, whose formula is numpy's, so these are ``_kron``'s bits, signed
-    zeros included."""
-    entries = [u * v for ra in a for rb in b for u in ra for v in rb]
-    return [z.real for z in entries], [z.imag for z in entries]
+def _placed_parts(band, dim: int, stride: int, copies: int, spacing: int) -> tuple[list[float], list[float]]:
+    """Row-major real and imaginary parts of the dim x dim matrix holding ``copies`` copies of a spin's
+    ``band``, its entries (r, c, v), copy k's at (r stride + k spacing, c stride + k spacing): x (x) I
+    is stride d2 with d2 copies spaced 1, and I (x) y is stride 1 with d1 copies spaced d2.  Every
+    other entry, and every imaginary part, is 0.0."""
+    re, step = [0.0] * (dim * dim), spacing * (dim + 1)
+    for r, c, v in band:
+        start = (r * dim + c) * stride
+        re[start : start + copies * step : step] = [v] * copies
+    return re, [0.0] * (dim * dim)
 
 
 def vdw_parts(l, ldot) -> tuple[dict[str, Callable[[], tuple[list[float], list[float]]]], str]:
     """``(parts, basis_note)`` of ``build_vdw_operators(l, ldot)`` without numpy: for each name of its
     ``operators()``, a function returning that operator's row-major real and imaginary parts as
-    float lists, x (x) I and I (x) y of ``_su2_rows``' triples by ``_kron_parts``."""
+    float lists, each spin's ``_su2_band`` entries placed by ``_placed_parts`` where
+    ``build_vdw_operators`` copies them, every zero 0.0."""
     l, ldot = as_half_integer(l), as_half_integer(ldot)
-    xs, ys = _su2_rows(_twice_spin(l)), _su2_rows(_twice_spin(ldot))
-    left, right = _identity_rows(len(xs[0])), _identity_rows(len(ys[0]))
-    factors = [(x, right) for x in xs] + [(left, y) for y in ys]
-    return {name: partial(_kron_parts, a, b) for name, (a, b) in zip(_VDW_NAMES, factors)}, _vdw_note(l, ldot)
+    d1, d2 = _twice_spin(l) + 1, _twice_spin(ldot) + 1
+    parts = []
+    for n, stride, copies, spacing in ((d1 - 1, d2, d2, 1), (d2 - 1, 1, d1, d2)):
+        m, roots = _su2_band(n)
+        for band in (
+            [(i, i, v) for i, v in enumerate(m)],
+            [(i + 1, i, f) for i, f in enumerate(roots)],
+            [(i, i + 1, f) for i, f in enumerate(roots)],
+        ):
+            parts.append(partial(_placed_parts, band, d1 * d2, stride, copies, spacing))
+    return dict(zip(_VDW_NAMES, parts)), _vdw_note(l, ldot)
 
 
 def _band_failure(j, m: list[float], roots: list[float]) -> str | None:
@@ -564,9 +563,9 @@ def spintensor_transform(g: np.ndarray, t: Spintensor) -> Spintensor:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("transformation must be a 2x2 matrix")
-    op = np.eye(1, dtype=complex)
+    op = np.ones((1, 1), dtype=complex)
     for _ in range(t.k):
-        op = _kron(op, g)
+        op = np.kron(op, g)
     for _ in range(t.r):
-        op = _kron(op, g.conj())
+        op = np.kron(op, g.conj())
     return Spintensor(t.k, t.r, op @ t.flat)

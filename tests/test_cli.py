@@ -565,6 +565,17 @@ print([n for n in range(400) if lorentz.su2_ladder_failure(Fraction(n, 2)) is no
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[] False"]
 
+    def test_gn_coefficients_load_no_numpy(self):
+        """``gn_coefficients`` divides and roots Python ints, so reading A_k and C_k loads no numpy."""
+        code = """
+import sys
+from cliffrep.lorentz import GNLabel, gn_coefficients
+print(gn_coefficients(GNLabel(0, 2), 1), gn_coefficients(GNLabel(1, 3), 2), "numpy" in sys.modules)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+
     def test_gn_rep_loads_numpy(self):
         """The boundary of the numpy-free matrix commands: ``rep --gn`` still builds dense arrays."""
         code = """
@@ -788,16 +799,72 @@ def test_matrep_json_unchanged(capsys):
 VDW_LABELS = checks.vdw_labels(100) + [(Fraction(199, 2), Fraction(0)), (Fraction(0), Fraction(199, 2))]
 
 
-def test_vdw_parts_are_build_vdw_operators_bits():
-    """On every label of VDW_LABELS, the parts ``rep --vdw`` writes, computed without numpy, are the
-    real and imaginary parts of ``build_vdw_operators``' arrays bit for bit, signed zeros included,
-    under the same basis note."""
+def vdw_parts_mismatch():
+    """The first (l, ldot, name) of VDW_LABELS whose ``vdw_parts`` are not the real and imaginary parts of
+    ``build_vdw_operators``' arrays bit for bit, signed zeros included, under the same basis note; else None."""
     for l, ld in VDW_LABELS:
         ops, (parts, note) = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_parts(l, ld)
         assert note == ops.basis_note and list(parts) == list(ops.operators())
         for name, m in ops.operators().items():
             re, im = parts[name]()
-            assert (array("d", re).tobytes(), array("d", im).tobytes()) == (m.real.tobytes(), m.imag.tobytes()), (l, ld, name)
+            if (array("d", re).tobytes(), array("d", im).tobytes()) != (m.real.tobytes(), m.imag.tobytes()):
+                return l, ld, name
+    return None
+
+
+def test_vdw_parts_are_build_vdw_operators_bits():
+    """On every label of VDW_LABELS, the parts ``rep --vdw`` writes, computed without numpy, are the
+    real and imaginary parts of ``build_vdw_operators``' arrays bit for bit, signed zeros included,
+    under the same basis note."""
+    assert vdw_parts_mismatch() is None
+
+
+def test_vdw_parts_mutant_breaks_the_bits():
+    """``vdw_parts`` with one band entry written one row off, j3's first diagonal entry of every spin
+    above 0 placed at (1, 0), fails the comparison on the first label with such a spin."""
+    honest = lorentz._placed_parts
+
+    def one_row_off(band, *placement):
+        if len(band) > 1 and band[0][0] == band[0][1]:  # j3's diagonal of a spin above 0
+            (r, c, v), *rest = band
+            band = [(r + 1, c, v), *rest]
+        return honest(band, *placement)
+
+    with mock.patch.object(lorentz, "_placed_parts", one_row_off):
+        assert vdw_parts_mismatch() == (Fraction(0), Fraction(1, 2), "Y3")
+    assert vdw_parts_mismatch() is None
+
+
+def _negative_zeros(floats) -> int:
+    floats = np.asarray(floats, dtype=np.float64)
+    return int(np.count_nonzero(np.signbit(floats) & (floats == 0)))
+
+
+def test_vdw_outputs_hold_no_negative_zero(capsys):
+    """Every VdW writer places its entries and forms no product, so no zero is -0.0: in
+    ``build_vdw_operators``' arrays, in ``vdw_parts``' lists and in ``rep --vdw``'s text."""
+    for l, ld in VDW_LABELS:
+        ops, (parts, _) = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_parts(l, ld)
+        for name, m in ops.operators().items():
+            assert _negative_zeros(m.view(np.float64)) == _negative_zeros(parts[name]()) == 0, (l, ld, name)
+        code, out, _ = run(["rep", "--vdw", str(l), str(ld)], capsys)
+        assert code == 0 and "-0.0,\n" not in out and "-0.0\n" not in out, (l, ld)  # one float per line
+
+
+#: sha256 of ``rep --vdw`` stdout over the 280 labels of dim <= 64 and the two dim-200 corners, run in-process:
+#: the entries are placed ``math.sqrt`` roots and half-integers, every zero 0.0, and the residual is a
+#: pure-Python float, so the text depends on no libm or BLAS
+REP_VDW_JSON_DIGEST = "bc35f33756a53d1d4e04813d0ef54be0fdc72d40f8e087c1836d52e31e8b6f56"
+REP_VDW_RUNS = [["rep", "--vdw", str(l), str(ld)] for l, ld in checks.vdw_labels(64) + VDW_LABELS[-2:]]
+
+
+def test_rep_vdw_json_unchanged(capsys):
+    h = hashlib.sha256()
+    for argv in REP_VDW_RUNS:
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        h.update(out.encode())
+    assert len(REP_VDW_RUNS) == 282 and h.hexdigest() == REP_VDW_JSON_DIGEST
 
 
 @pytest.mark.parametrize("label", VDW_LABELS[::16] + VDW_LABELS[-2:], ids=lambda label: "%s,%s" % label)

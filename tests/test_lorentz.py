@@ -30,9 +30,9 @@ from cliffrep.lorentz import (
 
 
 # sha256 of the raw bytes of every operator matrix over gn_labels(64) / vdw_labels(64),
-# in label and operator order: `rep` emits these bits, signed zeros included
+# in label and operator order: `rep` emits these bits, signed zeros included (every VdW zero is +0.0)
 GN_OPERATOR_DIGEST = "779c407fbcd101c0592aa6c11743f62e41b50207e5ed4f996f205c0ae5af3ce0"
-VDW_OPERATOR_DIGEST = "cfb450ddabee316b4d50479713ab1b24993b0fa847c8aecf7927feee7f081673"
+VDW_OPERATOR_DIGEST = "b15ea67b236fa514e3127c3f5f423ca2e67c608586caef9dd4c19910f4dcaa78"
 # sha256 of the raw bytes of su2_ladder's (j3, j+, j-) for 2j = 0..199, every root a
 # correctly rounded np.sqrt
 SU2_LADDER_DIGEST = "6f8bd30db6b329a5770d8bd55e73d287207069fdbf78080b5ad60b6ea44a9505"
@@ -83,12 +83,12 @@ def test_operator_bits_unchanged():
         ),
         pytest.param(
             lambda: (build_vdw_operators(l, ld) for l, ld in vdw_labels(100)),
-            "ae823471afb6023edd281bb053b391c7bd3acfc48261e5090ee7256fd6f08ebd",
+            "2be4c5e2de24fdd63f0d002d1d0237e851f44f5522ceb805c7e956d22a76f292",
             id="vdw-dim100",
         ),
         pytest.param(
             lambda: [build_vdw_operators(F(19, 2), F(19, 2))],
-            "437a27906c681dbfc777b32d5a9dfacccc21f7ad12a5a46dd9434c5e81cbc59b",
+            "7ef9f8fdadd557b1edf4fd660380f7a066c7e31d732877f4c68dbbf98d421b28",
             id="vdw-dim400",
         ),
         # the first labels with a root of 2921, the smallest integer whose correctly rounded root a
@@ -418,12 +418,12 @@ def bracketing_ulps(f: float, x: int) -> int:
 
 
 def kron_mismatch(dim_max: int):
-    """The first label of dim <= dim_max whose six built operators are not np.kron(x, I) and
-    np.kron(I, y) of its spins' ladders, in shape, dtype and bytes, signed zeros included; else None."""
+    """The first label of dim <= dim_max whose six built operators are not np.kron(x, I) + 0.0 and
+    np.kron(I, y) + 0.0 of its spins' ladders, in shape, dtype and bytes, every zero +0.0; else None."""
     for l, ld in vdw_labels(dim_max):
         xs, ys = su2_ladder(l), su2_ladder(ld)
         left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
-        want = [np.kron(x, right) for x in xs] + [np.kron(left, y) for y in ys]
+        want = [np.kron(x, right) + 0.0 for x in xs] + [np.kron(left, y) + 0.0 for y in ys]
         got = lorentz.build_vdw_operators(l, ld).operators().values()
         if any((g.shape, g.dtype, g.tobytes()) != (w.shape, w.dtype, w.tobytes()) for g, w in zip(got, want)):
             return l, ld
@@ -472,7 +472,7 @@ class TestVdWOperators:
     @pytest.mark.parametrize("mutant", LAYOUT_MUTANTS)
     def test_layout_mutant_fails_the_ladder_digest(self, mutant):
         """Each layout mutant leaves the band that vdw-com2 proves as it is, and changes su2_ladder's
-        bytes, so the digest that pins where ``_kron`` finds the band fails."""
+        bytes, so the digest that pins where ``build_vdw_operators`` copies the band from fails."""
         assert ladder_digest(LAYOUT_MUTANTS[mutant]) != SU2_LADDER_DIGEST
 
     def test_ladders_are_fresh_writable_arrays(self):
@@ -666,8 +666,9 @@ class TestVdWOperators:
         assert lorentz._roots(x).tolist() == [math.sqrt(v) for v in x.tolist()]
 
     def test_operators_are_np_kron_bit_for_bit(self):
-        """The assembly behind the mixed-product rule: on every label of dim <= 160 the six built
-        operators are np.kron(x, I) and np.kron(I, y) of the spins' ladders, byte for byte."""
+        """The assembly behind the mixed-product rule: on every label of dim <= 160 the six placed
+        operators are np.kron(x, I) and np.kron(I, y) of the spins' ladders, byte for byte once
+        numpy's -0.0 products are written +0.0."""
         assert kron_mismatch(160) is None
 
     @pytest.mark.parametrize(
@@ -686,15 +687,22 @@ class TestVdWOperators:
     def test_assembly_mutant_breaks_the_kron_bytes(self, mutant, label):
         honest_build = lorentz.build_vdw_operators
 
-        def identity_first(l, ldot):
-            xs, ys = su2_ladder(l), su2_ladder(ldot)
-            left, right = np.eye(len(xs[0]), dtype=complex), np.eye(len(ys[0]), dtype=complex)
-            ops = [lorentz._kron(right, x) for x in xs] + [lorentz._kron(left, y) for y in ys]
-            return lorentz.VdWOperators(l, ldot, *ops, "")
+        def placed(triple, copies, inner):  # copies of a spin's triple, its entries on the inner or the outer index
+            d, k = len(triple[0]), np.arange(copies)
+            if inner:  # entry (a, b) at (k d + a, k d + b) for every copy k
+                ops = np.zeros((3, copies, d, copies, d), dtype=complex)
+                ops[:, k, :, k, :] = triple
+            else:  # entry (a, b) at (a copies + k, b copies + k) for every copy k
+                ops = np.zeros((3, d, copies, d, copies), dtype=complex)
+                ops[:, :, k, :, k] = triple
+            return [*ops.reshape(3, d * copies, d * copies)]
 
-        def kron_axes_swapped(a, b):
-            size = len(a) * len(b)
-            return (a[None, :, None, :] * b[:, None, :, None]).reshape(size, size)
+        def placement(x_inner, y_inner):  # the builder places x on the outer index and y on the inner one
+            def build(l, ldot):
+                xs, ys = su2_ladder(l), su2_ladder(ldot)
+                ops = placed(xs, len(ys[0]), x_inner) + placed(ys, len(xs[0]), y_inner)
+                return lorentz.VdWOperators(l, ldot, *ops, "")
+            return build
 
         def edited(edit):  # the honest operators, changed in place by edit(ops, m, n) on an m x n label
             def build(l, ldot):
@@ -730,8 +738,8 @@ class TestVdWOperators:
                 parts[parts == 0] = -0.0
 
         patch = {
-            "identity-first": ("build_vdw_operators", identity_first),
-            "kron-axes-swapped": ("_kron", kron_axes_swapped),
+            "identity-first": ("build_vdw_operators", placement(x_inner=True, y_inner=True)),  # x on the inner index
+            "kron-axes-swapped": ("build_vdw_operators", placement(x_inner=True, y_inner=False)),  # the two axes swapped
             "off-diagonal-entry": ("build_vdw_operators", edited(off_diagonal_entry)),
             "off-diagonal-nan": ("build_vdw_operators", edited(off_diagonal_nan)),
             "transposed-block": ("build_vdw_operators", edited(transposed_block)),
