@@ -20,7 +20,7 @@ from cliffrep import (
     reconstruct_AB,
     spintensor_transform,
 )
-from cliffrep.lorentz import com1_residual, com2_residual
+from cliffrep.lorentz import com1_residual, com2_residual, su2_ladder
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -53,6 +53,8 @@ for k in label3.levels():
 # direct su(2) x su(2) ladders
 w = build_vdw_operators(F(1, 2), F(1, 2))
 print(f"\n|l,m;ldot,mdot> basis, dim {w.dim}, com2 residual {com2_residual(w):.2e}")
+j3, jp, jm = su2_ladder(F(1, 2))  # each spin's triple, placed at its Kronecker positions: X = x (x) I, Y = I (x) y
+print("X+ = j+ (x) I:", np.array_equal(w.xplus, np.kron(jp, np.eye(2))), " Y+ = I (x) j+:", np.array_equal(w.yplus, np.kron(np.eye(2), jp)))
 
 # spintensors transform slotwise: g on undotted, conj(g) on dotted slots
 g = np.array([[1, 1], [0, 1]], dtype=complex)  # a null rotation

@@ -18,35 +18,43 @@ The conversion between the two normalizes X = (H + iF)/2, Y = (H - iF)/2,
 which is the unique scaling under which both triples close into su(2)
 ([X1, X2] = i X3) and X3 has the real spectrum -l .. l.
 
-Both bases are assembled from one su(2) triple (``su2_ladder``), and every
-ladder triple is read in cartesian form through one map (``cartesian``).
-The VdW operators X = x (x) I and Y = I (x) y are placed, not multiplied:
-each spin's entries are copied to their Kronecker positions in zeroed
-arrays, so no product is formed and every zero is +0.0.
+Every entry of every operator comes from one source and reaches an array
+through one of two writers.  The source is each spin's O(n) band
+(``_su2_band``): j3's diagonal and the n roots of j+, on Python ints, every
+root one ``math.sqrt``, correctly rounded as IEEE 754 requires, so the bits
+do not depend on the platform's libm.  ``gn_entries`` places the band at
+each GN level as H3/H+/H- and -A_k times it as the same-level part of
+F3/F+/F-, with the C_k links between levels from ``_gn_c`` and
+``math.sqrt`` on ints; ``vdw_entries`` copies it to the Kronecker
+positions of X = x (x) I and Y = I (x) y, placed, not multiplied, so no
+product is formed and every zero is +0.0.  Each operator is a pair of
+(row, column, value) lists, its real part and its imaginary part, every
+other entry 0.0.  ``_dense`` writes them into zeroed complex arrays, one
+index write per part, for ``su2_ladder``, ``build_gn_operators`` and
+``build_vdw_operators``; ``_float_parts`` writes them into zeroed
+row-major float lists, for ``vdw_parts``.  Every ladder triple is read in
+cartesian form through one map (``cartesian``).
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
 
 The builders return dense complex numpy arrays over fixed lexicographic
-basis orders, and every root of an integer is correctly rounded
-(``_roots``: ``math.sqrt`` on an int, ``np.sqrt`` on an int array, the
-same IEEE 754 bits), so outputs are deterministic.  Each spin's su(2)
-ladder is proved exactly by one pure-Python judge (``_band_failure``) on
-its O(n) band (``_su2_band``), which ``su2_ladder_failure`` and
-``vdw_proof`` both run: its relations are integer identities on the
-squares of its entries, j3's diagonal is compared exactly with -j .. j,
-and each shipped root is bound to its exact value within
-``SU2_ROOT_ULPS``; no dense ladder is read back.  The ``*_TOL``
-constants bound the float residuals of whole operator sets, each one
-NaN-keeping fold (``_worst``), and are defined nowhere else:
+basis orders.  Each spin's su(2) ladder is proved exactly by one
+pure-Python judge (``_band_failure``) on its band, which
+``su2_ladder_failure`` and ``vdw_proof`` both run: its relations are
+integer identities on the squares of its entries, j3's diagonal is
+compared exactly with -j .. j, and each shipped root is bound to its exact
+value within ``SU2_ROOT_ULPS``; no dense ladder is read back.  The
+``*_TOL`` constants bound the float residuals of whole operator sets, each
+one NaN-keeping fold (``_worst``), and are defined nowhere else:
 ``GN_COM_TOL`` the GN relations (``com1_residual``), ``VDW_COM_TOL`` the
 converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
-``rep --vdw`` needs no numpy: ``vdw_parts`` places the same su(2)
-entries, read on Python ints, into zeroed float lists, and ``vdw_proof``
-gives its verdict from the same bands.  numpy is imported inside the
-functions that make or read arrays.
+The entry lists need no numpy, so neither does ``rep --vdw``: it writes
+``vdw_parts`` and takes its verdict from ``vdw_proof``, which reads the
+same band entries.  numpy is imported inside the functions that make or
+read arrays, ``_dense`` the only one that writes operator entries.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 from ._rules import as_count, as_half_integer
 
@@ -78,6 +86,13 @@ SPECTRUM_TOL = 1e-8
 #: root of 2j < 400 (17 010 distinct x) the maximum is 1: a correctly rounded root of a
 #: non-square is 1 ulp from sqrt(x) on one side, and a perfect square's is exact
 SU2_ROOT_ULPS = 1
+
+#: one operator part: (row, column, value) of each entry that is written; every other entry is 0.0
+Entries = list[tuple[int, int, float]]
+#: one operator: the entries of its real part and of its imaginary part
+Operator = tuple[Entries, Entries]
+_GN_NAMES = ("H3", "H+", "H-", "F3", "F+", "F-")
+_VDW_NAMES = ("X3", "X+", "X-", "Y3", "Y+", "Y-")
 
 
 @dataclass(frozen=True)
@@ -130,22 +145,20 @@ def gn_coefficients(label: GNLabel, k) -> tuple[complex, complex]:
     return a, 0j if k == l0 else complex(0.0 - _gn_c(two_l0, two_l1, n), 0.0)
 
 
-def _gn_a(two_l0: int, two_l1: int, n):
-    """Im A_k = l0 l1 / (k (k+1)) at 2k = n, an int or an int array: the one correctly rounded
-    quotient 2l0 2l1 / (n (n+2)) of two integers, which is what dividing the exact floats of
-    l0 l1 and k (k+1), each a quarter of an integer, gives.  0 when l0 = 0, k = 0 included, where the
-    divisor is 1; Python's and numpy's true divisions both round correctly, so neither needs the other."""
+def _gn_a(two_l0: int, two_l1: int, n: int) -> float:
+    """Im A_k = l0 l1 / (k (k+1)) at 2k = n: the one correctly rounded quotient 2l0 2l1 / (n (n+2))
+    of two integers, which is what dividing the exact floats of l0 l1 and k (k+1), each a quarter of
+    an integer, gives.  0 when l0 = 0, k = 0 included, where the divisor is 1."""
     return two_l0 * two_l1 / (n * (n + 2) + (n == 0))
 
 
-def _gn_c(two_l0: int, two_l1: int, n):
-    """-C_k = (1/k) sqrt(R) at 2k = n > 2l0, an int or an int array, with
-    R = -(k^2 - l0^2)(k^2 - l1^2) / (4k^2 - 1) >= 0, so C_k is real.  R is the integer
-    (n^2 - 4l0^2)(4l1^2 - n^2) divided by 16 and then by n^2 - 1, and (1/k) sqrt(R) is
-    2/n times its ``_roots``: the float operations, in order, of (i/k) sqrt(-R) on the exact
-    Fractions, whose real part is this product negated and whose imaginary part is 0."""
-    radicand = (n * n - two_l0 * two_l0) * (two_l1 * two_l1 - n * n) / 16 / (n * n - 1)
-    return 2 / n * _roots(radicand)
+def _gn_c(two_l0: int, two_l1: int, n: int) -> float:
+    """-C_k = (1/k) sqrt(R) at 2k = n > 2l0, with R = -(k^2 - l0^2)(k^2 - l1^2) / (4k^2 - 1) >= 0,
+    so C_k is real.  R is the integer (n^2 - 4l0^2)(4l1^2 - n^2) divided by 16 and then by n^2 - 1,
+    and (1/k) sqrt(R) is 2/n times its ``math.sqrt``: the float operations, in order, of
+    (i/k) sqrt(-R) on the exact Fractions, whose real part is this product negated and whose
+    imaginary part is 0."""
+    return 2 / n * math.sqrt((n * n - two_l0 * two_l0) * (two_l1 * two_l1 - n * n) / 16 / (n * n - 1))
 
 
 @dataclass(frozen=True)
@@ -164,24 +177,7 @@ class GNOperators:
         return self.h3.shape[0]
 
     def operators(self) -> dict[str, np.ndarray]:
-        return {
-            "H3": self.h3,
-            "H+": self.hplus,
-            "H-": self.hminus,
-            "F3": self.f3,
-            "F+": self.fplus,
-            "F-": self.fminus,
-        }
-
-
-def _roots(products):
-    """Correctly rounded square roots of integers below 2^53, of a Python number or an array: IEEE 754
-    fixes sqrt's bits on every libm, so ``math.sqrt`` and ``np.sqrt`` agree bit for bit."""
-    if isinstance(products, (int, float)):
-        return math.sqrt(products)
-    import numpy as np
-
-    return np.sqrt(products)
+        return dict(zip(_GN_NAMES, (self.h3, self.hplus, self.hminus, self.f3, self.fplus, self.fminus)))
 
 
 def _gn_row(two_l0: int, two_k: int, two_nu: int) -> int:
@@ -189,53 +185,42 @@ def _gn_row(two_l0: int, two_k: int, two_nu: int) -> int:
     return (two_k * two_k - two_l0 * two_l0 + 2 * two_k + 2 * two_nu) // 4
 
 
-def build_gn_operators(label: GNLabel) -> GNOperators:
-    """Ladder matrices over the lexicographic (k, nu) basis, all levels in one pass.
+def gn_entries(label: GNLabel) -> dict[str, Operator]:
+    """The (real, imaginary) entry lists of the six GN operators over the lexicographic (k, nu) basis,
+    keyed as ``GNOperators.operators()``, without numpy.
 
-    On level k, H3/H+/H- are the spin-k su(2) triple and the same-level
-    part of F3/F+/F- is -A_k times it; the C_k entries link levels k-1 and k.
-    Every entry comes from the twice-spin integers: the triples' diagonals and
-    roots from ``_su2_entries``, as ``su2_ladder`` reads them, and A_k and C_k
-    from ``_gn_a`` and ``_gn_c``, as ``gn_coefficients`` reads them.  A_k is
-    imaginary and C_k real, so each band of each operator is one index write
-    into the real or imaginary part of a zeroed array, with the bits, signed
-    zeros included, of the complex products -A_k j and +-C_k root.
+    On level k, H3/H+/H- are the spin-k triple of ``_su2_band`` and the same-level part of F3/F+/F-
+    is -A_k times it; the C_k entries link levels k-1 and k.  Every entry comes from the twice-spin
+    integers: A_k and C_k from ``_gn_a`` and ``_gn_c``, as ``gn_coefficients`` reads them.  A_k is
+    imaginary and C_k real, so each entry is one real or imaginary part, with the bits, signed zeros
+    included, of the complex products -A_k j and +-C_k root.
     """
-    import numpy as np
-
     two_l0, two_l1 = _twice_spin(label.l0), _twice_spin(label.l1)
-    two_ks = np.arange(two_l0, two_l1 + 1, 2)
-    starts = _gn_row(two_l0, two_ks, -two_ks)  # each level's first row; the last is dim
-    dim, sizes = starts[-1], np.diff(starts)
-    h3, hp, hm, f3, fp, fm = (np.zeros((dim, dim), dtype=complex) for _ in range(6))
+    h3, hp, hm, f3, fp, fm = ops = [([], []) for _ in _GN_NAMES]
+    for n in range(two_l0, two_l1, 2):
+        start, a = _gn_row(two_l0, n, -n), _gn_a(two_l0, two_l1, n)
+        for h, f, band in zip((h3, hp, hm), (f3, fp, fm), _band_entries(*_su2_band(n))):
+            h[0].extend((start + r, start + c, v) for r, c, v in band)
+            f[1].extend((start + r, start + c, -a * v) for r, c, v in band)
+        if n == two_l0:
+            continue
+        # the link from j = nu + k - 1 on level k-1, row `low`, to the same offset j into level k, row `up`
+        c, below = _gn_c(two_l0, two_l1, n), _gn_row(two_l0, n - 2, 2 - n)
+        for j in range(n - 1):
+            low, up = below + j, start + j
+            c3, cp, cm = (c * math.sqrt(x) for x in ((n - j - 1) * (j + 1), (j + 1) * (j + 2), (n - j - 1) * (n - j)))
+            f3[0].extend(((up + 1, low, c3), (low, up + 1, -c3)))
+            fp[0].extend(((up + 2, low, -cp), (low, up, -cm)))
+            fm[0].extend(((up, low, cm), (low, up + 2, cp)))
+    return dict(zip(_GN_NAMES, ops))
 
-    # per basis vector: its level's 2k and its index i = nu + k within the level
-    row = np.arange(dim)
-    two_k = np.repeat(two_ks[:-1], sizes)
-    i = row - np.repeat(starts[:-1], sizes)
-    m, roots = _su2_entries(two_k, i)
-    a = _gn_a(two_l0, two_l1, two_k)
-    h3.real[row, row], f3.imag[row, row] = m, -a * m  # j3's whole diagonal, nu = 0 included
-    up = i < two_k  # j+ at (i+1, i) and j- at (i, i+1)
-    r, root, a = row[up], roots[up], a[up]
-    hp.real[r + 1, r] = hm.real[r, r + 1] = root
-    fp.imag[r + 1, r] = fm.imag[r, r + 1] = -a * root
 
-    # per link between levels k-1 and k: j = nu + k - 1 on level k-1, whose row is `below`; its
-    # partner on level k is `above`, the same offset j into level k
-    links = sizes[:-1]  # one per vector of level k-1, for each level k above the first
-    n = np.repeat(two_ks[1:-1], links)
-    j = np.arange(len(n)) - np.repeat(np.cumsum(links) - links, links)
-    below, above = np.repeat(starts[:-2], links) + j, np.repeat(starts[1:-1], links) + j
-    c = _gn_c(two_l0, two_l1, n)
-    c3, cp, cm = (c * _roots(x) for x in ((n - j - 1) * (j + 1), (j + 1) * (j + 2), (n - j - 1) * (n - j)))
-    f3.real[above + 1, below], f3.real[below, above + 1] = c3, -c3
-    fp.real[above + 2, below], fp.real[below, above] = -cp, -cm
-    fm.real[above, below], fm.real[below, above + 2] = cm, cp
-
-    top = two_l1 - 2  # 2k of the last level, printed as its Fraction prints
+def build_gn_operators(label: GNLabel) -> GNOperators:
+    """Ladder matrices over the lexicographic (k, nu) basis: ``gn_entries`` through ``_dense``."""
+    ops = _dense(label.dim, gn_entries(label).values())
+    top = _twice_spin(label.l1) - 2  # 2k of the last level, printed as its Fraction prints
     note = f"xi_(k,nu), k = {label.l0}..{top // 2 if top % 2 == 0 else f'{top}/2'}, nu = -k..k, lexicographic"
-    return GNOperators(label, h3, hp, hm, f3, fp, fm, note)
+    return GNOperators(label, *ops, note)
 
 
 class ABOperators(NamedTuple):
@@ -296,9 +281,6 @@ def com1_residual(ab: ABOperators) -> float:
     return _worst(deviations)
 
 
-_VDW_NAMES = ("X3", "X+", "X-", "Y3", "Y+", "Y-")
-
-
 @dataclass(frozen=True)
 class VdWOperators:
     l: Fraction
@@ -327,33 +309,57 @@ def _twice_spin(j) -> int:
     return n
 
 
-def _su2_entries(n, i):
-    """``(m, root)`` at index i of the spin n/2 basis, m = -j + i ascending, for ints or int arrays
-    that broadcast together: j3's diagonal entry m = (2i - n)/2 and the ``_roots`` of (j-m)(j+m+1)
-    = (n-i)(i+1), the square of j+[i+1, i] and of j-[i, i+1] (0 at the top, i = n)."""
-    return (2 * i - n) / 2, _roots((n - i) * (i + 1))
+def _su2_band(n: int) -> tuple[list[float], list[float]]:
+    """(m, roots) of spin n/2 on Python ints, the one source of every operator entry: j3's diagonal
+    m_i = (2i - n)/2, i = 0..n, ascending, and the n roots f_i = ``math.sqrt`` of (j-m)(j+m+1) =
+    (n-i)(i+1), each the square of j+[i+1, i] and of j-[i, i+1]."""
+    return [(2 * i - n) / 2 for i in range(n + 1)], [math.sqrt((n - i) * (i + 1)) for i in range(n)]
+
+
+def _band_entries(m: list[float], roots: list[float]) -> tuple[Entries, Entries, Entries]:
+    """(j3, j+, j-) of the band (m, roots) as entry lists: m_i at (i, i), f_i at (i+1, i) and (i, i+1)."""
+    return (
+        [(i, i, v) for i, v in enumerate(m)],
+        [(i + 1, i, f) for i, f in enumerate(roots)],
+        [(i, i + 1, f) for i, f in enumerate(roots)],
+    )
+
+
+def _dense(dim: int, operators: Collection[Operator]) -> tuple[np.ndarray, ...]:
+    """The operators as dim x dim complex arrays, views of one fresh zeroed block, each part one index
+    write of its entries: the one writer from entry lists to numpy."""
+    import numpy as np
+
+    block = np.zeros((len(operators), dim, dim), dtype=complex)
+    for m, operator in zip(block, operators):
+        for part, entries in zip((m.real, m.imag), operator):
+            if entries:
+                rows, columns, values = zip(*entries)
+                part[rows, columns] = values
+    return tuple(block)
+
+
+def _float_parts(dim: int, operator: Operator) -> tuple[list[float], list[float]]:
+    """The operator's row-major real and imaginary parts as zeroed float lists with its entries written:
+    the writer of the numpy-free rows."""
+    parts = [0.0] * (dim * dim), [0.0] * (dim * dim)
+    for part, entries in zip(parts, operator):
+        for r, c, v in entries:
+            part[r * dim + c] = v
+    return parts
 
 
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j3, j+, j-) on the basis m = -j .. j, ascending, from ``_su2_entries``.
-
-    Each call computes the O(n) entries, n = 2j, and writes them by strided slices into one
-    fresh zeroed complex block, so every call returns three new writable arrays."""
-    import numpy as np
-
+    """(j3, j+, j-) on the basis m = -j .. j, ascending: ``_su2_band``'s entries through ``_dense``.
+    Nothing is cached, so every call returns three new writable arrays."""
     n = _twice_spin(j)
-    m, roots = _su2_entries(n, np.arange(n + 1))
-    block = np.zeros((3, n + 1, n + 1), dtype=complex)
-    flat = block.reshape(3, -1)  # row r, column c at r(n+1) + c: the diagonal steps by n+2
-    flat[0, :: n + 2] = m
-    flat[1, n + 1 :: n + 2] = flat[2, 1 :: n + 2] = roots[:-1]  # j+[i+1, i] and j-[i, i+1]
-    return tuple(block)
+    return _dense(n + 1, [(entries, []) for entries in _band_entries(*_su2_band(n))])
 
 
 def su2_ladder_failure(j) -> str | None:
     """Failure text unless spin j's su(2) entries, as ``_su2_band`` gives them and ``su2_ladder`` writes
     them, are exactly the spin-j triple, else None: ``_band_failure`` on ``_su2_band(2j)``, in pure Python.
-    Nothing is cached: every call reads what ``_su2_entries`` gives then."""
+    Nothing is cached: every call reads what ``_su2_band`` gives then."""
     return _band_failure(j, *_su2_band(_twice_spin(j)))
 
 
@@ -366,61 +372,34 @@ def _vdw_note(l: Fraction, ldot: Fraction) -> str:
     return f"|l,m;ldot,mdot>, l = {l}, ldot = {ldot}, (m, mdot) lexicographic"
 
 
+def vdw_entries(l, ldot) -> dict[str, Operator]:
+    """The (real, imaginary) entry lists of the six VdW operators on |l,m;ldot,mdot>, (m, mdot)
+    lexicographic, keyed as ``VdWOperators.operators()``, without numpy: X = x (x) I and Y = I (x) y
+    of the spins' ``_su2_band`` triples, placed, not multiplied.  Basis vector (a, s) is row a d2 + s,
+    d2 = 2 ldot + 1, so x's entry (a, b) is copied to (a d2 + s, b d2 + s) for every s and y's entry
+    (s, t) to (a d2 + s, a d2 + t) for every a; every imaginary part is 0.0."""
+    n1, n2 = _twice_spin(l), _twice_spin(ldot)
+    d2 = n2 + 1
+    xs = [[(r * d2 + s, c * d2 + s, v) for r, c, v in x for s in range(d2)] for x in _band_entries(*_su2_band(n1))]
+    ys = [[(a * d2 + s, a * d2 + t, v) for a in range(n1 + 1) for s, t, v in y] for y in _band_entries(*_su2_band(n2))]
+    return dict(zip(_VDW_NAMES, ((entries, []) for entries in xs + ys)))
+
+
 def build_vdw_operators(l, ldot) -> VdWOperators:
-    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>, (m, mdot) lexicographic: X = x (x) I and
-    Y = I (x) y of the spins' ``su2_ladder`` triples, placed, not multiplied.
-
-    Basis vector (a, s) is row a d2 + s, d2 = 2 ldot + 1, so x's entry (a, b) is copied to
-    (a d2 + s, b d2 + s) for every s and y's entry (s, t) to (a d2 + s, a d2 + t) for every a, in
-    one zeroed block: the values of np.kron(x, I) and np.kron(I, y), with every zero +0.0."""
-    import numpy as np
-
+    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>: ``vdw_entries`` through ``_dense``, the values of
+    np.kron(x, I) and np.kron(I, y) of the spins' ``su2_ladder`` triples, with every zero +0.0."""
     l, ldot = as_half_integer(l), as_half_integer(ldot)
-    xs, ys = su2_ladder(l), su2_ladder(ldot)
-    d1, d2 = len(xs[0]), len(ys[0])
-    block = np.zeros((6, d1, d2, d1, d2), dtype=complex)  # operator, row (a, s), column (b, t)
-    s, a = np.arange(d2), np.arange(d1)
-    block[:3, :, s, :, s] = xs
-    block[3:, a, :, a, :] = ys
-    return VdWOperators(l, ldot, *block.reshape(6, d1 * d2, d1 * d2), _vdw_note(l, ldot))
-
-
-def _su2_band(n: int) -> tuple[list[float], list[float]]:
-    """(m, roots) of spin n/2 in pure Python: ``_su2_entries`` at each index i = 0..n on Python ints, j3's
-    diagonal and the n roots of j+'s subdiagonal (j-'s superdiagonal), the floats ``su2_ladder`` writes."""
-    m, roots = zip(*(_su2_entries(n, i) for i in range(n + 1)))
-    return list(m), list(roots[:-1])
-
-
-def _placed_parts(band, dim: int, stride: int, copies: int, spacing: int) -> tuple[list[float], list[float]]:
-    """Row-major real and imaginary parts of the dim x dim matrix holding ``copies`` copies of a spin's
-    ``band``, its entries (r, c, v), copy k's at (r stride + k spacing, c stride + k spacing): x (x) I
-    is stride d2 with d2 copies spaced 1, and I (x) y is stride 1 with d1 copies spaced d2.  Every
-    other entry, and every imaginary part, is 0.0."""
-    re, step = [0.0] * (dim * dim), spacing * (dim + 1)
-    for r, c, v in band:
-        start = (r * dim + c) * stride
-        re[start : start + copies * step : step] = [v] * copies
-    return re, [0.0] * (dim * dim)
+    ops = _dense(vdw_dim(l, ldot), vdw_entries(l, ldot).values())
+    return VdWOperators(l, ldot, *ops, _vdw_note(l, ldot))
 
 
 def vdw_parts(l, ldot) -> tuple[dict[str, Callable[[], tuple[list[float], list[float]]]], str]:
     """``(parts, basis_note)`` of ``build_vdw_operators(l, ldot)`` without numpy: for each name of its
-    ``operators()``, a function returning that operator's row-major real and imaginary parts as
-    float lists, each spin's ``_su2_band`` entries placed by ``_placed_parts`` where
-    ``build_vdw_operators`` copies them, every zero 0.0."""
+    ``operators()``, a function returning that operator's row-major real and imaginary parts, its
+    ``vdw_entries`` written by ``_float_parts``, every zero 0.0."""
     l, ldot = as_half_integer(l), as_half_integer(ldot)
-    d1, d2 = _twice_spin(l) + 1, _twice_spin(ldot) + 1
-    parts = []
-    for n, stride, copies, spacing in ((d1 - 1, d2, d2, 1), (d2 - 1, 1, d1, d2)):
-        m, roots = _su2_band(n)
-        for band in (
-            [(i, i, v) for i, v in enumerate(m)],
-            [(i + 1, i, f) for i, f in enumerate(roots)],
-            [(i, i + 1, f) for i, f in enumerate(roots)],
-        ):
-            parts.append(partial(_placed_parts, band, d1 * d2, stride, copies, spacing))
-    return dict(zip(_VDW_NAMES, parts)), _vdw_note(l, ldot)
+    dim = vdw_dim(l, ldot)
+    return {name: partial(_float_parts, dim, op) for name, op in vdw_entries(l, ldot).items()}, _vdw_note(l, ldot)
 
 
 def _band_failure(j, m: list[float], roots: list[float]) -> str | None:
@@ -467,7 +446,7 @@ def _sparse_product(a: dict, b: dict) -> dict:
 
 def vdw_proof(l, ldot) -> tuple[str | None, float]:
     """``(failure, residual)`` of the (l, ldot) operators from their two spins' ``_su2_band`` entries,
-    without numpy.
+    the ones ``vdw_entries`` places, without numpy.
 
     ``failure`` is ``_band_failure``'s text for the first spin whose band is not exactly its su(2)
     triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is the largest entry
@@ -480,13 +459,12 @@ def vdw_proof(l, ldot) -> tuple[str | None, float]:
     for j in (as_half_integer(l), as_half_integer(ldot)):
         m, roots = _su2_band(_twice_spin(j))
         failure = failure or _band_failure(j, m, roots)
-        plus = {(i + 1, i): complex(f, 0.0) for i, f in enumerate(roots)}
-        minus = {(i, i + 1): complex(f, 0.0) for i, f in enumerate(roots)}
+        three, plus, minus = ({(r, c): complex(v, 0.0) for r, c, v in entries} for entries in _band_entries(m, roots))
         zero = complex(0.0, 0.0)
         t = (  # cartesian(j3, j+, j-), entry by entry
             {k: (plus.get(k, zero) + minus.get(k, zero)) / 2 for k in plus.keys() | minus.keys()},
             {k: (plus.get(k, zero) - minus.get(k, zero)) / 2j for k in plus.keys() | minus.keys()},
-            {(i, i): complex(v, 0.0) for i, v in enumerate(m)},
+            three,
         )
         for a, b, c in _CYCLIC:
             ab, ba = _sparse_product(t[a], t[b]), _sparse_product(t[b], t[a])
@@ -563,9 +541,7 @@ def spintensor_transform(g: np.ndarray, t: Spintensor) -> Spintensor:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("transformation must be a 2x2 matrix")
-    op = np.ones((1, 1), dtype=complex)
-    for _ in range(t.k):
-        op = np.kron(op, g)
-    for _ in range(t.r):
-        op = np.kron(op, g.conj())
-    return Spintensor(t.k, t.r, op @ t.flat)
+    out = t.components
+    for slot in range(t.k + t.r):  # one 2 x 2 contraction per slot: no 2^(k+r)-square operator is formed
+        out = np.moveaxis(np.tensordot(g if slot < t.k else g.conj(), out, axes=(1, slot)), 0, slot)
+    return Spintensor(t.k, t.r, out.copy())

@@ -179,15 +179,17 @@ class TestRepCommand:
 
     @staticmethod
     def first_entries_of_spin_1(monkeypatch, edit):
-        """``lorentz._su2_entries``, the entries ``rep --vdw`` writes and proves, with ``edit(m, root)``
-        applied to spin 1's first entries, m = -1 and root sqrt(2), where they are read on Python ints."""
-        honest = lorentz._su2_entries
+        """``lorentz._su2_band``, the entries ``rep --vdw`` writes and proves, with ``edit(m, root)``
+        applied to spin 1's first entries, m = -1 and root sqrt(2)."""
+        honest = lorentz._su2_band
 
-        def entries(n, i):
-            m, root = honest(n, i)
-            return edit(m, root) if (n, i) == (2, 0) else (m, root)
+        def band(n):
+            m, roots = honest(n)
+            if n == 2:
+                m[0], roots[0] = edit(m[0], roots[0])
+            return m, roots
 
-        monkeypatch.setattr(lorentz, "_su2_entries", entries)
+        monkeypatch.setattr(lorentz, "_su2_band", band)
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         """A NaN root of spin 1 reaches the rows, the root proof and the residual: exit 1, pass false."""
@@ -576,6 +578,23 @@ print(gn_coefficients(GNLabel(0, 2), 1), gn_coefficients(GNLabel(1, 3), 2), "num
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-1] == "False"
 
+    def test_entry_lists_load_no_numpy(self):
+        """The entry lists of every operator are computed on Python ints and floats: those of the largest
+        GN label the CLI builds, (0, 20), and of the dim-400 VdW label (19/2, 19/2), with the VdW rows
+        written, load no numpy; only the dense writer does."""
+        code = """
+import sys
+from fractions import Fraction
+from cliffrep.lorentz import GNLabel, gn_entries, vdw_entries, vdw_parts
+gn, vdw = gn_entries(GNLabel(0, 20)), vdw_entries(Fraction(19, 2), Fraction(19, 2))
+rows = [len(part) for write in vdw_parts(Fraction(19, 2), Fraction(19, 2))[0].values() for part in write()]
+print(len(gn), len(vdw), sum(len(re) + len(im) for re, im in gn.values()), set(rows), "numpy" in sys.modules)
+"""
+        proc = run_python(["-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # (0, 20): 2 (400 + 2 * 380) same-level entries, H and F, and 6 on each of the 1 + 3 + .. + 37 = 19^2 links
+        assert proc.stdout.split() == ["6", "6", str(2 * (400 + 2 * 380) + 6 * 19**2), "{160000}", "False"]
+
     def test_gn_rep_loads_numpy(self):
         """The boundary of the numpy-free matrix commands: ``rep --gn`` still builds dense arrays."""
         code = """
@@ -820,17 +839,19 @@ def test_vdw_parts_are_build_vdw_operators_bits():
 
 
 def test_vdw_parts_mutant_breaks_the_bits():
-    """``vdw_parts`` with one band entry written one row off, j3's first diagonal entry of every spin
-    above 0 placed at (1, 0), fails the comparison on the first label with such a spin."""
-    honest = lorentz._placed_parts
+    """``vdw_parts`` through a list writer that writes one entry one row off, the first of every real part
+    that starts on the diagonal and holds more than one entry, fails the comparison on the first label
+    where that moves a nonzero value: Y3 of (0, 1/2), whose -1/2 lands at (1, 0)."""
+    honest = lorentz._float_parts
 
-    def one_row_off(band, *placement):
-        if len(band) > 1 and band[0][0] == band[0][1]:  # j3's diagonal of a spin above 0
-            (r, c, v), *rest = band
-            band = [(r + 1, c, v), *rest]
-        return honest(band, *placement)
+    def one_row_off(dim, operator):
+        real, imaginary = operator
+        if len(real) > 1 and real[0][0] == real[0][1]:
+            (r, c, v), *rest = real
+            real = [(r + 1, c, v), *rest]
+        return honest(dim, (real, imaginary))
 
-    with mock.patch.object(lorentz, "_placed_parts", one_row_off):
+    with mock.patch.object(lorentz, "_float_parts", one_row_off):
         assert vdw_parts_mismatch() == (Fraction(0), Fraction(1, 2), "Y3")
     assert vdw_parts_mismatch() is None
 
@@ -865,6 +886,32 @@ def test_rep_vdw_json_unchanged(capsys):
         assert code == 0, argv
         h.update(out.encode())
     assert len(REP_VDW_RUNS) == 282 and h.hexdigest() == REP_VDW_JSON_DIGEST
+
+
+def gn_labels_up_to(dim_max: int) -> list[tuple[Fraction, Fraction]]:
+    """Every GN label (l0, l1) of dim (l1 - l0)(l1 + l0) <= dim_max, l0 ascending, then l1 ascending."""
+    return [
+        (Fraction(a, 2), Fraction(a, 2) + p)
+        for a in range(dim_max)
+        for p in range(1, dim_max + 1)
+        if p * (a + p) <= dim_max
+    ]
+
+
+#: sha256 of ``rep --gn`` stdout over the 144 GN labels of dim <= 64 and (0, 20), run in-process, each
+#: ``"commutator_residual"`` value masked as "#": the residuals are dense products and vary with BLAS,
+#: the entries, written from the operators' arrays, do not
+REP_GN_JSON_DIGEST = "1bf3261e555bb87044ae0a8c3af2b686d3c4666896e7d49a623a1c5963ee95ba"
+REP_GN_RUNS = [["rep", "--gn", str(l0), str(l1)] for l0, l1 in gn_labels_up_to(64) + [(Fraction(0), Fraction(20))]]
+
+
+def test_rep_gn_json_unchanged(capsys):
+    h = hashlib.sha256()
+    for argv in REP_GN_RUNS:
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        h.update(re.sub(r'(?<="commutator_residual": )[^,\n]+', "#", out).encode())
+    assert len(REP_GN_RUNS) == 145 and h.hexdigest() == REP_GN_JSON_DIGEST
 
 
 @pytest.mark.parametrize("label", VDW_LABELS[::16] + VDW_LABELS[-2:], ids=lambda label: "%s,%s" % label)

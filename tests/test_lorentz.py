@@ -2,9 +2,13 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,13 +32,14 @@ from cliffrep.lorentz import (
     su2_ladder,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # sha256 of the raw bytes of every operator matrix over gn_labels(64) / vdw_labels(64),
 # in label and operator order: `rep` emits these bits, signed zeros included (every VdW zero is +0.0)
 GN_OPERATOR_DIGEST = "779c407fbcd101c0592aa6c11743f62e41b50207e5ed4f996f205c0ae5af3ce0"
 VDW_OPERATOR_DIGEST = "b15ea67b236fa514e3127c3f5f423ca2e67c608586caef9dd4c19910f4dcaa78"
 # sha256 of the raw bytes of su2_ladder's (j3, j+, j-) for 2j = 0..199, every root a
-# correctly rounded np.sqrt
+# correctly rounded math.sqrt
 SU2_LADDER_DIGEST = "6f8bd30db6b329a5770d8bd55e73d287207069fdbf78080b5ad60b6ea44a9505"
 
 
@@ -392,21 +397,18 @@ def ladder_digest(ladder) -> str:
 
 
 def entries_of_spin_1(edit, index=0):
-    """``_su2_entries`` with ``edit(m, root)`` applied to spin 1's entries at ``index``, read on an int or
-    on an index array, as ``_su2_band`` and ``su2_ladder`` read them."""
-    honest = lorentz._su2_entries
+    """``_su2_band``, the source of every operator entry, with ``edit(m, root)`` applied to spin 1's
+    entries at ``index``: m_index and root f_index, which past the band (index 2) is 0.0 and is dropped."""
 
-    def entries(n, i):
-        m, root = honest(n, i)
-        if n != 2:
-            return m, root
-        if isinstance(i, int):
-            return edit(m, root) if i == index else (m, root)
-        m, root = m.copy(), root.copy()
-        m[index], root[index] = edit(m[index], root[index])
-        return m, root
+    def band(n):
+        m, roots = _HONEST_BAND(n)
+        if n == 2:
+            m[index], root = edit(m[index], roots[index] if index < n else 0.0)
+            if index < n:
+                roots[index] = root
+        return m, roots
 
-    return mock.patch.object(lorentz, "_su2_entries", entries)
+    return mock.patch.object(lorentz, "_su2_band", band)
 
 
 def bracketing_ulps(f: float, x: int) -> int:
@@ -532,11 +534,15 @@ class TestVdWOperators:
     @pytest.mark.parametrize("dim_max", [1, 16, 36])
     def test_check_matches_the_dense_residuals(self, dim_max):
         """The exact per-spin proof gives the verdict of dense com2_residual over every label, on the
-        shipped entries and on doubled roots, which both read from ``_su2_entries``; ``covered`` counts
-        the labels, the detail the spins."""
-        labels, honest = vdw_labels(dim_max), lorentz._su2_entries
-        for entries in (honest, lambda n, i: (honest(n, i)[0], 2 * honest(n, i)[1])):
-            with mock.patch.object(lorentz, "_su2_entries", entries):
+        shipped band and on one with every root doubled, which both read from ``_su2_band``; ``covered``
+        counts the labels, the detail the spins."""
+        def doubled(n):
+            m, roots = _HONEST_BAND(n)
+            return m, [2 * f for f in roots]
+
+        labels = vdw_labels(dim_max)
+        for band in (_HONEST_BAND, doubled):
+            with mock.patch.object(lorentz, "_su2_band", band):
                 worst = max(com2_residual(build_vdw_operators(l, ld)) for l, ld in labels)
                 r = checks.check_vdw_com2(0, dim_max)
             assert (r.passed, r.covered) == (worst <= VDW_COM_TOL, len(labels))
@@ -555,22 +561,23 @@ class TestVdWOperators:
         assert checks.check_vdw_com2(0, 16) == honest  # and the honest code passes again
 
     def test_next_spins_ladder_fails_the_check(self, capsys):
-        """The next spin's band fails vdw-com2 on its length; the GN builders read the su(2) entries
-        from ``_su2_entries``, not from the band, so theirs pass, and ``verify`` exits 1, not 2."""
+        """The next spin's band fails vdw-com2 on its length, and the GN builders, which place the same
+        band, write past their levels, so both GN checks report the raise; ``verify`` exits 1, not 2."""
         with mock.patch.object(lorentz, "_su2_band", lambda n: _HONEST_BAND(n + 1 if n else n)):
             r = checks.check_vdw_com2(0, 16)
             code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
         assert (r.passed, r.detail) == (False, "spin 1/2: band lengths (j3, j+) are not (2, 1)")
         lines, total = out.splitlines(), len(checks.ALL_CHECKS)
         failed = [line for line in lines if line.startswith("FAIL")]
-        assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 1}/{total} checks passed"
-        assert failed == [f"FAIL  paired su(2) commutators  [{r.detail}]"]
+        assert code == 1 and len(lines) == total + 1 and lines[-1] == f"{total - 3}/{total} checks passed"
+        assert [line.split("  [")[0] for line in failed] == ["FAIL  gn-com1", "FAIL  paired su(2) commutators", "FAIL  gn-vdw"]
+        assert f"FAIL  paired su(2) commutators  [{r.detail}]" in failed
+        assert all(line.split("  [")[1].startswith("raised IndexError: ") for line in (failed[0], failed[2]))
 
     def test_next_spins_entries_fail_every_ladder_check(self, capsys):
-        """The next spin's entries in ``_su2_entries``, which the band, su2_ladder and build_gn_operators
-        all read, fail vdw-com2 and both GN checks, and ``verify`` reports each FAIL, runs the rest and exits 1."""
-        honest = lorentz._su2_entries
-        with mock.patch.object(lorentz, "_su2_entries", lambda n, i: honest(n + 1, i)):
+        """The next spin's entries cut to this spin's band lengths, in ``_su2_band``, which su2_ladder and both
+        entry builders read, fail vdw-com2 and both GN checks, and ``verify`` reports each FAIL, runs the rest and exits 1."""
+        with mock.patch.object(lorentz, "_su2_band", lambda n: tuple(part[:-1] for part in _HONEST_BAND(n + 1))):
             r = checks.check_vdw_com2(0, 16)
             code, out = main(["verify", "--nmax", "0", "--dim-max", "16"]), capsys.readouterr().out
         assert (r.passed, r.detail) == (False, "spin 0: j3 is not [j+, j-]/2 = diag(-j .. j)")
@@ -596,6 +603,29 @@ class TestVdWOperators:
             r = checks.check_vdw_com2(0, 64)
         assert not r.passed and r.detail.startswith("spin 63/2: root 62 of j+")
         assert checks.check_vdw_com2(0, 64) == first
+
+    def test_one_band_edit_moves_every_writer(self):
+        """Spin 1/2's root sqrt(1) in ``_su2_band`` moved up 1 ulp stays within the bracket, so vdw-com2
+        still passes, and that one edit changes su2_ladder's, build_vdw_operators' and build_gn_operators'
+        bytes and vdw_parts' bits together: every shipped entry comes from the one band."""
+
+        def band(n):
+            m, roots = _HONEST_BAND(n)
+            if n == 1:
+                roots[0] = math.nextafter(roots[0], math.inf)
+            return m, roots
+
+        def parts():
+            return {name: part() for name, part in lorentz.vdw_parts(F(1, 2), F(1, 2))[0].items()}
+
+        honest = parts()
+        with mock.patch.object(lorentz, "_su2_band", band):
+            assert checks.check_vdw_com2(0, 64).passed
+            assert ladder_digest(su2_ladder) != SU2_LADDER_DIGEST
+            assert _digest(build_vdw_operators(l, ld) for l, ld in vdw_labels(64)) != VDW_OPERATOR_DIGEST
+            assert _digest(build_gn_operators(lab) for lab in gn_labels(64)) != GN_OPERATOR_DIGEST
+            moved = parts()
+        assert [name for name in honest if moved[name] != honest[name]] == ["X+", "X-", "Y+", "Y-"]
 
     def test_dim_400_passes_exactly(self):
         """All 400 spins are proved on their bands: no dense ladder is built or read."""
@@ -658,12 +688,6 @@ class TestVdWOperators:
             failure, residual = lorentz.vdw_proof(F(1, 2), 1)
             assert failure == lorentz.su2_ladder_failure(1) == "spin 1: j3 is not [j+, j-]/2 = diag(-j .. j)"
             assert residual > 0.49
-
-    def test_roots_are_correctly_rounded(self):
-        """``_roots`` equals math.sqrt, IEEE 754's correctly rounded root, on every integer to 160 000,
-        which covers every radicand of a label of dim <= 400."""
-        x = np.arange(160_001)
-        assert lorentz._roots(x).tolist() == [math.sqrt(v) for v in x.tolist()]
 
     def test_operators_are_np_kron_bit_for_bit(self):
         """The assembly behind the mixed-product rule: on every label of dim <= 160 the six placed
@@ -856,14 +880,8 @@ class TestConversion:
         assert checks.check_gn_vdw(0, 64).passed
 
     def test_doubled_root_fails_the_check(self):
-        # build_gn_operators reads each level's ladder from _su2_entries; the failing label is named by (l0, l1)
-        honest = lorentz._su2_entries
-
-        def doubled_root(n, i):
-            m, roots = honest(n, i)
-            return m, np.where(i == 0, 2 * roots, roots)
-
-        with mock.patch.object(lorentz, "_su2_entries", doubled_root):
+        # build_gn_operators places each level's band from _su2_band; the failing label is named by (l0, l1)
+        with mock.patch.object(lorentz, "_su2_band", BAND_MUTANTS["doubled-root"][0]):
             r = checks.check_gn_vdw(0, 64)
         assert (r.passed, r.detail, r.covered) == (False, "(0, 2) su(2) relations", 28)
         assert checks.check_gn_vdw(0, 64).passed
@@ -986,16 +1004,56 @@ class TestSpintensor:
         twice = spintensor_transform(g, spintensor_transform(h, t))
         assert np.abs(once.flat - twice.flat).max() <= 1e-12
 
+    G = np.array([[0.6 + 0.8j, -1.3 + 0.1j], [0.7 - 0.2j, 1.1 + 0.4j]])
+
+    @staticmethod
+    def fixed_tensor(k, r):
+        size = 1 << (k + r)
+        return Spintensor(k, r, np.arange(size) / 3 + 1j * np.arange(size, 0, -1) / 7)
+
     def test_transform_bits_unchanged(self):
         """sha256 of the raw bytes of one fixed g applied to a fixed tensor of every rank k, r <= 3."""
-        g = np.array([[0.6 + 0.8j, -1.3 + 0.1j], [0.7 - 0.2j, 1.1 + 0.4j]])
         h = hashlib.sha256()
         for k in range(4):
             for r in range(4):
-                size = 1 << (k + r)
-                t = Spintensor(k, r, np.arange(size) / 3 + 1j * np.arange(size, 0, -1) / 7)
-                h.update(spintensor_transform(g, t).flat.tobytes())
-        assert h.hexdigest() == "81c40ee22adfbafba849e02c495fbe6b18e24fdcf3023743948bbb4c41885f0d"
+                h.update(spintensor_transform(self.G, self.fixed_tensor(k, r)).flat.tobytes())
+        assert h.hexdigest() == "f23c7a153b6d1949128780c4b3e657378be46c435751b7a0ee144a8f3a1c7043"
+
+    def test_transform_is_the_kronecker_matvec(self):
+        """On every rank k, r <= 4 the slotwise transform is (g (x) .. (x) g (x) conj(g) (x) .. (x) conj(g))
+        times the flat components, within 1e-14 relative to the largest component."""
+        for k in range(5):
+            for r in range(5):
+                op = np.ones((1, 1), dtype=complex)
+                for m in [self.G] * k + [self.G.conj()] * r:
+                    op = np.kron(op, m)
+                t = self.fixed_tensor(k, r)
+                want = op @ t.flat
+                got = spintensor_transform(self.G, t)
+                assert (got.k, got.r, got.components.shape) == (k, r, (2,) * (k + r))
+                assert np.abs(got.flat - want).max() <= 1e-14 * np.abs(want).max(), (k, r)
+
+    def test_rank_7_7_forms_no_kronecker_operator(self):
+        """At k = r = 7 the 2^14 x 2^14 Kronecker operator would take 4.3 GB; the slotwise transform runs
+        under a 1 GiB address-space limit, and on a product tensor it is the product of g u_i on the
+        undotted slots and conj(g) u_i on the dotted ones, within 1e-13 relative."""
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from functools import reduce
+import numpy as np
+from cliffrep.lorentz import Spintensor, spintensor_transform
+g = np.array([[0.6 + 0.8j, -1.3 + 0.1j], [0.7 - 0.2j, 1.1 + 0.4j]])
+us = [np.array([1 + 0.5j * i, 0.25 - i / 7]) for i in range(14)]
+t = Spintensor(7, 7, reduce(np.multiply.outer, us))
+want = reduce(np.multiply.outer, [g @ u for u in us[:7]] + [g.conj() @ u for u in us[7:]])
+got = spintensor_transform(g, t).components
+print(got.shape == (2,) * 14, float(np.abs(got - want).max() / np.abs(want).max()) <= 1e-13)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     @pytest.mark.parametrize(
         "k,r,size,message",
