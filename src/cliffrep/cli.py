@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 verification failure (or a closed output pipe),
 A label command (classify, table, clock, factorize, chain) loads only
 the input rules, :mod:`cliffrep.classify`, :mod:`cliffrep.factorize` and
 :mod:`cliffrep.table_data`, and ``chain`` adds :mod:`cliffrep.repsys`;
-every other module is imported inside the commands that use it.  Of the
-matrix commands only ``rep --gn`` and ``verify`` load numpy: ``matrep``
-writes its rows from the gammas' (column, phase) forms, and ``rep --vdw``
-from its spins' entries on Python ints.
+every other module is imported inside the commands that use it.
+``matrep`` and ``rep`` print each matrix from its entry lists, the gamma
+forms' or the operators', through the one row writer ``float_parts``; of
+the matrix commands only ``verify`` and ``rep --gn``'s residuals load numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ._rules import MAX_GENERATORS, as_half_integer, as_signature
@@ -55,18 +54,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 class _Parts:
-    """A dim x dim matrix built without numpy, for :func:`_json_chunks`: ``parts()`` returns its
-    row-major real and imaginary parts as two float lists, and is called when the matrix is written."""
+    """A dim x dim matrix given as entry lists, the one kind :func:`_json_chunks` writes: its row-major
+    real and imaginary parts are written by ``float_parts`` when the matrix is."""
 
-    __slots__ = ("shape", "parts")
+    __slots__ = ("dim", "operator")
 
-    def __init__(self, dim: int, parts):
-        self.shape, self.parts = (dim, dim), parts
+    def __init__(self, dim: int, operator):
+        self.dim, self.operator = dim, operator
 
 
-def _matrix_payload(m: np.ndarray | _Parts, basis: str) -> dict:
-    """``matrix_to_json(m, basis)`` with the entries left to :func:`_json_chunks`."""
-    return {"dim": int(m.shape[0]), "entries": m, "basis": basis}
+def _matrix_payload(dim: int, operator, basis: str) -> dict:
+    """``matrix_to_json`` of the dim x dim matrix with these entry lists, its entries left to :func:`_json_chunks`."""
+    return {"dim": dim, "entries": _Parts(dim, operator), "basis": basis}
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -81,31 +80,27 @@ def _float_texts(values: list[float]) -> list[str]:
 
 
 def _json_chunks(obj):
-    """``json.dumps(obj, indent=2)`` in pieces, one per matrix in ``obj``, a numpy array or a
-    :class:`_Parts`: ``json`` writes the layout around a placeholder for each matrix, and the
-    matrix's ``[[re, im], ...]`` entries, joined in bulk, are spliced in there (``json`` would
-    encode them one float at a time).  An array can only be there once numpy is loaded, so this
-    imports none."""
-    arrays = []
+    """``json.dumps(obj, indent=2)`` in pieces, one per :class:`_Parts` in ``obj``: ``json`` writes the
+    layout around a placeholder for each matrix, and the matrix's ``[[re, im], ...]`` entries, its
+    rows as ``float_parts`` writes them when it is reached, joined in bulk, are spliced in there
+    (``json`` would encode them one float at a time)."""
+    from ._entries import float_parts
+
+    matrices = []
 
     def hold(o):
-        np = sys.modules.get("numpy")
-        if isinstance(o, _Parts):
-            arrays.append(o.parts)
-        elif np is not None and isinstance(o, np.ndarray):
-            m = o.astype(complex, copy=False)
-            arrays.append(lambda: (m.real.ravel().tolist(), m.imag.ravel().tolist()))
-        else:
+        if not isinstance(o, _Parts):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        matrices.append(o)
         return "\0"  # the placeholder: no payload string is a lone NUL
 
     *pieces, last = json.dumps(obj, indent=2, default=hold).split(json.dumps("\0"))
-    for piece, parts in zip(pieces, arrays):
+    for piece, m in zip(pieces, matrices):
         yield piece
         line = piece[piece.rfind("\n") + 1 :]
         pad = " " * (len(line) - len(line.lstrip(" ")))
         inner, leaf = pad + "  ", pad + "    "
-        re, im = map(_float_texts, parts())
+        re, im = map(_float_texts, float_parts(m.dim, m.operator))
         pairs = map(f",\n{leaf}".join, zip(re, im))
         yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(pairs) + f"\n{inner}]\n{pad}]"
     yield last
@@ -204,7 +199,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_matrep(args) -> int:
-    from .gamma import form_parts, form_verdict, generator_forms
+    from .gamma import form_entries, form_verdict, generator_forms
 
     sig = as_signature((args.p, args.q))
     forms, reducible, note = generator_forms(sig)
@@ -218,7 +213,7 @@ def cmd_matrep(args) -> int:
         "reducible": reducible,
         "metric": metric,
         "anticommutation_ok": ok,
-        "gammas": [_matrix_payload(_Parts(dim, partial(form_parts, f)), note) for f in forms],
+        "gammas": [_matrix_payload(dim, form_entries(f), note) for f in forms],
     }
     _emit(payload, args.out)
     if args.out:
@@ -273,20 +268,22 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 
 def cmd_rep(args) -> int:
-    """``rep --gn`` judges the dense GN operators.  ``rep --vdw`` passes when ``lorentz.vdw_proof``
-    proves both spins' bands exactly, every root bracketed and j3's diagonal -j .. j, as ``verify``'s
-    ``vdw-com2`` does, and its residual is at most ``--tol``; its rows come from ``lorentz.vdw_parts``,
-    and it loads no numpy."""
+    """Both bases print the rows of their ``gn_entries`` or ``vdw_entries``.  ``rep --gn`` judges the dense GN
+    operators.  ``rep --vdw`` passes when ``lorentz.vdw_proof`` proves both spins' bands exactly, every root
+    bracketed and j3's diagonal -j .. j, as ``verify``'s ``vdw-com2`` does, and its residual is at most
+    ``--tol``; it loads no numpy."""
     from .lorentz import (
         GN_COM_TOL,
         GNLabel,
         build_gn_operators,
         com1_residual,
         com2_residual,
+        gn_entries,
         gn_to_vdw,
         reconstruct_AB,
         vdw_dim,
-        vdw_parts,
+        vdw_entries,
+        vdw_note,
         vdw_proof,
     )
 
@@ -297,7 +294,7 @@ def cmd_rep(args) -> int:
         _require_operator_dim(label.dim)
         ops = build_gn_operators(label)
         residual = com1_residual(reconstruct_AB(ops))
-        basis, labels, dim, operators, note = "gn", {"l0": label.l0, "l1": label.l1}, ops.dim, ops.operators(), ops.basis_note
+        basis, labels, dim, operators, note = "gn", {"l0": label.l0, "l1": label.l1}, ops.dim, gn_entries(label), ops.basis_note
         c = gn_to_vdw(ops)
         tail = {"converted": {"l": str(c.l), "ldot": str(c.ldot), "commutator_residual": com2_residual(c)}}
     else:
@@ -305,14 +302,13 @@ def cmd_rep(args) -> int:
         _require_operator_dim(dim)
         l, ldot = map(as_half_integer, args.vdw)
         failure, residual = vdw_proof(l, ldot)
-        parts, note = vdw_parts(l, ldot)
-        basis, labels, operators = "vdw", {"l": l, "ldot": ldot}, {k: _Parts(dim, v) for k, v in parts.items()}
+        basis, labels, operators, note = "vdw", {"l": l, "ldot": ldot}, vdw_entries(l, ldot), vdw_note(l, ldot)
     ok = failure is None and residual <= tol
     payload = {
         "basis": basis,
         **{k: str(v) for k, v in labels.items()},
         "dim": dim,
-        "operators": {k: _matrix_payload(v, note) for k, v in operators.items()},
+        "operators": {k: _matrix_payload(dim, v, note) for k, v in operators.items()},
         "commutator_residual": residual,
         **tail,
         "tolerance": tol,

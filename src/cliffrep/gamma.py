@@ -17,9 +17,11 @@ row holds one entry, a Z4 phase i^k (Lounesto, *Clifford Algebras and
 Spinors*, ch. 16-17).  The synthesis works on that form alone, one column
 and one phase per row (:func:`generator_forms`), in pure Python: a
 Kronecker product is index arithmetic and a matrix product a gather with a
-mod-4 phase sum.  :func:`build_generators` writes the forms into dense
-complex arrays, every zero part +0.0; ``matrep`` writes its rows from the
-forms.
+mod-4 phase sum.  :func:`form_entries` turns a form into the entry lists of
+its real and imaginary parts, and the one writer pair of
+:mod:`cliffrep._entries` makes them dense, every zero part +0.0:
+:func:`build_generators` through ``dense`` into complex arrays, and
+``matrep`` through ``float_parts`` into the rows it prints.
 
 One rule, :func:`form_verdict`, decides on such forms the defining
 relations, omega = +-I and omega^2 = +-I, by integer gathers and mod-4
@@ -41,6 +43,7 @@ from functools import reduce
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
+from ._entries import Operator, dense
 from ._rules import Signature, as_signature
 from .factorize import FACTOR_HYPERBOLIC, FACTOR_NEG, FACTOR_POS, Factorization, karoubi_factorize
 
@@ -156,30 +159,22 @@ def generator_forms(sig) -> tuple[tuple[Form, ...], bool, str]:
     return tuple(_tensor(_identity(2), g) for g in base) + (last,), True, note
 
 
-def form_parts(form: Form) -> tuple[list[float], list[float]]:
-    """The row-major real and imaginary parts of a form's dense matrix, as float lists, every zero +0.0:
-    what :func:`build_generators` writes into its arrays, without numpy."""
-    columns, phases = form
-    dim = len(columns)
-    re, im = [0.0] * (dim * dim), [0.0] * (dim * dim)
-    for r, (c, k) in enumerate(zip(columns, phases)):
-        re[r * dim + c], im[r * dim + c] = _PHASE_PARTS[k]
-    return re, im
+def form_entries(form: Form) -> Operator:
+    """The form's (real, imaginary) entry lists: row r's i^k at (r, columns[r]), in the part it lies in,
+    its value from ``_PHASE_PARTS``, so every other entry of both parts is +0.0."""
+    parts: Operator = [], []
+    for r, (c, k) in enumerate(zip(*form)):
+        parts[k % 2].append((r, c, _PHASE_PARTS[k][k % 2]))
+    return parts
 
 
 def build_generators(sig) -> GeneratorSet:
     """Anticommuting matrices g_i with g_i^2 = +1 (i <= p) or -1 (i > p): the forms of
-    :func:`generator_forms`, written into one zeroed complex stack by one index write."""
-    import numpy as np
-
+    :func:`generator_forms` as :func:`form_entries`, written by ``_entries.dense``."""
     sig = as_signature(sig)
     forms, reducible, note = generator_forms(sig)
-    dim = len(forms[0][0]) if forms else 1
-    stack = np.zeros((len(forms), dim, dim), dtype=complex)
-    columns, phases = (np.array([f[k] for f in forms], dtype=int).reshape(len(forms), dim) for k in (0, 1))
-    values = np.array([complex(*z) for z in _PHASE_PARTS])[phases]
-    np.put_along_axis(stack, columns[..., None], values[..., None], axis=-1)
-    return GeneratorSet(sig, tuple(stack), reducible=reducible, basis_note=note)
+    gammas = dense(len(forms[0][0]) if forms else 1, [form_entries(f) for f in forms])
+    return GeneratorSet(sig, gammas, reducible=reducible, basis_note=note)
 
 
 class GammaVerdict(NamedTuple):

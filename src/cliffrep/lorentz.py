@@ -29,11 +29,12 @@ F3/F+/F-, with the C_k links between levels from ``_gn_c`` and
 positions of X = x (x) I and Y = I (x) y, placed, not multiplied, so no
 product is formed and every zero is +0.0.  Each operator is a pair of
 (row, column, value) lists, its real part and its imaginary part, every
-other entry 0.0.  ``_dense`` writes them into zeroed complex arrays, one
-index write per part, for ``su2_ladder``, ``build_gn_operators`` and
-``build_vdw_operators``; ``_float_parts`` writes them into zeroed
-row-major float lists, for ``vdw_parts``.  Every ladder triple is read in
-cartesian form through one map (``cartesian``).
+other entry 0.0, and the one writer pair of ``cliffrep._entries`` makes
+them dense: ``dense`` into zeroed complex arrays, one index write per
+part, for ``su2_ladder``, ``build_gn_operators`` and
+``build_vdw_operators``, and ``float_parts`` into zeroed row-major float
+lists, the rows ``rep`` prints in both bases.  Every ladder triple is read
+in cartesian form through one map (``cartesian``).
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
@@ -52,9 +53,9 @@ converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
 The entry lists need no numpy, so neither does ``rep --vdw``: it writes
-``vdw_parts`` and takes its verdict from ``vdw_proof``, which reads the
-same band entries.  numpy is imported inside the functions that make or
-read arrays, ``_dense`` the only one that writes operator entries.
+``vdw_entries`` and takes its verdict from ``vdw_proof``, which reads the
+same band entries.  numpy is imported inside the functions that read
+arrays, and inside ``dense``, the only one that writes operator entries.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from ._entries import Entries, Operator, dense
 from ._rules import as_count, as_half_integer
 
 if TYPE_CHECKING:
@@ -87,10 +88,6 @@ SPECTRUM_TOL = 1e-8
 #: non-square is 1 ulp from sqrt(x) on one side, and a perfect square's is exact
 SU2_ROOT_ULPS = 1
 
-#: one operator part: (row, column, value) of each entry that is written; every other entry is 0.0
-Entries = list[tuple[int, int, float]]
-#: one operator: the entries of its real part and of its imaginary part
-Operator = tuple[Entries, Entries]
 _GN_NAMES = ("H3", "H+", "H-", "F3", "F+", "F-")
 _VDW_NAMES = ("X3", "X+", "X-", "Y3", "Y+", "Y-")
 
@@ -216,8 +213,8 @@ def gn_entries(label: GNLabel) -> dict[str, Operator]:
 
 
 def build_gn_operators(label: GNLabel) -> GNOperators:
-    """Ladder matrices over the lexicographic (k, nu) basis: ``gn_entries`` through ``_dense``."""
-    ops = _dense(label.dim, gn_entries(label).values())
+    """Ladder matrices over the lexicographic (k, nu) basis: ``gn_entries`` through ``dense``."""
+    ops = dense(label.dim, gn_entries(label).values())
     top = _twice_spin(label.l1) - 2  # 2k of the last level, printed as its Fraction prints
     note = f"xi_(k,nu), k = {label.l0}..{top // 2 if top % 2 == 0 else f'{top}/2'}, nu = -k..k, lexicographic"
     return GNOperators(label, *ops, note)
@@ -269,16 +266,16 @@ def _worst(deviations) -> float:
 def com1_residual(ab: ABOperators) -> float:
     """Largest entrywise deviation over the 15 rotation/boost relations."""
     a, b = ab[:3], ab[3:]
-    deviations = []
-    for i, j, k in _CYCLIC:
-        deviations += [
-            _comm(a[i], a[j]) - a[k],
-            _comm(b[i], b[j]) + a[k],
-            _comm(a[i], b[i]),
-            _comm(a[i], b[j]) - b[k],
-            _comm(a[j], b[i]) + b[k],
-        ]
-    return _worst(deviations)
+
+    def deviations():  # one at a time: 15 dense deviations alive at once are 38 MB at dim 400
+        for i, j, k in _CYCLIC:
+            yield _comm(a[i], a[j]) - a[k]
+            yield _comm(b[i], b[j]) + a[k]
+            yield _comm(a[i], b[i])
+            yield _comm(a[i], b[j]) - b[k]
+            yield _comm(a[j], b[i]) + b[k]
+
+    return _worst(deviations())
 
 
 @dataclass(frozen=True)
@@ -325,35 +322,11 @@ def _band_entries(m: list[float], roots: list[float]) -> tuple[Entries, Entries,
     )
 
 
-def _dense(dim: int, operators: Collection[Operator]) -> tuple[np.ndarray, ...]:
-    """The operators as dim x dim complex arrays, views of one fresh zeroed block, each part one index
-    write of its entries: the one writer from entry lists to numpy."""
-    import numpy as np
-
-    block = np.zeros((len(operators), dim, dim), dtype=complex)
-    for m, operator in zip(block, operators):
-        for part, entries in zip((m.real, m.imag), operator):
-            if entries:
-                rows, columns, values = zip(*entries)
-                part[rows, columns] = values
-    return tuple(block)
-
-
-def _float_parts(dim: int, operator: Operator) -> tuple[list[float], list[float]]:
-    """The operator's row-major real and imaginary parts as zeroed float lists with its entries written:
-    the writer of the numpy-free rows."""
-    parts = [0.0] * (dim * dim), [0.0] * (dim * dim)
-    for part, entries in zip(parts, operator):
-        for r, c, v in entries:
-            part[r * dim + c] = v
-    return parts
-
-
 def su2_ladder(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j3, j+, j-) on the basis m = -j .. j, ascending: ``_su2_band``'s entries through ``_dense``.
+    """(j3, j+, j-) on the basis m = -j .. j, ascending: ``_su2_band``'s entries through ``dense``.
     Nothing is cached, so every call returns three new writable arrays."""
     n = _twice_spin(j)
-    return _dense(n + 1, [(entries, []) for entries in _band_entries(*_su2_band(n))])
+    return dense(n + 1, [(entries, []) for entries in _band_entries(*_su2_band(n))])
 
 
 def su2_ladder_failure(j) -> str | None:
@@ -368,7 +341,8 @@ def vdw_dim(l, ldot) -> int:
     return (_twice_spin(l) + 1) * (_twice_spin(ldot) + 1)
 
 
-def _vdw_note(l: Fraction, ldot: Fraction) -> str:
+def vdw_note(l: Fraction, ldot: Fraction) -> str:
+    """The basis note of the (l, ldot) operators, which ``rep --vdw`` prints without building them."""
     return f"|l,m;ldot,mdot>, l = {l}, ldot = {ldot}, (m, mdot) lexicographic"
 
 
@@ -386,20 +360,11 @@ def vdw_entries(l, ldot) -> dict[str, Operator]:
 
 
 def build_vdw_operators(l, ldot) -> VdWOperators:
-    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>: ``vdw_entries`` through ``_dense``, the values of
+    """Commuting su(2) ladder pairs on |l,m;ldot,mdot>: ``vdw_entries`` through ``dense``, the values of
     np.kron(x, I) and np.kron(I, y) of the spins' ``su2_ladder`` triples, with every zero +0.0."""
     l, ldot = as_half_integer(l), as_half_integer(ldot)
-    ops = _dense(vdw_dim(l, ldot), vdw_entries(l, ldot).values())
-    return VdWOperators(l, ldot, *ops, _vdw_note(l, ldot))
-
-
-def vdw_parts(l, ldot) -> tuple[dict[str, Callable[[], tuple[list[float], list[float]]]], str]:
-    """``(parts, basis_note)`` of ``build_vdw_operators(l, ldot)`` without numpy: for each name of its
-    ``operators()``, a function returning that operator's row-major real and imaginary parts, its
-    ``vdw_entries`` written by ``_float_parts``, every zero 0.0."""
-    l, ldot = as_half_integer(l), as_half_integer(ldot)
-    dim = vdw_dim(l, ldot)
-    return {name: partial(_float_parts, dim, op) for name, op in vdw_entries(l, ldot).items()}, _vdw_note(l, ldot)
+    ops = dense(vdw_dim(l, ldot), vdw_entries(l, ldot).values())
+    return VdWOperators(l, ldot, *ops, vdw_note(l, ldot))
 
 
 def _band_failure(j, m: list[float], roots: list[float]) -> str | None:

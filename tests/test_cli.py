@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import cliffrep
-from cliffrep import checks, cli, lorentz
+from cliffrep import _entries, checks, cli, lorentz
 from cliffrep.algebra import MAX_GENERATORS
 from cliffrep.checks import ALL_CHECKS, GN_COM_TOL, VDW_COM_TOL, check_periodicity
 from cliffrep.cli import main, matrix_from_json, matrix_to_json
@@ -338,7 +338,7 @@ class TestInputErrors:
         # every row fails its input check: one that got past it to a builder or the
         # registry fails here instead of building (dim 10^4 takes about 9.6 GB)
         unreachable = mock.Mock(side_effect=AssertionError("past the input check"))
-        builders = ("build_gn_operators", "build_vdw_operators", "vdw_parts", "vdw_proof")
+        builders = ("build_gn_operators", "build_vdw_operators", "gn_entries", "vdw_entries", "vdw_proof")
         with mock.patch.multiple(lorentz, **dict.fromkeys(builders, unreachable)):
             with mock.patch.object(checks, "run_all", unreachable):
                 code, out, err = run(argv, capsys)
@@ -543,16 +543,18 @@ print(cliffrep.classify((1, 3)), cliffrep.factorize((2, 0)).factors)
         ],
     )
     def test_matrix_commands_import_what_they_run(self, argv, unimported):
+        """Each matrix command prints its rows through the one row writer, so it loads ``cliffrep._entries``,
+        and it loads none of ``unimported``."""
         code = f"""
 import contextlib, io, sys
 import cliffrep.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cliffrep.cli.main({argv!r}) == 0
-print([m for m in {unimported!r} if m in sys.modules])
+print([m for m in {unimported!r} if m in sys.modules], "cliffrep._entries" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
+        assert proc.stdout.splitlines() == ["[] True"]
 
     def test_su2_judge_loads_no_numpy(self):
         """``lorentz.su2_ladder_failure``, the proof behind vdw-com2, passes every spin of 2j < 400 in pure
@@ -580,14 +582,15 @@ print(gn_coefficients(GNLabel(0, 2), 1), gn_coefficients(GNLabel(1, 3), 2), "num
 
     def test_entry_lists_load_no_numpy(self):
         """The entry lists of every operator are computed on Python ints and floats: those of the largest
-        GN label the CLI builds, (0, 20), and of the dim-400 VdW label (19/2, 19/2), with the VdW rows
-        written, load no numpy; only the dense writer does."""
+        GN label the CLI builds, (0, 20), and of the dim-400 VdW label (19/2, 19/2), with the rows of both
+        written by ``float_parts``, load no numpy; only the dense writer does."""
         code = """
 import sys
 from fractions import Fraction
-from cliffrep.lorentz import GNLabel, gn_entries, vdw_entries, vdw_parts
+from cliffrep._entries import float_parts
+from cliffrep.lorentz import GNLabel, gn_entries, vdw_entries
 gn, vdw = gn_entries(GNLabel(0, 20)), vdw_entries(Fraction(19, 2), Fraction(19, 2))
-rows = [len(part) for write in vdw_parts(Fraction(19, 2), Fraction(19, 2))[0].values() for part in write()]
+rows = [len(part) for op in [*gn.values(), *vdw.values()] for part in float_parts(400, op)]
 print(len(gn), len(vdw), sum(len(re) + len(im) for re, im in gn.values()), set(rows), "numpy" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
@@ -685,6 +688,18 @@ class TestPublicNames:
         assert uncalled == set(KEPT_WITHOUT_CALLER)
 
 
+def array_entries(m) -> tuple[list, list]:
+    """Every entry of the matrix ``m``'s real and imaginary parts, as floats, in the entry lists of a
+    ``cli._Parts``: ``float_parts`` then writes each of its values, signed zeros included."""
+    parts = np.asarray(m, dtype=complex)
+    return tuple([(r, c, v) for r, row in enumerate(part.tolist()) for c, v in enumerate(row)] for part in (parts.real, parts.imag))
+
+
+def parts_payload(m, basis: str) -> dict:
+    """``cli._matrix_payload`` of the matrix ``m`` as a ``cli._Parts`` of all its entries."""
+    return cli._matrix_payload(len(m), array_entries(m), basis)
+
+
 def with_matrices(v, matrix):
     """``v`` with each numpy array replaced by ``matrix(array, "note")``."""
     if isinstance(v, np.ndarray):
@@ -701,7 +716,7 @@ def oracle_text(payload) -> str:
 
 
 def writer_text(payload) -> str:
-    return "".join(cli._json_chunks(with_matrices(payload, cli._matrix_payload)))
+    return "".join(cli._json_chunks(with_matrices(payload, parts_payload)))
 
 
 EDGE_MATRICES = {
@@ -720,6 +735,8 @@ EDGE_MATRICES = {
 class TestJsonWriter:
     @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
     def test_matrix_matches_json_dumps(self, name):
+        """Each edge matrix, as the ``cli._Parts`` of all its entries, is written as ``json.dumps`` writes
+        ``matrix_to_json`` of the array, alone and nested."""
         m = EDGE_MATRICES[name]
         for payload in (m, {"gammas": [m, m.T]}, {"a": {"b": [m]}, "x": [], "y": {}}):
             assert writer_text(payload) == oracle_text(payload)
@@ -764,7 +781,9 @@ class TestJsonWriter:
 
     def test_unknown_object_raises_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
-            "".join(cli._json_chunks({"m": cli._matrix_payload(np.eye(2), "note"), "x": object()}))
+            "".join(cli._json_chunks({"m": parts_payload(np.eye(2), "note"), "x": object()}))
+        with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
+            "".join(cli._json_chunks({"m": np.eye(2)}))  # an array is written only as a cli._Parts
 
 
 def label_runs() -> list[list[str]]:
@@ -799,8 +818,8 @@ MATREP_RUNS = [["matrep", "-p", str(p), "-q", str(n - p)] for n in range(13) for
 
 def test_matrep_json_unchanged(capsys):
     """The digest, and for each of the 91 runs: ``matrep``'s text, written from the (column, phase)
-    forms without numpy, is the payload of ``build_generators``' dense arrays as the array writer,
-    held to ``json.dumps`` of ``matrix_to_json`` above, writes it."""
+    forms without numpy, is the payload of ``build_generators``' dense arrays, each the ``cli._Parts``
+    of all its entries, as the writer, held to ``json.dumps`` of ``matrix_to_json`` above, writes it."""
     h = hashlib.sha256()
     for argv in MATREP_RUNS:
         code, out, err = run(argv, capsys)
@@ -808,7 +827,7 @@ def test_matrep_json_unchanged(capsys):
         gen = cliffrep.build_generators((int(argv[2]), int(argv[4])))
         payload = {
             "p": gen.sig.p, "q": gen.sig.q, "dim": gen.dim, "reducible": gen.reducible, "metric": list(gen.metric),
-            "anticommutation_ok": True, "gammas": [cli._matrix_payload(g, gen.basis_note) for g in gen.gammas],
+            "anticommutation_ok": True, "gammas": [parts_payload(g, gen.basis_note) for g in gen.gammas],
         }
         assert (code, out, err) == (0, "".join(cli._json_chunks(payload)) + "\n", ""), argv
     assert h.hexdigest() == MATREP_JSON_DIGEST
@@ -818,31 +837,63 @@ def test_matrep_json_unchanged(capsys):
 VDW_LABELS = checks.vdw_labels(100) + [(Fraction(199, 2), Fraction(0)), (Fraction(0), Fraction(199, 2))]
 
 
-def vdw_parts_mismatch():
-    """The first (l, ldot, name) of VDW_LABELS whose ``vdw_parts`` are not the real and imaginary parts of
-    ``build_vdw_operators``' arrays bit for bit, signed zeros included, under the same basis note; else None."""
-    for l, ld in VDW_LABELS:
-        ops, (parts, note) = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_parts(l, ld)
-        assert note == ops.basis_note and list(parts) == list(ops.operators())
-        for name, m in ops.operators().items():
-            re, im = parts[name]()
-            if (array("d", re).tobytes(), array("d", im).tobytes()) != (m.real.tobytes(), m.imag.tobytes()):
-                return l, ld, name
+def row_runs(command: str) -> list[list[str]]:
+    """Sampled runs of a matrix command: every 5th signature of p+q <= 12, every 8th GN label of dim <= 100
+    and (0, 20), every 8th label of VDW_LABELS and the dim-200 corners."""
+    if command == "matrep":
+        return MATREP_RUNS[::5]
+    labels = gn_labels_up_to(100)[::8] + [(0, 20)] if command == "rep --gn" else VDW_LABELS[::8] + VDW_LABELS[-2:]
+    return [[*command.split(), str(a), str(b)] for a, b in labels]
+
+
+def built_matrices(argv: list[str]) -> tuple[dict, str]:
+    """The dense arrays of the builder behind a matrix command's run, keyed as the run prints them (gamma
+    index or operator name), and their basis note: ``build_generators``, ``build_gn_operators`` or
+    ``build_vdw_operators``."""
+    if argv[0] == "matrep":
+        gen = cliffrep.build_generators((int(argv[2]), int(argv[4])))
+        return dict(enumerate(gen.gammas)), gen.basis_note
+    a, b = map(Fraction, argv[2:])
+    ops = cliffrep.build_gn_operators(cliffrep.GNLabel(a, b)) if argv[1] == "--gn" else cliffrep.build_vdw_operators(a, b)
+    return ops.operators(), ops.basis_note
+
+
+def rows_mismatch(command: str, capsys):
+    """The first (argv, key) of ``row_runs(command)`` whose printed rows are not the real and imaginary
+    parts of the builder's array bit for bit, signed zeros included, under its dim and basis note; else
+    None.  The printed keys must be the builder's, in its order."""
+    for argv in row_runs(command):
+        code, out, _ = run(argv, capsys)
+        printed = json.loads(out)
+        printed = dict(enumerate(printed["gammas"])) if argv[0] == "matrep" else printed["operators"]
+        arrays, note = built_matrices(argv)
+        assert code == 0 and list(printed) == list(arrays), argv
+        for key, m in arrays.items():
+            assert (printed[key]["dim"], printed[key]["basis"]) == (len(m), note), argv
+            re, im = (array("d", [pair[k] for pair in printed[key]["entries"]]).tobytes() for k in (0, 1))
+            if (re, im) != (m.real.tobytes(), m.imag.tobytes()):
+                return argv, key
     return None
 
 
-def test_vdw_parts_are_build_vdw_operators_bits():
-    """On every label of VDW_LABELS, the parts ``rep --vdw`` writes, computed without numpy, are the
-    real and imaginary parts of ``build_vdw_operators``' arrays bit for bit, signed zeros included,
-    under the same basis note."""
-    assert vdw_parts_mismatch() is None
+#: the first run and matrix where the one-row-off row writer below moves a nonzero value, by command:
+#: Cl(2,0)'s diagonal gamma, H3 of (1/2, 15/2) and Y3 of (0, 4); the spin-0 diagonals before them are 0.0
+ROW_OFF_MISMATCH = {
+    "matrep": (["matrep", "-p", "2", "-q", "0"], 1),
+    "rep --gn": (["rep", "--gn", "1/2", "15/2"], "H3"),
+    "rep --vdw": (["rep", "--vdw", "0", "4"], "Y3"),
+}
 
 
-def test_vdw_parts_mutant_breaks_the_bits():
-    """``vdw_parts`` through a list writer that writes one entry one row off, the first of every real part
-    that starts on the diagonal and holds more than one entry, fails the comparison on the first label
-    where that moves a nonzero value: Y3 of (0, 1/2), whose -1/2 lands at (1, 0)."""
-    honest = lorentz._float_parts
+@pytest.mark.parametrize("command", sorted(ROW_OFF_MISMATCH))
+def test_printed_rows_are_the_builders_bits(command, capsys):
+    """On sampled runs, the rows ``matrep``, ``rep --gn`` and ``rep --vdw`` print through the one row writer
+    ``float_parts``, from entry lists and without a dense array, are the bits of the builders' arrays.  A
+    row writer that writes one entry one row off, the first of every real part that starts on the
+    diagonal and holds more than one entry, patched once on the shared ``float_parts``, breaks every
+    command at the first run where that moves a nonzero value."""
+    assert rows_mismatch(command, capsys) is None
+    honest = _entries.float_parts
 
     def one_row_off(dim, operator):
         real, imaginary = operator
@@ -851,9 +902,9 @@ def test_vdw_parts_mutant_breaks_the_bits():
             real = [(r + 1, c, v), *rest]
         return honest(dim, (real, imaginary))
 
-    with mock.patch.object(lorentz, "_float_parts", one_row_off):
-        assert vdw_parts_mismatch() == (Fraction(0), Fraction(1, 2), "Y3")
-    assert vdw_parts_mismatch() is None
+    with mock.patch.object(_entries, "float_parts", one_row_off):
+        assert rows_mismatch(command, capsys) == ROW_OFF_MISMATCH[command]
+    assert rows_mismatch(command, capsys) is None
 
 
 def _negative_zeros(floats) -> int:
@@ -862,12 +913,13 @@ def _negative_zeros(floats) -> int:
 
 
 def test_vdw_outputs_hold_no_negative_zero(capsys):
-    """Every VdW writer places its entries and forms no product, so no zero is -0.0: in
-    ``build_vdw_operators``' arrays, in ``vdw_parts``' lists and in ``rep --vdw``'s text."""
+    """The VdW entries are placed, with no product formed, so no zero is -0.0: in
+    ``build_vdw_operators``' arrays, in the rows ``float_parts`` writes and in ``rep --vdw``'s text."""
     for l, ld in VDW_LABELS:
-        ops, (parts, _) = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_parts(l, ld)
+        ops, entries = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_entries(l, ld)
         for name, m in ops.operators().items():
-            assert _negative_zeros(m.view(np.float64)) == _negative_zeros(parts[name]()) == 0, (l, ld, name)
+            rows = _entries.float_parts(ops.dim, entries[name])
+            assert _negative_zeros(m.view(np.float64)) == _negative_zeros(rows) == 0, (l, ld, name)
         code, out, _ = run(["rep", "--vdw", str(l), str(ld)], capsys)
         assert code == 0 and "-0.0,\n" not in out and "-0.0\n" not in out, (l, ld)  # one float per line
 
@@ -916,15 +968,15 @@ def test_rep_gn_json_unchanged(capsys):
 
 @pytest.mark.parametrize("label", VDW_LABELS[::16] + VDW_LABELS[-2:], ids=lambda label: "%s,%s" % label)
 def test_vdw_rep_is_build_vdw_operators_layout(label, capsys):
-    """``rep --vdw``'s text, the parts above through the writer, is the payload of ``build_vdw_operators``'
-    arrays as the array writer, held to ``json.dumps`` of ``matrix_to_json`` above, writes it, with
-    ``vdw_proof``'s residual; sampled, since the parts decide the entries' text."""
+    """``rep --vdw``'s text is the payload of ``build_vdw_operators``' arrays, each the ``cli._Parts`` of all
+    its entries, as the writer, held to ``json.dumps`` of ``matrix_to_json`` above, writes it, with
+    ``vdw_proof``'s residual; sampled, since the rows decide the entries' text."""
     code, out, err = run(["rep", "--vdw", *map(str, label)], capsys)
     ops = cliffrep.build_vdw_operators(*label)
     residual = lorentz.vdw_proof(*label)[1]
     payload = {
         "basis": "vdw", "l": str(ops.l), "ldot": str(ops.ldot), "dim": ops.dim,
-        "operators": {k: cli._matrix_payload(v, ops.basis_note) for k, v in ops.operators().items()},
+        "operators": {k: parts_payload(v, ops.basis_note) for k, v in ops.operators().items()},
         "commutator_residual": residual, "tolerance": GN_COM_TOL, "pass": True,
     }
     assert (code, out) == (0, "".join(cli._json_chunks(payload)) + "\n") and err.endswith(f"residual {residual:.3e} PASS\n")

@@ -183,8 +183,12 @@ class TestBuildGenerators:
 
     def test_forms_are_the_kronecker_chain_without_signed_zeros(self, capsys):
         """On all 91 p+q <= 12 the gammas equal the dense Kronecker chain's, whose bits the digest pins,
-        with each -0.0 part written +0.0, and no part is -0.0; ``matrep``'s text is the chain's, as the
-        array writer writes it, with each of its 487 674 "-0.0" tokens written "0.0"."""
+        with each -0.0 part written +0.0, and no part is -0.0; ``matrep``'s text is the chain's, each
+        gamma the ``cli._Parts`` of all its entries, as the writer writes it, with each of its 487 674
+        "-0.0" tokens written "0.0"."""
+
+        def all_entries(g):
+            return tuple([(r, c, v) for r, row in enumerate(part.tolist()) for c, v in enumerate(row)] for part in (g.real, g.imag))
         h, signed_zeros = hashlib.sha256(), 0
         for sig in synthesised:
             chain, gen = kronecker_chain(sig), build_generators(sig)
@@ -194,7 +198,7 @@ class TestBuildGenerators:
             assert not np.signbit(parts[parts == 0]).any(), sig
             payload = {
                 "p": sig.p, "q": sig.q, "dim": gen.dim, "reducible": gen.reducible, "metric": list(gen.metric),
-                "anticommutation_ok": True, "gammas": [cli._matrix_payload(g, gen.basis_note) for g in chain],
+                "anticommutation_ok": True, "gammas": [cli._matrix_payload(gen.dim, all_entries(g), gen.basis_note) for g in chain],
             }
             text = "".join(cli._json_chunks(payload)) + "\n"
             signed_zeros += text.count("-0.0")
