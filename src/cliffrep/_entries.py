@@ -1,7 +1,8 @@
-"""Operators as entry lists, and the one writer pair that makes them dense for ``gamma`` and ``lorentz``:
-``dense`` into complex numpy arrays, for the builders, and ``float_parts`` into row-major float lists, the
-rows ``matrep`` and ``rep`` print.  Apart from both modules, so neither loads the other, and with numpy
-imported inside ``dense`` only, so ``matrep`` and ``rep --vdw`` load none."""
+"""Operators as entry lists, and the one writer pair that turns them into matrices for ``gamma``, ``lorentz`` and
+the CLI: ``dense`` into complex numpy arrays, for the builders, and ``cell_texts`` into the row-major JSON cells
+``matrep`` and ``rep`` print, one text per written entry and one shared zero text for every other cell.  Apart
+from both modules, so neither loads the other, and with numpy imported inside ``dense`` only, so ``matrep`` and
+``rep`` load none."""
 
 from __future__ import annotations
 
@@ -14,6 +15,9 @@ if TYPE_CHECKING:
 Entries = list[tuple[int, int, float]]
 #: one operator: the entries of its real part and of its imaginary part
 Operator = tuple[Entries, Entries]
+
+#: what ``json`` writes for the floats whose repr is nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def dense(dim: int, operators: Collection[Operator]) -> tuple[np.ndarray, ...]:
@@ -30,11 +34,19 @@ def dense(dim: int, operators: Collection[Operator]) -> tuple[np.ndarray, ...]:
     return tuple(block)
 
 
-def float_parts(dim: int, operator: Operator) -> tuple[list[float], list[float]]:
-    """The operator's row-major real and imaginary parts as zeroed float lists with its entries written:
-    the one writer from entry lists to the rows the commands print."""
-    parts = [0.0] * (dim * dim), [0.0] * (dim * dim)
-    for part, entries in zip(parts, operator):
-        for r, c, v in entries:
-            part[r * dim + c] = v
-    return parts
+def _float_text(v: float) -> str:
+    """``v`` as ``json`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+def cell_texts(dim: int, operator: Operator, separator: str) -> list[str]:
+    """The operator's dim x dim cells in row-major order, each the text of its real part, ``separator`` and the
+    text of its imaginary part, every float as ``json`` writes it: the one writer from entry lists to the rows
+    the commands print.  Each part's entries are written in order, so the last one at a repeated position wins,
+    and each written position's floats are written once; every other cell is one shared "0.0<separator>0.0"."""
+    cells = [f"0.0{separator}0.0"] * (dim * dim)
+    real, imaginary = ({r * dim + c: v for r, c, v in entries} for entries in operator)
+    for i in real.keys() | imaginary.keys():
+        cells[i] = f"{_float_text(real.get(i, 0.0))}{separator}{_float_text(imaginary.get(i, 0.0))}"
+    return cells

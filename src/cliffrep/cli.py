@@ -13,8 +13,10 @@ the input rules, :mod:`cliffrep.classify`, :mod:`cliffrep.factorize` and
 :mod:`cliffrep.table_data`, and ``chain`` adds :mod:`cliffrep.repsys`;
 every other module is imported inside the commands that use it.
 ``matrep`` and ``rep`` print each matrix from its entry lists, the gamma
-forms' or the operators', through the one row writer ``float_parts``; of
-the matrix commands only ``verify`` and ``rep --gn``'s residuals load numpy.
+forms' or the operators', through the one row writer ``cell_texts``, which
+writes one text per entry the lists hold and one shared zero text for every
+other cell; both judge the same entry lists, so of the matrix commands only
+``verify`` loads numpy.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 class _Parts:
     """A dim x dim matrix given as entry lists, the one kind :func:`_json_chunks` writes: its row-major
-    real and imaginary parts are written by ``float_parts`` when the matrix is."""
+    cells are written by ``cell_texts`` when the matrix is."""
 
     __slots__ = ("dim", "operator")
 
@@ -68,23 +70,12 @@ def _matrix_payload(dim: int, operator, basis: str) -> dict:
     return {"dim": dim, "entries": _Parts(dim, operator), "basis": basis}
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_texts(values: list[float]) -> list[str]:
-    """Each float as ``json`` writes it: its repr, or NaN/Infinity/-Infinity."""
-    texts = list(map(float.__repr__, values))
-    if not all(map(math.isfinite, values)):
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
-
-
 def _json_chunks(obj):
     """``json.dumps(obj, indent=2)`` in pieces, one per :class:`_Parts` in ``obj``: ``json`` writes the
-    layout around a placeholder for each matrix, and the matrix's ``[[re, im], ...]`` entries, its
-    rows as ``float_parts`` writes them when it is reached, joined in bulk, are spliced in there
-    (``json`` would encode them one float at a time)."""
-    from ._entries import float_parts
+    layout around a placeholder for each matrix, and the matrix's ``[[re, im], ...]`` entries, its cells
+    as ``cell_texts`` writes them when it is reached, joined in bulk, are spliced in there (``json``
+    would encode them one float at a time)."""
+    from ._entries import cell_texts
 
     matrices = []
 
@@ -100,9 +91,8 @@ def _json_chunks(obj):
         line = piece[piece.rfind("\n") + 1 :]
         pad = " " * (len(line) - len(line.lstrip(" ")))
         inner, leaf = pad + "  ", pad + "    "
-        re, im = map(_float_texts, float_parts(m.dim, m.operator))
-        pairs = map(f",\n{leaf}".join, zip(re, im))
-        yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(pairs) + f"\n{inner}]\n{pad}]"
+        cells = cell_texts(m.dim, m.operator, f",\n{leaf}")
+        yield f"[\n{inner}[\n{leaf}" + f"\n{inner}],\n{inner}[\n{leaf}".join(cells) + f"\n{inner}]\n{pad}]"
     yield last
 
 
@@ -268,19 +258,17 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 
 def cmd_rep(args) -> int:
-    """Both bases print the rows of their ``gn_entries`` or ``vdw_entries``.  ``rep --gn`` judges the dense GN
-    operators.  ``rep --vdw`` passes when ``lorentz.vdw_proof`` proves both spins' bands exactly, every root
-    bracketed and j3's diagonal -j .. j, as ``verify``'s ``vdw-com2`` does, and its residual is at most
-    ``--tol``; it loads no numpy."""
+    """Both bases print the rows of their ``gn_entries`` or ``vdw_entries`` and are judged on the same entries,
+    without numpy.  ``rep --gn`` passes when ``lorentz.gn_residuals``' rotation/boost residual is at most
+    ``--tol``, and reports its converted residual.  ``rep --vdw`` passes when ``lorentz.vdw_proof`` proves both
+    spins' bands exactly, every root bracketed and j3's diagonal -j .. j, as ``verify``'s ``vdw-com2`` does,
+    and its residual is at most ``--tol``."""
     from .lorentz import (
         GN_COM_TOL,
         GNLabel,
-        build_gn_operators,
-        com1_residual,
-        com2_residual,
         gn_entries,
-        gn_to_vdw,
-        reconstruct_AB,
+        gn_note,
+        gn_residuals,
         vdw_dim,
         vdw_entries,
         vdw_note,
@@ -292,11 +280,11 @@ def cmd_rep(args) -> int:
     if args.gn is not None:
         label = GNLabel(*args.gn)
         _require_operator_dim(label.dim)
-        ops = build_gn_operators(label)
-        residual = com1_residual(reconstruct_AB(ops))
-        basis, labels, dim, operators, note = "gn", {"l0": label.l0, "l1": label.l1}, ops.dim, gn_entries(label), ops.basis_note
-        c = gn_to_vdw(ops)
-        tail = {"converted": {"l": str(c.l), "ldot": str(c.ldot), "commutator_residual": com2_residual(c)}}
+        operators = gn_entries(label)
+        residual, converted = gn_residuals(operators)
+        basis, labels, dim, note = "gn", {"l0": label.l0, "l1": label.l1}, label.dim, gn_note(label)
+        l, ldot = label.vdw_spins()
+        tail = {"converted": {"l": str(l), "ldot": str(ldot), "commutator_residual": converted}}
     else:
         dim = vdw_dim(*args.vdw)
         _require_operator_dim(dim)

@@ -19,9 +19,9 @@ and one phase per row (:func:`generator_forms`), in pure Python: a
 Kronecker product is index arithmetic and a matrix product a gather with a
 mod-4 phase sum.  :func:`form_entries` turns a form into the entry lists of
 its real and imaginary parts, and the one writer pair of
-:mod:`cliffrep._entries` makes them dense, every zero part +0.0:
+:mod:`cliffrep._entries` writes them out, every zero part +0.0:
 :func:`build_generators` through ``dense`` into complex arrays, and
-``matrep`` through ``float_parts`` into the rows it prints.
+``matrep`` through ``cell_texts`` into the rows it prints.
 
 One rule, :func:`form_verdict`, decides on such forms the defining
 relations, omega = +-I and omega^2 = +-I, by integer gathers and mod-4

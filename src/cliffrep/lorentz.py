@@ -19,22 +19,22 @@ which is the unique scaling under which both triples close into su(2)
 ([X1, X2] = i X3) and X3 has the real spectrum -l .. l.
 
 Every entry of every operator comes from one source and reaches an array
-through one of two writers.  The source is each spin's O(n) band
-(``_su2_band``): j3's diagonal and the n roots of j+, on Python ints, every
-root one ``math.sqrt``, correctly rounded as IEEE 754 requires, so the bits
-do not depend on the platform's libm.  ``gn_entries`` places the band at
+or a printed row through one of two writers.  The source is each spin's
+O(n) band (``_su2_band``): j3's diagonal and the n roots of j+, on Python
+ints, every root one ``math.sqrt``, correctly rounded as IEEE 754 requires,
+so the bits do not depend on the platform's libm.  ``gn_entries`` places the band at
 each GN level as H3/H+/H- and -A_k times it as the same-level part of
 F3/F+/F-, with the C_k links between levels from ``_gn_c`` and
 ``math.sqrt`` on ints; ``vdw_entries`` copies it to the Kronecker
 positions of X = x (x) I and Y = I (x) y, placed, not multiplied, so no
 product is formed and every zero is +0.0.  Each operator is a pair of
 (row, column, value) lists, its real part and its imaginary part, every
-other entry 0.0, and the one writer pair of ``cliffrep._entries`` makes
-them dense: ``dense`` into zeroed complex arrays, one index write per
-part, for ``su2_ladder``, ``build_gn_operators`` and
-``build_vdw_operators``, and ``float_parts`` into zeroed row-major float
-lists, the rows ``rep`` prints in both bases.  Every ladder triple is read
-in cartesian form through one map (``cartesian``).
+other entry 0.0, and the one writer pair of ``cliffrep._entries`` writes
+them out: ``dense`` into zeroed complex arrays, one index write per part,
+for ``su2_ladder``, ``build_gn_operators`` and ``build_vdw_operators``,
+and ``cell_texts`` into the JSON cells ``rep`` prints in both bases, one
+text per written entry.  Every ladder triple is read in cartesian form
+through one map (``cartesian``, and ``_sparse_cartesian`` entry by entry).
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
@@ -52,10 +52,18 @@ one NaN-keeping fold (``_worst``), and are defined nowhere else:
 converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
-The entry lists need no numpy, so neither does ``rep --vdw``: it writes
-``vdw_entries`` and takes its verdict from ``vdw_proof``, which reads the
-same band entries.  numpy is imported inside the functions that read
-arrays, and inside ``dense``, the only one that writes operator entries.
+The entry lists need no numpy, so neither does ``rep``.  Its residuals
+are taken on entries, by one sparse residual (``_sparse_residual``: the
+products of {row: {column: entry}} dicts, deviations at the positions
+they hold, one ``_worst`` fold): ``rep --vdw`` writes ``vdw_entries`` and
+takes its verdict from ``vdw_proof``, which reads the same band entries,
+and ``rep --gn`` writes ``gn_entries`` and judges them by
+``gn_residuals``, ``com1_residual``'s and the converted ``com2_residual``'s
+relations on the same lists.  The dense residuals stay for ``verify``'s GN
+checks: on their 28 labels numpy's products take a fifth or less of the
+pure-Python time (2 vCPUs, Python 3.11: 16-23 ms against 109-177 ms).
+numpy is imported inside the functions that read arrays, and inside
+``dense``, the only one that writes operator entries into arrays.
 """
 
 from __future__ import annotations
@@ -72,8 +80,8 @@ from ._rules import as_count, as_half_integer
 if TYPE_CHECKING:
     import numpy as np
 
-#: Largest operator dim the CLI builds or sweeps: ``rep`` holds six dense
-#: complex dim x dim arrays (about 9.6 GB at dim 10^4, 15 MB at dim 400).
+#: Largest operator dim the CLI builds or sweeps: ``rep`` writes six dim x dim
+#: operators as JSON text, about 8 MB each at dim 400 and 5 GB each at dim 10^4.
 MAX_OPERATOR_DIM = 400
 
 #: rotation/boost commutator residual bound (GN basis)
@@ -114,6 +122,11 @@ class GNLabel:
 
     def levels(self) -> list[Fraction]:
         return [self.l0 + j for j in range(int(self.l1 - self.l0))]
+
+    def vdw_spins(self) -> tuple[Fraction, Fraction]:
+        """(l, ldot) = ((l0 + l1 - 1)/2, (l1 - l0 - 1)/2) of the paired su(2) form, the labels ``gn_to_vdw``
+        gives (the conjugate-pair value reported non-negative)."""
+        return (self.l0 + self.l1 - 1) / 2, (self.l1 - self.l0 - 1) / 2
 
     def basis(self) -> list[tuple[Fraction, Fraction]]:
         """(k, nu) pairs, k ascending, nu ascending within each level."""
@@ -212,12 +225,15 @@ def gn_entries(label: GNLabel) -> dict[str, Operator]:
     return dict(zip(_GN_NAMES, ops))
 
 
+def gn_note(label: GNLabel) -> str:
+    """The basis note of the (l0, l1) operators, which ``rep --gn`` prints without building them."""
+    top = _twice_spin(label.l1) - 2  # 2k of the last level, printed as its Fraction prints
+    return f"xi_(k,nu), k = {label.l0}..{top // 2 if top % 2 == 0 else f'{top}/2'}, nu = -k..k, lexicographic"
+
+
 def build_gn_operators(label: GNLabel) -> GNOperators:
     """Ladder matrices over the lexicographic (k, nu) basis: ``gn_entries`` through ``dense``."""
-    ops = dense(label.dim, gn_entries(label).values())
-    top = _twice_spin(label.l1) - 2  # 2k of the last level, printed as its Fraction prints
-    note = f"xi_(k,nu), k = {label.l0}..{top // 2 if top % 2 == 0 else f'{top}/2'}, nu = -k..k, lexicographic"
-    return GNOperators(label, *ops, note)
+    return GNOperators(label, *dense(label.dim, gn_entries(label).values()), gn_note(label))
 
 
 class ABOperators(NamedTuple):
@@ -397,16 +413,70 @@ def _band_failure(j, m: list[float], roots: list[float]) -> str | None:
     return None
 
 
-def _sparse_product(a: dict, b: dict) -> dict:
-    """a @ b for matrices given as {(row, column): entry} dicts of their nonzero bands."""
-    rows: dict[int, list] = {}
-    for (k, c), v in b.items():
-        rows.setdefault(k, []).append((c, v))
-    out: dict = {}
-    for (r, k), u in a.items():
-        for c, v in rows.get(k, ()):
-            out[r, c] = out.get((r, c), 0j) + u * v
+#: a matrix as {row: {column: entry}} of the entries it holds, every other entry 0
+Rows = dict[int, dict[int, complex]]
+
+
+def _rows(operator: Operator) -> Rows:
+    """The operator as ``Rows`` of its written positions, each entry complex(real, imaginary) with an unwritten
+    part 0.0 and, as in ``dense``, the last entry of a part at a repeated position winning."""
+    rows: Rows = {}
+    for part, entries in enumerate(operator):
+        for r, c, v in entries:
+            row = rows.setdefault(r, {})
+            z = row.get(c, 0j)
+            row[c] = complex(z.real, v) if part else complex(v, z.imag)
+    return rows
+
+
+def _entrywise(f, x: Rows, y: Rows) -> Rows:
+    """f(x_rc, y_rc) at each position x or y holds, a missing entry read as 0j."""
+    out = {}
+    for r in x.keys() | y.keys():
+        xr, yr = x.get(r, {}), y.get(r, {})
+        out[r] = {c: f(xr.get(c, 0j), yr.get(c, 0j)) for c in xr.keys() | yr.keys()}
     return out
+
+
+def _scaled(k: complex, x: Rows) -> Rows:
+    return {r: {c: k * v for c, v in row.items()} for r, row in x.items()}
+
+
+def _sparse_cartesian(three: Rows, plus: Rows, minus: Rows) -> tuple[Rows, Rows, Rows]:
+    """``cartesian`` entry by entry."""
+    return _entrywise(lambda p, m: (p + m) / 2, plus, minus), _entrywise(lambda p, m: (p - m) / 2j, plus, minus), three
+
+
+def _sparse_product(a: Rows, b: Rows) -> Rows:
+    """a @ b, each row of a times the rows of b its entries select."""
+    out = {}
+    for r, row in a.items():
+        acc: dict[int, complex] = {}
+        for k, u in row.items():
+            for c, v in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0j) + u * v
+        out[r] = acc
+    return out
+
+
+def _sparse_residual(relations) -> float:
+    """Largest entry deviation over the relations [x, y] = z, each an (x, y, z) of ``Rows``, folded by
+    ``_worst``: the one residual of matrices held as their entries, taken at every position [x, y] or z
+    holds; at every other position the deviation is 0."""
+
+    def deviations():
+        for x, y, z in relations:
+            xy, yx = _sparse_product(x, y), _sparse_product(y, x)
+            for r in xy.keys() | yx.keys() | z.keys():
+                p, q, s = xy.get(r, {}), yx.get(r, {}), z.get(r, {})
+                yield from (p.get(c, 0j) - q.get(c, 0j) - s.get(c, 0j) for c in p.keys() | q.keys() | s.keys())
+
+    return _worst(deviations())
+
+
+def _su2_relations(t: tuple[Rows, Rows, Rows]) -> list[tuple[Rows, Rows, Rows]]:
+    """[J1, J2] = iJ3 and its cyclic shifts for the cartesian triple t."""
+    return [(t[a], t[b], _scaled(1j, t[c])) for a, b, c in _CYCLIC]
 
 
 def vdw_proof(l, ldot) -> tuple[str | None, float]:
@@ -414,28 +484,44 @@ def vdw_proof(l, ldot) -> tuple[str | None, float]:
     the ones ``vdw_entries`` places, without numpy.
 
     ``failure`` is ``_band_failure``'s text for the first spin whose band is not exactly its su(2)
-    triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is the largest entry
-    deviation over the six relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples,
-    each taken on the triple's bands: under the Kronecker assembly each su(2) relation of X and Y is
-    that of its spin times I, and the nine [Xa, Yb] vanish entry by entry, so these are all of
-    ``com2_residual``'s relations that contribute.
+    triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is ``_sparse_residual`` over the
+    six relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples, each taken on the
+    triple's bands: under the Kronecker assembly each su(2) relation of X and Y is that of its spin times
+    I, and the nine [Xa, Yb] vanish entry by entry, so these are all of ``com2_residual``'s relations that
+    contribute.
     """
-    failure, deviations = None, []
+    failure, relations = None, []
     for j in (as_half_integer(l), as_half_integer(ldot)):
         m, roots = _su2_band(_twice_spin(j))
         failure = failure or _band_failure(j, m, roots)
-        three, plus, minus = ({(r, c): complex(v, 0.0) for r, c, v in entries} for entries in _band_entries(m, roots))
-        zero = complex(0.0, 0.0)
-        t = (  # cartesian(j3, j+, j-), entry by entry
-            {k: (plus.get(k, zero) + minus.get(k, zero)) / 2 for k in plus.keys() | minus.keys()},
-            {k: (plus.get(k, zero) - minus.get(k, zero)) / 2j for k in plus.keys() | minus.keys()},
-            three,
-        )
-        for a, b, c in _CYCLIC:
-            ab, ba = _sparse_product(t[a], t[b]), _sparse_product(t[b], t[a])
-            entries = ab.keys() | ba.keys() | t[c].keys()
-            deviations += [ab.get(k, zero) - ba.get(k, zero) - 1j * t[c].get(k, zero) for k in entries]
-    return failure, _worst(deviations)
+        relations += _su2_relations(_sparse_cartesian(*(_rows((entries, [])) for entries in _band_entries(m, roots))))
+    return failure, _sparse_residual(relations)
+
+
+def gn_residuals(operators: dict[str, Operator]) -> tuple[float, float]:
+    """(com1, com2) residuals of the GN operators given by their ``gn_entries``, on their entries by
+    ``_sparse_residual``, without numpy: ``com1_residual``'s 15 relations of A = -i cartesian(H) and
+    B = -i cartesian(F), as ``reconstruct_AB`` forms them, and ``com2_residual``'s 15 of the converted
+    X = (H + iF)/2 and Y = (H - iF)/2, as ``gn_to_vdw`` forms them.  They differ from the dense residuals
+    only in the order of the sums, in the last bits."""
+    rows = [_rows(operators[name]) for name in _GN_NAMES]
+    h, f = rows[:3], rows[3:]
+    a, b = ([_scaled(-1j, m) for m in _sparse_cartesian(*t)] for t in (h, f))
+    com1 = []
+    for i, j, k in _CYCLIC:
+        com1 += [
+            (a[i], a[j], a[k]),
+            (b[i], b[j], _scaled(-1, a[k])),
+            (a[i], b[i], {}),
+            (a[i], b[j], b[k]),
+            (a[j], b[i], _scaled(-1, b[k])),
+        ]
+    x, y = (
+        _sparse_cartesian(*(_entrywise(convert, *pair) for pair in zip(h, f)))
+        for convert in (lambda u, v: (u + 1j * v) / 2, lambda u, v: (u - 1j * v) / 2)
+    )
+    com2 = _su2_relations(x) + _su2_relations(y) + [(xa, yb, {}) for xa in x for yb in y]
+    return _sparse_residual(com1), _sparse_residual(com2)
 
 
 def com2_residual(ops: VdWOperators) -> float:
@@ -454,9 +540,7 @@ def gn_to_vdw(ops: GNOperators) -> VdWOperators:
     l = (l0 + l1 - 1)/2 and ldot = (l1 - l0 - 1)/2 (the conjugate-pair
     value reported non-negative).
     """
-    label = ops.label
-    l = (label.l0 + label.l1 - 1) / 2
-    ldot = (label.l1 - label.l0 - 1) / 2
+    l, ldot = ops.label.vdw_spins()
     note = ops.basis_note + " (converted)"
     return VdWOperators(
         l,

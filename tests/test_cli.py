@@ -13,6 +13,7 @@ import resource
 import subprocess
 import sys
 import tokenize
+import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -537,7 +538,7 @@ print(cliffrep.classify((1, 3)), cliffrep.factorize((2, 0)).factors)
     @pytest.mark.parametrize(
         "argv,unimported",
         [
-            (["rep", "--gn", "0", "1"], ["cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
+            (["rep", "--gn", "0", "1"], ["numpy", "cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
             (["rep", "--vdw", "1/2", "0"], ["numpy", "cliffrep.checks", "cliffrep.gamma", "cliffrep.algebra", "cliffrep.tensor"]),
             (["matrep", "-p", "1", "-q", "3"], ["numpy", "cliffrep.lorentz", "cliffrep.checks", "cliffrep.algebra", "cliffrep.tensor"]),
         ],
@@ -582,15 +583,15 @@ print(gn_coefficients(GNLabel(0, 2), 1), gn_coefficients(GNLabel(1, 3), 2), "num
 
     def test_entry_lists_load_no_numpy(self):
         """The entry lists of every operator are computed on Python ints and floats: those of the largest
-        GN label the CLI builds, (0, 20), and of the dim-400 VdW label (19/2, 19/2), with the rows of both
-        written by ``float_parts``, load no numpy; only the dense writer does."""
+        GN label the CLI builds, (0, 20), and of the dim-400 VdW label (19/2, 19/2), with the cells of both
+        written by ``cell_texts``, load no numpy; only the dense writer does."""
         code = """
 import sys
 from fractions import Fraction
-from cliffrep._entries import float_parts
+from cliffrep._entries import cell_texts
 from cliffrep.lorentz import GNLabel, gn_entries, vdw_entries
 gn, vdw = gn_entries(GNLabel(0, 20)), vdw_entries(Fraction(19, 2), Fraction(19, 2))
-rows = [len(part) for op in [*gn.values(), *vdw.values()] for part in float_parts(400, op)]
+rows = [len(cell_texts(400, op, ", ")) for op in [*gn.values(), *vdw.values()]]
 print(len(gn), len(vdw), sum(len(re) + len(im) for re, im in gn.values()), set(rows), "numpy" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
@@ -598,19 +599,21 @@ print(len(gn), len(vdw), sum(len(re) + len(im) for re, im in gn.values()), set(r
         # (0, 20): 2 (400 + 2 * 380) same-level entries, H and F, and 6 on each of the 1 + 3 + .. + 37 = 19^2 links
         assert proc.stdout.split() == ["6", "6", str(2 * (400 + 2 * 380) + 6 * 19**2), "{160000}", "False"]
 
-    def test_gn_rep_loads_numpy(self):
-        """The boundary of the numpy-free matrix commands: ``rep --gn`` still builds dense arrays."""
+    def test_gn_rep_loads_no_numpy(self):
+        """``rep --gn`` writes and judges the entry lists of its operators, so at the largest GN label the CLI
+        builds, (0, 20), it passes with the dense writer disabled and loads no numpy."""
         code = """
 import contextlib, io, sys
 import cliffrep.cli
-assert "numpy" not in sys.modules
+from cliffrep import _entries
+_entries.dense = None
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    assert cliffrep.cli.main(["rep", "--gn", "0", "1"]) == 0
+    assert cliffrep.cli.main(["rep", "--gn", "0", "20"]) == 0
 print("numpy" in sys.modules)
 """
         proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["True"]
+        assert proc.stdout.splitlines() == ["False"]
 
     @pytest.mark.parametrize("module", sorted(m for m in API if m))
     def test_old_exports_are_the_submodule_objects(self, module):
@@ -690,7 +693,7 @@ class TestPublicNames:
 
 def array_entries(m) -> tuple[list, list]:
     """Every entry of the matrix ``m``'s real and imaginary parts, as floats, in the entry lists of a
-    ``cli._Parts``: ``float_parts`` then writes each of its values, signed zeros included."""
+    ``cli._Parts``: ``cell_texts`` then writes each of its values, signed zeros included."""
     parts = np.asarray(m, dtype=complex)
     return tuple([(r, c, v) for r, row in enumerate(part.tolist()) for c, v in enumerate(row)] for part in (parts.real, parts.imag))
 
@@ -784,6 +787,41 @@ class TestJsonWriter:
             "".join(cli._json_chunks({"m": parts_payload(np.eye(2), "note"), "x": object()}))
         with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
             "".join(cli._json_chunks({"m": np.eye(2)}))  # an array is written only as a cli._Parts
+
+
+#: entry lists (dim, (real, imaginary)) at the text writer's edges
+EDGE_ENTRIES = {
+    "non-finite": (2, ([(0, 0, math.nan), (0, 1, math.inf)], [(1, 1, -math.inf), (1, 0, math.nan)])),
+    "negative zero": (2, ([(0, 0, -0.0), (1, 1, 2.0)], [(1, 0, -0.0)])),
+    "repeated position": (2, ([(0, 1, 1.5), (1, 1, 3.0), (0, 1, -2.5)], [(0, 1, 0.25), (0, 1, -0.0)])),
+    "empty imaginary part": (3, ([(0, 0, 1.0), (1, 2, 0.1), (2, 1, -1e300)], [])),
+    "dim 1": (1, ([(0, 0, 0.1)], [(0, 0, -0.2)])),
+    "dim 1, no entry": (1, ([], [])),
+}
+
+
+class TestTextWriter:
+    @pytest.mark.parametrize("name", sorted(EDGE_ENTRIES))
+    def test_edge_entries_match_json_dumps(self, name):
+        """Each edge case, alone and nested, is written as ``json.dumps`` writes ``matrix_to_json`` of the array
+        ``dense`` makes of the same entry lists: non-finite floats as NaN/Infinity/-Infinity, a written -0.0 as
+        -0.0, the last entry at a repeated position, and every cell no entry writes as 0.0."""
+        dim, operator = EDGE_ENTRIES[name]
+        m = _entries.dense(dim, [operator])[0]
+        for wrap in (lambda x: x, lambda x: {"a": [x, {"b": x}], "n": 1}):
+            writer = "".join(cli._json_chunks(wrap(cli._matrix_payload(dim, operator, "note"))))
+            assert writer == json.dumps(wrap(matrix_to_json(m, "note")), indent=2)
+
+    def test_one_text_per_written_position(self):
+        """The writer's work scales with the entries, not with dim^2: over ``rep --gn 0 20``'s six dim-400
+        operators (960 000 cells), it writes the floats of each position an entry list holds once, and every
+        other cell is the one shared zero text."""
+        operators = lorentz.gn_entries(lorentz.GNLabel(0, 20)).values()
+        positions = [len({(r, c) for part in op for r, c, _ in part}) for op in operators]
+        with mock.patch.object(_entries, "_float_text", wraps=_entries._float_text) as text:
+            cells = [_entries.cell_texts(400, op, ",") for op in operators]
+        assert text.call_count == 2 * sum(positions) < 0.02 * 2 * 6 * 400**2
+        assert [len(set(map(id, op))) for op in cells] == [n + 1 for n in positions]
 
 
 def label_runs() -> list[list[str]]:
@@ -888,21 +926,21 @@ ROW_OFF_MISMATCH = {
 @pytest.mark.parametrize("command", sorted(ROW_OFF_MISMATCH))
 def test_printed_rows_are_the_builders_bits(command, capsys):
     """On sampled runs, the rows ``matrep``, ``rep --gn`` and ``rep --vdw`` print through the one row writer
-    ``float_parts``, from entry lists and without a dense array, are the bits of the builders' arrays.  A
+    ``cell_texts``, from entry lists and without a dense array, are the bits of the builders' arrays.  A
     row writer that writes one entry one row off, the first of every real part that starts on the
-    diagonal and holds more than one entry, patched once on the shared ``float_parts``, breaks every
+    diagonal and holds more than one entry, patched once on the shared ``cell_texts``, breaks every
     command at the first run where that moves a nonzero value."""
     assert rows_mismatch(command, capsys) is None
-    honest = _entries.float_parts
+    honest = _entries.cell_texts
 
-    def one_row_off(dim, operator):
+    def one_row_off(dim, operator, separator):
         real, imaginary = operator
         if len(real) > 1 and real[0][0] == real[0][1]:
             (r, c, v), *rest = real
             real = [(r + 1, c, v), *rest]
-        return honest(dim, (real, imaginary))
+        return honest(dim, (real, imaginary), separator)
 
-    with mock.patch.object(_entries, "float_parts", one_row_off):
+    with mock.patch.object(_entries, "cell_texts", one_row_off):
         assert rows_mismatch(command, capsys) == ROW_OFF_MISMATCH[command]
     assert rows_mismatch(command, capsys) is None
 
@@ -914,12 +952,12 @@ def _negative_zeros(floats) -> int:
 
 def test_vdw_outputs_hold_no_negative_zero(capsys):
     """The VdW entries are placed, with no product formed, so no zero is -0.0: in
-    ``build_vdw_operators``' arrays, in the rows ``float_parts`` writes and in ``rep --vdw``'s text."""
+    ``build_vdw_operators``' arrays, in the cells ``cell_texts`` writes and in ``rep --vdw``'s text."""
     for l, ld in VDW_LABELS:
         ops, entries = cliffrep.build_vdw_operators(l, ld), lorentz.vdw_entries(l, ld)
         for name, m in ops.operators().items():
-            rows = _entries.float_parts(ops.dim, entries[name])
-            assert _negative_zeros(m.view(np.float64)) == _negative_zeros(rows) == 0, (l, ld, name)
+            parts = [float(v) for cell in _entries.cell_texts(ops.dim, entries[name], ",") for v in cell.split(",")]
+            assert _negative_zeros(m.view(np.float64)) == _negative_zeros(parts) == 0, (l, ld, name)
         code, out, _ = run(["rep", "--vdw", str(l), str(ld)], capsys)
         assert code == 0 and "-0.0,\n" not in out and "-0.0\n" not in out, (l, ld)  # one float per line
 
@@ -951,8 +989,9 @@ def gn_labels_up_to(dim_max: int) -> list[tuple[Fraction, Fraction]]:
 
 
 #: sha256 of ``rep --gn`` stdout over the 144 GN labels of dim <= 64 and (0, 20), run in-process, each
-#: ``"commutator_residual"`` value masked as "#": the residuals are dense products and vary with BLAS,
-#: the entries, written from the operators' arrays, do not
+#: ``"commutator_residual"`` value masked as "#": the digest pins the entries, written from ``gn_entries``,
+#: the labels and the verdicts; the residuals, sums over the same entry lists in pure Python, are held to
+#: the dense com1_residual and com2_residual within a stated bound in tests/test_lorentz.py
 REP_GN_JSON_DIGEST = "1bf3261e555bb87044ae0a8c3af2b686d3c4666896e7d49a623a1c5963ee95ba"
 REP_GN_RUNS = [["rep", "--gn", str(l0), str(l1)] for l0, l1 in gn_labels_up_to(64) + [(Fraction(0), Fraction(20))]]
 
@@ -964,6 +1003,30 @@ def test_rep_gn_json_unchanged(capsys):
         assert code == 0, argv
         h.update(re.sub(r'(?<="commutator_residual": )[^,\n]+', "#", out).encode())
     assert len(REP_GN_RUNS) == 145 and h.hexdigest() == REP_GN_JSON_DIGEST
+
+
+#: tracemalloc peak bound, in MiB, of a dim-400 ``rep`` written to a file: one operator's text, 8.0 MB, its
+#: joined and encoded copies and the entry lists fit; twelve dense complex operators (31 MB) do not
+REP_PEAK_MIB = 24
+
+
+@pytest.mark.parametrize("argv", [["rep", "--gn", "0", "20"], ["rep", "--vdw", "19/2", "19/2"]], ids=" ".join)
+def test_dim_400_rep_holds_one_matrix_text(argv, tmp_path, capsys):
+    """``rep`` at dim 400 holds no dense operator: its tracemalloc peak, at most REP_PEAK_MIB (measured 18.2
+    MiB for ``--gn 0 20`` and 16.6 MiB for ``--vdw 19/2 19/2``), is the text of one operator at a time; a GN
+    judge on dense arrays peaked at 75.8 and 39.2 MiB."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code = main([*argv, "--out", str(tmp_path / "rep.json")])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().err.endswith(" PASS\n")
+    assert peak <= REP_PEAK_MIB << 20, peak / 2**20
 
 
 @pytest.mark.parametrize("label", VDW_LABELS[::16] + VDW_LABELS[-2:], ids=lambda label: "%s,%s" % label)

@@ -1,6 +1,7 @@
 """Spin+(1,3) operators: ladder coefficients, commutators, conversions."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from cliffrep import algebra, checks, lorentz
-from cliffrep._entries import float_parts
+from cliffrep._entries import cell_texts
 from cliffrep.cli import main
 from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, vdw_labels
 from cliffrep.lorentz import (
@@ -344,6 +345,76 @@ class TestGNOperators:
         assert peak <= 6 * ab.a1.nbytes, peak / ab.a1.nbytes
 
 
+def _gn_mutants() -> dict[str, tuple[str, object]]:
+    """Mutants of the GN entry sources, each (name in ``lorentz``, replacement): one C_k link, the one of
+    level k = 2 (2k = 4), scaled by 1 + 1e-6; spin 1's first ``_su2_band`` root doubled; spin 1's j3 entry
+    m = -1 written as NaN.  On (1, 4) spin 1 is level k = 1, linked to k = 2."""
+    honest_band, honest_c = lorentz._su2_band, lorentz._gn_c
+
+    def spin_1(edit):
+        def band(n):
+            m, roots = honest_band(n)
+            if n == 2:
+                edit(m, roots)
+            return m, roots
+
+        return band
+
+    return {
+        "scaled C_k link": ("_gn_c", lambda a, b, n: honest_c(a, b, n) * (1 + 1e-6) if n == 4 else honest_c(a, b, n)),
+        "doubled root": ("_su2_band", spin_1(lambda m, roots: roots.__setitem__(0, 2 * roots[0]))),
+        "NaN entry": ("_su2_band", spin_1(lambda m, roots: m.__setitem__(0, math.nan))),
+    }
+
+
+class TestGNResiduals:
+    """``gn_residuals``, the verdict ``rep --gn`` takes on its entry lists without numpy, against the dense
+    ``com1_residual`` and ``com2_residual`` that ``verify``'s gn-com1 and gn-vdw keep."""
+
+    def test_tracks_the_dense_residuals(self):
+        """On every GN label of dim <= 64 (144) and on (0, 20), both residuals are within their tolerances and
+        within 1e-13 of the dense ones: the sums run in another order (the largest gap measured is 2.8e-14,
+        and the largest residual 1.1e-13)."""
+        labels = all_gn_labels(64) + [GNLabel(0, 20)]
+        assert len(labels) == 145
+        for lab in labels:
+            ops = build_gn_operators(lab)
+            com1, com2 = lorentz.gn_residuals(lorentz.gn_entries(lab))
+            assert com1 <= GN_COM_TOL and com2 <= VDW_COM_TOL, lab
+            assert abs(com1 - com1_residual(reconstruct_AB(ops))) <= 1e-13, lab
+            assert abs(com2 - com2_residual(gn_to_vdw(ops))) <= 1e-13, lab
+
+    def test_builds_no_dense_array(self):
+        """The residuals read the entry lists only: they hold with the dense writer disabled."""
+        with mock.patch.object(lorentz, "dense", mock.Mock(side_effect=AssertionError("a dense array was built"))):
+            com1, com2 = lorentz.gn_residuals(lorentz.gn_entries(GNLabel(F(3, 2), F(11, 2))))
+        assert com1 <= GN_COM_TOL and com2 <= VDW_COM_TOL
+
+    @pytest.mark.parametrize("mutant", sorted(_gn_mutants()))
+    def test_mutant_fails_both_judges_and_rep(self, mutant, tmp_path, capsys):
+        """Each mutant fails the dense com1_residual, ``gn_residuals`` and ``rep --gn``: exit 1, pass false."""
+        lab, (name, replacement) = GNLabel(1, 4), _gn_mutants()[mutant]
+        with mock.patch.object(lorentz, name, replacement):
+            dense = com1_residual(reconstruct_AB(build_gn_operators(lab)))
+            sparse = lorentz.gn_residuals(lorentz.gn_entries(lab))[0]
+            code = main(["rep", "--gn", "1", "4", "--out", str(tmp_path / "gn.json")])
+        assert not dense <= GN_COM_TOL and not sparse <= GN_COM_TOL, (dense, sparse)
+        assert code == 1 and json.loads((tmp_path / "gn.json").read_text())["pass"] is False
+        assert capsys.readouterr().err.endswith(" FAIL\n")
+
+    def test_negated_a_k_passes_both_judges(self, capsys):
+        """Known gap, not closed here: every A_k negated leaves all 15 relations, dense and sparse, and the
+        converted ones within their tolerances, so ``rep --gn`` passes.  No check of the relations alone
+        tells the sign of A_k (ROADMAP item 23)."""
+        lab, honest = GNLabel(1, 4), lorentz._gn_a
+        with mock.patch.object(lorentz, "_gn_a", lambda *twice: -honest(*twice)):
+            ops = build_gn_operators(lab)
+            dense = com1_residual(reconstruct_AB(ops)), com2_residual(gn_to_vdw(ops))
+            sparse = lorentz.gn_residuals(lorentz.gn_entries(lab))
+            code = main(["rep", "--gn", "1", "4"])
+        assert max(dense + sparse) < 1e-14 and code == 0 and capsys.readouterr().err.endswith(" PASS\n")
+
+
 _HONEST_BAND = lorentz._su2_band
 
 
@@ -635,7 +706,7 @@ class TestVdWOperators:
             return m, roots
 
         def parts():
-            return {name: float_parts(4, op) for name, op in lorentz.vdw_entries(F(1, 2), F(1, 2)).items()}
+            return {name: cell_texts(4, op, ",") for name, op in lorentz.vdw_entries(F(1, 2), F(1, 2)).items()}
 
         honest = parts()
         with mock.patch.object(lorentz, "_su2_band", band):
