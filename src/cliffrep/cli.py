@@ -259,10 +259,11 @@ def _require_operator_dim(dim: int, option: str | None = None) -> None:
 
 def cmd_rep(args) -> int:
     """Both bases print the rows of their ``gn_entries`` or ``vdw_entries`` and are judged on the same entries,
-    without numpy.  ``rep --gn`` passes when ``lorentz.gn_residuals``' rotation/boost residual is at most
-    ``--tol``, and reports its converted residual.  ``rep --vdw`` passes when ``lorentz.vdw_proof`` proves both
-    spins' bands exactly, every root bracketed and j3's diagonal -j .. j, as ``verify``'s ``vdw-com2`` does,
-    and its residual is at most ``--tol``."""
+    without numpy, by the relation code ``verify`` runs on arrays, here on ``lorentz._Sparse`` matrices.
+    ``rep --gn`` passes when ``lorentz.gn_residuals``' rotation/boost residual (``com1_residual``) is at most
+    ``--tol``, and reports its converted residual (``com2_residual`` after ``gn_to_vdw``).  ``rep --vdw``
+    passes when ``lorentz.vdw_proof`` proves both spins' bands exactly, every root bracketed and j3's diagonal
+    -j .. j, as ``verify``'s ``vdw-com2`` does, and its residual is at most ``--tol``."""
     from .lorentz import (
         GN_COM_TOL,
         GNLabel,
@@ -281,7 +282,7 @@ def cmd_rep(args) -> int:
         label = GNLabel(*args.gn)
         _require_operator_dim(label.dim)
         operators = gn_entries(label)
-        residual, converted = gn_residuals(operators)
+        residual, converted = gn_residuals(label, operators)
         basis, labels, dim, note = "gn", {"l0": label.l0, "l1": label.l1}, label.dim, gn_note(label)
         l, ldot = label.vdw_spins()
         tail = {"converted": {"l": str(l), "ldot": str(ldot), "commutator_residual": converted}}

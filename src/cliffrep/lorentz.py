@@ -33,8 +33,7 @@ other entry 0.0, and the one writer pair of ``cliffrep._entries`` writes
 them out: ``dense`` into zeroed complex arrays, one index write per part,
 for ``su2_ladder``, ``build_gn_operators`` and ``build_vdw_operators``,
 and ``cell_texts`` into the JSON cells ``rep`` prints in both bases, one
-text per written entry.  Every ladder triple is read in cartesian form
-through one map (``cartesian``, and ``_sparse_cartesian`` entry by entry).
+text per written entry.
 
 Every spin argument goes through ``_rules.as_half_integer``, the one
 half-integer rule: an int or ``Fraction`` whose double is an integer.
@@ -52,26 +51,28 @@ one NaN-keeping fold (``_worst``), and are defined nowhere else:
 converted operators' ``com2_residual`` and ``SPECTRUM_TOL`` their X3
 eigenvalues.
 
-The entry lists need no numpy, so neither does ``rep``.  Its residuals
-are taken on entries, by one sparse residual (``_sparse_residual``: the
-products of {row: {column: entry}} dicts, deviations at the positions
-they hold, one ``_worst`` fold): ``rep --vdw`` writes ``vdw_entries`` and
-takes its verdict from ``vdw_proof``, which reads the same band entries,
-and ``rep --gn`` writes ``gn_entries`` and judges them by
-``gn_residuals``, ``com1_residual``'s and the converted ``com2_residual``'s
-relations on the same lists.  The dense residuals stay for ``verify``'s GN
-checks: on their 28 labels numpy's products take a fifth or less of the
-pure-Python time (2 vCPUs, Python 3.11: 16-23 ms against 109-177 ms).
-numpy is imported inside the functions that read arrays, and inside
-``dense``, the only one that writes operator entries into arrays.
+Each relation is stated once and runs on two matrix kinds: numpy arrays,
+for ``verify``, and ``_Sparse``, the {row: {column: entry}} of the positions
+a matrix holds, in pure Python, for ``rep``, which loads no numpy.  The one
+ladder-to-cartesian map is ``cartesian``, the rotation/boost relations
+``com1_residual``, the su(2) relations ``_su2_deviations`` and the
+X, Y = (H +- iF)/2 conversion ``gn_to_vdw``.  ``rep --gn`` judges its
+``gn_entries`` by ``gn_residuals``, both chains on ``_Sparse`` operators;
+``rep --vdw`` takes ``vdw_proof``'s verdict, ``_su2_deviations`` folded
+over each spin's band.  On ``verify``'s 28 GN labels numpy's products take
+a fifth or less of the pure-Python time (2 vCPUs, Python 3.11: 16-23 ms
+against 109-177 ms).  numpy is imported inside the functions that read
+arrays, and inside ``dense``, the only one that writes entries into arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 from fractions import Fraction
 from itertools import chain
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._entries import Entries, Operator, dense
@@ -173,20 +174,22 @@ def _gn_c(two_l0: int, two_l1: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class GNOperators:
+    """The six (l0, l1) operators, each a dense array (``build_gn_operators``) or a ``_Sparse`` (``gn_residuals``)."""
+
     label: GNLabel
-    h3: np.ndarray
-    hplus: np.ndarray
-    hminus: np.ndarray
-    f3: np.ndarray
-    fplus: np.ndarray
-    fminus: np.ndarray
+    h3: np.ndarray | _Sparse
+    hplus: np.ndarray | _Sparse
+    hminus: np.ndarray | _Sparse
+    f3: np.ndarray | _Sparse
+    fplus: np.ndarray | _Sparse
+    fminus: np.ndarray | _Sparse
     basis_note: str
 
     @property
     def dim(self) -> int:
         return self.h3.shape[0]
 
-    def operators(self) -> dict[str, np.ndarray]:
+    def operators(self) -> dict[str, np.ndarray | _Sparse]:
         return dict(zip(_GN_NAMES, (self.h3, self.hplus, self.hminus, self.f3, self.fplus, self.fminus)))
 
 
@@ -237,7 +240,7 @@ def build_gn_operators(label: GNLabel) -> GNOperators:
 
 
 class ABOperators(NamedTuple):
-    """Rotation (a1..a3) and boost (b1..b3) infinitesimal operators."""
+    """Rotation (a1..a3) and boost (b1..b3) infinitesimal operators, arrays or ``_Sparse`` as the GN ones."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -268,8 +271,8 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _worst(deviations) -> float:
-    """Largest entry magnitude over arrays or numbers, 0.0 over none; NaN if any entry is NaN, which
-    ends the fold (Python's max would drop it).  Every max-deviation verdict folds through here."""
+    """Largest entry magnitude over arrays, ``_Sparse`` matrices or numbers, 0.0 over none; NaN if any entry is
+    NaN, which ends the fold (Python's max would drop it).  Every max-deviation verdict folds through here."""
     worst = 0.0
     for d in deviations:
         size = float(abs(d).max()) if hasattr(d, "max") else abs(d)
@@ -277,6 +280,64 @@ def _worst(deviations) -> float:
             return math.nan
         worst = max(worst, size)
     return worst
+
+
+class _Sparse:
+    """A dim x dim matrix as {row: {column: entry}} of the positions it holds, a missing entry read as 0j, that
+    answers ``+``, ``-``, ``@``, a complex scale, ``/`` by a scalar, ``abs``, ``max`` and ``.shape`` as a numpy
+    array does, so the relation code runs on it in pure Python."""
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: dict[int, dict[int, complex]], dim: int):
+        self.rows, self.shape = rows, (dim, dim)
+
+    @classmethod
+    def of(cls, operator: Operator, dim: int) -> _Sparse:
+        """The operator's written positions, each entry complex(real, imaginary) with an unwritten part 0.0
+        and, as in ``dense``, the last entry of a part at a repeated position winning."""
+        rows: dict[int, dict[int, complex]] = {}
+        for part, entries in enumerate(operator):
+            for r, c, v in entries:
+                row = rows.setdefault(r, {})
+                z = row.get(c, 0j)
+                row[c] = complex(z.real, v) if part else complex(v, z.imag)
+        return cls(rows, dim)
+
+    def _zip(self, f, other: _Sparse) -> _Sparse:
+        x, y, out = self.rows, other.rows, {}
+        for r in x.keys() | y.keys():
+            xr, yr = x.get(r, {}), y.get(r, {})
+            out[r] = {c: f(xr.get(c, 0j), yr.get(c, 0j)) for c in xr.keys() | yr.keys()}
+        return _Sparse(out, self.shape[0])
+
+    def _map(self, f) -> _Sparse:
+        return _Sparse({r: {c: f(v) for c, v in row.items()} for r, row in self.rows.items()}, self.shape[0])
+
+    __add__, __sub__, __abs__ = partialmethod(_zip, add), partialmethod(_zip, sub), partialmethod(_map, abs)
+
+    def __rmul__(self, k: complex) -> _Sparse:
+        return self._map(lambda v: k * v)
+
+    def __truediv__(self, k: complex) -> _Sparse:
+        return self._map(lambda v: v / k)
+
+    def __matmul__(self, other: _Sparse) -> _Sparse:
+        """Each row of self times the rows of other its entries select."""
+        out = {}
+        for r, row in self.rows.items():
+            acc: dict[int, complex] = {}
+            for k, u in row.items():
+                for c, v in other.rows.get(k, {}).items():
+                    acc[c] = acc.get(c, 0j) + u * v
+            out[r] = acc
+        return _Sparse(out, self.shape[0])
+
+    def max(self) -> float:
+        """The largest entry of a real matrix such as ``abs(s)``, NaN if any is NaN, as numpy's ``max``;
+        0.0, the entry at every position not held, if it holds none."""
+        values = [v for row in self.rows.values() for v in row.values()]
+        return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def com1_residual(ab: ABOperators) -> float:
@@ -296,21 +357,23 @@ def com1_residual(ab: ABOperators) -> float:
 
 @dataclass(frozen=True)
 class VdWOperators:
+    """The six (l, ldot) operators, each a dense array or, from ``gn_to_vdw`` in ``gn_residuals``, a ``_Sparse``."""
+
     l: Fraction
     ldot: Fraction
-    x3: np.ndarray
-    xplus: np.ndarray
-    xminus: np.ndarray
-    y3: np.ndarray
-    yplus: np.ndarray
-    yminus: np.ndarray
+    x3: np.ndarray | _Sparse
+    xplus: np.ndarray | _Sparse
+    xminus: np.ndarray | _Sparse
+    y3: np.ndarray | _Sparse
+    yplus: np.ndarray | _Sparse
+    yminus: np.ndarray | _Sparse
     basis_note: str
 
     @property
     def dim(self) -> int:
         return self.x3.shape[0]
 
-    def operators(self) -> dict[str, np.ndarray]:
+    def operators(self) -> dict[str, np.ndarray | _Sparse]:
         return dict(zip(_VDW_NAMES, (self.x3, self.xplus, self.xminus, self.y3, self.yplus, self.yminus)))
 
 
@@ -413,70 +476,9 @@ def _band_failure(j, m: list[float], roots: list[float]) -> str | None:
     return None
 
 
-#: a matrix as {row: {column: entry}} of the entries it holds, every other entry 0
-Rows = dict[int, dict[int, complex]]
-
-
-def _rows(operator: Operator) -> Rows:
-    """The operator as ``Rows`` of its written positions, each entry complex(real, imaginary) with an unwritten
-    part 0.0 and, as in ``dense``, the last entry of a part at a repeated position winning."""
-    rows: Rows = {}
-    for part, entries in enumerate(operator):
-        for r, c, v in entries:
-            row = rows.setdefault(r, {})
-            z = row.get(c, 0j)
-            row[c] = complex(z.real, v) if part else complex(v, z.imag)
-    return rows
-
-
-def _entrywise(f, x: Rows, y: Rows) -> Rows:
-    """f(x_rc, y_rc) at each position x or y holds, a missing entry read as 0j."""
-    out = {}
-    for r in x.keys() | y.keys():
-        xr, yr = x.get(r, {}), y.get(r, {})
-        out[r] = {c: f(xr.get(c, 0j), yr.get(c, 0j)) for c in xr.keys() | yr.keys()}
-    return out
-
-
-def _scaled(k: complex, x: Rows) -> Rows:
-    return {r: {c: k * v for c, v in row.items()} for r, row in x.items()}
-
-
-def _sparse_cartesian(three: Rows, plus: Rows, minus: Rows) -> tuple[Rows, Rows, Rows]:
-    """``cartesian`` entry by entry."""
-    return _entrywise(lambda p, m: (p + m) / 2, plus, minus), _entrywise(lambda p, m: (p - m) / 2j, plus, minus), three
-
-
-def _sparse_product(a: Rows, b: Rows) -> Rows:
-    """a @ b, each row of a times the rows of b its entries select."""
-    out = {}
-    for r, row in a.items():
-        acc: dict[int, complex] = {}
-        for k, u in row.items():
-            for c, v in b.get(k, {}).items():
-                acc[c] = acc.get(c, 0j) + u * v
-        out[r] = acc
-    return out
-
-
-def _sparse_residual(relations) -> float:
-    """Largest entry deviation over the relations [x, y] = z, each an (x, y, z) of ``Rows``, folded by
-    ``_worst``: the one residual of matrices held as their entries, taken at every position [x, y] or z
-    holds; at every other position the deviation is 0."""
-
-    def deviations():
-        for x, y, z in relations:
-            xy, yx = _sparse_product(x, y), _sparse_product(y, x)
-            for r in xy.keys() | yx.keys() | z.keys():
-                p, q, s = xy.get(r, {}), yx.get(r, {}), z.get(r, {})
-                yield from (p.get(c, 0j) - q.get(c, 0j) - s.get(c, 0j) for c in p.keys() | q.keys() | s.keys())
-
-    return _worst(deviations())
-
-
-def _su2_relations(t: tuple[Rows, Rows, Rows]) -> list[tuple[Rows, Rows, Rows]]:
-    """[J1, J2] = iJ3 and its cyclic shifts for the cartesian triple t."""
-    return [(t[a], t[b], _scaled(1j, t[c])) for a, b, c in _CYCLIC]
+def _su2_deviations(t):
+    """[J1, J2] - iJ3 and its cyclic shifts for the cartesian triple t: the su(2) relations."""
+    return (_comm(t[i], t[j]) - 1j * t[k] for i, j, k in _CYCLIC)
 
 
 def vdw_proof(l, ldot) -> tuple[str | None, float]:
@@ -484,44 +486,26 @@ def vdw_proof(l, ldot) -> tuple[str | None, float]:
     the ones ``vdw_entries`` places, without numpy.
 
     ``failure`` is ``_band_failure``'s text for the first spin whose band is not exactly its su(2)
-    triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is ``_sparse_residual`` over the
-    six relations [J1, J2] = iJ3 and its cyclic shifts of the two spins' triples, each taken on the
-    triple's bands: under the Kronecker assembly each su(2) relation of X and Y is that of its spin times
-    I, and the nine [Xa, Yb] vanish entry by entry, so these are all of ``com2_residual``'s relations that
-    contribute.
+    triple, the proof ``su2_ladder_failure`` runs, or None.  ``residual`` is ``_su2_deviations`` of each
+    spin's cartesian triple, as ``_Sparse`` matrices on its band, in one ``_worst`` fold: under the
+    Kronecker assembly each su(2) relation of X and Y is that of its spin times I, and the nine [Xa, Yb]
+    vanish entry by entry, so these are all of ``com2_residual``'s relations that contribute.
     """
-    failure, relations = None, []
+    failure, deviations = None, []
     for j in (as_half_integer(l), as_half_integer(ldot)):
-        m, roots = _su2_band(_twice_spin(j))
+        n = _twice_spin(j)
+        m, roots = _su2_band(n)
         failure = failure or _band_failure(j, m, roots)
-        relations += _su2_relations(_sparse_cartesian(*(_rows((entries, [])) for entries in _band_entries(m, roots))))
-    return failure, _sparse_residual(relations)
+        deviations.append(_su2_deviations(cartesian(*(_Sparse.of((e, []), n + 1) for e in _band_entries(m, roots)))))
+    return failure, _worst(chain.from_iterable(deviations))
 
 
-def gn_residuals(operators: dict[str, Operator]) -> tuple[float, float]:
-    """(com1, com2) residuals of the GN operators given by their ``gn_entries``, on their entries by
-    ``_sparse_residual``, without numpy: ``com1_residual``'s 15 relations of A = -i cartesian(H) and
-    B = -i cartesian(F), as ``reconstruct_AB`` forms them, and ``com2_residual``'s 15 of the converted
-    X = (H + iF)/2 and Y = (H - iF)/2, as ``gn_to_vdw`` forms them.  They differ from the dense residuals
-    only in the order of the sums, in the last bits."""
-    rows = [_rows(operators[name]) for name in _GN_NAMES]
-    h, f = rows[:3], rows[3:]
-    a, b = ([_scaled(-1j, m) for m in _sparse_cartesian(*t)] for t in (h, f))
-    com1 = []
-    for i, j, k in _CYCLIC:
-        com1 += [
-            (a[i], a[j], a[k]),
-            (b[i], b[j], _scaled(-1, a[k])),
-            (a[i], b[i], {}),
-            (a[i], b[j], b[k]),
-            (a[j], b[i], _scaled(-1, b[k])),
-        ]
-    x, y = (
-        _sparse_cartesian(*(_entrywise(convert, *pair) for pair in zip(h, f)))
-        for convert in (lambda u, v: (u + 1j * v) / 2, lambda u, v: (u - 1j * v) / 2)
-    )
-    com2 = _su2_relations(x) + _su2_relations(y) + [(xa, yb, {}) for xa in x for yb in y]
-    return _sparse_residual(com1), _sparse_residual(com2)
+def gn_residuals(label: GNLabel, operators: dict[str, Operator]) -> tuple[float, float]:
+    """(com1, com2) residuals of the (l0, l1) operators given by their ``gn_entries``, without numpy:
+    ``com1_residual`` of ``reconstruct_AB`` and ``com2_residual`` of ``gn_to_vdw``, run on ``GNOperators``
+    that hold the entries as ``_Sparse`` matrices."""
+    ops = GNOperators(label, *(_Sparse.of(operators[name], label.dim) for name in _GN_NAMES), gn_note(label))
+    return com1_residual(reconstruct_AB(ops)), com2_residual(gn_to_vdw(ops))
 
 
 def com2_residual(ops: VdWOperators) -> float:
@@ -529,8 +513,7 @@ def com2_residual(ops: VdWOperators) -> float:
     [J1,J2] = iJ3 and its cyclic shifts for J = X and J = Y, and [Xa, Yb] = 0."""
     xs = cartesian(ops.x3, ops.xplus, ops.xminus)
     ys = cartesian(ops.y3, ops.yplus, ops.yminus)
-    su2 = (_comm(t[i], t[j]) - 1j * t[k] for t in (xs, ys) for i, j, k in _CYCLIC)
-    return _worst(chain(su2, (_comm(xi, yi) for xi in xs for yi in ys)))
+    return _worst(chain(_su2_deviations(xs), _su2_deviations(ys), (_comm(xi, yi) for xi in xs for yi in ys)))
 
 
 def gn_to_vdw(ops: GNOperators) -> VdWOperators:

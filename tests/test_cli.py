@@ -990,8 +990,9 @@ def gn_labels_up_to(dim_max: int) -> list[tuple[Fraction, Fraction]]:
 
 #: sha256 of ``rep --gn`` stdout over the 144 GN labels of dim <= 64 and (0, 20), run in-process, each
 #: ``"commutator_residual"`` value masked as "#": the digest pins the entries, written from ``gn_entries``,
-#: the labels and the verdicts; the residuals, sums over the same entry lists in pure Python, are held to
-#: the dense com1_residual and com2_residual within a stated bound in tests/test_lorentz.py
+#: the labels and the verdicts; the residuals, sums over the same entry lists in pure Python, are pinned bit
+#: for bit by GN_RESIDUAL_DIGEST and held to the dense com1_residual and com2_residual within a stated bound,
+#: both in tests/test_lorentz.py
 REP_GN_JSON_DIGEST = "1bf3261e555bb87044ae0a8c3af2b686d3c4666896e7d49a623a1c5963ee95ba"
 REP_GN_RUNS = [["rep", "--gn", str(l0), str(l1)] for l0, l1 in gn_labels_up_to(64) + [(Fraction(0), Fraction(20))]]
 

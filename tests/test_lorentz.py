@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from cliffrep import algebra, checks, lorentz
-from cliffrep._entries import cell_texts
+from cliffrep._entries import cell_texts, dense
 from cliffrep.cli import main
 from cliffrep.checks import GN_COM_TOL, GN_VDW_PROPERTIES, VDW_COM_TOL, gn_labels, vdw_labels
 from cliffrep.lorentz import (
@@ -44,6 +45,9 @@ VDW_OPERATOR_DIGEST = "b15ea67b236fa514e3127c3f5f423ca2e67c608586caef9dd4c19910f
 # sha256 of the raw bytes of su2_ladder's (j3, j+, j-) for 2j = 0..199, every root a
 # correctly rounded math.sqrt
 SU2_LADDER_DIGEST = "6f8bd30db6b329a5770d8bd55e73d287207069fdbf78080b5ad60b6ea44a9505"
+# sha256 of the repr of gn_residuals, one line per label, over all_gn_labels(64) and (0, 20): the two
+# residuals rep --gn prints, which REP_GN_JSON_DIGEST masks, pinned bit for bit
+GN_RESIDUAL_DIGEST = "9b3bd86aa8c062b2c26fdc7ff306c619ded7f008be079295316853d2ee3b86bb"
 
 
 def _digest(all_ops) -> str:
@@ -379,15 +383,22 @@ class TestGNResiduals:
         assert len(labels) == 145
         for lab in labels:
             ops = build_gn_operators(lab)
-            com1, com2 = lorentz.gn_residuals(lorentz.gn_entries(lab))
+            com1, com2 = lorentz.gn_residuals(lab, lorentz.gn_entries(lab))
             assert com1 <= GN_COM_TOL and com2 <= VDW_COM_TOL, lab
             assert abs(com1 - com1_residual(reconstruct_AB(ops))) <= 1e-13, lab
             assert abs(com2 - com2_residual(gn_to_vdw(ops))) <= 1e-13, lab
 
+    def test_residual_bits_unchanged(self):
+        h = hashlib.sha256()
+        for lab in all_gn_labels(64) + [GNLabel(0, 20)]:
+            h.update(f"{lorentz.gn_residuals(lab, lorentz.gn_entries(lab))!r}\n".encode())
+        assert h.hexdigest() == GN_RESIDUAL_DIGEST
+
     def test_builds_no_dense_array(self):
         """The residuals read the entry lists only: they hold with the dense writer disabled."""
         with mock.patch.object(lorentz, "dense", mock.Mock(side_effect=AssertionError("a dense array was built"))):
-            com1, com2 = lorentz.gn_residuals(lorentz.gn_entries(GNLabel(F(3, 2), F(11, 2))))
+            lab = GNLabel(F(3, 2), F(11, 2))
+            com1, com2 = lorentz.gn_residuals(lab, lorentz.gn_entries(lab))
         assert com1 <= GN_COM_TOL and com2 <= VDW_COM_TOL
 
     @pytest.mark.parametrize("mutant", sorted(_gn_mutants()))
@@ -396,7 +407,7 @@ class TestGNResiduals:
         lab, (name, replacement) = GNLabel(1, 4), _gn_mutants()[mutant]
         with mock.patch.object(lorentz, name, replacement):
             dense = com1_residual(reconstruct_AB(build_gn_operators(lab)))
-            sparse = lorentz.gn_residuals(lorentz.gn_entries(lab))[0]
+            sparse = lorentz.gn_residuals(lab, lorentz.gn_entries(lab))[0]
             code = main(["rep", "--gn", "1", "4", "--out", str(tmp_path / "gn.json")])
         assert not dense <= GN_COM_TOL and not sparse <= GN_COM_TOL, (dense, sparse)
         assert code == 1 and json.loads((tmp_path / "gn.json").read_text())["pass"] is False
@@ -410,7 +421,7 @@ class TestGNResiduals:
         with mock.patch.object(lorentz, "_gn_a", lambda *twice: -honest(*twice)):
             ops = build_gn_operators(lab)
             dense = com1_residual(reconstruct_AB(ops)), com2_residual(gn_to_vdw(ops))
-            sparse = lorentz.gn_residuals(lorentz.gn_entries(lab))
+            sparse = lorentz.gn_residuals(lab, lorentz.gn_entries(lab))
             code = main(["rep", "--gn", "1", "4"])
         assert max(dense + sparse) < 1e-14 and code == 0 and capsys.readouterr().err.endswith(" PASS\n")
 
@@ -1065,6 +1076,56 @@ class TestWorst:
 
     def test_largest_magnitude_of_arrays_and_numbers(self):
         assert lorentz._worst(iter([np.array([[-3.0, 1j]]), 2.0, np.array([2 + 2j])])) == 3.0
+
+
+def random_operator(rng: random.Random, dim: int):
+    """An entry list pair on dim x dim with repeated positions and, for some seeds, an empty part; entries are
+    multiples of 1/4 of size at most 4, so every sum and product below is exact in either matrix kind."""
+    return tuple(
+        [(rng.randrange(dim), rng.randrange(dim), rng.randint(-16, 16) / 4) for _ in range(rng.randrange(9))]
+        for _ in range(2)
+    )
+
+
+def sparse_array(s) -> np.ndarray:
+    """A ``_Sparse`` as a dense array: its entries, every other entry 0."""
+    out = np.zeros(s.shape, dtype=complex)
+    for r, row in s.rows.items():
+        for c, v in row.items():
+            out[r, c] = v
+    return out
+
+
+class TestSparse:
+    """``lorentz._Sparse``, the pure-Python matrix the relation code runs on for ``rep``, against numpy on the
+    arrays ``dense`` writes from the same entry lists."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operations_match_numpy(self, seed):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 5)
+        ops = [random_operator(rng, dim) for _ in range(2)]
+        (x, y), (u, v) = (lorentz._Sparse.of(op, dim) for op in ops), dense(dim, ops)
+        assert np.array_equal(sparse_array(x), u) and x.shape == (dim, dim)
+        for got, want in [
+            (x + y, u + v), (x - y, u - v), (x @ y, u @ v), (-1j * x, -1j * u), (x / 2, u / 2), (x / 2j, u / 2j),
+        ]:
+            assert got.shape == (dim, dim) and np.array_equal(sparse_array(got), want)
+        # CPython's complex abs and numpy's absolute may round one |z| a last bit apart
+        assert lorentz._worst([x - y]) == pytest.approx(np.abs(u - v).max(), rel=2**-52, abs=0)
+        assert lorentz._comm(x, y).shape == (dim, dim)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nan_anywhere_gives_nan(self, seed):
+        """A NaN written last, in either part at any position, makes the fold NaN, as numpy's max does."""
+        rng = random.Random(seed)
+        dim = rng.randint(1, 5)
+        op = random_operator(rng, dim)
+        op[rng.randrange(2)].append((rng.randrange(dim), rng.randrange(dim), math.nan))
+        assert math.isnan(lorentz._worst([lorentz._Sparse.of(op, dim)])) and np.isnan(np.abs(dense(dim, [op])[0]).max())
+
+    def test_empty_matrix_folds_to_zero(self):
+        assert lorentz._worst([lorentz._Sparse.of(([], []), 3)]) == 0.0
 
 
 class TestSpintensor:
