@@ -8,7 +8,6 @@ last generator taking opposite signs in the two blocks.
 import numpy as np
 
 from cliffrep import (
-    blade_images,
     build_generators,
     faithfulness_rank,
     omega_square_mod8,
@@ -36,9 +35,11 @@ gen2 = build_generators((1, 0))
 print("\nCl(1,0) generator (reducible block pair):")
 print(gen2.gammas[0].real)
 
-# blade images multiply like the blades themselves
-gen3 = build_generators((2, 0))
-images = blade_images(gen3)
-print("\nCl(2,0) blade images (e0, e1, e2, e12):")
-for mask in sorted(images):
-    print(images[mask].real if not images[mask].imag.any() else images[mask])
+# the blades' images are products of the generators, and multiply like the blades themselves
+g1, g2 = build_generators((2, 0)).gammas
+images = {"1": np.eye(2), "e1": g1, "e2": g2, "e12": g1 @ g2}
+print("\nCl(2,0) blade images:")
+for name, m in images.items():
+    print(f"{name} =\n{m.real + 0.0}")  # + 0.0 writes a -0.0 from the product as 0.0
+print("e12 e12 = -1:", np.array_equal(images["e12"] @ images["e12"], -images["1"]))
+print("e1 e12 = e2:", np.array_equal(g1 @ images["e12"], g2))

@@ -59,7 +59,7 @@ _LAZY = {
         "tensor": "GradedTensorProduct theta_psi_check theta_psi_checks",
         "repsys": "ComplexRepLabel RealRepClass RealRepLabel bw_complex_step bw_real_step chain_neighbors "
         "classify_real_rep interlocking_chain real_period_step",
-        "gamma": "GeneratorSet blade_images build_generators faithfulness_rank verify_anticommutation",
+        "gamma": "GeneratorSet build_generators faithfulness_rank verify_anticommutation",
         "lorentz": "GNLabel GNOperators Spintensor VdWOperators build_gn_operators build_vdw_operators "
         "gn_coefficients gn_to_vdw reconstruct_AB spintensor_transform",
     }.items()

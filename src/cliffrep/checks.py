@@ -31,6 +31,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import gamma, lorentz, repsys
+from ._rules import as_count, as_generator_count
 from .algebra import (
     MAX_GENERATORS,
     Multivector,
@@ -222,9 +223,8 @@ def check_even_subalgebra(nmax: int, dim_max: int) -> CheckResult:
 
 
 def check_gamma(nmax: int, dim_max: int) -> CheckResult:
-    """Each signature's ``gamma.generator_forms`` go to ``gamma.form_verdict`` as they are, in pure Python:
-    no dense array is built or read back; the first failing signature is reported in sweep order."""
-    reach = min(nmax, gamma.MAX_SYNTHESIS_GENERATORS)
+    """Each signature's ``gamma.generator_forms`` go to ``gamma.form_verdict`` as they are, in pure Python, up to
+    16 generators (dim 256): no dense array is built or read back; the first failure is reported in sweep order."""
     def failure(s: Signature) -> str | None:
         verdict = gamma.form_verdict(gamma.generator_forms(s)[0], s.metric)
         if not verdict.relations:
@@ -232,7 +232,7 @@ def check_gamma(nmax: int, dim_max: int) -> CheckResult:
         if verdict.rank != 1 << s.n:
             return f"rank {s}"
         return None if s.n == 0 or verdict.omega_sign == omega_square_mod8(s) else f"omega {s}"
-    return _sweep("gamma anticommutation", _signatures(reach), failure, f"n <= {reach}, faithful")
+    return _sweep("gamma anticommutation", _signatures(nmax), failure, f"n <= {nmax}, faithful")
 
 
 def gn_labels(dim_max: int) -> list[lorentz.GNLabel]:
@@ -388,9 +388,17 @@ ALL_CHECKS: list[tuple[str, Callable[[int, int], CheckResult]]] = [
 def run_all(nmax: int = 8, dim_max: int = 64) -> list[CheckResult]:
     """Every registry check in order; one that raises is a FAIL under its registry name, and the rest still run.
 
+    The budgets are those ``verify`` accepts: ``nmax`` a generator count (``_rules.as_generator_count``)
+    and ``dim_max`` an integer >= 1; anything else is one ``ValueError`` naming both, before any check runs.
     The GN labels' operators are built once here and handed to both GN checks as ``gn_ops``; nothing
     outlives the call.  If that build raises, each GN check builds its own and raises as its own FAIL.
     """
+    try:
+        as_generator_count(nmax)
+        if as_count(dim_max, "dim_max") < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"budgets must be integers nmax in 0..{MAX_GENERATORS} and dim_max >= 1, got {nmax=}, {dim_max=}") from None
     try:
         gn_ops = _gn_operators(dim_max)
     except Exception:

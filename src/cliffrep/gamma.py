@@ -17,9 +17,10 @@ row holds one entry, a Z4 phase i^k (Lounesto, *Clifford Algebras and
 Spinors*, ch. 16-17).  The synthesis works on that form alone, one column
 and one phase per row (:func:`generator_forms`), in pure Python: a
 Kronecker product is index arithmetic and a matrix product a gather with a
-mod-4 phase sum.  :func:`form_entries` turns a form into the entry lists of
-its real and imaginary parts, and the one writer pair of
-:mod:`cliffrep._entries` writes them out, every zero part +0.0:
+mod-4 phase sum.  A form is O(dim), so the synthesis has no bound beyond
+:func:`as_signature`'s 16 generators (dim 256).  :func:`form_entries` turns
+a form into the entry lists of its real and imaginary parts, and the one
+writer pair of :mod:`cliffrep._entries` writes them out, every zero part +0.0:
 :func:`build_generators` through ``dense`` into complex arrays, and
 ``matrep`` through ``cell_texts`` into the rows it prints.
 
@@ -67,8 +68,6 @@ SEEDS = {
 
 #: the (real, imaginary) parts of the Z4 phases i^0 .. i^3, every zero +0.0
 _PHASE_PARTS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-MAX_SYNTHESIS_GENERATORS = 12  #: most generators :func:`generator_forms` synthesises (dim 64)
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,6 @@ def generator_forms(sig) -> tuple[tuple[Form, ...], bool, str]:
     """``(forms, reducible, basis_note)``: the (column, phase) form of each gamma of
     :func:`build_generators`, in its order, all in pure Python."""
     sig = as_signature(sig)
-    if sig.n > MAX_SYNTHESIS_GENERATORS:
-        raise ValueError(f"generator synthesis supported up to {MAX_SYNTHESIS_GENERATORS} generators")
     if sig.n == 0:
         return (), False, "trivial 1-dim module"
     if sig.n % 2 == 0:
@@ -267,17 +264,6 @@ def verify_anticommutation(gen: GeneratorSet) -> bool:
     that is not monomial."""
     verdict = _set_verdict(gen)
     return verdict is not None and verdict.relations
-
-
-def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
-    """Matrix image of every blade, as ascending ordered products."""
-    import numpy as np
-
-    images = {0: np.eye(gen.dim, dtype=complex)}
-    for mask in range(1, 1 << gen.sig.n):
-        low = mask & -mask
-        images[mask] = gen.gammas[low.bit_length() - 1] @ images[mask ^ low]
-    return images
 
 
 def faithfulness_rank(gen: GeneratorSet) -> int:

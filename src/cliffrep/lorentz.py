@@ -295,10 +295,13 @@ class _Sparse:
     @classmethod
     def of(cls, operator: Operator, dim: int) -> _Sparse:
         """The operator's written positions, each entry complex(real, imaginary) with an unwritten part 0.0
-        and, as in ``dense``, the last entry of a part at a repeated position winning."""
+        and, as in ``dense``, the last entry of a part at a repeated position winning; a position outside
+        0..dim-1 is one ``ValueError`` naming the first such."""
         rows: dict[int, dict[int, complex]] = {}
         for part, entries in enumerate(operator):
             for r, c, v in entries:
+                if not (0 <= r < dim and 0 <= c < dim):
+                    raise ValueError(f"entry position ({r}, {c}) outside 0..{dim - 1}")
                 row = rows.setdefault(r, {})
                 z = row.get(c, 0j)
                 row[c] = complex(z.real, v) if part else complex(v, z.imag)

@@ -91,6 +91,12 @@ CRITERIA = [
         ("omega-conjugation",),
         16, 0, (81,), None,
     ),
+    Criterion(
+        18,
+        "gamma relations exact, faithful rank 2^n, volume image sign correct up to 16 generators",
+        ("gamma",),
+        16, 0, (153,), None,
+    ),
 ]
 
 

@@ -292,6 +292,26 @@ class TestVerifyCommand:
         assert (code, err, len(lines)) == (1, "", 4) and lines[-1] == "2/3 checks passed"
         assert lines[1] == "FAIL  broken  [raised ZeroDivisionError: division by zero]"
 
+    @pytest.mark.parametrize(
+        "nmax,dim_max",
+        [
+            (-1, -5),  # once 16 PASS lines, every budgeted check covering 0
+            (8, 64.0),  # once a vdw-com2 FAIL only, "raised TypeError"
+            (17, 8),  # once seven "raised ValueError" lines
+            (8.0, 64),
+            (8, 0),
+            ("8", 64),
+        ],
+    )
+    def test_run_all_refuses_a_budget_verify_would_not_take(self, nmax, dim_max):
+        """``run_all`` takes the budgets ``verify`` accepts, an nmax in 0..16 and a dim_max >= 1, both
+        integers; anything else is one ValueError naming both, raised before any check runs."""
+        unreachable = mock.Mock(side_effect=AssertionError("a check ran"))
+        with mock.patch.object(checks, "ALL_CHECKS", [("unreachable", unreachable)]), mock.patch.object(checks, "_gn_operators", unreachable):
+            with pytest.raises(ValueError) as exc:
+                checks.run_all(nmax, dim_max)
+        assert str(exc.value) == f"budgets must be integers nmax in 0..16 and dim_max >= 1, got nmax={nmax!r}, dim_max={dim_max!r}"
+
     def test_largest_nmax_caps_periodicity_base(self):
         # Cl(p+8, q) must fit in MAX_GENERATORS, so the base stops at n = 8
         r = check_periodicity(MAX_GENERATORS, 1)
@@ -321,7 +341,7 @@ class TestInputErrors:
             (["classify", "-p", "-1", "-q", "0"], "generator counts must be non-negative"),
             (["classify", "-p", "20", "-q", "0"], "at most 16 generators are supported"),
             (["factorize", "-p", "17", "-q", "0"], "at most 16 generators are supported"),
-            (["matrep", "-p", "7", "-q", "6"], "generator synthesis supported up to 12 generators"),
+            (["matrep", "-p", "9", "-q", "8"], "at most 16 generators are supported"),
             (["rep", "--gn", "1/2", "1/2"], "finite dimension requires l1 = l0 + p, natural p >= 1"),
             (["rep", "--gn", "1/3", "2"], "1/3 is not a half-integer"),
             (["chain", "--spin2", "-1"], "spin doubling 2s must be non-negative"),
@@ -1081,7 +1101,6 @@ USAGE_ERROR_RUNS = [
     ["factorize", "-p", "17", "-q", "0"],
     ["factorize", "-p", "0", "-q", "-1"],
     ["factorize", "-p", "2", "-q", "2.0"],
-    ["matrep", "-p", "7", "-q", "6"],
     ["matrep", "-p", "-1", "-q", "0"],
     ["matrep", "-p", "9", "-q", "8"],
     ["matrep", "-q", "1"],
@@ -1112,7 +1131,7 @@ USAGE_ERROR_RUNS = [
 
 # sha256 over (argv, exit code, stdout, stderr) of every USAGE_ERROR_RUNS run, argparse's usage
 # lines wrapped at 80 columns: cliffrep's messages and argparse's, the same on Python 3.10, 3.11 and 3.12
-USAGE_ERROR_DIGEST = "6b22b3b93e7a6874da6da22bcf5939d4e216f82678ac78a180359094abd94255"
+USAGE_ERROR_DIGEST = "b113a6ff8719a1a22dd322da6c50a34aa2aa75fea156b6d7db79522800fff6ac"
 
 
 def test_usage_error_text_unchanged(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Gamma-matrix synthesis: defining relations, faithfulness, volume image."""
 
 import hashlib
+import json
 import re
 from functools import reduce
 from unittest import mock
@@ -15,7 +16,6 @@ from cliffrep.gamma import (
     GammaVerdict,
     GeneratorSet,
     _monomial_forms,
-    blade_images,
     build_generators,
     faithfulness_rank,
     form_verdict,
@@ -26,10 +26,22 @@ from cliffrep.gamma import (
 )
 
 all_signatures = [Signature(p, n - p) for n in range(0, 8) for p in range(n + 1)]
-#: every signature build_generators synthesises, in check_gamma's sweep order: n, then p, ascending
+#: the 91 signatures of p+q <= 12, in check_gamma's sweep order: n, then p, ascending
 synthesised = [Signature(p, n - p) for n in range(13) for p in range(n + 1)]
+#: the 62 signatures of 13 <= p+q <= 16, in the same order: with ``synthesised``, all 153 build_generators makes
+synthesised_past_12 = [Signature(p, n - p) for n in range(13, 17) for p in range(n + 1)]
 _X = np.array([[0, 1], [1, 0]])
 _Z = np.array([[1, 0], [0, -1]])
+
+
+def blade_images(gen: GeneratorSet) -> dict[int, np.ndarray]:
+    """Every blade's image as the ascending product of its generators' gammas: a dense reference for
+    small n only, its 2^n images of dim^2 entries each."""
+    images = {0: np.eye(gen.dim, dtype=complex)}
+    for mask in range(1, 1 << gen.sig.n):
+        low = mask & -mask
+        images[mask] = gen.gammas[low.bit_length() - 1] @ images[mask ^ low]
+    return images
 
 
 def _turn_phase(g):
@@ -76,7 +88,7 @@ FORM_MUTANTS = {
 }
 
 
-#: where the mutant tests put their mutant: n = 2, 5, 8 and 12, the synthesis limit
+#: where the mutant tests put their mutant: n = 2, 5, 8 and 12
 MUTATED_SIGNATURES = [Signature(1, 1), Signature(3, 2), Signature(4, 4), Signature(6, 6)]
 
 
@@ -137,6 +149,8 @@ def kronecker_chain(sig: Signature) -> list[np.ndarray]:
 # sha256 of the raw bytes of kronecker_chain's gammas for all 91 p+q <= 12, n then p ascending: the
 # bits build_generators returned while it built these chains, whose -0.0 parts came from the products
 KRONECKER_CHAIN_DIGEST = "46819fb8dd2ee37f67cc81cdad8832cfd4299a210cabf29c4013c5161b46ead4"
+# the same for the 62 signatures of 13 <= p+q <= 16, n then p ascending, which the chains never reached
+KRONECKER_CHAIN_PAST_12_DIGEST = "a4b5fd78e1ac6cba1dde08ce840b13b39e544edcb44df34a72e56d5e393572eb"
 
 
 class TestBuildGenerators:
@@ -162,15 +176,17 @@ class TestBuildGenerators:
         assert g.dim == 1 and g.gammas == ()
         assert verify_anticommutation(g)
 
-    @pytest.mark.parametrize("sig", all_signatures)
+    @pytest.mark.parametrize("sig", synthesised + synthesised_past_12)
     def test_representation_dimension(self, sig):
         g = build_generators(sig)
         assert g.dim == 1 << ((sig.n + 1) // 2)
         assert g.reducible == (sig.n % 2 == 1)
 
     def test_size_overflow(self):
-        with pytest.raises(ValueError, match="generator synthesis supported up to 12 generators"):
-            build_generators((13, 0))
+        """Past 16 generators the one input rule refuses the signature, before any synthesis."""
+        for make in (build_generators, generator_forms):
+            with pytest.raises(ValueError, match="^at most 16 generators are supported$"):
+                make((9, 8))
 
     def test_matrix_bits_unchanged(self):
         """sha256 of the raw bytes of every gamma matrix for all 91 p+q <= 12, n then p
@@ -204,6 +220,29 @@ class TestBuildGenerators:
             signed_zeros += text.count("-0.0")
             assert (cli.main(["matrep", "-p", str(sig.p), "-q", str(sig.q)]), capsys.readouterr().out) == (0, text.replace("-0.0", "0.0"))
         assert (h.hexdigest(), signed_zeros) == (KRONECKER_CHAIN_DIGEST, 487_674)
+
+    def test_forms_are_the_kronecker_chain_past_twelve_generators(self):
+        """On the 62 signatures of 13 <= p+q <= 16 the gammas equal the dense Kronecker chain's, each -0.0
+        part written +0.0, with no -0.0 part; a new digest pins the chain's bits there."""
+        h = hashlib.sha256()
+        for sig in synthesised_past_12:
+            chain, gen = kronecker_chain(sig), build_generators(sig)
+            h.update(b"".join(g.tobytes() for g in chain))
+            assert [g.tobytes() for g in gen.gammas] == [(g + 0.0).tobytes() for g in chain], sig
+            parts = np.concatenate([g.view(np.float64) for g in gen.gammas])
+            assert not np.signbit(parts[parts == 0]).any(), sig
+        assert h.hexdigest() == KRONECKER_CHAIN_PAST_12_DIGEST
+
+    def test_matrep_at_sixteen_generators(self, tmp_path, capsys):
+        """``matrep -p 8 -q 8`` writes the 16 gammas of dim 256, judged by the one rule, and they read back as
+        the Kronecker chain's, each -0.0 part written +0.0."""
+        out = tmp_path / "m16.json"
+        assert cli.main(["matrep", "-p", "8", "-q", "8", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 16 generators of dim 256 to {out}\n"
+        payload = json.loads(out.read_text())
+        assert (payload["dim"], payload["reducible"], payload["anticommutation_ok"], len(payload["gammas"])) == (256, False, True, 16)
+        chain = kronecker_chain(Signature(8, 8))
+        assert [cli.matrix_from_json(m).tobytes() for m in payload["gammas"]] == [(g + 0.0).tobytes() for g in chain]
 
 
 class TestGeneratorSetShape:
@@ -304,29 +343,18 @@ class TestFaithfulness:
         with pytest.raises(ValueError, match=f"gamma matrices of {re.escape(str(sig))} violate the defining relations"):
             faithfulness_rank(gen)
 
-    def test_blade_images_multiply(self):
-        sig = Signature(2, 1)
-        g = build_generators(sig)
-        images = blade_images(g)
-        for a in all_blades(sig):
-            for b in all_blades(sig):
-                from cliffrep.algebra import blade_product
-
-                sign, mask = blade_product(a, b, sig)
-                assert np.allclose(images[a] @ images[b], sign * images[mask])
-
 
 class TestGammaCheck:
     def test_reaches_the_synthesis_limit(self):
+        """The synthesis limit is the one input rule's 16 generators: all 153 signatures are swept."""
         r = checks.check_gamma(16, 0)
-        assert (r.passed, r.detail, r.covered) == (True, "n <= 12, faithful", 91)
+        assert (r.passed, r.detail, r.covered) == (True, "n <= 16, faithful", 153)
 
     @pytest.mark.parametrize("nmax", range(-1, 17))
     def test_budget(self, nmax):
-        """Every count up to min(nmax, 12) is swept, each of its n + 1 signatures covered."""
-        reach = min(nmax, 12)
+        """Every count up to nmax is swept, each of its n + 1 signatures covered."""
         r = checks.check_gamma(nmax, 1)
-        assert (r.passed, r.detail, r.covered) == (True, f"n <= {reach}, faithful", sum(n + 1 for n in range(reach + 1)))
+        assert (r.passed, r.detail, r.covered) == (True, f"n <= {nmax}, faithful", sum(n + 1 for n in range(nmax + 1)))
 
     def test_builds_and_reads_no_dense_array(self):
         """The check judges the synthesised forms as they are: with the dense writer and reader made to
@@ -344,14 +372,14 @@ class TestGammaCheck:
         assert (r.passed, r.detail) == (False, "Cl(6,6)")
 
     @pytest.mark.parametrize("mutant", FORM_MUTANTS)
-    @pytest.mark.parametrize("sig", MUTATED_SIGNATURES, ids=str)
+    @pytest.mark.parametrize("sig", MUTATED_SIGNATURES + [Signature(8, 7), Signature(8, 8)], ids=str)
     def test_mutant_fails(self, mutant, sig):
-        """Each form mutant of one set's last gamma fails the check, which names that set; written dense, it
-        is the dense mutant of the same name."""
+        """Each form mutant of one set's last gamma fails the 16-generator sweep, which names that set, up to
+        Cl(8,7) and Cl(8,8) of dim 256; written dense, it is the dense mutant of the same name."""
         honest = generator_forms
         with mock.patch.object(checks.gamma, "generator_forms", lambda s: form_mutated(s, FORM_MUTANTS[mutant]) if s == sig else honest(s)):
-            r = checks.check_gamma(12, 0)
-        assert (r.passed, r.detail, r.covered) == (False, str(sig), 91)
+            r = checks.check_gamma(16, 0)
+        assert (r.passed, r.detail, r.covered) == (False, str(sig), 153)
         assert _monomial_forms(mutated(build_generators(sig), GAMMA_MUTANTS[mutant])) == form_mutated(sig, FORM_MUTANTS[mutant])[0]
 
     @pytest.mark.parametrize("mutant", GAMMA_MUTANTS)

@@ -1127,6 +1127,26 @@ class TestSparse:
     def test_empty_matrix_folds_to_zero(self):
         assert lorentz._worst([lorentz._Sparse.of(([], []), 3)]) == 0.0
 
+    @pytest.mark.parametrize(
+        "operator,position",
+        [
+            (([(0, 0, 1.0), (-1, -1, 1.0)], []), "(-1, -1)"),  # numpy would read it as the last row
+            (([(0, 0, 1.0)], [(1, 2, 1.0), (3, 0, 1.0)]), "(1, 2)"),  # the first of two, in the imaginary part
+            (([(2, 0, 1.0)], []), "(2, 0)"),
+        ],
+    )
+    def test_position_outside_the_matrix_is_refused(self, operator, position):
+        """An entry outside 0..dim-1 is one ``ValueError`` naming the first such position, not a row of its own."""
+        with pytest.raises(ValueError) as exc:
+            lorentz._Sparse.of(operator, 2)
+        assert str(exc.value) == f"entry position {position} outside 0..1"
+
+    def test_entries_of_another_label_are_refused(self):
+        """(0, 2)'s dim-4 entry lists under the dim-1 label (0, 1) are refused; they once gave a passing-looking
+        (2.2e-16, 1.1e-16)."""
+        with pytest.raises(ValueError, match=r"^entry position \(\d+, \d+\) outside 0\.\.0$"):
+            lorentz.gn_residuals(GNLabel(0, 1), lorentz.gn_entries(GNLabel(0, 2)))
+
 
 class TestSpintensor:
     def test_identity_transform(self):
